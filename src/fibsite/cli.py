@@ -459,3 +459,7 @@ def run(argv: list[str] | None = None, stdout=None) -> int:
 
 def main() -> None:
     raise SystemExit(run())
+
+
+if __name__ == "__main__":
+    main()

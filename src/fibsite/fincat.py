@@ -106,6 +106,10 @@ def validate_category(c: FiniteCategory) -> list[str]:
     for m, (s, t) in c.morphisms.items():
         if s not in objset or t not in objset:
             report.append(f"morphism {m} has unknown endpoint")
+        # nerve strings tell a vertex (u,) from an edge (m,) by membership
+        # in the objects, so the two name spaces must not overlap
+        if m in objset:
+            report.append(f"morphism {m} has the same identifier as an object")
     for u in c.objects:
         i = c.identity.get(u)
         if i is None or i not in c.morphisms:

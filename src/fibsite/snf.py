@@ -3,7 +3,9 @@
 Everything here works over arbitrary-precision Python integers; no floats
 anywhere.  Matrices are immutable row-major tuples of tuples.  The sparse
 routine exists because boundary/differential matrices of simplicial objects
-are large but mostly eliminate with unit pivots.
+are large but mostly eliminate with unit pivots: it sweeps the columns
+shortest first, pivots on the shortest row with a +-1 entry, and hands the
+small leftover to the dense Smith-form diagonal.
 """
 
 from __future__ import annotations
@@ -19,10 +21,6 @@ def matrix(rows: Iterable[Iterable[int]]) -> Matrix:
     if out and any(len(r) != len(out[0]) for r in out):
         raise ValueError("ragged matrix")
     return out
-
-
-def zero_matrix(nrows: int, ncols: int) -> Matrix:
-    return tuple((0,) * ncols for _ in range(nrows))
 
 
 def identity_matrix(n: int) -> Matrix:
@@ -301,13 +299,15 @@ def sparse_invariant_factors(
 ) -> tuple[int, list[int]]:
     """(rank, invariant factors) of a sparse integer matrix.
 
-    Strategy: repeatedly eliminate with +-1 pivots drawn from a lazy heap
-    ordered by Markowitz cost (each such step contributes an invariant
-    factor 1), then hand whatever is left to the dense routine.  For
-    simplicial boundary matrices the dense leftover is tiny.
+    Strategy: greedy +-1 elimination (a coreduction, or algebraic Morse
+    matching, of the cochain complex).  Each sweep visits the live columns
+    shortest first and, within a column, pivots on the shortest row whose
+    entry there is +-1; every such pivot contributes an invariant factor 1
+    and removes its row and column.  Sweeps repeat until one finds no unit
+    pivot, and whatever is left goes to the dense routine.  Invariant
+    factors do not depend on the pivot order; for simplicial boundary
+    matrices the dense leftover is tiny.
     """
-    import heapq
-
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
     for (i, j), val in entries.items():
@@ -316,52 +316,41 @@ def sparse_invariant_factors(
         rows.setdefault(i, {})[j] = val
         cols.setdefault(j, set()).add(i)
 
-    heap: list[tuple[int, int, int]] = []
-    for i, row in rows.items():
-        rl = len(row) - 1
-        for j, val in row.items():
-            if val in (1, -1):
-                heap.append((rl * (len(cols[j]) - 1), i, j))
-    heapq.heapify(heap)
-
     unit_count = 0
-    while heap:
-        cost, p, q = heapq.heappop(heap)
-        if p not in rows or q not in rows[p] or rows[p][q] not in (1, -1):
-            continue
-        cur_cost = (len(rows[p]) - 1) * (len(cols[q]) - 1)
-        if cur_cost > cost:
-            heapq.heappush(heap, (cur_cost, p, q))
-            continue
-        pval = rows[p][q]
-        prow = rows[p]
-        for i in list(cols[q]):
-            if i == p:
+    found = True
+    while found:
+        found = False
+        for q in sorted(cols, key=lambda j: len(cols[j])):
+            if q not in cols:
                 continue
-            irow = rows[i]
-            mult = irow[q] * pval  # pval in {1,-1}
-            for j, val in prow.items():
-                cur = irow.get(j, 0) - mult * val
-                if cur == 0:
-                    if j in irow:
+            units = [i for i in cols[q] if rows[i][q] in (1, -1)]
+            if not units:
+                continue
+            p = min(units, key=lambda i: len(rows[i]))
+            prow = rows.pop(p)
+            pval = prow.pop(q)
+            for i in cols.pop(q):
+                if i == p:
+                    continue
+                irow = rows[i]
+                mult = irow.pop(q) * pval  # pval in {1,-1}
+                for j, val in prow.items():
+                    cur = irow.get(j, 0) - mult * val
+                    if cur:
+                        if j not in irow:
+                            cols[j].add(i)
+                        irow[j] = cur
+                    else:
                         del irow[j]
                         cols[j].discard(i)
-                else:
-                    if j not in irow:
-                        cols.setdefault(j, set()).add(i)
-                    irow[j] = cur
-                    if cur in (1, -1):
-                        heapq.heappush(
-                            heap, ((len(irow) - 1) * (len(cols[j]) - 1), i, j)
-                        )
-            if not irow:
-                del rows[i]
-        for j in prow:
-            cols[j].discard(p)
-            if not cols[j]:
-                del cols[j]
-        del rows[p]
-        unit_count += 1
+                if not irow:
+                    del rows[i]
+            for j in prow:
+                cols[j].discard(p)
+                if not cols[j]:
+                    del cols[j]
+            unit_count += 1
+            found = True
 
     if rows:
         live_rows = sorted(rows)
@@ -388,12 +377,6 @@ def kernel_basis(m: Sequence[Sequence[int]]) -> Matrix:
     r = sf.rank
     cols = [tuple(sf.v[i][j] for i in range(nc)) for j in range(r, nc)]
     return tuple(cols)
-
-
-def columns_to_matrix(cols: Sequence[Sequence[int]], nrows: int) -> Matrix:
-    if not cols:
-        return tuple(() for _ in range(nrows))
-    return tuple(tuple(int(c[i]) for c in cols) for i in range(nrows))
 
 
 def lattice_basis(gens: Matrix) -> Matrix:

@@ -1,6 +1,8 @@
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -168,6 +170,19 @@ class TestExitCodes:
         code, _ = go(["validate", str(BUNDLES / "bad_inverse.bundle")])
         assert code == 3
 
+    def test_morphism_named_like_object_is_3(self, tmp_path):
+        p = tmp_path / "clash.bundle"
+        p.write_text(
+            "category C\nobjects U V\nmor U : V -> U\n\n"
+            "abpresheaf F over C\nat U group Z\nat V group Z Z\n"
+            "restrict U matrix [[1],[0]]\n"
+        )
+        code, _ = go(["validate", str(p)])
+        assert code == 3
+        with pytest.raises(BundleValidationError) as err:
+            parse_bundle([str(p)])
+        assert "same identifier as an object" in str(err.value)
+
     def test_unknown_name_is_3(self):
         code, _ = go(["cohomology", str(BUNDLES / "pt_z2.bundle"), "--psheaf", "G", "--coeffs", "NOPE"])
         assert code == 3
@@ -189,6 +204,32 @@ class TestExitCodes:
     def test_failed_check_is_1(self):
         code, _ = go(["sheaf-check", str(BUNDLES / "chain_cover.bundle"), "--presheaf", "P"])
         assert code == 1
+
+
+class TestModuleEntryPoints:
+    SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+    def python_m(self, module, argv):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (self.SRC, env.get("PYTHONPATH")) if p
+        )
+        return subprocess.run(
+            [sys.executable, "-m", module, *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+
+    @pytest.mark.parametrize("module", ["fibsite", "fibsite.cli"])
+    def test_validate_matches_run(self, module):
+        argv = ["validate", str(BUNDLES / "pt_z2.bundle")]
+        proc = self.python_m(module, argv)
+        assert proc.returncode == 0
+        assert proc.stdout == go(argv)[1]
+
+    @pytest.mark.parametrize("module", ["fibsite", "fibsite.cli"])
+    def test_validation_error_is_3(self, module):
+        proc = self.python_m(module, ["validate", str(BUNDLES / "bad_inverse.bundle")])
+        assert proc.returncode == 3
 
 
 class TestDeterminism:

@@ -37,11 +37,13 @@ from fibsite.fibred import (
 )
 from fibsite.fincat import (
     Functor,
+    build_category,
     codiscrete_groupoid,
     cyclic_groupoid,
     group_block_groupoid,
     poset_chain,
     terminal_category,
+    validate_category,
 )
 from fibsite.sampling import random_sectionwise_equivalence
 from fibsite.site import (
@@ -201,6 +203,32 @@ class TestCochainComplex:
         assert h[0].factors == (4,)
         assert h[1].factors == () and h[2].factors == ()
         assert compatible_family_group(chain2, f) == h[0]
+
+    def test_morphism_named_like_object_rejected(self):
+        # chain V -> U with F(U) = Z, F(V) = Z^2: H^* = Z, 0, 0, 0.  Naming
+        # the arrow U made the edge string (U,) read as the vertex U, which
+        # gave H^0 = Z + Z, so such a category must not validate.
+        def chain(name):
+            c = build_category(["U", "V"], {name: ("V", "U")}, {})
+            f = AbelianPresheaf(
+                base=c,
+                group={"U": ZZ, "V": FgAbelianGroup(factors=(0, 0))},
+                restriction={
+                    "id_U": ((1,),),
+                    "id_V": ((1, 0), (0, 1)),
+                    name: ((1,), (0,)),
+                },
+            )
+            return c, f
+
+        c, f = chain("a")
+        assert validate_category(c) == []
+        h = cohomology_of_complex(cochain_complex(c, f, 3))
+        assert [x.factors for x in h] == [(0,), (), (), ()]
+        c, _ = chain("U")
+        assert validate_category(c) == [
+            "morphism U has the same identifier as an object"
+        ]
 
 
 class TestH0Independent:

@@ -3,6 +3,14 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fibsite.cohom import (
+    FgAbelianGroup,
+    ZZ,
+    cochain_complex,
+    constant_abelian_presheaf,
+    zmod,
+)
+from fibsite.fincat import codiscrete_groupoid, cyclic_groupoid, poset_chain
 from fibsite.snf import (
     determinant,
     identity_matrix,
@@ -80,6 +88,51 @@ def test_sparse_matches_dense(m):
     dense = snf_diagonal(m)
     assert rank == len(dense)
     assert factors == dense
+
+
+def assert_sparse_matches_dense(entries, nrows, ncols):
+    m = [[entries.get((i, j), 0) for j in range(ncols)] for i in range(nrows)]
+    dense = snf_diagonal(m)
+    assert sparse_invariant_factors(entries, nrows, ncols) == (len(dense), dense)
+
+
+# Boundary-shaped: sparse, mostly +-1 (long unit-pivot cascades), with empty
+# rows and columns and a few entries in {+-2, +-3} so a dense leftover remains.
+boundary_shaped = st.integers(1, 40).flatmap(
+    lambda nr: st.integers(1, 40).flatmap(
+        lambda nc: st.tuples(
+            st.dictionaries(
+                st.tuples(st.integers(0, nr - 1), st.integers(0, nc - 1)),
+                st.sampled_from((1, -1) * 4 + (2, -2, 3, -3)),
+                max_size=3 * max(nr, nc),
+            ),
+            st.just(nr),
+            st.just(nc),
+        )
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(boundary_shaped)
+def test_sparse_matches_dense_on_boundary_shaped(case):
+    assert_sparse_matches_dense(*case)
+
+
+def test_sparse_matches_dense_on_cochain_differentials():
+    z4, z3 = cyclic_groupoid(4), cyclic_groupoid(3)
+    e3 = codiscrete_groupoid(["a", "b", "c"])
+    chain = poset_chain(["W", "V", "U"])
+    complexes = [
+        cochain_complex(z4, constant_abelian_presheaf(z4, ZZ), 4),
+        cochain_complex(z3, constant_abelian_presheaf(z3, zmod(2)), 4),
+        cochain_complex(e3, constant_abelian_presheaf(e3, FgAbelianGroup(factors=(2, 0))), 3),
+        cochain_complex(chain, constant_abelian_presheaf(chain, ZZ), 3, normalized=False),
+    ]
+    for cc in complexes:
+        for n, entries in enumerate(cc.differentials):
+            nrows = cc.ranks[n + 1] if n + 1 < len(cc.ranks) else 0
+            assert_sparse_matches_dense(dict(entries), nrows, cc.ranks[n])
 
 
 def test_kernel_basis():
