@@ -237,12 +237,6 @@ def _strings_by_degree(
     return out
 
 
-def _first_object(c: FiniteCategory, t: tuple[str, ...]) -> str:
-    if len(t) == 1 and t[0] in set(c.objects):
-        return t[0]
-    return c.source(t[0])
-
-
 def _string_faces(
     c: FiniteCategory, t: tuple[str, ...]
 ) -> list[tuple[str, ...]]:
@@ -302,13 +296,13 @@ def cochain_complex(
         pos = 0
         for t in strings[n]:
             off[t] = pos
-            pos += f.group[_first_object(c, t)].generator_count
+            pos += f.group[c.string_vertex(n, t)].generator_count
         gen_offsets.append(off)
         gen_ranks.append(pos)
         roff: dict[tuple[tuple[str, ...], int], int] = {}
         rpos = 0
         for t in strings[n]:
-            g = f.group[_first_object(c, t)]
+            g = f.group[c.string_vertex(n, t)]
             for i, d in enumerate(g.factors):
                 if d != 0:
                     roff[(t, i)] = rpos
@@ -320,7 +314,7 @@ def cochain_complex(
         """Entries of D^n: strings_n-cochains -> strings_{n+1}-cochains."""
         entries: dict[tuple[int, int], int] = {}
         for tau in strings[n + 1]:
-            x0 = _first_object(c, tau)
+            x0 = c.string_vertex(n + 1, tau)
             kx0 = f.group[x0].generator_count
             rbase = gen_offsets[n + 1][tau]
             faces = _string_faces(c, tau)
@@ -365,7 +359,7 @@ def cochain_complex(
         """rho_n: relation columns into the free cochains of degree n."""
         entries = {}
         for (t, i), col in rel_offsets[n].items():
-            d = f.group[_first_object(c, t)].factors[i]
+            d = f.group[c.string_vertex(n, t)].factors[i]
             entries[(gen_offsets[n][t] + i, col)] = d
         return entries
 
@@ -377,7 +371,7 @@ def cochain_complex(
         for (r, cc), v in dn.items():
             by_col.setdefault(cc, []).append((r, v))
         row_rel = {
-            off: f.group[_first_object(c, t)].factors[i]
+            off: f.group[c.string_vertex(n + 1, t)].factors[i]
             for (t, i), off2 in rel_offsets[n + 1].items()
             for off in [gen_offsets[n + 1][t] + i]
         }
@@ -385,7 +379,7 @@ def cochain_complex(
             gen_offsets[n + 1][t] + i: col for (t, i), col in rel_offsets[n + 1].items()
         }
         for (t, i), col in rel_offsets[n].items():
-            d = f.group[_first_object(c, t)].factors[i]
+            d = f.group[c.string_vertex(n, t)].factors[i]
             src_row = gen_offsets[n][t] + i
             for r, v in by_col.get(src_row, []):
                 num = d * v

@@ -139,21 +139,6 @@ def object_presheaf(a: PresheafOfCategories) -> Presheaf:
     )
 
 
-def morphism_presheaf(a: PresheafOfCategories) -> Presheaf:
-    """The presheaf of morphisms of the fibres."""
-    return make_presheaf(
-        a.site,
-        value={u: tuple(sorted(a.value[u].morphisms)) for u in a.site.objects},
-        action={
-            m: {
-                f: a.restriction[m].on_morphism(f)
-                for f in a.value[a.site.target(m)].morphisms
-            }
-            for m in a.site.morphisms
-        },
-    )
-
-
 # ---------------------------------------------------------------------------
 # the construction itself
 
@@ -305,17 +290,6 @@ def induced_topology(
                 out.add(r)
         covers[tot] = frozenset(out)
     return GrothendieckTopology(site=fs.total, covers=covers)
-
-
-def with_topology(fs: FibredSite, t: GrothendieckTopology) -> FibredSite:
-    return FibredSite(
-        base=fs.base,
-        total=fs.total,
-        projection=fs.projection,
-        object_pair=fs.object_pair,
-        morphism_pair=fs.morphism_pair,
-        topology=t,
-    )
 
 
 # ---------------------------------------------------------------------------

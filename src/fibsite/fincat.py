@@ -70,6 +70,18 @@ class FiniteCategory:
     def hom(self, a: str, b: str) -> tuple[str, ...]:
         return tuple(m for m in self.into(b) if self.source(m) == a)
 
+    def string_vertex(self, n: int, t: tuple[str, ...], i: int = 0) -> str:
+        """The i-th object along a degree-n string token (see ``strings``).
+
+        The degree decides the token's shape: a degree-0 string is
+        ``(object,)``, and any longer one is a tuple of arrows.
+        """
+        if n == 0:
+            return t[0]
+        if i == 0:
+            return self.morphisms[t[0]][0]
+        return self.morphisms[t[i - 1]][1]
+
     def strings(self, n: int, nondegenerate: bool = False) -> Iterator[tuple[str, ...]]:
         """Composable strings of n morphisms, as tuples read left to right.
 
@@ -333,11 +345,6 @@ def comma_data(f: Functor, y: str) -> CommaCategory:
 
 def comma_category(f: Functor, y: str) -> FiniteCategory:
     return comma_data(f, y).category
-
-
-def slice_category(c: FiniteCategory, y: str) -> CommaCategory:
-    """The slice c/y, realized as the comma category of the identity functor."""
-    return comma_data(identity_functor(c), y)
 
 
 # ---------------------------------------------------------------------------

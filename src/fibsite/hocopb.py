@@ -9,7 +9,8 @@ of triples (x, sigma, anchor) with the anchor based at sigma's first vertex
 (the groupoid rewrite of the slice construction).  The unit and counit are
 implemented at simplex level and satisfy the triangle identities exactly;
 the sectionwise versions over a presheaf of groupoids carry the site actions
-along unchanged.
+along unchanged.  Validation happens once, at the public ``hocolim`` and
+``pb``, and the unit, counit and triangle checks reuse what those built.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import InputError
 from .fibred import PresheafOfGroupoids
-from .fincat import FiniteCategory, Groupoid, opposite, validate_groupoid
+from .fincat import Groupoid, opposite, validate_groupoid
 from .sset import (
     SimplicialMap,
     TruncatedSimplicialSet,
@@ -111,12 +112,6 @@ def validate_over_nerve(x: OverNerve) -> list[str]:
     return report
 
 
-def _first_vertex(c: FiniteCategory, sigma) -> str:
-    if len(sigma) == 1 and sigma[0] in set(c.objects):
-        return sigma[0]
-    return c.source(sigma[0])
-
-
 def hocolim(a: GroupoidDiagram, d: int) -> OverNerve:
     """Diagonal of the simplicial replacement, over the nerve of the base.
 
@@ -132,47 +127,45 @@ def hocolim(a: GroupoidDiagram, d: int) -> OverNerve:
         raise InputError("diagram values truncated below the requested degree")
     ng = nerve(g, d)
     simplices = []
-    for n in range(d + 1):
-        cur = set()
-        for sigma in ng.simplices[n]:
-            y0 = _first_vertex(g, sigma)
-            for x in a.value[y0].simplices[n]:
-                cur.add((sigma, x))
-        simplices.append(frozenset(cur))
+    structure = []
     faces = {}
-    for n in range(1, d + 1):
-        for i in range(n + 1):
-            fm = {}
-            for (sigma, x) in simplices[n]:
-                y0 = _first_vertex(g, sigma)
-                tau = ng.face(n, i, sigma)
-                if i == 0 and n >= 1:
-                    g1 = sigma[0]
-                    moved = a.action[g1].apply(n, x)
-                    fm[(sigma, x)] = (tau, a.value[g.target(g1)].face(n, 0, moved))
-                else:
-                    fm[(sigma, x)] = (tau, a.value[y0].face(n, i, x))
-            faces[(n, i)] = fm
     degeneracies = {}
-    for n in range(d):
-        for i in range(n + 1):
-            dm = {}
-            for (sigma, x) in simplices[n]:
-                y0 = _first_vertex(g, sigma)
-                dm[(sigma, x)] = (
-                    ng.degeneracy(n, i, sigma),
-                    a.value[y0].degeneracy(n, i, x),
-                )
-            degeneracies[(n, i)] = dm
+    for n in range(d + 1):
+        over = {}
+        fms = [{} for _ in range(n + 1)] if n else []
+        dms = [{} for _ in range(n + 1)] if n < d else []
+        nerve_faces = [ng.faces[(n, i)] for i in range(len(fms))]
+        nerve_degens = [ng.degeneracies[(n, i)] for i in range(len(dms))]
+        for sigma in ng.simplices[n]:
+            value = a.value[g.string_vertex(n, sigma)]
+            xs = value.simplices[n]
+            keys = [(sigma, x) for x in xs]
+            over.update(dict.fromkeys(keys, sigma))
+            if fms:
+                # the 0-th face moves x along the first arrow g1 first
+                g1 = sigma[0]
+                moved = a.action[g1].components[n]
+                d0 = a.value[g.target(g1)].faces[(n, 0)]
+                tau = nerve_faces[0][sigma]
+                fms[0].update(zip(keys, [(tau, d0[moved[x]]) for x in xs]))
+                for i in range(1, n + 1):
+                    tau, di = nerve_faces[i][sigma], value.faces[(n, i)]
+                    fms[i].update(zip(keys, [(tau, di[x]) for x in xs]))
+            for i, dm in enumerate(dms):
+                s_sigma, si = nerve_degens[i][sigma], value.degeneracies[(n, i)]
+                dm.update(zip(keys, [(s_sigma, si[x]) for x in xs]))
+        simplices.append(frozenset(over))
+        structure.append(over)
+        faces.update(((n, i), fm) for i, fm in enumerate(fms))
+        degeneracies.update(((n, i), dm) for i, dm in enumerate(dms))
     total = TruncatedSimplicialSet(
         dim=d, simplices=tuple(simplices), faces=faces, degeneracies=degeneracies
     )
-    structure = SimplicialMap(
-        domain=total,
-        codomain=ng,
-        components=tuple({(sigma, x): sigma for (sigma, x) in simplices[n]} for n in range(d + 1)),
+    return OverNerve(
+        base=g,
+        total=total,
+        structure=SimplicialMap(domain=total, codomain=ng, components=tuple(structure)),
     )
-    return OverNerve(base=g, total=total, structure=structure)
 
 
 def anchor_from_last(g: Groupoid, sigma, alpha: str) -> str:
@@ -201,39 +194,48 @@ def pb(x: OverNerve) -> GroupoidDiagram:
     if bad:
         raise InputError("; ".join(bad))
     g = x.base
-    d = x.total.dim
-    ng = x.structure.codomain
+    total = x.total
+    d = total.dim
+    comp = g.composition
+    # per degree: each t with its anchor vertex and, in positive degree, the
+    # inverse of its string's first arrow
+    rows = []
+    for n in range(d + 1):
+        over = x.structure.components[n]
+        rows.append([
+            (t, g.string_vertex(n, over[t]), g.inverse[over[t][0]] if n else None)
+            for t in total.simplices[n]
+        ])
+    total_faces = [[total.faces[(n, i)] for i in range(n + 1)] if n else [] for n in range(d + 1)]
+    total_degens = [[total.degeneracies[(n, i)] for i in range(n + 1)] for n in range(d)] + [[]]
     value: dict[str, TruncatedSimplicialSet] = {}
     for y in sorted(g.objects):
+        anchors_at = {a0: g.hom(a0, y) for a0 in g.objects}
         simplices = []
-        for n in range(d + 1):
-            cur = set()
-            for t in x.total.simplices[n]:
-                sigma = x.structure.apply(n, t)
-                a0 = _first_vertex(g, sigma)
-                for gamma in g.hom(a0, y):
-                    cur.add((t, gamma))
-            simplices.append(frozenset(cur))
         faces = {}
-        for n in range(1, d + 1):
-            for i in range(n + 1):
-                fm = {}
-                for (t, gamma) in simplices[n]:
-                    ft = x.total.face(n, i, t)
-                    if i == 0:
-                        sigma = x.structure.apply(n, t)
-                        g1 = sigma[0]
-                        fm[(t, gamma)] = (ft, g.compose(gamma, g.inverse[g1]))
-                    else:
-                        fm[(t, gamma)] = (ft, gamma)
-                faces[(n, i)] = fm
         degeneracies = {}
-        for n in range(d):
-            for i in range(n + 1):
-                degeneracies[(n, i)] = {
-                    (t, gamma): (x.total.degeneracy(n, i, t), gamma)
-                    for (t, gamma) in simplices[n]
-                }
+        for n in range(d + 1):
+            level = []
+            fms = [{} for _ in total_faces[n]]
+            dms = [{} for _ in total_degens[n]]
+            for t, a0, inv in rows[n]:
+                anchors = anchors_at[a0]
+                level.extend((t, gamma) for gamma in anchors)
+                if fms:
+                    ft, fm = total_faces[n][0][t], fms[0]
+                    for gamma in anchors:
+                        fm[(t, gamma)] = (ft, comp[(gamma, inv)])
+                    for i in range(1, n + 1):
+                        ft, fm = total_faces[n][i][t], fms[i]
+                        for gamma in anchors:
+                            fm[(t, gamma)] = (ft, gamma)
+                for st_i, dm in zip(total_degens[n], dms):
+                    st = st_i[t]
+                    for gamma in anchors:
+                        dm[(t, gamma)] = (st, gamma)
+            simplices.append(frozenset(level))
+            faces.update(((n, i), fm) for i, fm in enumerate(fms))
+            degeneracies.update(((n, i), dm) for i, dm in enumerate(dms))
         value[y] = TruncatedSimplicialSet(
             dim=d, simplices=tuple(simplices), faces=faces, degeneracies=degeneracies
         )
@@ -243,47 +245,51 @@ def pb(x: OverNerve) -> GroupoidDiagram:
             domain=value[s],
             codomain=value[t_],
             components=tuple(
-                {
-                    (t, gamma): (t, g.compose(m, gamma))
-                    for (t, gamma) in value[s].simplices[n]
-                }
+                {(t, gamma): (t, comp[(m, gamma)]) for (t, gamma) in value[s].simplices[n]}
                 for n in range(d + 1)
             ),
         )
     return GroupoidDiagram(base=g, value=value, action=action)
 
 
-def unit_eta(x: OverNerve) -> SimplicialMap:
-    """x -> hocolim(pb(x)), sending t over sigma to (sigma, (t, identity))."""
+def _unit(x: OverNerve, target: OverNerve) -> SimplicialMap:
+    """x -> target = hocolim(pb(x)), sending t over sigma to (sigma, (t, identity))."""
     g = x.base
-    h = hocolim(pb(x), x.total.dim)
     comps = []
     for n in range(x.total.dim + 1):
+        over = x.structure.components[n]
         cm = {}
         for t in x.total.simplices[n]:
-            sigma = x.structure.apply(n, t)
-            a0 = _first_vertex(g, sigma)
-            cm[t] = (sigma, (t, g.identity[a0]))
+            sigma = over[t]
+            cm[t] = (sigma, (t, g.identity[g.string_vertex(n, sigma)]))
         comps.append(cm)
-    return SimplicialMap(domain=x.total, codomain=h.total, components=tuple(comps))
+    return SimplicialMap(domain=x.total, codomain=target.total, components=tuple(comps))
+
+
+def _counit(a: GroupoidDiagram, p: GroupoidDiagram) -> dict[str, SimplicialMap]:
+    """p = pb(hocolim(a)) -> a, pushing the carried simplex along the anchor."""
+    d = next(iter(a.value.values())).dim
+    out: dict[str, SimplicialMap] = {}
+    for y in a.base.objects:
+        comps = []
+        for n in range(d + 1):
+            cm = {}
+            for tok in p.value[y].simplices[n]:
+                (_sigma, x), gamma = tok
+                cm[tok] = a.action[gamma].components[n][x]
+            comps.append(cm)
+        out[y] = SimplicialMap(domain=p.value[y], codomain=a.value[y], components=tuple(comps))
+    return out
+
+
+def unit_eta(x: OverNerve) -> SimplicialMap:
+    """x -> hocolim(pb(x)), sending t over sigma to (sigma, (t, identity))."""
+    return _unit(x, hocolim(pb(x), x.total.dim))
 
 
 def counit_epsilon(a: GroupoidDiagram) -> dict[str, SimplicialMap]:
     """pb(hocolim(a)) -> a, pushing the carried simplex along the anchor."""
-    g = a.base
-    d = next(iter(a.value.values())).dim
-    h = hocolim(a, d)
-    p = pb(h)
-    out: dict[str, SimplicialMap] = {}
-    for y in g.objects:
-        comps = []
-        for n in range(d + 1):
-            cm = {}
-            for ((sigma, x), gamma) in p.value[y].simplices[n]:
-                cm[((sigma, x), gamma)] = a.action[gamma].apply(n, x)
-            comps.append(cm)
-        out[y] = SimplicialMap(domain=p.value[y], codomain=a.value[y], components=tuple(comps))
-    return out
+    return _counit(a, pb(hocolim(a, next(iter(a.value.values())).dim)))
 
 
 @dataclass(frozen=True)
@@ -303,34 +309,39 @@ def check_triangles(
 
     With a diagram a: hocolim(epsilon) after eta at hocolim(a) must be the
     identity.  With an over-object x: epsilon at pb(x) after pb(eta) must be
-    the identity.  Either argument may be omitted.
+    the identity.  Either argument may be omitted.  Each of hocolim(a),
+    pb(hocolim(a)), pb(x) and their hocolims is built once and shared by
+    the unit and the counit.
     """
     hocolim_side = True
     pb_side = True
     if a is not None:
         d = next(iter(a.value.values())).dim
         h = hocolim(a, d)
-        eta = unit_eta(h)
-        eps = counit_epsilon(a)
+        p = pb(h)
+        eta = _unit(h, hocolim(p, d))
+        eps = _counit(a, p)
         for n in range(d + 1):
+            eta_n = eta.components[n]
+            eps_n = {y: m.components[n] for y, m in eps.items()}
             for tok in h.total.simplices[n]:
-                sigma, inner = eta.apply(n, tok)
-                y0 = _first_vertex(a.base, sigma)
-                back = (sigma, eps[y0].apply(n, inner))
+                sigma, inner = eta_n[tok]
+                back = (sigma, eps_n[a.base.string_vertex(n, sigma)][inner])
                 if back != tok:
                     hocolim_side = False
     if x is not None:
         d = x.total.dim
         g = x.base
         px = pb(x)
-        eta = unit_eta(x)
+        eta = _unit(x, hocolim(px, d))
         for y in g.objects:
             for n in range(d + 1):
+                eta_n = eta.components[n]
                 for (t, gamma) in px.value[y].simplices[n]:
                     # pb(eta) lifts the token, then the counit at pb(x)
                     # pushes the carried simplex along the anchor
-                    _sigma, inner = eta.apply(n, t)
-                    pushed = (inner[0], g.compose(gamma, inner[1]))
+                    _sigma, inner = eta_n[t]
+                    pushed = (inner[0], g.composition[(gamma, inner[1])])
                     if pushed != (t, gamma):
                         pb_side = False
     return TriangleReport(hocolim_side=hocolim_side, pb_side=pb_side)
@@ -518,14 +529,15 @@ def enriched_hocolim(x: EnrichedGroupoidDiagram, d: int) -> EnrichedOverNerve:
     site_action: dict[str, SimplicialMap] = {}
     for alpha, (v, u) in c.morphisms.items():
         opr = nerve_map(_op_functor_of_restriction(a, alpha), d)
+        op = sections[u].base  # the opposed fibre at u
         comps = []
         for n in range(d + 1):
             cm = {}
             for (sigma, t) in sections[u].total.simplices[n]:
-                y0 = _first_vertex(opposite(a.value[u]), sigma)
+                y0 = op.string_vertex(n, sigma)
                 cm[(sigma, t)] = (
-                    opr.apply(n, sigma),
-                    x.site_action[(alpha, y0)].apply(n, t),
+                    opr.components[n][sigma],
+                    x.site_action[(alpha, y0)].components[n][t],
                 )
             comps.append(cm)
         site_action[alpha] = SimplicialMap(

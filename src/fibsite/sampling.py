@@ -218,13 +218,6 @@ def random_groupoid(rng: random.Random, max_objects: int = 2, max_group: int = 3
     return disjoint_union_groupoid(blocks, tags)
 
 
-def random_presheaf_of_groupoids(
-    rng: random.Random, site: FiniteCategory, max_objects: int = 2, max_group: int = 3
-) -> PresheafOfGroupoids:
-    g = random_groupoid(rng, max_objects=max_objects, max_group=max_group)
-    return constant_presheaf_of_categories(site, g)
-
-
 def random_sectionwise_equivalence(
     rng: random.Random, max_site_objects: int = 3
 ) -> tuple[MorphismOfPresheavesOfCategories, PresheafOfGroupoids]:

@@ -72,52 +72,59 @@ def validate_simplicial(s: TruncatedSimplicialSet) -> list[str]:
     report: list[str] = []
     if s.dim < 0 or len(s.simplices) != s.dim + 1:
         return ["simplex tuple does not match truncation degree"]
+    levels = [set(level) for level in s.simplices]
     for n in range(1, s.dim + 1):
         for i in range(n + 1):
             fm = s.faces.get((n, i))
-            if fm is None or set(fm) != set(s.simplices[n]):
+            if fm is None or fm.keys() != levels[n]:
                 report.append(f"face ({n},{i}) missing or wrongly indexed")
-            elif not set(fm.values()) <= set(s.simplices[n - 1]):
+            elif not set(fm.values()) <= levels[n - 1]:
                 report.append(f"face ({n},{i}) escapes degree {n-1}")
     for n in range(0, s.dim):
         for i in range(n + 1):
             dm = s.degeneracies.get((n, i))
-            if dm is None or set(dm) != set(s.simplices[n]):
+            if dm is None or dm.keys() != levels[n]:
                 report.append(f"degeneracy ({n},{i}) missing or wrongly indexed")
-            elif not set(dm.values()) <= set(s.simplices[n + 1]):
+            elif not set(dm.values()) <= levels[n + 1]:
                 report.append(f"degeneracy ({n},{i}) escapes degree {n+1}")
     if report:
         return report
+    # face[n][i] and degen[n][i] are the maps d_i and s_i out of degree n
+    face = [[s.faces[(n, i)] for i in range(n + 1)] if n else [] for n in range(s.dim + 1)]
+    degen = [[s.degeneracies[(n, i)] for i in range(n + 1)] for n in range(s.dim)]
     # d_i d_j = d_{j-1} d_i (i < j)
     for n in range(2, s.dim + 1):
+        here, below = face[n], face[n - 1]
         for x in s.simplices[n]:
+            dx = [f[x] for f in here]
             for j in range(1, n + 1):
                 for i in range(j):
-                    if s.face(n - 1, i, s.face(n, j, x)) != s.face(
-                        n - 1, j - 1, s.face(n, i, x)
-                    ):
+                    if below[i][dx[j]] != below[j - 1][dx[i]]:
                         report.append(f"d{i} d{j} fails in degree {n}")
     # s_i s_j = s_{j+1} s_i (i <= j)
     for n in range(0, s.dim - 1):
+        here, above = degen[n], degen[n + 1]
         for x in s.simplices[n]:
+            sx = [f[x] for f in here]
             for j in range(n + 1):
                 for i in range(j + 1):
-                    if s.degeneracy(n + 1, i, s.degeneracy(n, j, x)) != s.degeneracy(
-                        n + 1, j + 1, s.degeneracy(n, i, x)
-                    ):
+                    if above[i][sx[j]] != above[j + 1][sx[i]]:
                         report.append(f"s{i} s{j} fails in degree {n}")
     # mixed identities
     for n in range(1, s.dim):
+        up, down = face[n + 1], degen[n - 1]
         for x in s.simplices[n]:
+            dx = [f[x] for f in face[n]]
+            sx = [f[x] for f in degen[n]]
             for j in range(n + 1):
                 for i in range(n + 2):
-                    lhs = s.face(n + 1, i, s.degeneracy(n, j, x))
+                    lhs = up[i][sx[j]]
                     if i < j:
-                        rhs = s.degeneracy(n - 1, j - 1, s.face(n, i, x))
+                        rhs = down[j - 1][dx[i]]
                     elif i in (j, j + 1):
                         rhs = x
                     else:
-                        rhs = s.degeneracy(n - 1, j, s.face(n, i - 1, x))
+                        rhs = down[j][dx[i - 1]]
                     if lhs != rhs:
                         report.append(f"d{i} s{j} fails in degree {n}")
     return report
@@ -142,25 +149,34 @@ def validate_simplicial_map(f: SimplicialMap) -> list[str]:
         return ["component tuple does not match truncation"]
     for n in range(d + 1):
         comp = f.components[n]
-        if set(comp) != set(f.domain.simplices[n]):
+        if comp.keys() != set(f.domain.simplices[n]):
             report.append(f"component {n} wrongly indexed")
         elif not set(comp.values()) <= set(f.codomain.simplices[n]):
             report.append(f"component {n} escapes the codomain")
     if report:
         return report
+    dom, cod, comps = f.domain, f.codomain, f.components
+    # an empty level reads no tables, so a domain that lacks them there
+    # (one validate_simplicial has already reported) raises nothing
     for n in range(1, d + 1):
-        for x in f.domain.simplices[n]:
-            for i in range(n + 1):
-                if f.apply(n - 1, f.domain.face(n, i, x)) != f.codomain.face(
-                    n, i, f.apply(n, x)
-                ):
+        if not dom.simplices[n]:
+            continue
+        here, below = comps[n], comps[n - 1]
+        pairs = [(dom.faces[(n, i)], cod.faces[(n, i)]) for i in range(n + 1)]
+        for x in dom.simplices[n]:
+            fx = here[x]
+            for i, (df, cf) in enumerate(pairs):
+                if below[df[x]] != cf[fx]:
                     report.append(f"face {i} not preserved in degree {n}")
     for n in range(d):
-        for x in f.domain.simplices[n]:
-            for i in range(n + 1):
-                if f.apply(n + 1, f.domain.degeneracy(n, i, x)) != f.codomain.degeneracy(
-                    n, i, f.apply(n, x)
-                ):
+        if not dom.simplices[n]:
+            continue
+        here, above = comps[n], comps[n + 1]
+        pairs = [(dom.degeneracies[(n, i)], cod.degeneracies[(n, i)]) for i in range(n + 1)]
+        for x in dom.simplices[n]:
+            fx = here[x]
+            for i, (ds, cs) in enumerate(pairs):
+                if above[ds[x]] != cs[fx]:
                     report.append(f"degeneracy {i} not preserved in degree {n}")
     return report
 
@@ -186,15 +202,6 @@ def compose_simplicial_maps(g: SimplicialMap, f: SimplicialMap) -> SimplicialMap
 
 # ---------------------------------------------------------------------------
 # nerves
-
-
-def _string_vertex(c: FiniteCategory, t: tuple, i: int) -> str:
-    """The i-th object along a composable string token."""
-    if len(t) == 1 and t[0] in set(c.objects):
-        return t[0]
-    if i == 0:
-        return c.source(t[0])
-    return c.target(t[i - 1])
 
 
 def nerve(c: FiniteCategory, d: int) -> TruncatedSimplicialSet:
@@ -237,8 +244,7 @@ def nerve(c: FiniteCategory, d: int) -> TruncatedSimplicialSet:
         for i in range(n + 1):
             dm = {}
             for t in simplices[n]:
-                v = _string_vertex(c, t, i)
-                ident = c.identity[v]
+                ident = c.identity[c.string_vertex(n, t, i)]
                 if n == 0:
                     dm[t] = (ident,)
                 else:

@@ -368,6 +368,23 @@ def test_strings_enumeration(z2):
     assert sum(1 for _ in z2.strings(3, nondegenerate=True)) == 1
 
 
+def test_string_vertex_follows_the_degree(chain3):
+    for n in range(4):
+        for t in chain3.strings(n):
+            path = [t[0]] if n == 0 else [chain3.source(t[0])] + [chain3.target(m) for m in t]
+            assert [chain3.string_vertex(n, t, i) for i in range(n + 1)] == path
+    # an arrow named like an object is still read as an arrow in degree 1
+    c = FiniteCategory(
+        objects=("V", "U"),
+        morphisms={"id_V": ("V", "V"), "id_U": ("U", "U"), "U": ("V", "U")},
+        identity={"V": "id_V", "U": "id_U"},
+        composition={},
+    )
+    assert c.string_vertex(0, ("U",)) == "U"
+    assert c.string_vertex(1, ("U",)) == "V"
+    assert c.string_vertex(1, ("U",), 1) == "U"
+
+
 def test_as_covariant_flips_base(chain2):
     from fibsite.fincat import as_covariant
     from fibsite.site import representable_presheaf
