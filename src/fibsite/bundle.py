@@ -27,7 +27,9 @@ The grammar (one declaration per line, ``#`` starts a comment):
     restrict (a|f) matrix [[1]]  # category name means that category itself
 
 Identity morphisms are created automatically and named ``id_<object>``; the
-parser rejects attempts to redefine them.  Every block is validated after
+parser rejects attempts to redefine them.  Declared object and morphism
+names may not contain ``|``, ``(`` or ``)``, which the pair names of total
+objects and arrows use.  Every block is validated after
 parsing; validation failures surface as BundleValidationError with the
 structure's own report attached.
 """
@@ -64,6 +66,11 @@ from .site import (
     trivial_topology,
 )
 from .fincat import SetValuedFunctor, validate_set_functor
+
+
+# total objects and arrows are written (U|x) and (a|f), so a declared name
+# holding one of these could not be told apart from a pair
+_RESERVED = "|()"
 
 
 class BundleSyntaxError(FibsiteError):
@@ -323,6 +330,15 @@ def parse_bundle(paths: list[str]) -> Bundle:
     from .fincat import build_category
 
     for name, rc in raw_cats.items():
+        reserved = [
+            f"{kind} {x!r} contains {ch!r}, which total-object names reserve"
+            for kind, names in (("object", rc.objects), ("morphism", rc.arrows))
+            for x in names
+            for ch in _RESERVED
+            if ch in x
+        ]
+        if reserved:
+            raise BundleValidationError(f"category {name}", reserved)
         for m, (s, t) in rc.arrows.items():
             if s not in rc.objects or t not in rc.objects:
                 raise BundleNameError(paths[0], rc.line, f"morphism {m} of {name} references unknown objects")

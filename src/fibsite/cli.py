@@ -364,10 +364,28 @@ def cmd_invariance_check(args, bundle: Bundle, rep: Report) -> None:
     rep.payload["pulled_back"] = factors_to_payload(result.source)
 
 
+def _nerve_within_cap(cat, d: int, max_strings: int) -> None:
+    """Refuse a nerve with more than max_strings strings in some degree <= d.
+
+    Counts the composable strings ending at each object from the category's
+    tables, so nothing is built past the cap.
+    """
+    ending = dict.fromkeys(cat.objects, 1)
+    for n in range(d + 1):
+        if n:
+            longer = dict.fromkeys(cat.objects, 0)
+            for m, (a, b) in cat.morphisms.items():
+                longer[b] += ending[a]
+            ending = longer
+        if sum(ending.values()) > max_strings:
+            raise CapExceeded(f"more than {max_strings} strings in degree {n}")
+
+
 def cmd_homology(args, bundle: Bundle, rep: Report) -> None:
     name, cat = _the_category(bundle, args.category)
     if args.top > args.truncation - 1:
         raise InputError("raise --truncation to reach the requested degree")
+    _nerve_within_cap(cat, args.truncation, args.max_strings)
     n = sset.nerve(cat, args.truncation)
     h = sset.homology(n, args.top)
     rep.payload["homology"] = [list(f) for f in h.factors]
@@ -377,6 +395,7 @@ def cmd_homology(args, bundle: Bundle, rep: Report) -> None:
 
 def cmd_nerve_export(args, bundle: Bundle, rep: Report) -> None:
     name, cat = _the_category(bundle, args.category)
+    _nerve_within_cap(cat, args.truncation, args.max_strings)
     n = sset.nerve(cat, args.truncation)
     export = {
         "dim": n.dim,

@@ -5,10 +5,17 @@ tuples of coefficient elements indexed by composable n-strings, with the
 twisted face-zero differential.  Torsion coefficients are handled by the
 mapping cone of the relation inclusion, which is a free complex computing
 the same cohomology; every kernel computation then runs through the sparse
-invariant-factor routine.  Stack cohomology of a presheaf of groupoids is
-the cohomology of the total category of its construction, which for the
-trivial topology is the derived limit the site theory asks for; nontrivial
-topologies are refused in exact mode and served by the Cech approximation.
+invariant-factor routine.  Strings are numbered per degree by an integer
+table built from the degree below, and the differentials index cochains by
+those ids.  Consecutive differentials are reduced with clearing: the
+unit-pivot rows of d^n name columns of d^{n+1} that a unimodular change of
+basis sends to zero, so they are left out of the next reduction, which is
+sound because every complex is checked to compose to zero exactly.
+
+Stack cohomology of a presheaf of groupoids is the cohomology of the total
+category of its construction, which for the trivial topology is the derived
+limit the site theory asks for; nontrivial topologies are refused in exact
+mode and served by the Cech approximation.
 """
 
 from __future__ import annotations
@@ -221,38 +228,89 @@ class CochainComplex:
     offset: int = 0
 
 
-def _strings_by_degree(
+def _string_table(
     c: FiniteCategory, top: int, normalized: bool, max_strings: int
-) -> list[list[tuple[str, ...]]]:
-    out: list[list[tuple[str, ...]]] = []
-    for n in range(top + 1):
-        cur = []
-        for t in c.strings(n, nondegenerate=normalized):
-            cur.append(t)
-            if len(cur) > max_strings:
-                raise CapExceeded(
-                    f"more than {max_strings} strings in degree {n}"
+) -> tuple[list[list[str]], list[list[str]], list[list[tuple]]]:
+    """Composable strings of degrees 0..top, numbered in lexicographic order.
+
+    Degree n extends each degree n-1 string by one arrow; the children of a
+    string get consecutive ids in arrow-name order, so ids follow the
+    lexicographic order of the arrow tuples (degree 0 is in object order,
+    degree 1 in arrow-name order).  With normalized set, identity arrows are
+    left out.  Returns, per degree, each string's first vertex, its first
+    arrow (empty at degree 0) and its face ids in vertex-deletion order, with
+    None for a face that contains an identity.  Face ids come from the
+    parent's: face i of p.m is (face i of p).m, the next-to-last face is the
+    last face of p extended by the composite of p's last arrow and m, and
+    the last face is p.
+    """
+    ends = c.morphisms
+    pool = [m for m in sorted(ends) if not (normalized and c.is_identity(m))]
+    out_of: dict[str, list[str]] = {u: [] for u in c.objects}
+    for m in pool:
+        out_of[ends[m][0]].append(m)
+    # a child's id is its parent's first-child id plus the arrow's place
+    # among the arrows leaving the parent's last vertex
+    place = {m: k for arrows in out_of.values() for k, m in enumerate(arrows)}
+
+    def within_cap(n: int, count: int) -> None:
+        if count > max_strings:
+            raise CapExceeded(f"more than {max_strings} strings in degree {n}")
+
+    objects = sorted(c.objects)
+    within_cap(0, len(objects))
+    vertex: list[list[str]] = [objects]
+    first: list[list[str]] = [[]]
+    faces: list[list[tuple]] = [[]]
+    if top < 1:
+        return vertex, first, faces
+    within_cap(1, len(pool))
+    obj_id = {u: k for k, u in enumerate(objects)}
+    vertex.append([ends[m][0] for m in pool])
+    first.append(pool)
+    faces.append([(obj_id[ends[m][1]], obj_id[ends[m][0]]) for m in pool])
+    one = {m: k for k, m in enumerate(pool)}
+    last = pool  # last arrow of each string in the newest degree
+    # first-child id of each degree n-2 string; degree-1 ids are not grouped
+    # by source object, so the children of objects are looked up in `one`
+    child_start: list[int] | None = None
+
+    def extend(s: int, m: str) -> int | None:
+        """Id of the degree n-2 string s followed by m (None: m left out)."""
+        k = place.get(m)
+        if k is None:
+            return None
+        return one[m] if child_start is None else child_start[s] + k
+
+    for n in range(2, top + 1):
+        pvertex, pfirst, pfaces = vertex[n - 1], first[n - 1], faces[n - 1]
+        cur_vertex: list[str] = []
+        cur_first: list[str] = []
+        cur_faces: list[tuple] = []
+        cur_last: list[str] = []
+        starts: list[int] = []
+        for p, a in enumerate(last):
+            starts.append(len(cur_last))
+            arrows = out_of[ends[a][1]]
+            if not arrows:
+                continue
+            pf = pfaces[p]
+            inner, tail = pf[:-1], pf[-1]
+            x0, m0 = pvertex[p], pfirst[p]
+            for m in arrows:
+                cur_faces.append(
+                    tuple(None if f is None else extend(f, m) for f in inner)
+                    + (extend(tail, c.compose(m, a)), p)
                 )
-        out.append(sorted(cur))
-    return out
-
-
-def _string_faces(
-    c: FiniteCategory, t: tuple[str, ...]
-) -> list[tuple[str, ...]]:
-    """Faces of an n-string (n >= 1), vertex-deletion order."""
-    n = len(t)
-    out = []
-    for i in range(n + 1):
-        if n == 1:
-            out.append((c.target(t[0]),) if i == 0 else (c.source(t[0]),))
-        elif i == 0:
-            out.append(t[1:])
-        elif i == n:
-            out.append(t[:-1])
-        else:
-            out.append(t[: i - 1] + (c.compose(t[i], t[i - 1]),) + t[i + 1 :])
-    return out
+                cur_vertex.append(x0)
+                cur_first.append(m0)
+                cur_last.append(m)
+            within_cap(n, len(cur_last))
+        vertex.append(cur_vertex)
+        first.append(cur_first)
+        faces.append(cur_faces)
+        last, child_start = cur_last, starts
+    return vertex, first, faces
 
 
 def cochain_complex(
@@ -285,63 +343,61 @@ def cochain_complex(
     has_torsion = any(f.group[x].torsion for x in c.objects)
     # the cone needs relations one degree above the last differential
     top = n_max + 2 if has_torsion else n_max + 1
-    strings = _strings_by_degree(c, top, normalized, max_strings)
+    vertex, first, faces = _string_table(c, top, normalized, max_strings)
+    gens = {x: f.group[x].generator_count for x in c.objects}
+    tors = {x: f.group[x].torsion for x in c.objects}
 
-    gen_offsets: list[dict[tuple[str, ...], int]] = []
+    # per degree and string id: offset of its generators and of its
+    # relations (the torsion factors come first in a canonical group)
+    gen_offsets: list[list[int]] = []
     gen_ranks: list[int] = []
-    rel_offsets: list[dict[tuple[tuple[str, ...], int], int]] = []
+    rel_offsets: list[list[int]] = []
     rel_ranks: list[int] = []
     for n in range(top + 1):
-        off: dict[tuple[str, ...], int] = {}
-        pos = 0
-        for t in strings[n]:
-            off[t] = pos
-            pos += f.group[c.string_vertex(n, t)].generator_count
+        off: list[int] = []
+        roff: list[int] = []
+        pos = rpos = 0
+        for x in vertex[n]:
+            off.append(pos)
+            roff.append(rpos)
+            pos += gens[x]
+            rpos += len(tors[x])
         gen_offsets.append(off)
         gen_ranks.append(pos)
-        roff: dict[tuple[tuple[str, ...], int], int] = {}
-        rpos = 0
-        for t in strings[n]:
-            g = f.group[c.string_vertex(n, t)]
-            for i, d in enumerate(g.factors):
-                if d != 0:
-                    roff[(t, i)] = rpos
-                    rpos += 1
         rel_offsets.append(roff)
         rel_ranks.append(rpos)
 
     def base_differential(n: int) -> dict[tuple[int, int], int]:
         """Entries of D^n: strings_n-cochains -> strings_{n+1}-cochains."""
         entries: dict[tuple[int, int], int] = {}
-        for tau in strings[n + 1]:
-            x0 = c.string_vertex(n + 1, tau)
-            kx0 = f.group[x0].generator_count
-            rbase = gen_offsets[n + 1][tau]
-            faces = _string_faces(c, tau)
-            # face 0 is twisted by the restriction along the first arrow
-            sigma = faces[0]
-            if sigma in gen_offsets[n]:
-                m1 = tau[0]
-                mat = f.restriction[m1]
-                cbase = gen_offsets[n][sigma]
+        cols, rows = gen_offsets[n], gen_offsets[n + 1]
+        for tau, tau_faces in enumerate(faces[n + 1]):
+            kx0 = gens[vertex[n + 1][tau]]
+            rbase = rows[tau]
+            # face 0 is twisted by the restriction along the first arrow;
+            # a degenerate (None) face vanishes in the normalized complex
+            sigma = tau_faces[0]
+            if sigma is not None:
+                mat = f.restriction[first[n + 1][tau]]
+                cbase = cols[sigma]
                 for i in range(kx0):
-                    for j in range(len(mat[i])):
-                        vv = mat[i][j]
+                    for j, vv in enumerate(mat[i]):
                         if vv:
                             key = (rbase + i, cbase + j)
                             entries[key] = entries.get(key, 0) + vv
             for idx in range(1, n + 2):
-                sigma = faces[idx]
-                if sigma not in gen_offsets[n]:
-                    continue  # degenerate face vanishes in the normalized complex
+                sigma = tau_faces[idx]
+                if sigma is None:
+                    continue
                 sgn = 1 if idx % 2 == 0 else -1
-                cbase = gen_offsets[n][sigma]
+                cbase = cols[sigma]
                 for i in range(kx0):
                     key = (rbase + i, cbase + i)
                     entries[key] = entries.get(key, 0) + sgn
         return {k: v for k, v in entries.items() if v}
 
     base_diffs = [base_differential(n) for n in range(top)]
+    string_counts = tuple(len(vertex[n]) for n in range(n_max + 2))
 
     if not has_torsion:
         ranks = tuple(gen_ranks[: n_max + 2])
@@ -350,7 +406,7 @@ def cochain_complex(
         return CochainComplex(
             ranks=ranks,
             differentials=diffs,
-            string_counts=tuple(len(strings[n]) for n in range(n_max + 2)),
+            string_counts=string_counts,
             degrees=n_max,
         )
 
@@ -358,42 +414,38 @@ def cochain_complex(
     def rel_matrix(n: int) -> dict[tuple[int, int], int]:
         """rho_n: relation columns into the free cochains of degree n."""
         entries = {}
-        for (t, i), col in rel_offsets[n].items():
-            d = f.group[c.string_vertex(n, t)].factors[i]
-            entries[(gen_offsets[n][t] + i, col)] = d
+        for t, x in enumerate(vertex[n]):
+            for i, d in enumerate(tors[x]):
+                entries[(gen_offsets[n][t] + i, rel_offsets[n][t] + i)] = d
         return entries
 
     def rel_lift(n: int) -> dict[tuple[int, int], int]:
         """r^n with D^n rho_n = rho_{n+1} r^n (exact division by the factors)."""
         entries: dict[tuple[int, int], int] = {}
-        dn = base_diffs[n]
         by_col: dict[int, list[tuple[int, int]]] = {}
-        for (r, cc), v in dn.items():
+        for (r, cc), v in base_diffs[n].items():
             by_col.setdefault(cc, []).append((r, v))
+        # torsion generator row of degree n+1 -> (its relation, the factor)
         row_rel = {
-            off: f.group[c.string_vertex(n + 1, t)].factors[i]
-            for (t, i), off2 in rel_offsets[n + 1].items()
-            for off in [gen_offsets[n + 1][t] + i]
+            gen_offsets[n + 1][t] + i: (rel_offsets[n + 1][t] + i, d)
+            for t, x in enumerate(vertex[n + 1])
+            for i, d in enumerate(tors[x])
         }
-        rel_row_index = {
-            gen_offsets[n + 1][t] + i: col for (t, i), col in rel_offsets[n + 1].items()
-        }
-        for (t, i), col in rel_offsets[n].items():
-            d = f.group[c.string_vertex(n, t)].factors[i]
-            src_row = gen_offsets[n][t] + i
-            for r, v in by_col.get(src_row, []):
-                num = d * v
-                if r in rel_row_index:
-                    dr = row_rel[r]
-                    if num % dr != 0:
+        for t, x in enumerate(vertex[n]):
+            for i, d in enumerate(tors[x]):
+                col = rel_offsets[n][t] + i
+                for r, v in by_col.get(gen_offsets[n][t] + i, []):
+                    num = d * v
+                    rel = row_rel.get(r)
+                    if rel is not None:
+                        rrow, dr = rel
+                        if num % dr != 0:
+                            raise ValidationFailure("restriction does not respect relations")
+                        q = num // dr
+                        if q:
+                            entries[(rrow, col)] = entries.get((rrow, col), 0) + q
+                    elif num != 0:
                         raise ValidationFailure("restriction does not respect relations")
-                    q = num // dr
-                    if q:
-                        entries[(rel_row_index[r], col)] = entries.get(
-                            (rel_row_index[r], col), 0
-                        ) + q
-                elif num != 0:
-                    raise ValidationFailure("restriction does not respect relations")
         return {k: v for k, v in entries.items() if v}
 
     # bottom slot: the degree-0 relations map into T^0 = F^0 (+) R^1
@@ -424,33 +476,53 @@ def cochain_complex(
     return CochainComplex(
         ranks=ranks_t,
         differentials=diffs_t,
-        string_counts=tuple(len(strings[n]) for n in range(n_max + 2)),
+        string_counts=string_counts,
         degrees=n_max,
         offset=1,
     )
 
 
 def _check_dd_zero(ranks: tuple[int, ...], diffs: tuple[dict, ...]) -> None:
+    """Exact d^{n+1} d^n = 0, one row of the product at a time."""
+    by_row: list[dict[int, list[tuple[int, int]]]] = []
+    for d in diffs:
+        rows: dict[int, list[tuple[int, int]]] = {}
+        for (r, cc), v in d.items():
+            rows.setdefault(r, []).append((cc, v))
+        by_row.append(rows)
     for n in range(len(diffs) - 1):
-        prod: dict[tuple[int, int], int] = {}
-        by_col: dict[int, list[tuple[int, int]]] = {}
-        for (r, cc), v in diffs[n + 1].items():
-            by_col.setdefault(cc, []).append((r, v))
-        for (mid, cc), v in diffs[n].items():
-            for r, w in by_col.get(mid, []):
-                key = (r, cc)
-                prod[key] = prod.get(key, 0) + w * v
-        if any(v != 0 for v in prod.values()):
-            raise ValidationFailure(f"differentials do not compose to zero at degree {n}")
+        lower = by_row[n]
+        for terms in by_row[n + 1].values():
+            acc: dict[int, int] = {}
+            for mid, w in terms:
+                for cc, v in lower.get(mid, ()):
+                    acc[cc] = acc.get(cc, 0) + w * v
+            if any(acc.values()):
+                raise ValidationFailure(f"differentials do not compose to zero at degree {n}")
 
 
 def cohomology_of_complex(cc: CochainComplex) -> list[FgAbelianGroup]:
-    """H^0..H^degrees by ranks and invariant factors of the differentials."""
+    """H^0..H^degrees by ranks and invariant factors of the differentials.
+
+    The differentials are reduced in order, d^0 first, each by one
+    ``sparse_invariant_factors`` call.  Each call reports its unit-pivot
+    rows, and the next differential is passed without the columns at those
+    rows (clearing): since d^{n+1} d^n = 0 and the pivot block is
+    unimodular, those columns become zero under a change of basis that
+    leaves every other column alone, so each (rank, factors) is exactly
+    that of the whole matrix.  The complex must therefore compose to zero
+    exactly, which ``cochain_complex`` checks on everything it builds.
+    """
     rank: dict[int, int] = {}
     torsion: dict[int, list[int]] = {}
+    cleared: set[int] = set()
     for n, entries in enumerate(cc.differentials):
         rows = cc.ranks[n + 1] if n + 1 < len(cc.ranks) else 0
-        rk, factors = sparse_invariant_factors(dict(entries), rows, cc.ranks[n])
+        if cleared:
+            entries = {k: v for k, v in entries.items() if k[1] not in cleared}
+        pivots: list[int] = []
+        rk, factors = sparse_invariant_factors(entries, rows, cc.ranks[n], pivots)
+        cleared = set(pivots)
         rank[n] = rk
         torsion[n] = [f for f in factors if f > 1]
     out = []

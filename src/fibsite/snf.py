@@ -5,7 +5,9 @@ anywhere.  Matrices are immutable row-major tuples of tuples.  The sparse
 routine exists because boundary/differential matrices of simplicial objects
 are large but mostly eliminate with unit pivots: it sweeps the columns
 shortest first, pivots on the shortest row with a +-1 entry, and hands the
-small leftover to the dense Smith-form diagonal.
+small leftover to the dense Smith-form diagonal.  It can report its unit
+pivot rows, which lets a chain-complex caller clear the matching columns of
+the next differential before reducing it.
 """
 
 from __future__ import annotations
@@ -295,7 +297,10 @@ def snf_diagonal(m: Sequence[Sequence[int]]) -> list[int]:
 
 
 def sparse_invariant_factors(
-    entries: dict[tuple[int, int], int], nrows: int, ncols: int
+    entries: dict[tuple[int, int], int],
+    nrows: int,
+    ncols: int,
+    pivot_rows: list[int] | None = None,
 ) -> tuple[int, list[int]]:
     """(rank, invariant factors) of a sparse integer matrix.
 
@@ -307,6 +312,16 @@ def sparse_invariant_factors(
     pivot, and whatever is left goes to the dense routine.  Invariant
     factors do not depend on the pivot order; for simplicial boundary
     matrices the dense leftover is tiny.
+
+    When ``pivot_rows`` is given, the row of every +-1 pivot is appended to
+    it, once each and in pivot order; there are as many as the unit pivots,
+    which is at most the number of unit factors (the dense leftover may add
+    more).  The only row operations are "row i -= c * pivot row"; with E
+    their product, ``d2 @ E^-1`` differs from ``d2`` only in the columns at
+    pivot rows, and for any ``d2`` with ``d2 @ m == 0`` (``m`` this matrix)
+    those columns vanish, because ``E @ m`` has a signed unit column at each
+    pivot row.  So such a ``d2`` keeps its rank and factors when the columns
+    at these rows are left out ("clearing", Chen & Kerber 2011).
     """
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
@@ -327,6 +342,8 @@ def sparse_invariant_factors(
             if not units:
                 continue
             p = min(units, key=lambda i: len(rows[i]))
+            if pivot_rows is not None:
+                pivot_rows.append(p)
             prow = rows.pop(p)
             pval = prow.pop(q)
             for i in cols.pop(q):

@@ -590,7 +590,9 @@ def homology(
 
     Requires top <= dim - 1 so that the boundaries out of degree top+1 are
     available; under that condition the truncated answer agrees with the
-    homology of any simplicial set this one truncates.
+    homology of any simplicial set this one truncates.  The boundaries are
+    reduced from the top down with clearing, which relies on d d = 0, that
+    is on s satisfying the simplicial identities (``validate_simplicial``).
     """
     if top > s.dim - 1:
         raise InputError("truncation too low for the requested degree")
@@ -600,9 +602,16 @@ def homology(
         sizes.append(len(basis))
     rank: dict[int, int] = {0: 0}
     torsion: dict[int, list[int]] = {0: []}
-    for n in range(1, top + 2):
+    # top boundary first: the unit-pivot rows of d_n are columns of d_{n-1}
+    # that clearing leaves out (see cohom.cohomology_of_complex)
+    cleared: set[int] = set()
+    for n in range(top + 1, 0, -1):
         entries, _r, _c = boundary_entries(s, n, normalized)
-        rk, factors = sparse_invariant_factors(entries, _r, _c)
+        if cleared:
+            entries = {k: v for k, v in entries.items() if k[1] not in cleared}
+        pivots: list[int] = []
+        rk, factors = sparse_invariant_factors(entries, _r, _c, pivots)
+        cleared = set(pivots)
         rank[n] = rk
         torsion[n] = [f for f in factors if f > 1]
     out = []

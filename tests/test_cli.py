@@ -201,6 +201,46 @@ class TestExitCodes:
         ])
         assert code == 5
 
+    @pytest.mark.parametrize("command", ["homology", "nerve-export"])
+    def test_nerve_commands_respect_max_strings(self, command, capsys):
+        # strings of the nerve of Z/2 per degree: 1, 2, 4, 8
+        argv = [command, str(BUNDLES / "pt_z2.bundle"), "--category", "Z2", "--truncation", "3"]
+        if command == "homology":
+            argv += ["--top", "2"]
+        code, out = go(argv + ["--max-strings", "1"])
+        assert (code, out) == (5, "")
+        assert "more than 1 strings in degree 1" in capsys.readouterr().err
+        code, out = go(argv + ["--max-strings", "7"])
+        assert (code, out) == (5, "")
+        assert "more than 7 strings in degree 3" in capsys.readouterr().err
+        code, _ = go(argv + ["--max-strings", "8"])
+        assert code == 0
+
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_nerve_cap_counts_every_string(self, name):
+        # the cap sits exactly at the largest degree of the built nerve
+        from fibsite.sset import nerve
+
+        for cname, cat in parse_bundle([str(BUNDLES / name)]).categories.items():
+            most = max(len(level) for level in nerve(cat, 3).simplices)
+            argv = ["nerve-export", str(BUNDLES / name), "--category", cname,
+                    "--truncation", "3", "--max-strings"]
+            assert go(argv + [str(most)])[0] == 0
+            assert go(argv + [str(most - 1)])[0] == 5
+
+    @pytest.mark.parametrize("char", ["|", "(", ")"])
+    def test_reserved_character_in_a_name_is_3(self, char, tmp_path):
+        for text, name in (
+            (f"category C\nobjects U x{char}y\n", f"x{char}y"),
+            (f"category C\nobjects U V\nmor a{char}b : V -> U\n", f"a{char}b"),
+        ):
+            p = tmp_path / "reserved.bundle"
+            p.write_text(text)
+            with pytest.raises(BundleValidationError) as err:
+                parse_bundle([str(p)])
+            assert repr(name) in str(err.value)
+            assert go(["validate", str(p)])[0] == 3
+
     def test_failed_check_is_1(self):
         code, _ = go(["sheaf-check", str(BUNDLES / "chain_cover.bundle"), "--presheaf", "P"])
         assert code == 1

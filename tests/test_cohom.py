@@ -168,6 +168,25 @@ class TestCochainComplex:
 
         _check_dd_zero(cc.ranks, cc.differentials)
 
+    @pytest.mark.parametrize("torsion", [False, True], ids=["free", "torsion-cone"])
+    def test_dd_zero_guard_names_the_corrupted_degree(self, z2, torsion):
+        from fibsite.cohom import _check_dd_zero
+
+        if torsion:
+            cc = cochain_complex(z2, constant_abelian_presheaf(z2, zmod(4)), 3)
+        else:
+            e2 = codiscrete_groupoid(["a", "b"])
+            cc = cochain_complex(e2, constant_abelian_presheaf(e2, ZZ), 3)
+        assert cc.offset == (1 if torsion else 0)
+        for n in range(len(cc.differentials) - 1):
+            diffs = [dict(d) for d in cc.differentials]
+            # add 1 to d^{n+1} at a column where d^n has a nonzero row: that
+            # row turns up in d^{n+1} d^n, and no lower degree changes
+            mid = min(r for r, _ in diffs[n])
+            diffs[n + 1][(0, mid)] = diffs[n + 1].get((0, mid), 0) + 1
+            with pytest.raises(ValidationFailure, match=rf"at degree {n}$"):
+                _check_dd_zero(cc.ranks, tuple(diffs))
+
     def test_string_cap(self, z2):
         with pytest.raises(CapExceeded):
             cochain_complex(z2, constant_abelian_presheaf(z2, ZZ), 3, max_strings=0)
