@@ -296,15 +296,18 @@ def cmd_adjunction_check(args, bundle: Bundle, rep: Report) -> None:
     pc = bundle.presheaves_of_categories[args.psheaf]
     if not isinstance(pc, fibred.PresheafOfGroupoids):
         raise RefusedMode("the adjunction needs groupoid fibres")
-    d = min(args.truncation, 4)
-    rng = random.Random(args.seed)
     from .fincat import opposite
+
+    d = min(args.truncation, 4)
+    u0 = sorted(pc.site.objects)[0]
+    fibre_op = opposite(pc.value[u0])
+    # the sampled diagrams and over-objects live over this fibre's nerve
+    _nerve_within_cap(fibre_op, d, args.max_strings)
+    rng = random.Random(args.seed)
 
     all_triangles = True
     all_evidence = True
     for i in range(args.count):
-        u0 = sorted(pc.site.objects)[0]
-        fibre_op = opposite(pc.value[u0])
         diag = sampling.random_diagram(rng, fibre_op, d)
         over = sampling.random_over_nerve(rng, fibre_op, d)
         tri = hocopb.check_triangles(a=diag, x=over)
@@ -325,8 +328,7 @@ def cmd_adjunction_check(args, bundle: Bundle, rep: Report) -> None:
         for alpha in pc.site.morphisms
     )
     if constant:
-        u0 = sorted(pc.site.objects)[0]
-        diag = sampling.random_diagram(rng, opposite(pc.value[u0]), d)
+        diag = sampling.random_diagram(rng, fibre_op, d)
         enriched = sampling.constant_enriched_diagram_from(pc, diag)
         run_ = hocopb.presheaf_hocolim_pb(enriched, d)
         rep.add_verdict(

@@ -9,12 +9,20 @@ of triples (x, sigma, anchor) with the anchor based at sigma's first vertex
 (the groupoid rewrite of the slice construction).  The unit and counit are
 implemented at simplex level and satisfy the triangle identities exactly;
 the sectionwise versions over a presheaf of groupoids carry the site actions
-along unchanged.  Validation happens once, at the public ``hocolim`` and
-``pb``, and the unit, counit and triangle checks reuse what those built.
+along unchanged.
+
+``hocolim``, ``pb`` and ``section_diagram`` remember their result for as long
+as their argument object is alive.  So validation runs once per argument, when
+``hocolim`` or ``pb`` first builds from it, and the triangle checks, the unit,
+the counit and the sectionwise run share one build of each intermediate.
+Library values are immutable: mutating a diagram or an over-object after
+passing it in is unsupported, since a later call would return the result
+remembered for it.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 from .errors import InputError
@@ -112,13 +120,36 @@ def validate_over_nerve(x: OverNerve) -> list[str]:
     return report
 
 
+# Results of hocolim, pb and section_diagram per argument object:
+# id(argument) -> {("hocolim", d) | "pb" | ("section", u): result}.  The entry
+# is dropped when its argument is collected, so an id is never reused while
+# its entry exists.  A raised error is never stored.
+_MEMO: dict[int, dict] = {}
+
+
+def _remembered(arg, key, build, *args):
+    entries = _MEMO.get(id(arg))
+    if entries is None:
+        entries = _MEMO[id(arg)] = {}
+        weakref.finalize(arg, _MEMO.pop, id(arg), None)
+    out = entries.get(key)
+    if out is None:
+        out = entries[key] = build(arg, *args)
+    return out
+
+
 def hocolim(a: GroupoidDiagram, d: int) -> OverNerve:
     """Diagonal of the simplicial replacement, over the nerve of the base.
 
     n-simplices are pairs (sigma, x) with sigma a nerve n-simplex and x an
     n-simplex of the value at sigma's first vertex; the 0-th face moves x
-    along the string's first arrow before taking its value-level face.
+    along the string's first arrow before taking its value-level face.  The
+    result is remembered for as long as a is alive.
     """
+    return _remembered(a, ("hocolim", d), _hocolim, d)
+
+
+def _hocolim(a: GroupoidDiagram, d: int) -> OverNerve:
     bad = validate_diagram(a)
     if bad:
         raise InputError("; ".join(bad))
@@ -188,8 +219,13 @@ def pb(x: OverNerve) -> GroupoidDiagram:
     at the first vertex of the underlying string (the string itself is
     recoverable from the structure map, so tokens only store the anchor);
     the 0-th face reanchors by inverting the string's first arrow, which is
-    where invertibility is genuinely required.
+    where invertibility is genuinely required.  The result is remembered for
+    as long as x is alive.
     """
+    return _remembered(x, "pb", _pb)
+
+
+def _pb(x: OverNerve) -> GroupoidDiagram:
     bad = validate_over_nerve(x)
     if bad:
         raise InputError("; ".join(bad))
@@ -381,7 +417,15 @@ class EnrichedGroupoidDiagram:
 
 
 def section_diagram(x: EnrichedGroupoidDiagram, u: str) -> GroupoidDiagram:
-    """The section at U as a diagram on the opposite fibre groupoid."""
+    """The section at U as a diagram on the opposite fibre groupoid.
+
+    The result is remembered for as long as x is alive, so hocolim and pb of
+    a section are shared by every caller.
+    """
+    return _remembered(x, ("section", u), _section_diagram, u)
+
+
+def _section_diagram(x: EnrichedGroupoidDiagram, u: str) -> GroupoidDiagram:
     fib = x.base.value[u]
     op = opposite(fib)
     return GroupoidDiagram(

@@ -562,19 +562,27 @@ def pi0_sset(s: TruncatedSimplicialSet) -> dict:
     return {v: find(v) for v in s.simplices[0]}
 
 
+def _basis(s: TruncatedSimplicialSet, n: int, normalized: bool) -> tuple:
+    return s.nondegenerate(n) if normalized else tuple(sorted(s.simplices[n], key=_tkey))
+
+
 def boundary_entries(
     s: TruncatedSimplicialSet, n: int, normalized: bool = True
 ) -> tuple[dict[tuple[int, int], int], int, int]:
     """Sparse boundary matrix from degree n to degree n-1 as (entries, rows, cols)."""
-    basis_n = s.nondegenerate(n) if normalized else tuple(sorted(s.simplices[n], key=_tkey))
-    basis_m = (
-        s.nondegenerate(n - 1) if normalized else tuple(sorted(s.simplices[n - 1], key=_tkey))
-    )
+    return _boundary(s, n, _basis(s, n, normalized), _basis(s, n - 1, normalized))
+
+
+def _boundary(
+    s: TruncatedSimplicialSet, n: int, basis_n: tuple, basis_m: tuple
+) -> tuple[dict[tuple[int, int], int], int, int]:
+    """boundary_entries with the bases of degrees n and n-1 already computed."""
     row = {x: i for i, x in enumerate(basis_m)}
+    faces = [s.faces[(n, i)] for i in range(n + 1)]
     entries: dict[tuple[int, int], int] = {}
     for j, x in enumerate(basis_n):
         for i in range(n + 1):
-            y = s.face(n, i, x)
+            y = faces[i][x]
             r = row.get(y)
             if r is None:
                 continue  # degenerate face vanishes in the normalized complex
@@ -596,17 +604,14 @@ def homology(
     """
     if top > s.dim - 1:
         raise InputError("truncation too low for the requested degree")
-    sizes = []
-    for n in range(top + 2):
-        basis = s.nondegenerate(n) if normalized else tuple(s.simplices[n])
-        sizes.append(len(basis))
+    bases = [_basis(s, n, normalized) for n in range(top + 2)]
     rank: dict[int, int] = {0: 0}
     torsion: dict[int, list[int]] = {0: []}
     # top boundary first: the unit-pivot rows of d_n are columns of d_{n-1}
     # that clearing leaves out (see cohom.cohomology_of_complex)
     cleared: set[int] = set()
     for n in range(top + 1, 0, -1):
-        entries, _r, _c = boundary_entries(s, n, normalized)
+        entries, _r, _c = _boundary(s, n, bases[n], bases[n - 1])
         if cleared:
             entries = {k: v for k, v in entries.items() if k[1] not in cleared}
         pivots: list[int] = []
@@ -616,7 +621,7 @@ def homology(
         torsion[n] = [f for f in factors if f > 1]
     out = []
     for n in range(top + 1):
-        free = sizes[n] - rank[n] - rank[n + 1]
+        free = len(bases[n]) - rank[n] - rank[n + 1]
         out.append(normalize_factors(torsion[n + 1], free))
     components = len(set(pi0_sset(s).values()))
     return HomologyResult(factors=tuple(out), components=components)

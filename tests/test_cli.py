@@ -216,6 +216,19 @@ class TestExitCodes:
         code, _ = go(argv + ["--max-strings", "8"])
         assert code == 0
 
+    def test_adjunction_check_respects_max_strings(self, capsys):
+        # the samples live over the nerve of the opposed fibre Z/2: 1, 2, 4, 8
+        argv = ["adjunction-check", str(BUNDLES / "pt_z2.bundle"), "--psheaf", "G",
+                "--count", "1", "--truncation", "3"]
+        code, out = go(argv + ["--max-strings", "1"])
+        assert (code, out) == (5, "")
+        assert "more than 1 strings in degree 1" in capsys.readouterr().err
+        code, out = go(argv + ["--max-strings", "7"])
+        assert (code, out) == (5, "")
+        assert "more than 7 strings in degree 3" in capsys.readouterr().err
+        code, _ = go(argv + ["--max-strings", "8"])
+        assert code == 0
+
     @pytest.mark.parametrize("name", SHIPPED)
     def test_nerve_cap_counts_every_string(self, name):
         # the cap sits exactly at the largest degree of the built nerve

@@ -1,7 +1,11 @@
+import gc
 import random
+import weakref
+from collections import Counter
 
 import pytest
 
+from fibsite import hocopb
 from fibsite.errors import InputError
 from fibsite.fibred import constant_presheaf_of_categories
 from fibsite.fincat import cyclic_groupoid, opposite, poset_chain
@@ -272,3 +276,115 @@ class TestEnriched:
         eta = enriched_unit(run.hocolim_object)
         for u, m in eta.items():
             assert we_evidence(m, 2).passed
+
+
+# ---------------------------------------------------------------------------
+# hocolim, pb and section_diagram remember their result per argument object
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """(builder, argument) of every call to the private builders."""
+    seen = []
+
+    def count(name):
+        build = getattr(hocopb, name)
+
+        def wrapper(arg, *args):
+            seen.append((name, arg))
+            return build(arg, *args)
+        return wrapper
+
+    for name in ("_hocolim", "_pb", "_section_diagram"):
+        monkeypatch.setattr(hocopb, name, count(name))
+    return seen
+
+
+def _per_argument(seen) -> Counter:
+    return Counter((name, id(arg)) for name, arg in seen)
+
+
+class TestMemo:
+    def test_same_argument_same_result(self, z2):
+        rng = random.Random(5)
+        a = random_diagram(rng, z2, 3)
+        x = random_over_nerve(rng, z2, 3)
+        assert hocolim(a, 3) is hocolim(a, 3)
+        assert hocolim(a, 2) is not hocolim(a, 3)
+        assert pb(x) is pb(x)
+        X = random_enriched_diagram(rng, random_poset_site(rng, 2), 3)
+        u = sorted(X.base.site.objects)[0]
+        assert section_diagram(X, u) is section_diagram(X, u)
+
+    def test_equal_arguments_are_built_apart(self, z2, builds):
+        a = random_diagram(random.Random(6), z2, 3)
+        twin = GroupoidDiagram(base=a.base, value=a.value, action=a.action)
+        assert twin == a
+        assert hocolim(twin, 3) is not hocolim(a, 3)
+        assert [arg for _name, arg in builds] == [twin, a]
+
+    def test_diagram_side_builds_each_intermediate_once(self, e2, builds):
+        a = random_diagram(random.Random(3), e2, 3)
+        assert check_triangles(a=a).passed
+        counit_epsilon(a)
+        h = hocolim(a, 3)
+        p = pb(h)
+        assert _per_argument(builds) == _per_argument(
+            [("_hocolim", a), ("_pb", h), ("_hocolim", p)]
+        )
+
+    def test_over_side_builds_each_intermediate_once(self, z2, builds):
+        x = random_over_nerve(random.Random(4), z2, 3)
+        assert check_triangles(x=x).passed
+        unit_eta(x)
+        transpose_counit(x)
+        assert _per_argument(builds) == _per_argument([("_pb", x), ("_hocolim", pb(x))])
+
+    def test_enriched_run_builds_each_section_once(self, builds):
+        rng = random.Random(17)
+        X = random_enriched_diagram(rng, random_poset_site(rng, 2), 3)
+        run = presheaf_hocolim_pb(X, 3)
+        enriched_counit(X, 3)
+        enriched_unit(run.hocolim_object)
+        expected = []
+        for u in X.base.site.objects:
+            section = section_diagram(X, u)
+            h = hocolim(section, 3)
+            assert run.hocolim_object.sections[u] is h
+            expected += [("_section_diagram", X), ("_hocolim", section), ("_pb", h),
+                         ("_hocolim", pb(h))]
+        # one build per argument; the section builder runs once per object
+        counts = _per_argument(builds)
+        assert set(counts) == set(_per_argument(expected))
+        assert counts[("_section_diagram", id(X))] == len(X.base.site.objects)
+        assert all(
+            k == 1 for (name, _arg), k in counts.items() if name != "_section_diagram"
+        )
+
+    def test_entry_goes_with_its_argument(self, z2):
+        a = random_diagram(random.Random(8), z2, 3)
+        key = id(a)
+        h = weakref.ref(hocolim(a, 3))
+        p = weakref.ref(pb(h()))
+        assert key in hocopb._MEMO
+        del a
+        gc.collect()
+        assert key not in hocopb._MEMO
+        assert h() is None and p() is None
+
+    def test_invalid_input_raises_on_every_call(self, z2, builds):
+        rng = random.Random(9)
+        a = random_diagram(rng, z2, 3)
+        bad = GroupoidDiagram(base=a.base, value=a.value, action={})
+        x = random_over_nerve(rng, z2, 3)
+        stray = OverNerve(base=cyclic_groupoid(3), total=x.total, structure=x.structure)
+        for _ in range(2):
+            with pytest.raises(InputError):
+                hocolim(bad, 3)
+            with pytest.raises(InputError):
+                hocolim(a, 4)
+            with pytest.raises(InputError):
+                pb(stray)
+        assert _per_argument(builds) == Counter(
+            {("_hocolim", id(bad)): 2, ("_hocolim", id(a)): 2, ("_pb", id(stray)): 2}
+        )
