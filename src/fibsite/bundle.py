@@ -43,6 +43,7 @@ from dataclasses import dataclass, field
 from .cohom import AbelianPresheaf, FgAbelianGroup
 from .errors import FibsiteError, InputError
 from .fibred import (
+    FibredSite,
     MorphismOfPresheavesOfCategories,
     PresheafOfCategories,
     PresheafOfGroupoids,
@@ -106,6 +107,18 @@ class Bundle:
     abelian_base: dict[str, str] = field(default_factory=dict)
     paths: tuple[str, ...] = ()
     content_hash: str = ""
+    # total site of each psheaf-cat, built on first use by fibred_site
+    fibred_sites: dict[str, FibredSite] = field(
+        default_factory=dict, compare=False, repr=False
+    )
+
+    def fibred_site(self, name: str) -> FibredSite:
+        """The total site of the psheaf-cat `name`, built once per bundle."""
+        fs = self.fibred_sites.get(name)
+        if fs is None:
+            fs = grothendieck_construct(self.presheaves_of_categories[name])
+            self.fibred_sites[name] = fs
+        return fs
 
     def structural_key(self):
         return (
@@ -500,7 +513,7 @@ def parse_bundle(paths: list[str]) -> Bundle:
     for name, blk in raw_abs.items():
         over = blk["over"]
         if over in bundle.presheaves_of_categories:
-            base = grothendieck_construct(bundle.presheaves_of_categories[over]).total
+            base = bundle.fibred_site(over).total
         elif over in bundle.categories:
             base = bundle.categories[over]
         else:

@@ -7,6 +7,7 @@ Exit codes: 0 ok (all verdicts pass), 1 a check failed, 2 parse/usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 import time
@@ -41,6 +42,17 @@ COMMANDS = (
     "homology",
     "nerve-export",
 )
+
+
+def _instance_count(text: str) -> int:
+    """Parse --count; fewer than one instance would check nothing."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -90,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("adjunction-check", help="triangle identities and evidence on seeded instances")
     common(sp)
     sp.add_argument("--psheaf", required=True)
-    sp.add_argument("--count", type=int, default=3)
+    sp.add_argument("--count", type=_instance_count, default=3)
     sp = sub.add_parser("invariance-check", help="cohomology comparison across an equivalence")
     common(sp)
     sp.add_argument("--mor", required=True)
@@ -166,7 +178,7 @@ def _construction(bundle: Bundle, name: str):
     if name not in bundle.presheaves_of_categories:
         raise InputError(f"no psheaf-cat named {name} in the bundle")
     pc = bundle.presheaves_of_categories[name]
-    fs = fibred.grothendieck_construct(pc)
+    fs = bundle.fibred_site(name)
     base_name = None
     for cname, cat in bundle.categories.items():
         if cat == pc.site:
@@ -419,6 +431,15 @@ def cmd_nerve_export(args, bundle: Bundle, rep: Report) -> None:
     rep.add_verdict("exported", True, "")
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built by the first run call.
+
+    parse_args leaves a parser unchanged, so every call can share it.
+    """
+    return build_parser()
+
+
 HANDLERS = {
     "validate": cmd_validate,
     "fibred-build": cmd_fibred_build,
@@ -435,9 +456,8 @@ HANDLERS = {
 
 def run(argv: list[str] | None = None, stdout=None) -> int:
     out = stdout if stdout is not None else sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return EXIT_PARSE if e.code not in (0, None) else 0
     t0 = time.monotonic()
@@ -471,8 +491,12 @@ def run(argv: list[str] | None = None, stdout=None) -> int:
         rep.timings = {"wall_seconds": round(time.monotonic() - t0, 6)}
     text = emit_report(rep, args.format)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            print(f"error: {e}", file=sys.stderr)
+            return EXIT_PARSE
     else:
         out.write(text)
     return EXIT_OK if rep.ok else EXIT_CHECK_FAILED

@@ -21,6 +21,7 @@ from .fincat import (
     Functor,
     Groupoid,
     SetValuedFunctor,
+    _inverse_laws,
     colim_set,
     comma_data,
     compose_functors,
@@ -31,7 +32,6 @@ from .fincat import (
     pair_name,
     validate_category,
     validate_functor,
-    validate_groupoid,
     validate_set_functor,
 )
 from .site import (
@@ -73,12 +73,17 @@ def validate_presheaf_of_categories(a: PresheafOfCategories) -> list[str]:
     bad = validate_category(c)
     if bad:
         return [f"site: {b}" for b in bad]
+    # one report per distinct fibre object, however many site objects share
+    # it; a fibre that is the site itself passed just above
+    category_laws: dict[int, list[str]] = {id(c): []}
     for u in c.objects:
         if u not in a.value:
             report.append(f"no fibre category at {u}")
             continue
-        bad = validate_category(a.value[u])
-        report.extend(f"fibre at {u}: {b}" for b in bad)
+        fib = a.value[u]
+        if id(fib) not in category_laws:
+            category_laws[id(fib)] = validate_category(fib)
+        report.extend(f"fibre at {u}: {b}" for b in category_laws[id(fib)])
     for alpha, (v, u) in c.morphisms.items():
         r = a.restriction.get(alpha)
         if r is None:
@@ -103,13 +108,17 @@ def validate_presheaf_of_categories(a: PresheafOfCategories) -> list[str]:
         if lhs.object_map != r.object_map or lhs.morphism_map != r.morphism_map:
             report.append(f"restriction functoriality fails on ({g}, {f})")
     if isinstance(a, PresheafOfGroupoids):
+        # every fibre passed its category laws above, so only the inverse
+        # laws of validate_groupoid remain
+        inverse_laws: dict[int, list[str]] = {}
         for u in c.objects:
-            if not isinstance(a.value[u], Groupoid):
+            fib = a.value[u]
+            if not isinstance(fib, Groupoid):
                 report.append(f"fibre at {u} carries no groupoid structure")
-            else:
-                report.extend(
-                    f"fibre at {u}: {b}" for b in validate_groupoid(a.value[u])
-                )
+                continue
+            if id(fib) not in inverse_laws:
+                inverse_laws[id(fib)] = _inverse_laws(fib)
+            report.extend(f"fibre at {u}: {b}" for b in inverse_laws[id(fib)])
     return report
 
 
@@ -158,9 +167,6 @@ class FibredSite:
     object_pair: dict[str, tuple[str, str]]
     morphism_pair: dict[str, tuple[str, str]]
     topology: GrothendieckTopology | None = None
-
-    def object_id(self, u: str, x: str) -> str:
-        return pair_name(u, x)
 
 
 def grothendieck_construct(a: PresheafOfCategories) -> FibredSite:

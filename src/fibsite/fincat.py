@@ -168,7 +168,12 @@ class Groupoid(FiniteCategory):
 
 
 def validate_groupoid(g: Groupoid) -> list[str]:
-    report = validate_category(g)
+    return validate_category(g) + _inverse_laws(g)
+
+
+def _inverse_laws(g: Groupoid) -> list[str]:
+    """The inverse-law part of validate_groupoid's report."""
+    report: list[str] = []
     for m in g.morphisms:
         inv = g.inverse.get(m)
         if inv is None or inv not in g.morphisms:

@@ -14,6 +14,7 @@ from fibsite.bundle import (
     emit_bundle,
     parse_bundle,
 )
+from fibsite import cli
 from fibsite.cli import run
 from fibsite.report import Report, emit_report, report_from_json
 
@@ -258,31 +259,113 @@ class TestExitCodes:
         code, _ = go(["sheaf-check", str(BUNDLES / "chain_cover.bundle"), "--presheaf", "P"])
         assert code == 1
 
+    def test_unwritable_out_is_2(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.json"
+        code, out = go(["validate", str(BUNDLES / "pt_z2.bundle"), "--out", str(target)])
+        assert (code, out) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(target) in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_adjunction_check_without_instances_is_2(self, count, capsys):
+        code, out = go([
+            "adjunction-check", str(BUNDLES / "pt_z2.bundle"), "--psheaf", "G",
+            "--count", count,
+        ])
+        assert (code, out) == (2, "")
+        assert f"argument --count: must be at least 1, got {int(count)}" in capsys.readouterr().err
+
+    def test_non_integer_count_keeps_the_int_message(self, capsys):
+        code, _ = go([
+            "adjunction-check", str(BUNDLES / "pt_z2.bundle"), "--psheaf", "G",
+            "--count", "three",
+        ])
+        assert code == 2
+        assert "argument --count: invalid int value: 'three'" in capsys.readouterr().err
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def python_run(args, **env_extra):
+    """Run `python *args` in a fresh process with the package on its path."""
+    env = dict(os.environ, **env_extra)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120,
+    )
+
 
 class TestModuleEntryPoints:
-    SRC = str(Path(__file__).resolve().parents[1] / "src")
-
-    def python_m(self, module, argv):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (self.SRC, env.get("PYTHONPATH")) if p
-        )
-        return subprocess.run(
-            [sys.executable, "-m", module, *argv],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
-
     @pytest.mark.parametrize("module", ["fibsite", "fibsite.cli"])
     def test_validate_matches_run(self, module):
         argv = ["validate", str(BUNDLES / "pt_z2.bundle")]
-        proc = self.python_m(module, argv)
+        proc = python_run(["-m", module, *argv])
         assert proc.returncode == 0
         assert proc.stdout == go(argv)[1]
 
     @pytest.mark.parametrize("module", ["fibsite", "fibsite.cli"])
     def test_validation_error_is_3(self, module):
-        proc = self.python_m(module, ["validate", str(BUNDLES / "bad_inverse.bundle")])
+        proc = python_run(["-m", module, "validate", str(BUNDLES / "bad_inverse.bundle")])
         assert proc.returncode == 3
+
+
+def _bundle(name):
+    return str(BUNDLES / f"{name}.bundle")
+
+
+class TestParserReuse:
+    """run builds one parser per process and reuses it for every call; a
+    reused parser must change no byte of any report, usage text or error
+    text, nor any exit code, against a fresh ``python -m fibsite``."""
+
+    CASES = [
+        (["validate", _bundle("pt_z2")], 0),
+        (["validate", _bundle("chain_cover"), "--format", "markdown"], 0),
+        (["fibred-build", _bundle("product_cj"), "--psheaf", "A"], 0),
+        (["cohomology", _bundle("pt_z2"), "--psheaf", "G", "--coeffs", "F",
+          "--format", "markdown"], 0),
+        (["sheaf-check", _bundle("chain_cover"), "--presheaf", "P"], 1),
+        (["sheaf-check", _bundle("chain_cover"), "--presheaf", "P",
+          "--format", "markdown"], 1),
+        (["validate", _bundle("bad_syntax")], 2),
+        (["validate", _bundle("bad_inverse")], 3),
+        (["cohomology", _bundle("chain_cover"), "--psheaf", "GT", "--coeffs", "FT"], 4),
+        (["cohomology", _bundle("pt_z2"), "--psheaf", "G", "--coeffs", "F",
+          "--max-strings", "0"], 5),
+        (["--help"], 0),
+        (["adjunction-check", "--help"], 0),
+        ([], 2),
+        (["frobnicate"], 2),
+        (["fibred-build", _bundle("pt_z2")], 2),
+        (["adjunction-check", _bundle("pt_z2"), "--psheaf", "G", "--count", "0"], 2),
+    ]
+
+    @pytest.mark.parametrize(
+        "argv,code", CASES, ids=[" ".join(Path(a).name for a in c[0]) or "no-args" for c in CASES]
+    )
+    def test_reused_parser_matches_a_fresh_process(self, argv, code, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        fresh = python_run(["-m", "fibsite", *argv], COLUMNS="80")
+        assert fresh.returncode == code
+        for _ in range(2):
+            got = run(list(argv))
+            out, err = capsys.readouterr()
+            assert (got, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+    def test_one_parser_per_process(self, monkeypatch):
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        cli._parser.cache_clear()
+        for argv in (["validate", _bundle("pt_z2")], ["frobnicate"], ["validate", _bundle("pt_z2")]):
+            go(argv)
+        assert len(built) == 1
+
+    def test_import_builds_no_parser(self):
+        proc = python_run(["-c", "import fibsite.cli as c; print(c._parser.cache_info().currsize)"])
+        assert proc.stdout == "0\n"
 
 
 class TestDeterminism:

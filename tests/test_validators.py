@@ -1,13 +1,28 @@
 """The table-driven simplicial validators against a per-simplex reference,
-and the once-only validation of the intermediates of ``check_triangles``."""
+the once-only validation of the intermediates of ``check_triangles``, and
+the reports of presheaves of categories whose fibres are shared."""
 
+import dataclasses
 import random
 from collections import Counter
 
 import pytest
 
-from fibsite import hocopb
-from fibsite.fincat import codiscrete_groupoid, cyclic_groupoid, poset_chain
+from fibsite import fibred, hocopb
+from fibsite.fibred import (
+    PresheafOfCategories,
+    PresheafOfGroupoids,
+    validate_presheaf_of_categories,
+)
+from fibsite.fincat import (
+    FiniteCategory,
+    codiscrete_groupoid,
+    cyclic_groupoid,
+    identity_functor,
+    poset_chain,
+    validate_category,
+    validate_groupoid,
+)
 from fibsite.sampling import orbit_diagram, random_diagram, random_groupoid, random_over_nerve
 from fibsite.sset import (
     SimplicialMap,
@@ -280,3 +295,101 @@ def test_over_side_validates_each_object_once(recorded):
     px = _built(recorded, "pb", x)
     assert _ids(recorded["over"]) == _ids([x])
     assert _ids(recorded["diagram"]) == _ids([px])
+
+
+# ---------------------------------------------------------------------------
+# presheaves of categories whose site objects share one fibre object: each
+# distinct fibre is checked once, and the reports list every site object's
+# failures word for word and in order
+
+
+def _shared(cls, value, restriction=None):
+    site = poset_chain(["W", "V", "U"])
+    if restriction is None:
+        restriction = {m: identity_functor(value["U"]) for m in site.morphisms}
+    return cls(site=site, value=value, restriction=restriction)
+
+
+# Z/3 with r1.r1 corrupted to r1: endpoints stay right, associativity breaks
+_Z3 = cyclic_groupoid(3)
+_BAD_LAW = dataclasses.replace(_Z3, composition={**_Z3.composition, ("r1", "r1"): "r1"})
+_BAD_INVERSE = dataclasses.replace(_Z3, inverse={**_Z3.inverse, "r1": "r1"})
+_ASSOCIATIVITY = [
+    "associativity fails on (r2, r1, r1)",
+    "associativity fails on (r2, r2, r1)",
+    "associativity fails on (r1, r1, r2)",
+    "associativity fails on (r1, r2, r2)",
+]
+
+
+def _per_fibre(lines):
+    return [f"fibre at {u}: {b}" for u in ("U", "V", "W") for b in lines]
+
+
+def test_shared_fibre_category_law_reported_at_every_object():
+    cat = FiniteCategory(
+        objects=_BAD_LAW.objects,
+        morphisms=_BAD_LAW.morphisms,
+        identity=_BAD_LAW.identity,
+        composition=_BAD_LAW.composition,
+    )
+    a = _shared(PresheafOfCategories, {"W": cat, "V": cat, "U": dataclasses.replace(cat)})
+    assert validate_presheaf_of_categories(a) == _per_fibre(_ASSOCIATIVITY)
+    g = _shared(
+        PresheafOfGroupoids,
+        {"W": _BAD_LAW, "V": dataclasses.replace(_BAD_LAW), "U": _BAD_LAW},
+    )
+    assert validate_presheaf_of_categories(g) == _per_fibre(_ASSOCIATIVITY)
+
+
+def test_shared_fibre_inverse_reported_at_every_object():
+    a = _shared(
+        PresheafOfGroupoids,
+        {"W": _BAD_INVERSE, "V": _BAD_INVERSE, "U": dataclasses.replace(_BAD_INVERSE)},
+    )
+    assert validate_presheaf_of_categories(a) == _per_fibre(["inverse law fails for r1"])
+
+
+def test_shared_fibre_restriction_reports():
+    value = {"W": _Z3, "V": _Z3, "U": _Z3}
+    r = {m: identity_functor(_Z3) for m in poset_chain(["W", "V", "U"]).morphisms}
+    trivial = {**r["id_U"].morphism_map, "r1": "id_*", "r2": "id_*"}
+    at_identity = {**r, "id_U": dataclasses.replace(r["id_U"], morphism_map=trivial)}
+    assert validate_presheaf_of_categories(
+        _shared(PresheafOfGroupoids, value, at_identity)
+    ) == [
+        "restriction along the identity of U is not the identity",
+        "restriction functoriality fails on (id_U, a_W_U)",
+        "restriction functoriality fails on (id_U, a_V_U)",
+    ]
+    swapped = {**r["a_V_U"].morphism_map, "r1": "r2"}
+    not_a_functor = {**r, "a_V_U": dataclasses.replace(r["a_V_U"], morphism_map=swapped)}
+    assert validate_presheaf_of_categories(
+        _shared(PresheafOfGroupoids, value, not_a_functor)
+    ) == [
+        "restriction along a_V_U: composition not preserved on (r1, r1)",
+        "restriction along a_V_U: composition not preserved on (r1, r2)",
+        "restriction along a_V_U: composition not preserved on (r2, r1)",
+        "restriction along a_V_U: composition not preserved on (r2, r2)",
+    ]
+
+
+def test_validate_groupoid_reports_category_then_inverse_laws():
+    both = dataclasses.replace(_BAD_LAW, inverse=_BAD_INVERSE.inverse)
+    assert validate_groupoid(both) == _ASSOCIATIVITY + ["inverse law fails for r1"]
+    assert validate_groupoid(_BAD_INVERSE) == ["inverse law fails for r1"]
+    assert validate_groupoid(_Z3) == []
+
+
+def test_each_distinct_fibre_checked_once(monkeypatch):
+    checked = []
+
+    def counting(c):
+        checked.append(c)
+        return validate_category(c)
+
+    monkeypatch.setattr(fibred, "validate_category", counting)
+    copy = dataclasses.replace(_Z3)
+    a = _shared(PresheafOfGroupoids, {"W": _Z3, "V": copy, "U": _Z3})
+    assert validate_presheaf_of_categories(a) == []
+    assert _ids(checked) == _ids([a.site, _Z3, copy])
