@@ -705,19 +705,19 @@ def invariance_report(
     Computes the cohomology of the codomain's total category with the given
     coefficients and of the domain's with coefficients pulled back along the
     induced functor; a pass is equality of invariant factors in every degree
-    up to n_max.
+    up to n_max.  m is validated first (``total_functor``), and each total
+    category is built once.
     """
+    t = total_functor(m)
     if not is_sectionwise_equivalence(m):
         raise RefusedMode(
             "the comparison hypothesis fails: the morphism is not a sectionwise equivalence"
         )
-    fs_h = grothendieck_construct(m.codomain)
-    if f.base != fs_h.total:
+    if f.base != t.codomain:
         raise InputError("coefficients do not live on the codomain's total category")
-    t = total_functor(m)
     f_pulled = restrict_abelian_along(t, f)
     ch = cohomology_of_complex(
-        cochain_complex(fs_h.total, f, n_max, max_strings=max_strings)
+        cochain_complex(t.codomain, f, n_max, max_strings=max_strings)
     )
     cg = cohomology_of_complex(
         cochain_complex(t.domain, f_pulled, n_max, max_strings=max_strings)

@@ -11,13 +11,18 @@ implemented at simplex level and satisfy the triangle identities exactly;
 the sectionwise versions over a presheaf of groupoids carry the site actions
 along unchanged.
 
-``hocolim``, ``pb`` and ``section_diagram`` remember their result for as long
-as their argument object is alive.  So validation runs once per argument, when
-``hocolim`` or ``pb`` first builds from it, and the triangle checks, the unit,
-the counit and the sectionwise run share one build of each intermediate.
-Library values are immutable: mutating a diagram or an over-object after
-passing it in is unsupported, since a later call would return the result
-remembered for it.
+Inputs are validated once, at the public boundary: ``hocolim``, ``pb``,
+``enriched_hocolim`` and ``enriched_pb`` validate a caller's argument before
+their first build from it, and ``presheaf_hocolim_pb`` validates its enriched
+input.  What the library feeds back in (``pb`` of a hocolim it built, the
+sections of its own sectionwise results) goes to the unchecked builders
+directly; the property test in ``tests/test_builders.py`` runs the validators
+on every builder's output instead.  Every result is remembered for as long as
+its argument object is alive, and the checked and unchecked paths share that
+one entry, so the triangle checks, the unit, the counit and the sectionwise
+run share one build of each intermediate.  Library values are immutable:
+mutating a diagram or an over-object after passing it in is unsupported,
+since a later call would return the result remembered for it.
 """
 
 from __future__ import annotations
@@ -120,20 +125,35 @@ def validate_over_nerve(x: OverNerve) -> list[str]:
     return report
 
 
-# Results of hocolim, pb and section_diagram per argument object:
-# id(argument) -> {("hocolim", d) | "pb" | ("section", u): result}.  The entry
-# is dropped when its argument is collected, so an id is never reused while
-# its entry exists.  A raised error is never stored.
+# Results per argument object: id(argument) -> {(builder, *args): result}.
+# The entry is dropped when its argument is collected, so an id is never
+# reused while its entry exists.  A raised error is never stored.
 _MEMO: dict[int, dict] = {}
 
 
-def _remembered(arg, key, build, *args):
+def _entries(arg) -> dict:
     entries = _MEMO.get(id(arg))
     if entries is None:
         entries = _MEMO[id(arg)] = {}
         weakref.finalize(arg, _MEMO.pop, id(arg), None)
+    return entries
+
+
+def _remembered(arg, build, *args, check=None):
+    """build(arg, *args), built once for as long as arg is alive.
+
+    With a validator check, a caller's argument is validated before the first
+    build from it; a nonempty report raises InputError.  The library calls
+    without check on what it built itself, and both share one entry.
+    """
+    entries = _entries(arg)
+    key = (build, *args)
     out = entries.get(key)
     if out is None:
+        if check is not None:
+            bad = check(arg)
+            if bad:
+                raise InputError("; ".join(bad))
         out = entries[key] = build(arg, *args)
     return out
 
@@ -143,16 +163,14 @@ def hocolim(a: GroupoidDiagram, d: int) -> OverNerve:
 
     n-simplices are pairs (sigma, x) with sigma a nerve n-simplex and x an
     n-simplex of the value at sigma's first vertex; the 0-th face moves x
-    along the string's first arrow before taking its value-level face.  The
-    result is remembered for as long as a is alive.
+    along the string's first arrow before taking its value-level face.  a is
+    validated before the first build from it, and the result is remembered
+    for as long as a is alive.
     """
-    return _remembered(a, ("hocolim", d), _hocolim, d)
+    return _remembered(a, _hocolim, d, check=validate_diagram)
 
 
 def _hocolim(a: GroupoidDiagram, d: int) -> OverNerve:
-    bad = validate_diagram(a)
-    if bad:
-        raise InputError("; ".join(bad))
     g = a.base
     if any(a.value[y].dim < d for y in g.objects):
         raise InputError("diagram values truncated below the requested degree")
@@ -219,16 +237,14 @@ def pb(x: OverNerve) -> GroupoidDiagram:
     at the first vertex of the underlying string (the string itself is
     recoverable from the structure map, so tokens only store the anchor);
     the 0-th face reanchors by inverting the string's first arrow, which is
-    where invertibility is genuinely required.  The result is remembered for
-    as long as x is alive.
+    where invertibility is genuinely required.  x is validated before the
+    first build from it, and the result is remembered for as long as x is
+    alive.
     """
-    return _remembered(x, "pb", _pb)
+    return _remembered(x, _pb, check=validate_over_nerve)
 
 
 def _pb(x: OverNerve) -> GroupoidDiagram:
-    bad = validate_over_nerve(x)
-    if bad:
-        raise InputError("; ".join(bad))
     g = x.base
     total = x.total
     d = total.dim
@@ -320,12 +336,12 @@ def _counit(a: GroupoidDiagram, p: GroupoidDiagram) -> dict[str, SimplicialMap]:
 
 def unit_eta(x: OverNerve) -> SimplicialMap:
     """x -> hocolim(pb(x)), sending t over sigma to (sigma, (t, identity))."""
-    return _unit(x, hocolim(pb(x), x.total.dim))
+    return _unit(x, _remembered(pb(x), _hocolim, x.total.dim))
 
 
 def counit_epsilon(a: GroupoidDiagram) -> dict[str, SimplicialMap]:
     """pb(hocolim(a)) -> a, pushing the carried simplex along the anchor."""
-    return _counit(a, pb(hocolim(a, next(iter(a.value.values())).dim)))
+    return _counit(a, _remembered(hocolim(a, next(iter(a.value.values())).dim), _pb))
 
 
 @dataclass(frozen=True)
@@ -345,17 +361,17 @@ def check_triangles(
 
     With a diagram a: hocolim(epsilon) after eta at hocolim(a) must be the
     identity.  With an over-object x: epsilon at pb(x) after pb(eta) must be
-    the identity.  Either argument may be omitted.  Each of hocolim(a),
-    pb(hocolim(a)), pb(x) and their hocolims is built once and shared by
-    the unit and the counit.
+    the identity.  Either argument may be omitted.  Only a and x are
+    validated; each of hocolim(a), pb(hocolim(a)), pb(x) and their hocolims
+    is built once and shared by the unit and the counit.
     """
     hocolim_side = True
     pb_side = True
     if a is not None:
         d = next(iter(a.value.values())).dim
         h = hocolim(a, d)
-        p = pb(h)
-        eta = _unit(h, hocolim(p, d))
+        p = _remembered(h, _pb)
+        eta = _unit(h, _remembered(p, _hocolim, d))
         eps = _counit(a, p)
         for n in range(d + 1):
             eta_n = eta.components[n]
@@ -369,7 +385,7 @@ def check_triangles(
         d = x.total.dim
         g = x.base
         px = pb(x)
-        eta = _unit(x, hocolim(px, d))
+        eta = _unit(x, _remembered(px, _hocolim, d))
         for y in g.objects:
             for n in range(d + 1):
                 eta_n = eta.components[n]
@@ -389,7 +405,7 @@ def transpose_counit(x: OverNerve) -> SimplicialMap:
     Concretely (sigma, (t, gamma)) goes to t; left inverse to the unit, which
     tests verify exactly.
     """
-    h = hocolim(pb(x), x.total.dim)
+    h = _remembered(pb(x), _hocolim, x.total.dim)
     comps = []
     for n in range(x.total.dim + 1):
         comps.append({(sigma, (t, gamma)): t for (sigma, (t, gamma)) in h.total.simplices[n]})
@@ -422,7 +438,7 @@ def section_diagram(x: EnrichedGroupoidDiagram, u: str) -> GroupoidDiagram:
     The result is remembered for as long as x is alive, so hocolim and pb of
     a section are shared by every caller.
     """
-    return _remembered(x, ("section", u), _section_diagram, u)
+    return _remembered(x, _section_diagram, u)
 
 
 def _section_diagram(x: EnrichedGroupoidDiagram, u: str) -> GroupoidDiagram:
@@ -511,6 +527,7 @@ class EnrichedOverNerve:
 
 def validate_enriched_over_nerve(y: EnrichedOverNerve) -> list[str]:
     report: list[str] = []
+    checked: dict[int, list[str]] = {}
     a = y.base
     c = a.site
     for u in c.objects:
@@ -521,7 +538,10 @@ def validate_enriched_over_nerve(y: EnrichedOverNerve) -> list[str]:
         if sec.base != opposite(a.value[u]):
             report.append(f"section at {u} not over the opposed fibre")
             continue
-        report.extend(f"section at {u}: {r}" for r in validate_over_nerve(sec))
+        # a section object shared by several site objects is checked once
+        if id(sec) not in checked:
+            checked[id(sec)] = validate_over_nerve(sec)
+        report.extend(f"section at {u}: {r}" for r in checked[id(sec)])
     if report:
         return report
     d = y.sections[next(iter(c.objects))].total.dim
@@ -566,10 +586,18 @@ def _op_functor_of_restriction(a: PresheafOfGroupoids, alpha: str):
 
 
 def enriched_hocolim(x: EnrichedGroupoidDiagram, d: int) -> EnrichedOverNerve:
-    """Sectionwise homotopy colimit; site actions act on both components."""
+    """Sectionwise homotopy colimit; site actions act on both components.
+
+    x is validated before the first build from it, and the result is
+    remembered for as long as x is alive.
+    """
+    return _remembered(x, _enriched_hocolim, d, check=validate_enriched_diagram)
+
+
+def _enriched_hocolim(x: EnrichedGroupoidDiagram, d: int) -> EnrichedOverNerve:
     a = x.base
     c = a.site
-    sections = {u: hocolim(section_diagram(x, u), d) for u in c.objects}
+    sections = {u: _remembered(section_diagram(x, u), _hocolim, d) for u in c.objects}
     site_action: dict[str, SimplicialMap] = {}
     for alpha, (v, u) in c.morphisms.items():
         opr = nerve_map(_op_functor_of_restriction(a, alpha), d)
@@ -593,11 +621,21 @@ def enriched_hocolim(x: EnrichedGroupoidDiagram, d: int) -> EnrichedOverNerve:
 
 
 def enriched_pb(y: EnrichedOverNerve) -> EnrichedGroupoidDiagram:
-    """Sectionwise pullback; site actions move carried simplices and anchors."""
+    """Sectionwise pullback; site actions move carried simplices and anchors.
+
+    y is validated before the first build from it, and the result is
+    remembered for as long as y is alive.  The result's section at U is
+    pb(y.sections[U]) itself, so one section object shared by several site
+    objects gives one pullback and one hocolim of it.
+    """
+    return _remembered(y, _enriched_pb, check=validate_enriched_over_nerve)
+
+
+def _enriched_pb(y: EnrichedOverNerve) -> EnrichedGroupoidDiagram:
     a = y.base
     c = a.site
     d = y.sections[next(iter(c.objects))].total.dim
-    per_section = {u: pb(y.sections[u]) for u in c.objects}
+    per_section = {u: _remembered(y.sections[u], _pb) for u in c.objects}
     value = {
         (u, ob): per_section[u].value[ob]
         for u in c.objects
@@ -626,20 +664,28 @@ def enriched_pb(y: EnrichedOverNerve) -> EnrichedGroupoidDiagram:
                 codomain=per_section[v].value[r.on_object(ob)],
                 components=tuple(comps),
             )
-    return EnrichedGroupoidDiagram(
+    p = EnrichedGroupoidDiagram(
         base=a, value=value, cat_action=cat_action, site_action=site_action
     )
+    _entries(p).update(((_section_diagram, u), s) for u, s in per_section.items())
+    return p
 
 
 def enriched_unit(y: EnrichedOverNerve) -> dict[str, SimplicialMap]:
-    """Per-section units; naturality in the site direction is exact."""
+    """Per-section units; naturality in the site direction is exact.
+
+    Each section is validated by ``pb`` before the first build from it.
+    """
     return {u: unit_eta(y.sections[u]) for u in y.sections}
 
 
 def enriched_counit(
     x: EnrichedGroupoidDiagram, d: int
 ) -> dict[tuple[str, str], SimplicialMap]:
-    """Per-section counits, indexed by (U, fibre object)."""
+    """Per-section counits, indexed by (U, fibre object).
+
+    Each section is validated by ``hocolim`` before the first build from it.
+    """
     out: dict[tuple[str, str], SimplicialMap] = {}
     for u in x.base.site.objects:
         eps = counit_epsilon(section_diagram(x, u))
@@ -667,14 +713,13 @@ def presheaf_hocolim_pb(
 
     For an enriched diagram the counit of its hocolim is checked natural for
     the site actions; for an enriched over-object, the unit is.  Triangle
-    identities are verified exactly in every section.
+    identities are verified exactly in every section.  obj is validated once;
+    what is built from it is not validated again, and the unit, counit and
+    triangle checks find every section's hocolim and pb already built.
     """
     if isinstance(obj, EnrichedGroupoidDiagram):
-        bad = validate_enriched_diagram(obj)
-        if bad:
-            raise InputError("; ".join(bad))
         h = enriched_hocolim(obj, d)
-        p = enriched_pb(h)
+        p = _remembered(h, _enriched_pb)
         eps = enriched_counit(obj, d)
         counit_natural = True
         a = obj.base
@@ -708,11 +753,8 @@ def presheaf_hocolim_pb(
             hocolim_object=h,
             pb_object=p,
         )
-    bad = validate_enriched_over_nerve(obj)
-    if bad:
-        raise InputError("; ".join(bad))
     p = enriched_pb(obj)
-    h = enriched_hocolim(p, d)
+    h = _remembered(p, _enriched_hocolim, d)
     eta = enriched_unit(obj)
     unit_natural = True
     a = obj.base

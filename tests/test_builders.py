@@ -1,0 +1,163 @@
+"""The builders' outputs pass the validators.
+
+``hocolim``, ``pb``, ``enriched_hocolim`` and ``enriched_pb`` validate only
+their caller's argument; what they build is fed back into the unchecked
+builders without another validation.  This property test is what covers the
+builders instead: on sampled diagrams, over-objects and enriched inputs over
+several groupoids it runs the validators on every builder output, the unit
+and counit included, and a builder corrupted in one face or action entry
+must be reported.
+"""
+
+import random
+
+import pytest
+
+from fibsite import hocopb
+from fibsite.fincat import codiscrete_groupoid, cyclic_groupoid, poset_chain
+from fibsite.hocopb import (
+    validate_diagram,
+    validate_enriched_diagram,
+    validate_enriched_over_nerve,
+    validate_over_nerve,
+)
+from fibsite.sampling import (
+    random_diagram,
+    random_enriched_diagram,
+    random_enriched_over_nerve,
+    random_groupoid,
+    random_over_nerve,
+    random_poset_site,
+)
+from fibsite.sset import SimplicialMap, TruncatedSimplicialSet, validate_simplicial_map
+
+D = 3
+
+
+def _reports(name, report):
+    return [f"{name}: {r}" for r in report]
+
+
+def builder_reports(a=None, x=None) -> list[str]:
+    """Validator reports on everything the builders make from a diagram a
+    and an over-object x: hocolim(a), pb of it and its hocolim, the counit at
+    a; pb(x), its hocolim and pb of that, the unit at x.  Builders are called
+    unchecked, the way the library calls them on its own output."""
+    report = []
+    if a is not None:
+        h = hocopb._hocolim(a, D)
+        p = hocopb._pb(h)
+        report += _reports("hocolim(a)", validate_over_nerve(h))
+        report += _reports("pb(hocolim(a))", validate_diagram(p))
+        report += _reports("hocolim(pb(hocolim(a)))", validate_over_nerve(hocopb._hocolim(p, D)))
+        for y, m in hocopb._counit(a, p).items():
+            report += _reports(f"counit at {y}", validate_simplicial_map(m))
+    if x is not None:
+        px = hocopb._pb(x)
+        hpx = hocopb._hocolim(px, D)
+        report += _reports("pb(x)", validate_diagram(px))
+        report += _reports("hocolim(pb(x))", validate_over_nerve(hpx))
+        report += _reports("pb(hocolim(pb(x)))", validate_diagram(hocopb._pb(hpx)))
+        report += _reports("unit", validate_simplicial_map(hocopb._unit(x, hpx)))
+    return report
+
+
+def enriched_reports(X=None, Y=None) -> list[str]:
+    """Validator reports on the sectionwise builders' outputs."""
+    report = []
+    if X is not None:
+        h = hocopb._enriched_hocolim(X, D)
+        report += _reports("enriched_hocolim(X)", validate_enriched_over_nerve(h))
+        report += _reports("enriched_pb(...)", validate_enriched_diagram(hocopb._enriched_pb(h)))
+    if Y is not None:
+        p = hocopb._enriched_pb(Y)
+        report += _reports("enriched_pb(Y)", validate_enriched_diagram(p))
+        report += _reports(
+            "enriched_hocolim(...)",
+            validate_enriched_over_nerve(hocopb._enriched_hocolim(p, D)),
+        )
+    return report
+
+
+GROUPOIDS = {
+    "z2": cyclic_groupoid(2),
+    "z3": cyclic_groupoid(3),
+    "e2": codiscrete_groupoid(["o1", "o2"]),
+    "random 1": random_groupoid(random.Random(1)),
+    "random 2": random_groupoid(random.Random(2)),
+    "random 3": random_groupoid(random.Random(3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GROUPOIDS))
+def test_builder_outputs_pass_the_validators(name):
+    g = GROUPOIDS[name]
+    rng = random.Random(name)
+    a = random_diagram(rng, g, D)
+    x = random_over_nerve(rng, g, D)
+    assert validate_diagram(a) == [] and validate_over_nerve(x) == []
+    assert builder_reports(a=a, x=x) == []
+
+
+@pytest.mark.parametrize("seed", [3, 17])
+def test_enriched_builder_outputs_pass_the_validators(seed):
+    rng = random.Random(seed)
+    X = random_enriched_diagram(rng, random_poset_site(rng, 2), D)
+    Y = random_enriched_over_nerve(rng, poset_chain(["V", "U"]), D)
+    assert validate_enriched_diagram(X) == [] and validate_enriched_over_nerve(Y) == []
+    assert enriched_reports(X=X, Y=Y) == []
+
+
+# ---------------------------------------------------------------------------
+# a builder corrupted in one entry is reported
+
+
+def _swapped(table: dict) -> dict:
+    """A copy of a map with the values of its first two differing entries swapped."""
+    keys = sorted(table, key=repr)
+    k1 = keys[0]
+    k2 = next(k for k in keys if table[k] != table[k1])
+    return {**table, k1: table[k2], k2: table[k1]}
+
+
+def _hocolim_with_a_face_swapped(build):
+    def corrupted(a, d):
+        h = build(a, d)
+        faces = {**h.total.faces, (1, 0): _swapped(h.total.faces[(1, 0)])}
+        total = TruncatedSimplicialSet(
+            dim=h.total.dim, simplices=h.total.simplices, faces=faces,
+            degeneracies=h.total.degeneracies,
+        )
+        structure = SimplicialMap(
+            domain=total, codomain=h.structure.codomain, components=h.structure.components
+        )
+        return hocopb.OverNerve(base=h.base, total=total, structure=structure)
+    return corrupted
+
+
+def _pb_with_an_action_entry_swapped(build):
+    def corrupted(x):
+        p = build(x)
+        m = next(m for m in sorted(p.action) if m not in p.base.identity.values())
+        f = p.action[m]
+        comps = (_swapped(f.components[0]), *f.components[1:])
+        moved = SimplicialMap(domain=f.domain, codomain=f.codomain, components=comps)
+        return hocopb.GroupoidDiagram(base=p.base, value=p.value, action={**p.action, m: moved})
+    return corrupted
+
+
+@pytest.mark.parametrize("builder,corrupt", [
+    ("_hocolim", _hocolim_with_a_face_swapped),
+    ("_pb", _pb_with_an_action_entry_swapped),
+])
+def test_a_corrupted_builder_is_reported(monkeypatch, builder, corrupt):
+    g = cyclic_groupoid(2)
+    rng = random.Random(5)
+    a = random_diagram(rng, g, D)
+    x = random_over_nerve(rng, g, D)
+    Y = random_enriched_over_nerve(rng, poset_chain(["V", "U"]), D)
+    assert builder_reports(a=a, x=x) == enriched_reports(Y=Y) == []
+    monkeypatch.setattr(hocopb, builder, corrupt(getattr(hocopb, builder)))
+    assert builder_reports(a=a) != []
+    assert builder_reports(x=x) != []
+    assert enriched_reports(Y=Y) != []

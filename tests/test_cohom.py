@@ -6,12 +6,14 @@ and reduces it with sympy's Smith normal form, entirely separate from the
 package's string enumeration and sparse kernel.
 """
 
+import dataclasses
 import random
 
 import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
+from fibsite import cohom, fibred
 from fibsite.cohom import (
     AbelianPresheaf,
     FgAbelianGroup,
@@ -483,6 +485,30 @@ class TestInvariance:
             )
             rep = invariance_report(m, f, 2)
             assert rep.passed
+
+    def test_malformed_morphism_fails_validation(self):
+        m, gh = random_sectionwise_equivalence(random.Random(1))
+        u = sorted(m.components)[0]
+        broken = dataclasses.replace(
+            m, components={v: c for v, c in m.components.items() if v != u}
+        )
+        f = constant_abelian_presheaf(grothendieck_construct(gh).total, ZZ)
+        with pytest.raises(ValidationFailure, match=f"no component at {u}"):
+            invariance_report(broken, f, 2)
+
+    def test_each_total_built_once(self, monkeypatch):
+        m, gh = random_sectionwise_equivalence(random.Random(1))
+        f = constant_abelian_presheaf(grothendieck_construct(gh).total, ZZ)
+        built = []
+
+        def counting(a):
+            built.append(a)
+            return grothendieck_construct(a)
+
+        monkeypatch.setattr(fibred, "grothendieck_construct", counting)
+        monkeypatch.setattr(cohom, "grothendieck_construct", counting)
+        assert invariance_report(m, f, 2).passed
+        assert [id(a) for a in built] == [id(m.domain), id(m.codomain)]
 
 
 def test_torsion_coefficients_on_stack(pt, z2):

@@ -282,22 +282,33 @@ class TestEnriched:
 # hocolim, pb and section_diagram remember their result per argument object
 
 
-@pytest.fixture
-def builds(monkeypatch):
-    """(builder, argument) of every call to the private builders."""
+def _recorded(monkeypatch, names) -> list:
+    """(name, argument) of every call to the named hocopb functions."""
     seen = []
 
     def count(name):
-        build = getattr(hocopb, name)
+        fn = getattr(hocopb, name)
 
         def wrapper(arg, *args):
             seen.append((name, arg))
-            return build(arg, *args)
+            return fn(arg, *args)
         return wrapper
 
-    for name in ("_hocolim", "_pb", "_section_diagram"):
+    for name in names:
         monkeypatch.setattr(hocopb, name, count(name))
     return seen
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """(builder, argument) of every call to the private builders."""
+    return _recorded(monkeypatch, ("_hocolim", "_pb", "_section_diagram"))
+
+
+@pytest.fixture
+def validated(monkeypatch):
+    """(validator, argument) of every diagram/over-nerve validation."""
+    return _recorded(monkeypatch, ("validate_diagram", "validate_over_nerve"))
 
 
 def _per_argument(seen) -> Counter:
@@ -361,6 +372,35 @@ class TestMemo:
             k == 1 for (name, _arg), k in counts.items() if name != "_section_diagram"
         )
 
+    def test_enriched_over_run_shares_one_section_pullback(self, chain2, builds, validated):
+        # both site objects carry one section object: its pullback is the
+        # pb side's section at each object, so one hocolim serves them all
+        y = random_enriched_over_nerve(random.Random(7), chain2, 3)
+        sec = y.sections["V"]
+        assert y.sections["U"] is sec
+        run = presheaf_hocolim_pb(y, 3)
+        assert run.triangles.passed and run.unit_natural
+        enriched_unit(y)
+        p = pb(sec)
+        h = hocolim(p, 3)
+        for u in chain2.objects:
+            assert section_diagram(run.pb_object, u) is p
+            assert run.hocolim_object.sections[u] is h
+        assert _per_argument(builds) == _per_argument(
+            [("_pb", sec), ("_hocolim", p), ("_pb", h), ("_hocolim", pb(h))]
+        )
+        assert validated == [("validate_over_nerve", sec)]
+
+    def test_enriched_diagram_run_validates_each_section_once(self, validated):
+        rng = random.Random(17)
+        X = random_enriched_diagram(rng, random_poset_site(rng, 2), 3)
+        run = presheaf_hocolim_pb(X, 3)
+        enriched_counit(X, 3)
+        enriched_unit(run.hocolim_object)
+        assert _per_argument(validated) == _per_argument(
+            ("validate_diagram", section_diagram(X, u)) for u in X.base.site.objects
+        )
+
     def test_entry_goes_with_its_argument(self, z2):
         a = random_diagram(random.Random(8), z2, 3)
         key = id(a)
@@ -372,7 +412,7 @@ class TestMemo:
         assert key not in hocopb._MEMO
         assert h() is None and p() is None
 
-    def test_invalid_input_raises_on_every_call(self, z2, builds):
+    def test_invalid_input_raises_on_every_call(self, z2, builds, validated):
         rng = random.Random(9)
         a = random_diagram(rng, z2, 3)
         bad = GroupoidDiagram(base=a.base, value=a.value, action={})
@@ -385,6 +425,11 @@ class TestMemo:
                 hocolim(a, 4)
             with pytest.raises(InputError):
                 pb(stray)
-        assert _per_argument(builds) == Counter(
-            {("_hocolim", id(bad)): 2, ("_hocolim", id(a)): 2, ("_pb", id(stray)): 2}
-        )
+        # every raising call validates its argument again; an invalid argument
+        # never reaches a builder, and the truncation guard is the builder's
+        assert _per_argument(validated) == Counter({
+            ("validate_diagram", id(bad)): 2,
+            ("validate_diagram", id(a)): 2,
+            ("validate_over_nerve", id(stray)): 2,
+        })
+        assert _per_argument(builds) == Counter({("_hocolim", id(a)): 2})

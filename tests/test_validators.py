@@ -1,5 +1,5 @@
 """The table-driven simplicial validators against a per-simplex reference,
-the once-only validation of the intermediates of ``check_triangles``, and
+the once-only validation of the caller's argument of ``check_triangles``, and
 the reports of presheaves of categories whose fibres are shared."""
 
 import dataclasses
@@ -243,14 +243,14 @@ def test_repeated_failures_are_all_reported():
 
 
 # ---------------------------------------------------------------------------
-# each object check_triangles works on is validated exactly once
+# check_triangles validates only its caller's argument, exactly once; the
+# intermediates it builds are covered by tests/test_builders.py
 
 
 @pytest.fixture
 def recorded(monkeypatch):
-    """Arguments of every diagram/over-nerve validation, and every
-    hocolim/pb call as (function, argument, result)."""
-    seen = {"diagram": [], "over": [], "built": []}
+    """Arguments of every diagram/over-nerve validation."""
+    seen = {"diagram": [], "over": []}
 
     def record(kind, fn):
         def wrapper(obj):
@@ -258,22 +258,9 @@ def recorded(monkeypatch):
             return fn(obj)
         return wrapper
 
-    def build(name, fn):
-        def wrapper(obj, *args):
-            out = fn(obj, *args)
-            seen["built"].append((name, obj, out))
-            return out
-        return wrapper
-
     monkeypatch.setattr(hocopb, "validate_diagram", record("diagram", hocopb.validate_diagram))
     monkeypatch.setattr(hocopb, "validate_over_nerve", record("over", hocopb.validate_over_nerve))
-    monkeypatch.setattr(hocopb, "hocolim", build("hocolim", hocopb.hocolim))
-    monkeypatch.setattr(hocopb, "pb", build("pb", hocopb.pb))
     return seen
-
-
-def _built(seen, name, arg):
-    return next(out for fn, obj, out in seen["built"] if fn == name and obj is arg)
 
 
 def _ids(objs) -> Counter:
@@ -283,18 +270,20 @@ def _ids(objs) -> Counter:
 def test_diagram_side_validates_each_object_once(recorded):
     a = random_diagram(random.Random(3), codiscrete_groupoid(["o1", "o2"]), 3)
     assert hocopb.check_triangles(a=a).passed
-    h = _built(recorded, "hocolim", a)
-    p = _built(recorded, "pb", h)
-    assert _ids(recorded["diagram"]) == _ids([a, p])
-    assert _ids(recorded["over"]) == _ids([h])
+    assert hocopb.check_triangles(a=a).passed
+    hocopb.counit_epsilon(a)
+    assert _ids(recorded["diagram"]) == _ids([a])
+    assert recorded["over"] == []
 
 
 def test_over_side_validates_each_object_once(recorded):
     x = random_over_nerve(random.Random(4), cyclic_groupoid(2), 3)
     assert hocopb.check_triangles(x=x).passed
-    px = _built(recorded, "pb", x)
+    assert hocopb.check_triangles(x=x).passed
+    hocopb.unit_eta(x)
+    hocopb.transpose_counit(x)
     assert _ids(recorded["over"]) == _ids([x])
-    assert _ids(recorded["diagram"]) == _ids([px])
+    assert recorded["diagram"] == []
 
 
 # ---------------------------------------------------------------------------
