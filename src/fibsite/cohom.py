@@ -327,6 +327,8 @@ def cochain_complex(
     arrow's restriction to the zeroth face and alternates signs on the rest.
     The returned complex computes H^0..H^{n_max}.
     """
+    if n_max < 0:
+        raise InputError(f"cohomology degree bound {n_max} is negative")
     bad = validate_abelian_presheaf(f)
     if bad:
         raise ValidationFailure("; ".join(bad))

@@ -9,7 +9,10 @@ of triples (x, sigma, anchor) with the anchor based at sigma's first vertex
 (the groupoid rewrite of the slice construction).  The unit and counit are
 implemented at simplex level and satisfy the triangle identities exactly;
 the sectionwise versions over a presheaf of groupoids carry the site actions
-along unchanged.
+along unchanged.  The triangle identities are equations between
+components, so ``check_triangles`` reads the unit's components and never
+builds the unit's codomain hocolim(pb(...)); ``unit_eta`` builds it when a
+caller asks for the map itself.
 
 Inputs are validated once, at the public boundary: ``hocolim``, ``pb``,
 ``enriched_hocolim`` and ``enriched_pb`` validate a caller's argument before
@@ -304,8 +307,12 @@ def _pb(x: OverNerve) -> GroupoidDiagram:
     return GroupoidDiagram(base=g, value=value, action=action)
 
 
-def _unit(x: OverNerve, target: OverNerve) -> SimplicialMap:
-    """x -> target = hocolim(pb(x)), sending t over sigma to (sigma, (t, identity))."""
+def _unit_components(x: OverNerve) -> tuple[dict, ...]:
+    """The unit's components at x: t over sigma goes to (sigma, (t, identity)).
+
+    They land in hocolim(pb(x)), which is not built here; the triangle
+    checks read only these components.
+    """
     g = x.base
     comps = []
     for n in range(x.total.dim + 1):
@@ -315,7 +322,12 @@ def _unit(x: OverNerve, target: OverNerve) -> SimplicialMap:
             sigma = over[t]
             cm[t] = (sigma, (t, g.identity[g.string_vertex(n, sigma)]))
         comps.append(cm)
-    return SimplicialMap(domain=x.total, codomain=target.total, components=tuple(comps))
+    return tuple(comps)
+
+
+def _unit(x: OverNerve, target: OverNerve) -> SimplicialMap:
+    """x -> target = hocolim(pb(x)), sending t over sigma to (sigma, (t, identity))."""
+    return SimplicialMap(domain=x.total, codomain=target.total, components=_unit_components(x))
 
 
 def _counit(a: GroupoidDiagram, p: GroupoidDiagram) -> dict[str, SimplicialMap]:
@@ -361,40 +373,46 @@ def check_triangles(
 
     With a diagram a: hocolim(epsilon) after eta at hocolim(a) must be the
     identity.  With an over-object x: epsilon at pb(x) after pb(eta) must be
-    the identity.  Either argument may be omitted.  Only a and x are
-    validated; each of hocolim(a), pb(hocolim(a)), pb(x) and their hocolims
-    is built once and shared by the unit and the counit.
+    the identity.  Either argument may be omitted.  The identities are
+    equations between components, so only eta's components are read and its
+    codomain hocolim(pb(...)) is never built; a unit value outside that
+    codomain, or one the counit cannot push, fails its side.  Only a and x
+    are validated; hocolim(a), pb(hocolim(a)) and pb(x) are built once each
+    and shared with the unit and the counit.
     """
     hocolim_side = True
     pb_side = True
     if a is not None:
+        g = a.base
         d = next(iter(a.value.values())).dim
         h = hocolim(a, d)
-        p = _remembered(h, _pb)
-        eta = _unit(h, _remembered(p, _hocolim, d))
-        eps = _counit(a, p)
-        for n in range(d + 1):
-            eta_n = eta.components[n]
+        eps = _counit(a, _remembered(h, _pb))
+        for n, eta_n in enumerate(_unit_components(h)):
             eps_n = {y: m.components[n] for y, m in eps.items()}
             for tok in h.total.simplices[n]:
+                # eta must stay over tok's string, at a simplex of
+                # pb(hocolim(a)) there that the counit sends back to tok
                 sigma, inner = eta_n[tok]
-                back = (sigma, eps_n[a.base.string_vertex(n, sigma)][inner])
-                if back != tok:
+                if sigma != tok[0] or eps_n[g.string_vertex(n, sigma)].get(inner) != tok[1]:
                     hocolim_side = False
     if x is not None:
-        d = x.total.dim
         g = x.base
         px = pb(x)
-        eta = _unit(x, _remembered(px, _hocolim, d))
-        for y in g.objects:
-            for n in range(d + 1):
-                eta_n = eta.components[n]
+        nerve_simplices = x.structure.codomain.simplices
+        for n, eta_n in enumerate(_unit_components(x)):
+            # the t whose eta(t) = (sigma, inner) lies in hocolim(pb(x))
+            lands = {
+                t
+                for t, (sigma, inner) in eta_n.items()
+                if sigma in nerve_simplices[n]
+                and inner in px.value[g.string_vertex(n, sigma)].simplices[n]
+            }
+            for y in g.objects:
                 for (t, gamma) in px.value[y].simplices[n]:
                     # pb(eta) lifts the token, then the counit at pb(x)
                     # pushes the carried simplex along the anchor
-                    _sigma, inner = eta_n[t]
-                    pushed = (inner[0], g.composition[(gamma, inner[1])])
-                    if pushed != (t, gamma):
+                    _sigma, (t1, delta) = eta_n[t]
+                    if t not in lands or t1 != t or g.composition.get((gamma, delta)) != gamma:
                         pb_side = False
     return TriangleReport(hocolim_side=hocolim_side, pb_side=pb_side)
 

@@ -602,6 +602,8 @@ def homology(
     reduced from the top down with clearing, which relies on d d = 0, that
     is on s satisfying the simplicial identities (``validate_simplicial``).
     """
+    if top < 0:
+        raise InputError(f"homology degree bound {top} is negative")
     if top > s.dim - 1:
         raise InputError("truncation too low for the requested degree")
     bases = [_basis(s, n, normalized) for n in range(top + 2)]
@@ -660,6 +662,8 @@ def we_evidence(
     codomain_groupoid: Groupoid | None = None,
 ) -> EvidenceReport:
     """Homology-and-components evidence that f is a weak equivalence."""
+    if top < 0:
+        raise InputError(f"evidence degree bound {top} is negative")
     if top > min(f.domain.dim, f.codomain.dim) - 1:
         raise InputError("truncation too low for the requested evidence degree")
     notes: list[str] = []

@@ -41,15 +41,19 @@ def _reports(name, report):
 def builder_reports(a=None, x=None) -> list[str]:
     """Validator reports on everything the builders make from a diagram a
     and an over-object x: hocolim(a), pb of it and its hocolim, the counit at
-    a; pb(x), its hocolim and pb of that, the unit at x.  Builders are called
-    unchecked, the way the library calls them on its own output."""
+    a and the unit at hocolim(a); pb(x), its hocolim and pb of that, the unit
+    at x.  Builders are called unchecked, the way the library calls them on
+    its own output."""
     report = []
     if a is not None:
         h = hocopb._hocolim(a, D)
         p = hocopb._pb(h)
         report += _reports("hocolim(a)", validate_over_nerve(h))
         report += _reports("pb(hocolim(a))", validate_diagram(p))
-        report += _reports("hocolim(pb(hocolim(a)))", validate_over_nerve(hocopb._hocolim(p, D)))
+        hp = hocopb._hocolim(p, D)
+        report += _reports("hocolim(pb(hocolim(a)))", validate_over_nerve(hp))
+        # check_triangles reads these components without building hp
+        report += _reports("unit at hocolim(a)", validate_simplicial_map(hocopb._unit(h, hp)))
         for y, m in hocopb._counit(a, p).items():
             report += _reports(f"counit at {y}", validate_simplicial_map(m))
     if x is not None:

@@ -188,6 +188,18 @@ class TestExitCodes:
         code, _ = go(["cohomology", str(BUNDLES / "pt_z2.bundle"), "--psheaf", "G", "--coeffs", "NOPE"])
         assert code == 3
 
+    @pytest.mark.parametrize("argv", [
+        ["homology", "chain_cover.bundle", "--category", "C", "--top", "-1"],
+        ["invariance-check", "e2_collapse.bundle", "--mor", "m", "--nmax", "-1"],
+        ["cohomology", "pt_z2.bundle", "--psheaf", "G", "--coeffs", "F", "--nmax", "-1"],
+        ["adjunction-check", "pt_z2.bundle", "--psheaf", "G", "--count", "1", "--truncation", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_negative_degree_bound_is_3(self, argv, capsys):
+        # a bound below 0 compares no degree; it must not read as a pass
+        code, out = go([argv[0], str(BUNDLES / argv[1]), *argv[2:]])
+        assert (code, out) == (3, "")
+        assert "is negative" in capsys.readouterr().err
+
     def test_refused_mode_is_4(self):
         code, _ = go([
             "cohomology", str(BUNDLES / "chain_cover.bundle"),

@@ -30,7 +30,7 @@ from fibsite.cohom import (
     validate_abelian_presheaf,
     zmod,
 )
-from fibsite.errors import CapExceeded, RefusedMode, ValidationFailure
+from fibsite.errors import CapExceeded, InputError, RefusedMode, ValidationFailure
 from fibsite.fibred import (
     MorphismOfPresheavesOfCategories,
     constant_presheaf_of_categories,
@@ -192,6 +192,10 @@ class TestCochainComplex:
     def test_string_cap(self, z2):
         with pytest.raises(CapExceeded):
             cochain_complex(z2, constant_abelian_presheaf(z2, ZZ), 3, max_strings=0)
+
+    def test_negative_degree_bound_rejected(self, z2):
+        with pytest.raises(InputError, match="negative"):
+            cochain_complex(z2, constant_abelian_presheaf(z2, ZZ), -1)
 
     def test_torsion_universal_coefficients(self, z2):
         # H^*(Z/2; Z/4) by universal coefficients: Z/4, Z/2, Z/2, ...
@@ -375,7 +379,6 @@ class TestCech:
         t, s = self.covered(chain2)
         f = constant_abelian_presheaf(chain2, ZZ)
         empty = sieve_from_generators(chain2, "U", set())
-        from fibsite.errors import InputError
 
         with pytest.raises(InputError):
             cech_cohomology(t, "U", empty, f, 2)

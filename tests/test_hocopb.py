@@ -42,6 +42,7 @@ from fibsite.sampling import (
     random_poset_site,
 )
 from fibsite.sset import (
+    SimplicialMap,
     homology,
     identity_simplicial_map,
     nerve,
@@ -176,6 +177,57 @@ class TestTriangles:
             x = random_over_nerve(rng, g, 3)
             assert check_triangles(a=a, x=x).passed
 
+    def test_counit_corrupted_in_one_entry_fails_the_hocolim_side_only(self, monkeypatch, z2):
+        rng = random.Random(11)
+        a = random_diagram(rng, z2, 3)
+        x = random_over_nerve(rng, z2, 3)
+        counit = hocopb._counit
+
+        def one_entry_moved(a_, p):
+            eps = counit(a_, p)
+            m = eps["*"]
+            cm = dict(m.components[1])
+            k = min(cm, key=repr)
+            cm[k] = next(v for v in cm.values() if v != cm[k])
+            comps = (m.components[0], cm, *m.components[2:])
+            eps["*"] = SimplicialMap(domain=m.domain, codomain=m.codomain, components=comps)
+            return eps
+
+        monkeypatch.setattr(hocopb, "_counit", one_entry_moved)
+        report = check_triangles(a=a, x=x)
+        assert (report.hocolim_side, report.pb_side) == (False, True)
+
+    @pytest.mark.parametrize("side,string,anchor", [
+        ("hocolim", None, "bogus"),  # lands outside pb(hocolim(a))
+        ("hocolim", ("bogus",), None),  # leaves the string it sits over
+        ("pb", None, "bogus"),  # lands outside pb(x); no composite with any anchor
+        ("pb", None, "r1"),  # lands in pb(x), but the counit pushes it elsewhere
+        ("pb", ("bogus",), None),  # lands off the nerve, outside hocolim(pb(x))
+    ])
+    def test_unit_corrupted_in_one_entry_fails_its_side_only(
+        self, monkeypatch, z2, side, string, anchor
+    ):
+        rng = random.Random(11)
+        a = random_diagram(rng, z2, 3)
+        x = random_over_nerve(rng, z2, 3)
+        assert check_triangles(a=a, x=x).passed
+        target = hocolim(a, 3) if side == "hocolim" else x
+        components = hocopb._unit_components
+
+        def one_entry_moved(arg):
+            comps = components(arg)
+            if arg is not target:
+                return comps
+            cm = dict(comps[1])
+            t = min(cm, key=repr)
+            sigma, (t1, gamma) = cm[t]
+            cm[t] = (string or sigma, (t1, anchor or gamma))
+            return (comps[0], cm, *comps[2:])
+
+        monkeypatch.setattr(hocopb, "_unit_components", one_entry_moved)
+        report = check_triangles(a=a, x=x)
+        assert (report.hocolim_side, report.pb_side) == (side == "pb", side == "hocolim")
+
     def test_transpose_left_inverse_to_eta(self, z2):
         rng = random.Random(9)
         x = random_over_nerve(rng, z2, 3)
@@ -193,8 +245,6 @@ class TestFunctorialityEvidence:
         # induces an evidence pass on homotopy colimits: free orbit to point
         orbit = orbit_diagram(z2, "*", standard_simplex(0, 4))
         one = one_point_diagram(z2, 4)
-        from fibsite.sset import SimplicialMap
-
         comps_by_y = {}
         h_orbit = hocolim(orbit, 4)
         h_one = hocolim(one, 4)
@@ -218,8 +268,6 @@ class TestFunctorialityEvidence:
         hx = hocolim(pb(x), 4)
         px = pb(x)
         phx = pb(hx)
-        from fibsite.sset import SimplicialMap
-
         for y in z2.objects:
             comps = []
             for n in range(5):
@@ -337,12 +385,13 @@ class TestMemo:
     def test_diagram_side_builds_each_intermediate_once(self, e2, builds):
         a = random_diagram(random.Random(3), e2, 3)
         assert check_triangles(a=a).passed
+        # the triangle check reads the unit's components only: the unit's
+        # codomain hocolim(pb(hocolim(a))) is never built
+        assert Counter(name for name, _arg in builds) == {"_hocolim": 1, "_pb": 1}
         counit_epsilon(a)
         h = hocolim(a, 3)
         p = pb(h)
-        assert _per_argument(builds) == _per_argument(
-            [("_hocolim", a), ("_pb", h), ("_hocolim", p)]
-        )
+        assert _per_argument(builds) == _per_argument([("_hocolim", a), ("_pb", h)])
 
     def test_over_side_builds_each_intermediate_once(self, z2, builds):
         x = random_over_nerve(random.Random(4), z2, 3)
@@ -386,9 +435,7 @@ class TestMemo:
         for u in chain2.objects:
             assert section_diagram(run.pb_object, u) is p
             assert run.hocolim_object.sections[u] is h
-        assert _per_argument(builds) == _per_argument(
-            [("_pb", sec), ("_hocolim", p), ("_pb", h), ("_hocolim", pb(h))]
-        )
+        assert _per_argument(builds) == _per_argument([("_pb", sec), ("_hocolim", p), ("_pb", h)])
         assert validated == [("validate_over_nerve", sec)]
 
     def test_enriched_diagram_run_validates_each_section_once(self, validated):

@@ -103,6 +103,10 @@ class TestHomology:
         with pytest.raises(InputError):
             homology(nerve(z2, 3), 3)
 
+    def test_negative_degree_bound_rejected(self, z2):
+        with pytest.raises(InputError, match="negative"):
+            homology(nerve(z2, 3), -1)
+
     def test_opposite_has_same_homology(self, z2, z3, chain2, e2):
         for c in (z2, z3, chain2, e2):
             a = homology(nerve(c, 4), 3)
@@ -217,6 +221,11 @@ class TestEvidence:
         n = nerve(z2, 3)
         with pytest.raises(InputError):
             we_evidence(identity_simplicial_map(n), 3)
+
+    def test_negative_degree_bound_rejected(self, z2):
+        # a bound below 0 would compare homology in no degree at all
+        with pytest.raises(InputError, match="negative"):
+            we_evidence(identity_simplicial_map(nerve(z2, 3)), -1)
 
 
 def test_diagonal_of_horizontally_constant_bisimplicial(chain2):
