@@ -47,7 +47,7 @@ from .fibred import (
     MorphismOfPresheavesOfCategories,
     PresheafOfCategories,
     PresheafOfGroupoids,
-    grothendieck_construct,
+    _grothendieck_construct,
     validate_morphism_of_presheaves,
     validate_presheaf_of_categories,
 )
@@ -113,10 +113,13 @@ class Bundle:
     )
 
     def fibred_site(self, name: str) -> FibredSite:
-        """The total site of the psheaf-cat `name`, built once per bundle."""
+        """The total site of the psheaf-cat `name`, built once per bundle.
+
+        parse_bundle has validated the psheaf-cat, so it is not checked again.
+        """
         fs = self.fibred_sites.get(name)
         if fs is None:
-            fs = grothendieck_construct(self.presheaves_of_categories[name])
+            fs = _grothendieck_construct(self.presheaves_of_categories[name])
             self.fibred_sites[name] = fs
         return fs
 

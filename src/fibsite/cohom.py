@@ -5,9 +5,9 @@ tuples of coefficient elements indexed by composable n-strings, with the
 twisted face-zero differential.  Torsion coefficients are handled by the
 mapping cone of the relation inclusion, which is a free complex computing
 the same cohomology; every kernel computation then runs through the sparse
-invariant-factor routine.  Strings are numbered per degree by an integer
-table built from the degree below, and the differentials index cochains by
-those ids.  Consecutive differentials are reduced with clearing: the
+invariant-factor routine.  Strings are numbered per degree by
+``fincat.string_table``, and the differentials index cochains by those
+ids.  Consecutive differentials are reduced with clearing: the
 unit-pivot rows of d^n name columns of d^{n+1} that a unimodular change of
 basis sends to zero, so they are left out of the next reduction, which is
 sound because every complex is checked to compose to zero exactly.
@@ -20,10 +20,11 @@ mode and served by the Cech approximation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import CapExceeded, InputError, RefusedMode, ValidationFailure
+from .errors import InputError, RefusedMode, ValidationFailure
 from .fibred import (
     MorphismOfPresheavesOfCategories,
     PresheafOfGroupoids,
@@ -31,7 +32,7 @@ from .fibred import (
     is_sectionwise_equivalence,
     total_functor,
 )
-from .fincat import FiniteCategory, Functor, build_category
+from .fincat import FiniteCategory, Functor, build_category, string_table
 from .site import GrothendieckTopology, Sieve, is_trivial_topology
 from .snf import (
     Matrix,
@@ -39,7 +40,6 @@ from .snf import (
     matrix,
     normalize_factors,
     quotient_invariants,
-    snf_diagonal,
     sparse_invariant_factors,
 )
 
@@ -64,15 +64,18 @@ class FgAbelianGroup:
 
     @classmethod
     def from_orders(cls, orders: Iterable[int]) -> "FgAbelianGroup":
-        """Canonicalize an arbitrary list of cyclic orders (0 = infinite)."""
-        orders = [int(o) for o in orders]
-        k = len(orders)
-        diag = snf_diagonal(
-            [[orders[i] if j == i else 0 for j in range(k)] for i in range(k)]
-        )
-        tor = [d for d in diag if d > 1]
-        free = sum(1 for o in orders if o == 0)
-        return cls(factors=normalize_factors(tor, free))
+        """Canonicalize an arbitrary list of cyclic orders (0 = infinite).
+
+        Z/a + Z/b = Z/gcd + Z/lcm, so replacing each pair by that leaves a
+        divisibility chain; 0 absorbs, as every order divides it.
+        """
+        orders = [abs(int(o)) for o in orders]
+        for i in range(len(orders)):
+            for j in range(i + 1, len(orders)):
+                a, b = orders[i], orders[j]
+                orders[i], orders[j] = math.gcd(a, b), math.lcm(a, b)
+        tor = [d for d in orders if d != 0]
+        return cls(factors=normalize_factors(tor, len(orders) - len(tor)))
 
     @property
     def rank(self) -> int:
@@ -228,91 +231,6 @@ class CochainComplex:
     offset: int = 0
 
 
-def _string_table(
-    c: FiniteCategory, top: int, normalized: bool, max_strings: int
-) -> tuple[list[list[str]], list[list[str]], list[list[tuple]]]:
-    """Composable strings of degrees 0..top, numbered in lexicographic order.
-
-    Degree n extends each degree n-1 string by one arrow; the children of a
-    string get consecutive ids in arrow-name order, so ids follow the
-    lexicographic order of the arrow tuples (degree 0 is in object order,
-    degree 1 in arrow-name order).  With normalized set, identity arrows are
-    left out.  Returns, per degree, each string's first vertex, its first
-    arrow (empty at degree 0) and its face ids in vertex-deletion order, with
-    None for a face that contains an identity.  Face ids come from the
-    parent's: face i of p.m is (face i of p).m, the next-to-last face is the
-    last face of p extended by the composite of p's last arrow and m, and
-    the last face is p.
-    """
-    ends = c.morphisms
-    pool = [m for m in sorted(ends) if not (normalized and c.is_identity(m))]
-    out_of: dict[str, list[str]] = {u: [] for u in c.objects}
-    for m in pool:
-        out_of[ends[m][0]].append(m)
-    # a child's id is its parent's first-child id plus the arrow's place
-    # among the arrows leaving the parent's last vertex
-    place = {m: k for arrows in out_of.values() for k, m in enumerate(arrows)}
-
-    def within_cap(n: int, count: int) -> None:
-        if count > max_strings:
-            raise CapExceeded(f"more than {max_strings} strings in degree {n}")
-
-    objects = sorted(c.objects)
-    within_cap(0, len(objects))
-    vertex: list[list[str]] = [objects]
-    first: list[list[str]] = [[]]
-    faces: list[list[tuple]] = [[]]
-    if top < 1:
-        return vertex, first, faces
-    within_cap(1, len(pool))
-    obj_id = {u: k for k, u in enumerate(objects)}
-    vertex.append([ends[m][0] for m in pool])
-    first.append(pool)
-    faces.append([(obj_id[ends[m][1]], obj_id[ends[m][0]]) for m in pool])
-    one = {m: k for k, m in enumerate(pool)}
-    last = pool  # last arrow of each string in the newest degree
-    # first-child id of each degree n-2 string; degree-1 ids are not grouped
-    # by source object, so the children of objects are looked up in `one`
-    child_start: list[int] | None = None
-
-    def extend(s: int, m: str) -> int | None:
-        """Id of the degree n-2 string s followed by m (None: m left out)."""
-        k = place.get(m)
-        if k is None:
-            return None
-        return one[m] if child_start is None else child_start[s] + k
-
-    for n in range(2, top + 1):
-        pvertex, pfirst, pfaces = vertex[n - 1], first[n - 1], faces[n - 1]
-        cur_vertex: list[str] = []
-        cur_first: list[str] = []
-        cur_faces: list[tuple] = []
-        cur_last: list[str] = []
-        starts: list[int] = []
-        for p, a in enumerate(last):
-            starts.append(len(cur_last))
-            arrows = out_of[ends[a][1]]
-            if not arrows:
-                continue
-            pf = pfaces[p]
-            inner, tail = pf[:-1], pf[-1]
-            x0, m0 = pvertex[p], pfirst[p]
-            for m in arrows:
-                cur_faces.append(
-                    tuple(None if f is None else extend(f, m) for f in inner)
-                    + (extend(tail, c.compose(m, a)), p)
-                )
-                cur_vertex.append(x0)
-                cur_first.append(m0)
-                cur_last.append(m)
-            within_cap(n, len(cur_last))
-        vertex.append(cur_vertex)
-        first.append(cur_first)
-        faces.append(cur_faces)
-        last, child_start = cur_last, starts
-    return vertex, first, faces
-
-
 def cochain_complex(
     c: FiniteCategory,
     f: AbelianPresheaf,
@@ -345,7 +263,8 @@ def cochain_complex(
     has_torsion = any(f.group[x].torsion for x in c.objects)
     # the cone needs relations one degree above the last differential
     top = n_max + 2 if has_torsion else n_max + 1
-    vertex, first, faces = _string_table(c, top, normalized, max_strings)
+    tokens, faces = string_table(c, top, normalized, max_strings)
+    vertex = [[c.string_vertex(n, t) for t in level] for n, level in enumerate(tokens)]
     gens = {x: f.group[x].generator_count for x in c.objects}
     tors = {x: f.group[x].torsion for x in c.objects}
 
@@ -380,7 +299,7 @@ def cochain_complex(
             # a degenerate (None) face vanishes in the normalized complex
             sigma = tau_faces[0]
             if sigma is not None:
-                mat = f.restriction[first[n + 1][tau]]
+                mat = f.restriction[tokens[n + 1][tau][0]]
                 cbase = cols[sigma]
                 for i in range(kx0):
                     for j, vv in enumerate(mat[i]):

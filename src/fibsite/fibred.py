@@ -176,11 +176,16 @@ def grothendieck_construct(a: PresheafOfCategories) -> FibredSite:
     composition follows the twisted law.  Morphism ids are the bare pairs
     (alpha|f) when those determine the morphism, and carry the target fibre
     object as a third component otherwise (restrictions that are not
-    injective on objects make the bare pair ambiguous).
+    injective on objects make the bare pair ambiguous).  a is validated
+    first; ``_grothendieck_construct`` builds without that check.
     """
     bad = validate_presheaf_of_categories(a)
     if bad:
         raise ValidationFailure("; ".join(bad))
+    return _grothendieck_construct(a)
+
+
+def _grothendieck_construct(a: PresheafOfCategories) -> FibredSite:
     c = a.site
     objects = []
     object_pair: dict[str, tuple[str, str]] = {}

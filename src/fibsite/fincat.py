@@ -9,11 +9,12 @@ operations are pure functions.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, NamedTuple
 
-from .errors import InputError
+from .errors import CapExceeded, InputError
 
 
 @dataclass(frozen=True)
@@ -71,7 +72,7 @@ class FiniteCategory:
         return tuple(m for m in self.into(b) if self.source(m) == a)
 
     def string_vertex(self, n: int, t: tuple[str, ...], i: int = 0) -> str:
-        """The i-th object along a degree-n string token (see ``strings``).
+        """The i-th object along a degree-n string token (see ``string_table``).
 
         The degree decides the token's shape: a degree-0 string is
         ``(object,)``, and any longer one is a tuple of arrows.
@@ -82,31 +83,90 @@ class FiniteCategory:
             return self.morphisms[t[0]][0]
         return self.morphisms[t[i - 1]][1]
 
-    def strings(self, n: int, nondegenerate: bool = False) -> Iterator[tuple[str, ...]]:
-        """Composable strings of n morphisms, as tuples read left to right.
 
-        Degree 0 strings are (object,) tuples.  With nondegenerate=True,
-        strings containing an identity are skipped.
-        """
-        if n == 0:
-            for u in sorted(self.objects):
-                yield (u,)
-            return
-        pool = sorted(self.morphisms)
-        if nondegenerate:
-            pool = [m for m in pool if not self.is_identity(m)]
+class StringTable(NamedTuple):
+    """Composable strings per degree, numbered from 0 in each degree.
 
-        def extend(prefix: tuple[str, ...], k: int) -> Iterator[tuple[str, ...]]:
-            if k == 0:
-                yield prefix
-                return
-            tail = self.target(prefix[-1])
-            for m in pool:
-                if self.source(m) == tail:
-                    yield from extend(prefix + (m,), k - 1)
+    tokens[n][k] is string k of degree n; faces[n][k] holds its face ids in
+    degree n-1, in vertex-deletion order, with None for a face that contains
+    a left-out identity (degree 0 has no faces).
+    """
 
-        for m in pool:
-            yield from extend((m,), n - 1)
+    tokens: list[list[tuple[str, ...]]]
+    faces: list[list[tuple]]
+
+
+def string_table(
+    c: FiniteCategory, top: int, normalized: bool = False, max_strings: float = math.inf
+) -> StringTable:
+    """Composable strings of degrees 0..top, numbered in lexicographic order.
+
+    This is the one enumerator of composable strings: nerves, the two-sided
+    comparison and the cochain complexes all read it.  A token is
+    ``(object,)`` in degree 0 and the tuple of its arrows above that.
+    Degree n extends each degree n-1 string by one arrow, so a token is its
+    parent's plus the last arrow; the children of a string get consecutive
+    ids in arrow-name order, so ids follow the lexicographic order of the
+    tokens.  With normalized set, identity arrows are left out; without it
+    no face id is None.  Face ids come from the parent's: face i of p.m is
+    (face i of p).m, the next-to-last face is the last face of p extended by
+    the composite of p's last arrow and m, and the last face is p.  A degree
+    with more than max_strings strings raises CapExceeded as soon as its
+    count passes the cap.
+    """
+    ends, compose = c.morphisms, c.composition
+    out_of = c._out_of
+    pool = sorted(ends)
+    if normalized:
+        skip = c._identity_set
+        out_of = {u: [m for m in ms if m not in skip] for u, ms in out_of.items()}
+        pool = [m for m in pool if m not in skip]
+    place = {m: k for arrows in out_of.values() for k, m in enumerate(arrows)}
+
+    def within_cap(n: int, count: int) -> None:
+        if count > max_strings:
+            raise CapExceeded(f"more than {max_strings} strings in degree {n}")
+
+    table = StringTable([], [])
+    if top < 0:
+        return table
+    objects = sorted(c.objects)
+    within_cap(0, len(objects))
+    table.tokens.append([(u,) for u in objects])
+    table.faces.append([])
+    if top < 1:
+        return table
+    within_cap(1, len(pool))
+    obj_id = {u: k for k, u in enumerate(objects)}
+    table.tokens.append([(m,) for m in pool])
+    table.faces.append([(obj_id[ends[m][1]], obj_id[ends[m][0]]) for m in pool])
+    # children[s][k] is the id of string s (two degrees down) followed by the
+    # k-th arrow leaving its last vertex; degree-1 ids follow arrow names,
+    # not sources, so the children of an object are looked up one by one
+    one = {m: k for k, m in enumerate(pool)}
+    children: list = [[one[m] for m in out_of[u]] for u in objects]
+    for n in range(2, top + 1):
+        tokens: list[tuple[str, ...]] = []
+        faces: list[tuple] = []
+        starts: list[range] = []
+        for p, (tok, pf) in enumerate(zip(table.tokens[n - 1], table.faces[n - 1])):
+            a = tok[-1]
+            arrows = out_of[ends[a][1]]
+            starts.append(range(len(tokens), len(tokens) + len(arrows)))
+            # the inner faces of p end where p ends, so their children line
+            # up with p's: row k holds the inner faces of p's k-th child
+            none = (None,) * len(arrows)
+            inner = zip(*[none if f is None else children[f] for f in pf[:-1]])
+            tail = children[pf[-1]]
+            for m, row in zip(arrows, inner):
+                j = place.get(compose[(m, a)])
+                faces.append(row + (None if j is None else tail[j], p))
+                tokens.append(tok + (m,))
+            within_cap(n, len(tokens))
+        table.tokens.append(tokens)
+        table.faces.append(faces)
+        children = starts
+    return table
 
 
 def validate_category(c: FiniteCategory) -> list[str]:

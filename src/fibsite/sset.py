@@ -9,6 +9,7 @@ normalized integer chain complex through the exact Smith-form kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Hashable
 
 from .errors import InputError
@@ -19,6 +20,7 @@ from .fincat import (
     automorphism_group,
     is_group_isomorphism,
     opposite,
+    string_table,
 )
 from .snf import (
     SmithForm,
@@ -208,48 +210,31 @@ def nerve(c: FiniteCategory, d: int) -> TruncatedSimplicialSet:
     """Composable strings of morphisms, truncated at degree d.
 
     Degree-0 simplices are (object,) tuples; a degree-n simplex is the tuple
-    of its n arrows read source to target.
+    of its n arrows read source to target.  Simplices and faces come from
+    ``string_table``; degeneracies insert identities.
     """
     if d < 1:
         raise InputError("truncation degree must be at least 1")
-    simplices: list[frozenset] = [frozenset((u,) for u in c.objects)]
-    for n in range(1, d + 1):
-        prev = simplices[n - 1]
-        cur = set()
-        if n == 1:
-            for m in c.morphisms:
-                cur.add((m,))
-        else:
-            for t in prev:
-                tail = c.target(t[-1])
-                for m in c.out_of(tail):
-                    cur.add(t + (m,))
-        simplices.append(frozenset(cur))
+    table = string_table(c, d)
+    tokens = table.tokens
+    simplices = [frozenset(level) for level in tokens]
     faces: dict[tuple[int, int], dict] = {}
-    degeneracies: dict[tuple[int, int], dict] = {}
     for n in range(1, d + 1):
+        below = tokens[n - 1].__getitem__
         for i in range(n + 1):
-            fm = {}
-            for t in simplices[n]:
-                if n == 1:
-                    fm[t] = (c.target(t[0]),) if i == 0 else (c.source(t[0]),)
-                elif i == 0:
-                    fm[t] = t[1:]
-                elif i == n:
-                    fm[t] = t[:-1]
-                else:
-                    fm[t] = t[: i - 1] + (c.compose(t[i], t[i - 1]),) + t[i + 1 :]
-            faces[(n, i)] = fm
-    for n in range(0, d):
-        for i in range(n + 1):
-            dm = {}
-            for t in simplices[n]:
-                ident = c.identity[c.string_vertex(n, t, i)]
-                if n == 0:
-                    dm[t] = (ident,)
-                else:
-                    dm[t] = t[:i] + (ident,) + t[i:]
-            degeneracies[(n, i)] = dm
+            ids = map(itemgetter(i), table.faces[n])
+            faces[(n, i)] = dict(zip(tokens[n], map(below, ids)))
+    # s_i inserts the identity of vertex i: the source of the first arrow
+    # or the target of arrow i-1
+    at_source = {m: c.identity[s] for m, (s, _) in c.morphisms.items()}
+    at_target = {m: c.identity[t] for m, (_, t) in c.morphisms.items()}
+    degeneracies = {(0, 0): {t: (c.identity[t[0]],) for t in tokens[0]}}
+    for n in range(1, d):
+        degeneracies[(n, 0)] = {t: (at_source[t[0]],) + t for t in tokens[n]}
+        for i in range(1, n + 1):
+            degeneracies[(n, i)] = {
+                t: t[:i] + (at_target[t[i - 1]],) + t[i:] for t in tokens[n]
+            }
     return TruncatedSimplicialSet(
         dim=d, simplices=tuple(simplices), faces=faces, degeneracies=degeneracies
     )
@@ -451,9 +436,7 @@ def interchange_comparison(
     Returns the bisimplicial set with the diagonal-level maps to the nerve of
     the opposite category (left part) and to the nerve (right part).
     """
-    strings: dict[int, tuple] = {}
-    for length in range(1, 2 * d + 2):
-        strings[length] = tuple(sorted(c.strings(length), key=_tkey))
+    strings = string_table(c, 2 * d + 1).tokens
     simplices = {
         (m, n): frozenset(strings[m + n + 1]) for m in range(d + 1) for n in range(d + 1)
     }

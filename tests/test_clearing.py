@@ -4,16 +4,29 @@ Clearing leaves out the columns of a differential at the unit-pivot rows of
 the one reduced before it.  These tests reduce sampled cochain complexes
 and boundary chains both ways and require the same (rank, factors) per
 matrix; they also check the ``pivot_rows`` contract and that the string
-table matches the tuple enumeration and face rule it replaced.
+kernel matches a brute-force enumeration, the direct face formula and the
+counting recurrence for its cap.
 """
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fibsite import cohom, fibred, hocopb, sampling, sset
 from fibsite.errors import CapExceeded
-from fibsite.fincat import codiscrete_groupoid, cyclic_groupoid, opposite, poset_chain
+from fibsite.fincat import (
+    build_category,
+    codiscrete_groupoid,
+    cyclic_groupoid,
+    group_block_groupoid,
+    opposite,
+    poset_chain,
+    string_table,
+)
+from fibsite.sset import validate_simplicial
 from fibsite.snf import normalize_factors, sparse_invariant_factors
 
 
@@ -114,7 +127,18 @@ def test_pivot_rows_leave_the_dense_leftover_out():
 
 
 # ---------------------------------------------------------------------------
-# the integer string table against the tuple enumeration it replaced
+# the string kernel against a brute-force enumeration and the face formula
+
+
+def brute_strings(c, n, normalized):
+    """Degree-n strings by filtering every n-tuple of sorted morphisms."""
+    if n == 0:
+        return [(u,) for u in sorted(c.objects)]
+    pool = [m for m in sorted(c.morphisms) if not (normalized and c.is_identity(m))]
+    return [
+        t for t in itertools.product(pool, repeat=n)
+        if all(c.target(t[k]) == c.source(t[k + 1]) for k in range(n - 1))
+    ]
 
 
 def reference_faces(c, t):
@@ -130,6 +154,42 @@ def reference_faces(c, t):
         else:
             out.append(t[: i - 1] + (c.compose(t[i], t[i - 1]),) + t[i + 1 :])
     return out
+
+
+def nerve_cap_degree(c, d, max_strings, normalized):
+    """First degree <= d with more than max_strings strings, or None.
+
+    An independent count that builds no string: the strings ending at each
+    object, extended one arrow at a time.
+    """
+    arrows = [(a, b) for m, (a, b) in c.morphisms.items()
+              if not (normalized and c.is_identity(m))]
+    ending = dict.fromkeys(c.objects, 1)
+    for n in range(d + 1):
+        if n:
+            longer = dict.fromkeys(c.objects, 0)
+            for a, b in arrows:
+                longer[b] += ending[a]
+            ending = longer
+        if sum(ending.values()) > max_strings:
+            return n
+    return None
+
+
+def assert_matches_reference(c, top, normalized):
+    table = string_table(c, top, normalized)
+    assert len(table.tokens) == top + 1
+    for n in range(top + 1):
+        strings = brute_strings(c, n, normalized)
+        assert table.tokens[n] == strings
+        if n == 0:
+            continue
+        below = {t: k for k, t in enumerate(table.tokens[n - 1])}
+        assert table.faces[n] == [
+            tuple(below.get(s) for s in reference_faces(c, t)) for t in strings
+        ]
+        if not normalized:
+            assert all(None not in f for f in table.faces[n])
 
 
 def table_categories():
@@ -148,26 +208,61 @@ def table_categories():
 @pytest.mark.parametrize("normalized", [True, False])
 def test_string_table_matches_tuple_enumeration(normalized):
     for c in table_categories():
-        top = 4
-        vertex, first, faces = cohom._string_table(c, top, normalized, 10**6)
-        strings = [sorted(c.strings(n, nondegenerate=normalized)) for n in range(top + 1)]
-        for n in range(top + 1):
-            assert len(vertex[n]) == len(strings[n])
-            assert vertex[n] == [c.string_vertex(n, t) for t in strings[n]]
-            if n == 0:
-                continue
-            assert first[n] == [t[0] for t in strings[n]]
-            below = {t: k for k, t in enumerate(strings[n - 1])}
-            assert faces[n] == [
-                tuple(below.get(s) for s in reference_faces(c, t)) for t in strings[n]
-            ]
+        assert_matches_reference(c, 4, normalized)
 
 
 def test_string_table_cap_names_the_degree():
     z3 = cyclic_groupoid(3)
     # nondegenerate strings of Z/3: 1, 2, 4, 8, ...
-    cohom._string_table(z3, 3, True, 8)
+    string_table(z3, 3, True, 8)
     with pytest.raises(CapExceeded, match=r"^more than 7 strings in degree 3$"):
-        cohom._string_table(z3, 3, True, 7)
+        string_table(z3, 3, True, 7)
     with pytest.raises(CapExceeded, match=r"^more than 0 strings in degree 0$"):
-        cohom._string_table(z3, 3, True, 0)
+        string_table(z3, 3, True, 0)
+
+
+def out_of_source_order():
+    """Arrow names sort apart from their sources: a leaves Y, b and c leave X."""
+    return build_category(
+        ["X", "Y", "Z"], {"b": ("X", "Y"), "a": ("Y", "Z"), "c": ("X", "Z")},
+        {("a", "b"): "c"},
+    )
+
+
+def sampled_category(seed):
+    rng = random.Random(seed)
+    kind = rng.randrange(3)
+    if kind == 0:
+        return sampling.random_poset_site(rng)
+    if kind == 1:
+        return sampling.random_groupoid(rng)
+    pc = sampling.random_presheaf_of_categories(rng, sampling.random_poset_site(rng, 2))
+    return fibred.grothendieck_construct(pc).total
+
+
+object_names = st.lists(st.sampled_from("UVWXY"), min_size=1, max_size=3, unique=True)
+kernel_categories = st.one_of(
+    object_names.map(poset_chain),
+    st.integers(1, 4).map(cyclic_groupoid),
+    object_names.map(codiscrete_groupoid),
+    st.builds(group_block_groupoid, object_names, st.integers(1, 3)),
+    st.integers(0, 2**16).map(sampled_category),
+    st.just(out_of_source_order()),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_categories, st.integers(0, 4), st.booleans(), st.integers(0, 400))
+def test_string_kernel_matches_brute_force(c, top, normalized, cap):
+    # keep the brute-force product small
+    while top > 1 and len(c.morphisms) ** top > 20_000:
+        top -= 1
+    assert_matches_reference(c, top, normalized)
+    if top >= 1:
+        assert validate_simplicial(sset.nerve(c, top)) == []
+    degree = nerve_cap_degree(c, top, cap, normalized)
+    if degree is None:
+        string_table(c, top, normalized, cap)
+    else:
+        with pytest.raises(CapExceeded, match=rf"^more than {cap} strings in degree {degree}$"):
+            string_table(c, top, normalized, cap)

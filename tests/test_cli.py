@@ -58,6 +58,29 @@ class TestParsing:
             parse_bundle([str(BUNDLES / "bad_inverse.bundle")])
         assert "inverse law" in str(err.value)
 
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_total_sites_validate_each_psheaf_cat_once(self, name, monkeypatch):
+        # parse validates every psheaf-cat; building or checking from the
+        # parsed bundle must not validate it again
+        from fibsite import bundle, fibred
+
+        seen = []
+        check = fibred.validate_presheaf_of_categories
+
+        def counting(pc):
+            seen.append(pc)
+            return check(pc)
+
+        monkeypatch.setattr(fibred, "validate_presheaf_of_categories", counting)
+        monkeypatch.setattr(bundle, "validate_presheaf_of_categories", counting)
+        b = parse_bundle([str(BUNDLES / name)])
+        for pname in b.presheaves_of_categories:
+            b.fibred_site(pname)
+        assert len(seen) == len(b.presheaves_of_categories)
+        seen.clear()
+        assert go(["validate", str(BUNDLES / name)])[0] == 0
+        assert len(seen) == len(b.presheaves_of_categories)
+
     def test_unresolved_name(self, tmp_path):
         p = tmp_path / "nn.bundle"
         p.write_text("category C\nobjects U\ncover U = { nope }\n")

@@ -11,6 +11,8 @@ import random
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from fibsite import cohom, fibred
@@ -48,6 +50,7 @@ from fibsite.fincat import (
     validate_category,
 )
 from fibsite.sampling import random_sectionwise_equivalence
+from fibsite.snf import normalize_factors, snf_diagonal
 from fibsite.site import (
     maximal_sieve,
     saturate_topology,
@@ -128,6 +131,15 @@ class TestFgAbelianGroup:
         assert FgAbelianGroup.from_orders([2, 4]).factors == (2, 4)
         assert FgAbelianGroup.from_orders([0, 6, 1]).factors == (6, 0)
         assert FgAbelianGroup.from_orders([]).factors == ()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from([0, 1, -1]), st.integers(-36, 36)), max_size=6))
+    def test_from_orders_matches_the_smith_form(self, orders):
+        # the oracle: the Smith diagonal of the diagonal matrix of the orders
+        k = len(orders)
+        diag = snf_diagonal([[orders[i] if j == i else 0 for j in range(k)] for i in range(k)])
+        expected = normalize_factors([d for d in diag if d > 1], orders.count(0))
+        assert FgAbelianGroup.from_orders(orders).factors == expected
 
     def test_str(self):
         assert str(ZZ) == "Z"

@@ -26,6 +26,7 @@ from fibsite.fincat import (
     pi0_classes,
     poset_chain,
     product_category,
+    string_table,
     terminal_category,
     validate_category,
     validate_functor,
@@ -364,13 +365,14 @@ def test_product_category(chain2):
 
 
 def test_strings_enumeration(z2):
-    assert sum(1 for _ in z2.strings(3)) == 8
-    assert sum(1 for _ in z2.strings(3, nondegenerate=True)) == 1
+    assert len(string_table(z2, 3).tokens[3]) == 8
+    assert len(string_table(z2, 3, normalized=True).tokens[3]) == 1
 
 
 def test_string_vertex_follows_the_degree(chain3):
+    tokens = string_table(chain3, 3).tokens
     for n in range(4):
-        for t in chain3.strings(n):
+        for t in tokens[n]:
             path = [t[0]] if n == 0 else [chain3.source(t[0])] + [chain3.target(m) for m in t]
             assert [chain3.string_vertex(n, t, i) for i in range(n + 1)] == path
     # an arrow named like an object is still read as an arrow in degree 1
