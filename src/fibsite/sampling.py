@@ -355,12 +355,12 @@ def random_diagram(rng: random.Random, g: Groupoid, d: int) -> GroupoidDiagram:
 
 
 def simplex_over_nerve(
-    g: FiniteCategory, sigma: tuple, d: int
+    g: FiniteCategory, sigma: tuple, ng: TruncatedSimplicialSet
 ) -> tuple[TruncatedSimplicialSet, SimplicialMap]:
-    """The standard simplex classifying a nerve string, over the nerve."""
+    """The standard simplex classifying a nerve string, over the nerve ``ng`` of g."""
+    d = ng.dim
     k = len(sigma) if (len(sigma) > 1 or sigma[0] in set(g.morphisms)) else 0
     simp = standard_simplex(k, d)
-    ng = nerve(g, d)
 
     def vertex_obj(i: int) -> str:
         if k == 0:
@@ -408,7 +408,7 @@ def random_over_nerve(rng: random.Random, g: Groupoid, d: int, max_pieces: int =
             sigma = (rng.choice(sorted(g.objects)),)
         else:
             sigma = rng.choice(sorted(ng.simplices[klen], key=repr))
-        simp, cls = simplex_over_nerve(g, sigma, d)
+        simp, cls = simplex_over_nerve(g, sigma, ng)
         pieces.append(simp)
         maps.append(cls)
         tags.append(f"s{i}")

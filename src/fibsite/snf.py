@@ -74,15 +74,11 @@ class SmithForm:
     """Decomposition u @ m @ v == d with u, v unimodular and d diagonal.
 
     The diagonal entries are non-negative and form a divisibility chain.
-    Inverses of the transforms are tracked alongside, which makes lattice
-    membership problems direct to solve.
     """
 
     d: Matrix
     u: Matrix
     v: Matrix
-    u_inv: Matrix
-    v_inv: Matrix
 
     @property
     def diagonal(self) -> tuple[int, ...]:
@@ -93,140 +89,21 @@ class SmithForm:
         return sum(1 for x in self.diagonal if x != 0)
 
 
-def smith_normal_form(m: Sequence[Sequence[int]]) -> SmithForm:
-    """Full Smith normal form with transform tracking.
+def _smith(a: list[list[int]], nr: int, nc: int) -> list[int]:
+    """Smith-reduce the leading nr x nc block of ``a`` in place.
 
-    Intended for matrices up to a few hundred entries on a side; the pivot is
-    always a least-absolute-value nonzero entry, which keeps intermediate
-    growth tame.
+    Returns the block's nonzero diagonal, which ends up positive.  Pivot
+    search, clearing and the divisibility check look only inside the block,
+    but every row operation acts on the whole row and every column operation
+    on the whole column, so identity blocks bordering the block record the
+    transforms.  The pivot is always a least-absolute-value nonzero entry,
+    which keeps intermediate growth tame.
     """
-    a = [list(map(int, row)) for row in m]
-    nr = len(a)
-    nc = len(a[0]) if a else 0
-    u = [list(r) for r in identity_matrix(nr)]
-    ui = [list(r) for r in identity_matrix(nr)]
-    v = [list(r) for r in identity_matrix(nc)]
-    vi = [list(r) for r in identity_matrix(nc)]
-
-    def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-        for r in ui:
-            r[i], r[j] = r[j], r[i]
-
-    def col_swap(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-        vi[i], vi[j] = vi[j], vi[i]
-
-    def row_addmul(i, k, q):
-        # row_i += q * row_k
-        ai, ak = a[i], a[k]
-        for j in range(nc):
-            ai[j] += q * ak[j]
-        uiw, ukw = u[i], u[k]
-        for j in range(nr):
-            uiw[j] += q * ukw[j]
-        for r in ui:
-            r[k] -= q * r[i]
-
-    def col_addmul(j, k, q):
-        # col_j += q * col_k
-        for r in a:
-            r[j] += q * r[k]
-        for r in v:
-            r[j] += q * r[k]
-        vj = vi[j]
-        vk = vi[k]
-        for t in range(nc):
-            vk[t] -= q * vj[t]
-
-    def row_negate(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-        for r in ui:
-            r[i] = -r[i]
-
-    t = 0
-    while True:
-        # locate a least-absolute-value nonzero pivot in the trailing block
-        pivot = None
-        best = None
-        for i in range(t, nr):
-            ai = a[i]
-            for j in range(t, nc):
-                x = ai[j]
-                if x != 0 and (best is None or abs(x) < best):
-                    best = abs(x)
-                    pivot = (i, j)
-                    if best == 1:
-                        break
-            if best == 1:
-                break
-        if pivot is None:
-            break
-        if pivot[0] != t:
-            row_swap(t, pivot[0])
-        if pivot[1] != t:
-            col_swap(t, pivot[1])
-
-        while True:
-            # clear column t
-            dirty = False
-            for i in range(t + 1, nr):
-                if a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    if q:
-                        row_addmul(i, t, -q)
-                    if a[i][t] != 0:
-                        # remainder strictly smaller: promote it
-                        row_swap(t, i)
-                        dirty = True
-            if dirty:
-                continue
-            for j in range(t + 1, nc):
-                if a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    if q:
-                        col_addmul(j, t, -q)
-                    if a[t][j] != 0:
-                        col_swap(t, j)
-                        dirty = True
-            if dirty:
-                continue
-            # row and column are clear; enforce divisibility of the rest
-            d = a[t][t]
-            bad = None
-            for i in range(t + 1, nr):
-                ai = a[i]
-                for j in range(t + 1, nc):
-                    if ai[j] % d != 0:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is None:
-                break
-            row_addmul(t, bad, 1)
-        if a[t][t] < 0:
-            row_negate(t)
-        t += 1
-
-    return SmithForm(
-        d=matrix(a), u=matrix(u), v=matrix(v), u_inv=matrix(ui), v_inv=matrix(vi)
-    )
-
-
-def snf_diagonal(m: Sequence[Sequence[int]]) -> list[int]:
-    """Diagonal of the Smith form without transform tracking (in-place)."""
-    a = [list(map(int, row)) for row in m]
-    nr = len(a)
-    nc = len(a[0]) if a else 0
+    width = len(a[0]) if a else 0
     diag: list[int] = []
     t = 0
     while True:
+        # locate a least-absolute-value nonzero pivot in the trailing block
         pivot = None
         best = None
         for i in range(t, nr):
@@ -249,6 +126,7 @@ def snf_diagonal(m: Sequence[Sequence[int]]) -> list[int]:
             for r in a:
                 r[t], r[j0] = r[j0], r[t]
         while True:
+            # clear column t
             dirty = False
             for i in range(t + 1, nr):
                 if a[i][t] != 0:
@@ -256,9 +134,10 @@ def snf_diagonal(m: Sequence[Sequence[int]]) -> list[int]:
                     if q:
                         at = a[t]
                         ai = a[i]
-                        for j in range(t, nc):
+                        for j in range(t, width):
                             ai[j] -= q * at[j]
                     if a[i][t] != 0:
+                        # remainder strictly smaller: promote it
                         a[t], a[i] = a[i], a[t]
                         dirty = True
             if dirty:
@@ -275,6 +154,7 @@ def snf_diagonal(m: Sequence[Sequence[int]]) -> list[int]:
                         dirty = True
             if dirty:
                 continue
+            # row and column are clear; enforce divisibility of the rest
             d = a[t][t]
             bad = None
             for i in range(t + 1, nr):
@@ -289,11 +169,40 @@ def snf_diagonal(m: Sequence[Sequence[int]]) -> list[int]:
                 break
             at = a[t]
             ab = a[bad]
-            for j in range(t, nc):
+            for j in range(t, width):
                 at[j] += ab[j]
-        diag.append(abs(a[t][t]))
+        if a[t][t] < 0:
+            at = a[t]
+            for j in range(t, width):
+                at[j] = -at[j]
+        diag.append(a[t][t])
         t += 1
     return diag
+
+
+def smith_normal_form(m: Sequence[Sequence[int]]) -> SmithForm:
+    """Full Smith normal form with transform tracking.
+
+    Reduces the augmented matrix [[m, I], [I, 0]]: the row operations on m
+    build u in the top-right block and the column operations build v in the
+    bottom-left one (Cohen, GTM 138, section 2.4).
+    """
+    nr = len(m)
+    nc = len(m[0]) if m else 0
+    a = [list(map(int, row)) + list(e) for row, e in zip(m, identity_matrix(nr))]
+    a += [list(e) + [0] * nr for e in identity_matrix(nc)]
+    _smith(a, nr, nc)
+    return SmithForm(
+        d=matrix(row[:nc] for row in a[:nr]),
+        u=matrix(row[nc:] for row in a[:nr]),
+        v=matrix(row[:nc] for row in a[nr:]),
+    )
+
+
+def snf_diagonal(m: Sequence[Sequence[int]]) -> list[int]:
+    """Nonzero diagonal of the Smith form, without transform tracking."""
+    a = [list(map(int, row)) for row in m]
+    return _smith(a, len(a), len(a[0]) if a else 0)
 
 
 def sparse_invariant_factors(
@@ -401,11 +310,9 @@ def lattice_basis(gens: Matrix) -> Matrix:
     if not gens or not gens[0]:
         return tuple(() for _ in gens)
     sf = smith_normal_form(gens)
-    nrows = len(gens)
     r = sf.rank
-    # lattice(gens) = lattice(u_inv @ d); its nonzero columns give a basis
-    ud = matmul(sf.u_inv, sf.d)
-    return tuple(tuple(ud[i][j] for j in range(r)) for i in range(nrows))
+    # gens @ v == u^-1 @ d spans lattice(gens); its first r columns are a basis
+    return matmul(gens, tuple(row[:r] for row in sf.v))
 
 
 def solve_in_lattice(basis: Matrix, targets: Matrix) -> Matrix:

@@ -1,7 +1,10 @@
 import random
 
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.matrices.normalforms import hermite_normal_form
+from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from fibsite.cohom import (
     FgAbelianGroup,
@@ -37,13 +40,35 @@ matrices = st.integers(1, 6).flatmap(
 )
 
 
+def _zero_lines(case):
+    m, rows, cols = case
+    return [[0 if i in rows or j in cols else x for j, x in enumerate(r)] for i, r in enumerate(m)]
+
+
+# Tall, wide and square shapes with mostly zero entries and some all-zero
+# rows and columns: the augmented Smith layout depends on nr != nc.
+dense_shaped = st.one_of(
+    st.tuples(st.integers(4, 30), st.integers(1, 3)),
+    st.tuples(st.integers(1, 3), st.integers(4, 30)),
+    st.tuples(st.integers(1, 8), st.integers(1, 8)),
+).flatmap(
+    lambda shape: st.tuples(
+        st.lists(
+            st.lists(st.just(0) | st.just(0) | st.integers(-9, 9), min_size=shape[1], max_size=shape[1]),
+            min_size=shape[0],
+            max_size=shape[0],
+        ),
+        st.sets(st.integers(0, shape[0] - 1), max_size=3),
+        st.sets(st.integers(0, shape[1] - 1), max_size=3),
+    ).map(_zero_lines)
+)
+
+
 def check_form(m):
     sf = smith_normal_form(m)
     assert matmul(matmul(sf.u, matrix(m)), sf.v) == sf.d
     assert determinant(sf.u) in (1, -1)
     assert determinant(sf.v) in (1, -1)
-    assert matmul(sf.u, sf.u_inv) == identity_matrix(len(m))
-    assert matmul(sf.v, sf.v_inv) == identity_matrix(len(m[0]))
     diag = sf.diagonal
     for i in range(len(diag) - 1):
         if diag[i + 1] != 0:
@@ -76,6 +101,30 @@ def test_known_small_cases():
 @given(matrices)
 def test_smith_form_properties(m):
     check_form(m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(dense_shaped)
+def test_dense_matches_sympy_on_tall_wide_and_zero_heavy(m):
+    check_form(m)
+    oracle = sympy_snf(sympy.Matrix(m), domain=sympy.ZZ)
+    expected = [abs(int(oracle[i, i])) for i in range(min(oracle.shape))]
+    assert snf_diagonal(m) == [d for d in expected if d != 0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(dense_shaped)
+def test_lattice_basis_matches_sympy_hnf(g):
+    g = matrix(g)
+    basis = lattice_basis(g)
+    assert hermite_normal_form(sympy.Matrix(basis)) == hermite_normal_form(sympy.Matrix(g))
+    rank = sympy.Matrix(g).rank()
+    assert all(len(row) == rank for row in basis)
+    coords = solve_in_lattice(basis, g)
+    if rank:
+        assert matmul(basis, coords) == g
+    else:
+        assert coords == () and not any(any(row) for row in g)
 
 
 @settings(max_examples=100, deadline=None)
