@@ -381,8 +381,7 @@ def cmd_homology(args, bundle: Bundle, rep: Report) -> None:
     if args.top > args.truncation - 1:
         raise InputError("raise --truncation to reach the requested degree")
     # the string kernel stops at the first degree past the cap
-    string_table(cat, args.truncation, max_strings=args.max_strings)
-    n = sset.nerve(cat, args.truncation)
+    n = sset._nerve(cat, string_table(cat, args.truncation, max_strings=args.max_strings))
     h = sset.homology(n, args.top)
     rep.payload["homology"] = [list(f) for f in h.factors]
     rep.payload["components"] = h.components
@@ -391,8 +390,7 @@ def cmd_homology(args, bundle: Bundle, rep: Report) -> None:
 
 def cmd_nerve_export(args, bundle: Bundle, rep: Report) -> None:
     name, cat = _the_category(bundle, args.category)
-    string_table(cat, args.truncation, max_strings=args.max_strings)
-    n = sset.nerve(cat, args.truncation)
+    n = sset._nerve(cat, string_table(cat, args.truncation, max_strings=args.max_strings))
     export = {
         "dim": n.dim,
         "simplices": [sorted(map(list, n.simplices[k])) for k in range(n.dim + 1)],

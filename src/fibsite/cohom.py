@@ -32,11 +32,13 @@ from .fibred import (
     is_sectionwise_equivalence,
     total_functor,
 )
-from .fincat import FiniteCategory, Functor, build_category, string_table
+from .fincat import FiniteCategory, Functor, comma_data, identity_functor, string_table
 from .site import GrothendieckTopology, Sieve, is_trivial_topology
 from .snf import (
     Matrix,
+    identity_matrix,
     kernel_basis,
+    matmul,
     matrix,
     normalize_factors,
     quotient_invariants,
@@ -172,27 +174,20 @@ def validate_abelian_presheaf(f: AbelianPresheaf) -> list[str]:
         return report
     for x in c.objects:
         ident = f.restriction[c.identity[x]]
-        n = f.group[x].generator_count
-        eye = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+        eye = identity_matrix(f.group[x].generator_count)
         if not _matrices_equal_mod(ident, eye, f.group[x]):
             report.append(f"identity matrix at {x} is not the identity")
     for (g, h), gh in c.composition.items():
         # contravariant: (g.h)^* = h^* g^*
         a = c.source(h)
-        lhs = _matmul(f.restriction[h], f.restriction[g])
+        lhs = matmul(f.restriction[h], f.restriction[g])
         if not _matrices_equal_mod(lhs, f.restriction[gh], f.group[a]):
             report.append(f"functoriality fails on ({g}, {h})")
     return report
 
 
-def _matmul(a: Matrix, b: Matrix) -> Matrix:
-    bt = list(zip(*b)) if b else []
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
-
-
 def constant_abelian_presheaf(c: FiniteCategory, g: FgAbelianGroup) -> AbelianPresheaf:
-    n = g.generator_count
-    eye = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+    eye = identity_matrix(g.generator_count)
     return AbelianPresheaf(
         base=c, group={x: g for x in c.objects}, restriction={m: eye for m in c.morphisms}
     )
@@ -255,7 +250,7 @@ def cochain_complex(
     # slice restrictions) is strict, and a strict model can be demanded of
     # callers without loss for the coefficients in scope
     for (g, h), gh in c.composition.items():
-        if _matmul(f.restriction[h], f.restriction[g]) != f.restriction[gh]:
+        if matmul(f.restriction[h], f.restriction[g]) != f.restriction[gh]:
             raise ValidationFailure(
                 "restriction matrices compose only modulo relations; "
                 "re-present the coefficients with strictly functorial matrices"
@@ -568,35 +563,26 @@ def cech_cohomology(
         raise InputError(f"the sieve is not a covering sieve of {u}")
     if f.base != c:
         raise InputError("coefficients do not live on the site")
-    members = sorted(s.members)
-    arrows: dict[str, tuple[str, str]] = {}
-    underlying: dict[str, str] = {}
-    for m1 in members:
-        for m2 in members:
-            for gamma in c.hom(c.source(m1), c.source(m2)):
-                if c.compose(m2, gamma) == m1 and not (
-                    m1 == m2 and c.is_identity(gamma)
-                ):
-                    name = f"({gamma}|{m1}>{m2})"
-                    arrows[name] = (m1, m2)
-                    underlying[name] = gamma
-    compose: dict[tuple[str, str], str] = {}
-    for n2, (mb, mc) in arrows.items():
-        for n1, (ma, mb1) in arrows.items():
-            if mb1 != mb:
-                continue
-            gamma = c.compose(underlying[n2], underlying[n1])
-            if c.is_identity(gamma) and ma == mc:
-                compose[(n2, n1)] = f"id_{ma}"
-            else:
-                compose[(n2, n1)] = f"({gamma}|{ma}>{mc})"
-    sub = build_category(members, arrows, compose)
-    for m1 in members:
-        underlying[f"id_{m1}"] = c.identity[c.source(m1)]
-    group = {m: f.group[c.source(m)] for m in members}
-    restriction: dict[str, Matrix] = {
-        name: f.restriction[underlying[name]] for name in sub.morphisms
+    # the slice c/u, cut down to the comma objects (x|h) with h in the sieve
+    sl = comma_data(identity_functor(c), u)
+    whole = sl.category
+    objects = tuple(a for a in whole.objects if sl.object_pair[a][1] in s.members)
+    kept = set(objects)
+    morphisms = {
+        n: (a, b) for n, (a, b) in whole.morphisms.items() if a in kept and b in kept
     }
+    sub = FiniteCategory(
+        objects=objects,
+        morphisms=morphisms,
+        identity={a: whole.identity[a] for a in objects},
+        composition={
+            (g, h): gh
+            for (g, h), gh in whole.composition.items()
+            if g in morphisms and h in morphisms
+        },
+    )
+    group = {a: f.group[sl.object_pair[a][0]] for a in objects}
+    restriction = {n: f.restriction[sl.morphism_under[n]] for n in morphisms}
     coeffs = AbelianPresheaf(base=sub, group=group, restriction=restriction)
     cc = cochain_complex(sub, coeffs, n_max, normalized=normalized, max_strings=max_strings)
     return cohomology_of_complex(cc)

@@ -6,7 +6,9 @@ with the twisted composition law (a|f)(g|h) = (a.g | g*(f).h).  Covering
 sieves of the fibred site are the sieves containing a preimage of a base
 cover.  Presheaves on the total category are equivalent to enriched diagrams,
 and this module implements both directions of that equivalence together with
-the restriction / left Kan adjunctions between diagram categories.
+the restriction / left Kan adjunctions between diagram categories.  The left
+Kan extension, its unit and its counit take their comma categories and
+colimits from ``fincat._comma_cocones``, the one routine that builds them.
 """
 
 from __future__ import annotations
@@ -20,10 +22,11 @@ from .fincat import (
     FiniteCategory,
     Functor,
     Groupoid,
+    ColimitCocone,
+    CommaCategory,
     SetValuedFunctor,
+    _comma_cocones,
     _inverse_laws,
-    colim_set,
-    comma_data,
     compose_functors,
     identity_functor,
     is_fully_faithful,
@@ -720,6 +723,24 @@ def restrict_along(
     )
 
 
+def _kan_cocones(
+    m: MorphismOfPresheavesOfCategories, y: EnrichedSetDiagram
+) -> dict[str, dict[str, tuple[CommaCategory, ColimitCocone]]]:
+    """Per section U: ``fincat._comma_cocones`` of y at U, a covariant diagram
+    on the opposite fibre, along the opposed component m(U)^op."""
+    out: dict[str, dict[str, tuple[CommaCategory, ColimitCocone]]] = {}
+    for u in m.domain.site.objects:
+        op = opposite_functor(m.components[u])
+        section = SetValuedFunctor(
+            base=op.domain,
+            variance=COVARIANT,
+            value={ob: y.value[(u, ob)] for ob in op.domain.objects},
+            action={g: y.cat_action[(u, g)] for g in op.domain.morphisms},
+        )
+        out[u] = _comma_cocones(op, section)
+    return out
+
+
 def left_kan_along(
     m: MorphismOfPresheavesOfCategories, y: EnrichedSetDiagram
 ) -> EnrichedSetDiagram:
@@ -733,38 +754,15 @@ def left_kan_along(
         raise InputError("diagram does not live on the domain")
     a, b = m.domain, m.codomain
     c = a.site
-    # per section: comma categories of m(U)^op over each object, and the
-    # colimits of y pulled back to them
-    section_data: dict[str, dict[str, tuple]] = {}
-    for u in c.objects:
-        op = opposite_functor(m.components[u])
-        per_object: dict[str, tuple] = {}
-        for ob in b.value[u].objects:
-            cd = comma_data(op, ob)
-            diagram = SetValuedFunctor(
-                base=cd.category,
-                variance=COVARIANT,
-                value={
-                    n: y.value[(u, cd.object_pair[n][0])]
-                    for n in cd.category.objects
-                },
-                action={
-                    mm: dict(y.cat_action[(u, cd.morphism_under[mm])])
-                    for mm in cd.category.morphisms
-                },
-            )
-            per_object[ob] = (cd, colim_set(diagram))
-        section_data[u] = per_object
-
+    cocones = _kan_cocones(m, y)
     value = {
-        (u, ob): section_data[u][ob][1].elements
+        (u, ob): cocones[u][ob][1].elements
         for u in c.objects
         for ob in b.value[u].objects
     }
 
     def classify(u: str, ob: str, x_ob: str, h: str, e: str) -> str:
-        cd, cocone = section_data[u][ob]
-        return cocone.leg[pair_name(x_ob, h)][e]
+        return cocones[u][ob][1].leg[pair_name(x_ob, h)][e]
 
     cat_action: dict[tuple[str, str], dict[str, str]] = {}
     for u in c.objects:
@@ -772,7 +770,7 @@ def left_kan_along(
         for delta, (b1, b2) in fibb.morphisms.items():
             # contravariant: classes over b2 move to classes over b1 by
             # extending the comma anchor h: b2 -> m(x) with delta: b1 -> b2
-            cd2, cocone2 = section_data[u][b2]
+            cd2, cocone2 = cocones[u][b2]
             amap: dict[str, str] = {}
             for n, (x_ob, h) in cd2.object_pair.items():
                 h_new = fibb.compose(h, delta)
@@ -789,7 +787,7 @@ def left_kan_along(
         ra = a.restriction[alpha]
         rb = b.restriction[alpha]
         for ob in b.value[u].objects:
-            cd, cocone = section_data[u][ob]
+            cd, cocone = cocones[u][ob]
             amap = {}
             for n, (x_ob, h) in cd.object_pair.items():
                 for e in y.value[(u, x_ob)]:
@@ -816,31 +814,16 @@ def kan_unit(
 ) -> dict[tuple[str, str], dict[str, str]]:
     """Unit y -> restrict_along(m, left_kan_along(m, y))."""
     a, b = m.domain, m.codomain
+    cocones = _kan_cocones(m, y)
     out: dict[tuple[str, str], dict[str, str]] = {}
     for u in a.site.objects:
         comp = m.components[u]
         for ob in a.value[u].objects:
             mob = comp.on_object(ob)
-            ident = b.value[u].identity[mob]
             # e goes to the class of ((ob, id), e) in the colimit at m(ob)
-            out[(u, ob)] = {
-                e: _kan_classify(m, y, u, mob, ob, ident, e)
-                for e in y.value[(u, ob)]
-            }
+            leg = cocones[u][mob][1].leg[pair_name(ob, b.value[u].identity[mob])]
+            out[(u, ob)] = {e: leg[e] for e in y.value[(u, ob)]}
     return out
-
-
-def _kan_classify(m, y, u, target_ob, x_ob, h, e):
-    # recompute the comma/colimit bookkeeping for the class of ((x_ob, h), e)
-    op = opposite_functor(m.components[u])
-    cd = comma_data(op, target_ob)
-    diagram = SetValuedFunctor(
-        base=cd.category,
-        variance=COVARIANT,
-        value={n: y.value[(u, cd.object_pair[n][0])] for n in cd.category.objects},
-        action={mm: dict(y.cat_action[(u, cd.morphism_under[mm])]) for mm in cd.category.morphisms},
-    )
-    return colim_set(diagram).leg[pair_name(x_ob, h)][e]
 
 
 def kan_counit(
@@ -849,18 +832,11 @@ def kan_counit(
     """Counit left_kan_along(m, restrict_along(m, x)) -> x."""
     a, b = m.domain, m.codomain
     y = restrict_along(m, x)
+    cocones = _kan_cocones(m, y)
     out: dict[tuple[str, str], dict[str, str]] = {}
     for u in a.site.objects:
-        op = opposite_functor(m.components[u])
         for ob in b.value[u].objects:
-            cd = comma_data(op, ob)
-            diagram = SetValuedFunctor(
-                base=cd.category,
-                variance=COVARIANT,
-                value={n: y.value[(u, cd.object_pair[n][0])] for n in cd.category.objects},
-                action={mm: dict(y.cat_action[(u, cd.morphism_under[mm])]) for mm in cd.category.morphisms},
-            )
-            cocone = colim_set(diagram)
+            cd, cocone = cocones[u][ob]
             amap: dict[str, str] = {}
             for n, (x_ob, h) in cd.object_pair.items():
                 # h: ob -> m(x_ob) in the fibre; x's own action brings the

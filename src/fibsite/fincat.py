@@ -351,8 +351,8 @@ def opposite_functor(f: Functor) -> Functor:
 class CommaCategory:
     """The category f/y together with its bookkeeping maps.
 
-    object_pair maps a comma object id to (x, h: f(x) -> y); morphism_under
-    maps a comma morphism id to the underlying domain morphism.
+    object_pair maps a comma object id, pair_name(x, h), to (x, h: f(x) -> y);
+    morphism_under maps a comma morphism id to the underlying domain morphism.
     """
 
     category: FiniteCategory
@@ -369,7 +369,7 @@ def comma_data(f: Functor, y: str) -> CommaCategory:
     obj_of: dict[tuple[str, str], str] = {}
     for x in sorted(dom.objects):
         for h in cod.hom(f.on_object(x), y):
-            obj_of[(x, h)] = f"({x}|{h})"
+            obj_of[(x, h)] = pair_name(x, h)
     morphisms: dict[str, tuple[str, str]] = {}
     under: dict[str, str] = {}
     mor_of: dict[tuple[str, str, str], str] = {}
@@ -568,6 +568,28 @@ def colim_set(f: SetValuedFunctor) -> ColimitCocone:
     return ColimitCocone(elements=elements, leg=leg)
 
 
+def _comma_cocones(
+    along: Functor, f: SetValuedFunctor
+) -> dict[str, tuple[CommaCategory, ColimitCocone]]:
+    """Per object b of the codomain: the comma category along/b and the
+    colimit of the covariant diagram f pulled back to it (CWM X.3).
+
+    This is the one place comma colimits are built; the pointwise left Kan
+    extensions here and in ``fibred`` read their values and legs from it.
+    """
+    out: dict[str, tuple[CommaCategory, ColimitCocone]] = {}
+    for b in along.codomain.objects:
+        cd = comma_data(along, b)
+        diagram = SetValuedFunctor(
+            base=cd.category,
+            variance=COVARIANT,
+            value={a: f.value[x] for a, (x, _) in cd.object_pair.items()},
+            action={m: f.action[under] for m, under in cd.morphism_under.items()},
+        )
+        out[b] = (cd, colim_set(diagram))
+    return out
+
+
 def left_kan_set(along: Functor, f: SetValuedFunctor) -> SetValuedFunctor:
     """Pointwise left Kan extension of a covariant set diagram.
 
@@ -580,27 +602,16 @@ def left_kan_set(along: Functor, f: SetValuedFunctor) -> SetValuedFunctor:
     if f.base != along.domain:
         raise InputError("diagram must live on the domain of the functor")
     cod = along.codomain
-    commas = {b: comma_data(along, b) for b in cod.objects}
-    cocones: dict[str, ColimitCocone] = {}
-    for b in cod.objects:
-        cd = commas[b]
-        diagram = SetValuedFunctor(
-            base=cd.category,
-            variance=COVARIANT,
-            value={a: f.value[cd.object_pair[a][0]] for a in cd.category.objects},
-            action={m: f.action[cd.morphism_under[m]] for m in cd.category.morphisms},
-        )
-        cocones[b] = colim_set(diagram)
-    value = {b: cocones[b].elements for b in cod.objects}
+    cocones = _comma_cocones(along, f)
+    value = {b: cocones[b][1].elements for b in cod.objects}
     action: dict[str, dict[str, str]] = {}
     for n, (b, b2) in cod.morphisms.items():
-        cd, cd2 = commas[b], commas[b2]
+        (cd, cocone), leg2 = cocones[b], cocones[b2][1].leg
         amap: dict[str, str] = {}
         for a, (x, h) in cd.object_pair.items():
-            h2 = cod.compose(n, h)
-            a2 = f"({x}|{h2})"
+            a2 = pair_name(x, cod.compose(n, h))
             for e in f.value[x]:
-                amap[cocones[b].leg[a][e]] = cocones[b2].leg[a2][e]
+                amap[cocone.leg[a][e]] = leg2[a2][e]
         action[n] = amap
     return SetValuedFunctor(base=cod, variance=COVARIANT, value=value, action=action)
 

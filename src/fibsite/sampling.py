@@ -17,6 +17,7 @@ from .fibred import (
     PresheafDiagram,
     PresheafOfCategories,
     PresheafOfGroupoids,
+    _split_pair,
     constant_presheaf_of_categories,
     make_translation_presheaf,
 )
@@ -242,8 +243,8 @@ def random_sectionwise_equivalence(
         comp = Functor(
             domain=g,
             codomain=h,
-            object_map={o: _split_left(o) for o in g.objects},
-            morphism_map={m: _split_left(m) for m in g.morphisms},
+            object_map={o: _split_pair(o)[0] for o in g.objects},
+            morphism_map={m: _split_pair(m)[0] for m in g.morphisms},
         )
     gh = constant_presheaf_of_categories(site, h)
     gg = constant_presheaf_of_categories(site, g)
@@ -251,12 +252,6 @@ def random_sectionwise_equivalence(
         domain=gg, codomain=gh, components={u: comp for u in site.objects}
     )
     return mor, gh
-
-
-def _split_left(token: str) -> str:
-    from .fibred import _split_pair
-
-    return _split_pair(token)[0]
 
 
 def _product_groupoid(a: Groupoid, b: Groupoid) -> Groupoid:

@@ -17,6 +17,7 @@ from .fincat import (
     FiniteCategory,
     Functor,
     Groupoid,
+    StringTable,
     automorphism_group,
     is_group_isomorphism,
     opposite,
@@ -213,9 +214,14 @@ def nerve(c: FiniteCategory, d: int) -> TruncatedSimplicialSet:
     of its n arrows read source to target.  Simplices and faces come from
     ``string_table``; degeneracies insert identities.
     """
+    return _nerve(c, string_table(c, d))
+
+
+def _nerve(c: FiniteCategory, table: StringTable) -> TruncatedSimplicialSet:
+    """The nerve of c truncated at the top degree of its string table."""
+    d = len(table.tokens) - 1
     if d < 1:
         raise InputError("truncation degree must be at least 1")
-    table = string_table(c, d)
     tokens = table.tokens
     simplices = [frozenset(level) for level in tokens]
     faces: dict[tuple[int, int], dict] = {}

@@ -49,7 +49,12 @@ from fibsite.fincat import (
     terminal_category,
     validate_category,
 )
-from fibsite.sampling import random_sectionwise_equivalence
+from fibsite.sampling import (
+    random_poset_site,
+    random_presheaf_of_categories,
+    random_sectionwise_equivalence,
+    random_topology,
+)
 from fibsite.snf import normalize_factors, snf_diagonal
 from fibsite.site import (
     maximal_sieve,
@@ -374,6 +379,23 @@ class TestCech:
         f = constant_abelian_presheaf(chain2, ZZ)
         out = cech_cohomology(t, "U", maximal_sieve(chain2, "U"), f, 3)
         assert [x.factors for x in out] == [(0,), (), (), ()]
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_maximal_sieve_slice_has_a_terminal_object(self, seed):
+        # c/u has the terminal object (u|id_u), so constant coefficients
+        # have their group in degree 0 and nothing above
+        rng = random.Random(seed)
+        c = random_poset_site(rng, max_objects=4)
+        t = random_topology(rng, c)
+        if seed % 2:
+            a = random_presheaf_of_categories(rng, c, max_fibre_objects=2)
+            c = grothendieck_construct(a).total
+            t = trivial_topology(c)
+        for g in (ZZ, zmod(4), FgAbelianGroup.from_orders([0, 2, 3])):
+            f = constant_abelian_presheaf(c, g)
+            for u in c.objects:
+                out = cech_cohomology(t, u, maximal_sieve(c, u), f, 3)
+                assert out == [f.group[u], TRIVIAL_GROUP, TRIVIAL_GROUP, TRIVIAL_GROUP]
 
     def test_generated_sieve(self, chain2):
         t, s = self.covered(chain2)

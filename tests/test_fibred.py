@@ -4,11 +4,19 @@ import pytest
 
 from fibsite.errors import ValidationFailure
 from fibsite.fincat import (
+    CONTRAVARIANT,
+    COVARIANT,
     Functor,
+    SetValuedFunctor,
+    as_covariant,
     codiscrete_groupoid,
+    colim_set,
+    comma_data,
     cyclic_groupoid,
     identity_functor,
     is_isomorphism,
+    left_kan_set,
+    opposite_functor,
     pair_name,
     poset_chain,
     product_category,
@@ -49,6 +57,7 @@ from fibsite.sampling import (
     random_poset_site,
     random_presheaf,
     random_presheaf_of_categories,
+    random_sectionwise_equivalence,
     random_topology,
 )
 from fibsite.site import (
@@ -392,38 +401,30 @@ class TestRestrictionKan:
         for key, val in kan.value.items():
             assert len(val) == 1  # the comma category is connected
 
-    def test_kan_triangle_restriction_side(self, chain2, e2):
+    @staticmethod
+    def assert_restriction_triangle(m, x):
         # restrict(counit at x) after unit at restrict(x) is the identity
-        m = self.collapse_morphism(chain2, e2)
-        for x_vals in (("p",), ("p", "q")):
-            x = constant_enriched_diagram(m.codomain, x_vals)
-            y = restrict_along(m, x)
-            unit = kan_unit(m, y)
-            counit = kan_counit(m, x)
-            for (u, ob), elems in y.value.items():
-                mob = m.components[u].on_object(ob)
-                for e in elems:
-                    assert counit[(u, mob)][unit[(u, ob)][e]] == e
-
-    def test_kan_triangle_extension_side(self, chain2, e2):
-        # counit at the extension after the extension of the unit is the
-        # identity, checked on colimit generators
-        from fibsite.fincat import SetValuedFunctor, colim_set, opposite_functor
-
-        m = self.collapse_morphism(chain2, e2)
-        y = constant_enriched_diagram(m.domain, ("p", "q"))
-        kan = left_kan_along(m, y)
+        y = restrict_along(m, x)
         unit = kan_unit(m, y)
-        b = m.codomain
-        for u in chain2.objects:
-            op = opposite_functor(m.components[u])
-            for ob in b.value[u].objects:
-                from fibsite.fincat import comma_data
+        counit = kan_counit(m, x)
+        for (u, ob), elems in y.value.items():
+            mob = m.components[u].on_object(ob)
+            for e in elems:
+                assert counit[(u, mob)][unit[(u, ob)][e]] == e
 
+    @staticmethod
+    def assert_extension_triangle(m, y, kan):
+        # counit at the extension after the extension of the unit is the
+        # identity, checked on colimit generators: the extended unit of
+        # ((x, h), e) goes to the class of ((x, h), e)
+        unit = kan_unit(m, y)
+        for u in m.codomain.site.objects:
+            op = opposite_functor(m.components[u])
+            for ob in m.codomain.value[u].objects:
                 cd = comma_data(op, ob)
                 diagram = SetValuedFunctor(
                     base=cd.category,
-                    variance="covariant",
+                    variance=COVARIANT,
                     value={
                         n: y.value[(u, cd.object_pair[n][0])]
                         for n in cd.category.objects
@@ -439,6 +440,61 @@ class TestRestrictionKan:
                         cls = cocone.leg[n][e]
                         lifted = unit[(u, x_ob)][e]
                         assert kan.cat_action[(u, h)][lifted] == cls
+
+    @staticmethod
+    def section(y, u):
+        """y at u, a covariant diagram on the opposite fibre."""
+        fib = y.base.value[u]
+        return as_covariant(
+            SetValuedFunctor(
+                base=fib,
+                variance=CONTRAVARIANT,
+                value={ob: y.value[(u, ob)] for ob in fib.objects},
+                action={g: y.cat_action[(u, g)] for g in fib.morphisms},
+            )
+        )
+
+    @staticmethod
+    def mixed_diagram(rng, a):
+        """A representable plus a constant presheaf on the total site of a."""
+        fs = grothendieck_construct(a)
+        z = rng.choice(sorted(fs.total.objects))
+        p = coproduct_presheaf(
+            [representable_presheaf(fs.total, z), constant_presheaf(fs.total, ("p", "q"))],
+            ["y", "k"],
+        )
+        return presheaf_to_enriched(fs, p)
+
+    def test_kan_triangle_restriction_side(self, chain2, e2):
+        m = self.collapse_morphism(chain2, e2)
+        for x_vals in (("p",), ("p", "q")):
+            self.assert_restriction_triangle(
+                m, constant_enriched_diagram(m.codomain, x_vals)
+            )
+
+    def test_kan_triangle_extension_side(self, chain2, e2):
+        m = self.collapse_morphism(chain2, e2)
+        y = constant_enriched_diagram(m.domain, ("p", "q"))
+        self.assert_extension_triangle(m, y, left_kan_along(m, y))
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_kan_agrees_with_left_kan_set_on_mixed_diagrams(self, seed):
+        # the fibred extension against the sectionwise fincat one, on
+        # diagrams that are not constant, plus both triangle identities
+        rng = random.Random(seed)
+        m, _ = random_sectionwise_equivalence(rng)
+        b = m.codomain
+        y = self.mixed_diagram(rng, m.domain)
+        kan = left_kan_along(m, y)
+        assert validate_enriched(kan) == []
+        for u in b.site.objects:
+            ext = left_kan_set(opposite_functor(m.components[u]), self.section(y, u))
+            for ob in b.value[u].objects:
+                assert kan.value[(u, ob)] == ext.value[ob]
+            for delta in b.value[u].morphisms:
+                assert kan.cat_action[(u, delta)] == ext.action[delta]
+        self.assert_extension_triangle(m, y, kan)
+        self.assert_restriction_triangle(m, self.mixed_diagram(rng, b))
 
     def test_total_functor_equivalence(self, chain2, e2):
         m = self.collapse_morphism(chain2, e2)
