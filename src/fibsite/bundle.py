@@ -23,8 +23,12 @@ The grammar (one declaration per line, ``#`` starts a comment):
     at U mor f = g
 
     abpresheaf F over A        # abelian coefficients; over a psheaf-cat name
-    at (U|x) group Z Z/2       # ...means the total category of C/A; over a
-    restrict (a|f) matrix [[1]]  # category name means that category itself
+    at (U|x) group Z/2 Z       # ...means the total category of C/A; over a
+    restrict (a|f) matrix [[1,0],[0,1]]  # category name means that category
+
+Groups are written in invariant-factor form (torsion factors in
+divisibility order, then the Z factors) and matrices index the generators
+in that order; a group line in any other order is a validation error.
 
 Identity morphisms are created automatically and named ``id_<object>``; the
 parser rejects attempts to redefine them.  Declared object and morphism
@@ -301,7 +305,7 @@ def parse_bundle(paths: list[str]) -> Bundle:
                     raw_mors[name][toks[2]].setdefault(toks[1], {})[toks[3]] = toks[5]
                 elif kind == "abpresheaf":
                     if len(toks) < 3 or toks[2] != "group":
-                        syntax(path, ln, "usage: at OBJ group Z Z/2 ...")
+                        syntax(path, ln, "usage: at OBJ group Z/2 Z ...")
                     factors = [
                         _parse_group_token(t, path, ln) for t in toks[3:]
                     ]
@@ -445,26 +449,9 @@ def parse_bundle(paths: list[str]) -> Bundle:
 
                 restriction[alpha] = identity_functor(value[u])
                 continue
-            obj_map = dict(blk["obj"].get(alpha, {}))
-            mor_map = dict(blk["mor"].get(alpha, {}))
-            missing_obj = [x for x in value[u].objects if x not in obj_map]
-            if missing_obj:
-                raise BundleValidationError(
-                    f"psheaf-cat {name}",
-                    [f"restrict {alpha}: objects {missing_obj} unmapped"],
-                )
-            for x in value[u].objects:
-                mor_map.setdefault(
-                    value[u].identity[x], value[v].identity.get(obj_map[x], "")
-                )
-            missing_mor = [m for m in value[u].morphisms if m not in mor_map]
-            if missing_mor:
-                raise BundleValidationError(
-                    f"psheaf-cat {name}",
-                    [f"restrict {alpha}: morphisms {missing_mor} unmapped"],
-                )
-            restriction[alpha] = Functor(
-                domain=value[u], codomain=value[v], object_map=obj_map, morphism_map=mor_map
+            restriction[alpha] = _declared_functor(
+                value[u], value[v], blk["obj"].get(alpha, {}), blk["mor"].get(alpha, {}),
+                f"psheaf-cat {name}", f"restrict {alpha}",
             )
         all_groupoids = all(isinstance(f, Groupoid) for f in value.values())
         cls = PresheafOfGroupoids if all_groupoids else PresheafOfCategories
@@ -480,30 +467,15 @@ def parse_bundle(paths: list[str]) -> Bundle:
         cod = bundle.presheaves_of_categories.get(blk["cod"])
         if dom is None or cod is None:
             raise BundleNameError(blk["path"], blk["line"], f"psheaf-mor {name} references unknown presheaves")
-        components = {}
-        for u in dom.site.objects:
-            obj_map = dict(blk["obj"].get(u, {}))
-            mor_map = dict(blk["mor"].get(u, {}))
-            missing = [x for x in dom.value[u].objects if x not in obj_map]
-            if missing:
-                raise BundleValidationError(
-                    f"psheaf-mor {name}", [f"at {u}: objects {missing} unmapped"]
-                )
-            for x in dom.value[u].objects:
-                mor_map.setdefault(
-                    dom.value[u].identity[x], cod.value[u].identity.get(obj_map[x], "")
-                )
-            missing_mor = [m for m in dom.value[u].morphisms if m not in mor_map]
-            if missing_mor:
-                raise BundleValidationError(
-                    f"psheaf-mor {name}", [f"at {u}: morphisms {missing_mor} unmapped"]
-                )
-            components[u] = Functor(
-                domain=dom.value[u],
-                codomain=cod.value[u],
-                object_map=obj_map,
-                morphism_map=mor_map,
+        # cod.value lacks u when cod lives on another site; .get keeps the
+        # unmapped-object error ahead of that failure
+        components = {
+            u: _declared_functor(
+                dom.value[u], cod.value.get(u), blk["obj"].get(u, {}), blk["mor"].get(u, {}),
+                f"psheaf-mor {name}", f"at {u}",
             )
+            for u in dom.site.objects
+        }
         mor = MorphismOfPresheavesOfCategories(
             domain=dom, codomain=cod, components=components
         )
@@ -526,10 +498,16 @@ def parse_bundle(paths: list[str]) -> Bundle:
             if x not in blk["groups"]:
                 raise BundleValidationError(f"abpresheaf {name}", [f"no group at {x}"])
             factors, ln, path = blk["groups"][x]
+            # matrices index the generators in the order written, so the
+            # line must already be in invariant-factor order
             try:
-                group[x] = FgAbelianGroup.from_orders(factors)
-            except InputError as e:
-                raise BundleValidationError(f"abpresheaf {name}", [str(e)])
+                group[x] = FgAbelianGroup(factors=tuple(factors))
+            except InputError:
+                canonical = FgAbelianGroup.from_orders(factors).factors
+                raise BundleValidationError(f"abpresheaf {name}", [
+                    f"at {x}: group {_group_tokens(factors)} is not in canonical"
+                    f" form {_group_tokens(canonical)}"
+                ])
         restriction = {}
         for m in base.morphisms:
             if base.is_identity(m):
@@ -551,6 +529,33 @@ def parse_bundle(paths: list[str]) -> Bundle:
         bundle.abelian_presheaves[name] = ab
         bundle.abelian_base[name] = over
     return bundle
+
+
+def _declared_functor(
+    dom: FiniteCategory,
+    cod: FiniteCategory,
+    obj_lines: dict[str, str],
+    mor_lines: dict[str, str],
+    block: str,
+    where: str,
+) -> Functor:
+    """The functor dom -> cod that a block's obj and mor lines declare.
+
+    Every object must be mapped; identities map to the identity of the
+    image object unless a line maps them, and every other morphism must be
+    mapped.  The result is not validated here.
+    """
+    obj_map = dict(obj_lines)
+    missing = [x for x in dom.objects if x not in obj_map]
+    if missing:
+        raise BundleValidationError(block, [f"{where}: objects {missing} unmapped"])
+    mor_map = dict(mor_lines)
+    for x in dom.objects:
+        mor_map.setdefault(dom.identity[x], cod.identity.get(obj_map[x], ""))
+    missing = [m for m in dom.morphisms if m not in mor_map]
+    if missing:
+        raise BundleValidationError(block, [f"{where}: morphisms {missing} unmapped"])
+    return Functor(domain=dom, codomain=cod, object_map=obj_map, morphism_map=mor_map)
 
 
 def _resolve_compose(rc: _RawCategory, path: str) -> dict[tuple[str, str], str]:
@@ -638,8 +643,7 @@ def emit_bundle(bundle: Bundle) -> str:
         ab = bundle.abelian_presheaves[name]
         lines.append(f"abpresheaf {name} over {bundle.abelian_base[name]}")
         for x in sorted(ab.base.objects):
-            toks = ["Z" if f == 0 else f"Z/{f}" for f in ab.group[x].factors]
-            lines.append(f"at {x} group " + " ".join(toks))
+            lines.append(f"at {x} group {_group_tokens(ab.group[x].factors)}")
         for m in sorted(ab.base.morphisms):
             if ab.base.is_identity(m):
                 continue
@@ -647,6 +651,10 @@ def emit_bundle(bundle: Bundle) -> str:
             lines.append(f"restrict {m} matrix {mat}")
         lines.append("")
     return "\n".join(lines).rstrip() + "\n"
+
+
+def _group_tokens(factors) -> str:
+    return " ".join("Z" if f == 0 else f"Z/{f}" for f in factors)
 
 
 def _category_name(bundle: Bundle, cat: FiniteCategory) -> str:

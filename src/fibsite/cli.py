@@ -18,6 +18,7 @@ from .bundle import (
     BundleNameError,
     BundleSyntaxError,
     BundleValidationError,
+    _category_name,
     parse_bundle,
 )
 from .errors import CapExceeded, InputError, RefusedMode, ValidationFailure
@@ -177,13 +178,7 @@ def _construction(bundle: Bundle, name: str):
         raise InputError(f"no psheaf-cat named {name} in the bundle")
     pc = bundle.presheaves_of_categories[name]
     fs = bundle.fibred_site(name)
-    base_name = None
-    for cname, cat in bundle.categories.items():
-        if cat == pc.site:
-            base_name = cname
-            break
-    topo = bundle.topologies.get(base_name) if base_name else site.trivial_topology(pc.site)
-    return pc, fs, topo
+    return pc, fs, bundle.topologies[_category_name(bundle, pc.site)]
 
 
 def cmd_fibred_build(args, bundle: Bundle, rep: Report) -> None:
@@ -228,12 +223,7 @@ def cmd_sheaf_check(args, bundle: Bundle, rep: Report) -> None:
     if args.presheaf not in bundle.set_presheaves:
         raise InputError(f"no spresheaf named {args.presheaf} in the bundle")
     pre = bundle.set_presheaves[args.presheaf]
-    name = None
-    for cname, cat in bundle.categories.items():
-        if cat == pre.base:
-            name = cname
-            break
-    topo = bundle.topologies[name]
+    topo = bundle.topologies[_category_name(bundle, pre.base)]
     verdict = site.is_sheaf(pre, topo)
     detail = ""
     if not verdict.ok:

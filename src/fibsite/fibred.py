@@ -659,9 +659,6 @@ class MorphismOfPresheavesOfCategories:
     codomain: PresheafOfCategories
     components: dict[str, Functor]
 
-    def component(self, u: str) -> Functor:
-        return self.components[u]
-
 
 def validate_morphism_of_presheaves(m: MorphismOfPresheavesOfCategories) -> list[str]:
     report: list[str] = []

@@ -416,25 +416,33 @@ def comma_category(f: Functor, y: str) -> FiniteCategory:
 # connected components
 
 
-def pi0(c: FiniteCategory) -> dict[str, str]:
-    """Map each object to the least object of its zig-zag component."""
-    parent = {u: u for u in c.objects}
+def _least_representatives(items, links, key=None) -> dict:
+    """Map each item to the least member of its class, where the classes are
+    those of the equivalence relation generated by the pairs in ``links``.
 
-    def find(u: str) -> str:
-        while parent[u] != u:
-            parent[u] = parent[parent[u]]
-            u = parent[u]
-        return u
+    Least means least under ``key`` (the items themselves when it is None).
+    The root of every class is its least member, since a union keeps the
+    lesser root, so the result does not depend on the order of the links.
+    """
+    parent = {x: x for x in items}
 
-    def union(a: str, b: str) -> None:
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in links:
         ra, rb = find(a), find(b)
         if ra != rb:
-            lo, hi = (ra, rb) if ra < rb else (rb, ra)
+            lo, hi = (ra, rb) if (key(ra) < key(rb) if key else ra < rb) else (rb, ra)
             parent[hi] = lo
+    return {x: find(x) for x in parent}
 
-    for m, (s, t) in c.morphisms.items():
-        union(s, t)
-    return {u: find(u) for u in c.objects}
+
+def pi0(c: FiniteCategory) -> dict[str, str]:
+    """Map each object to the least object of its zig-zag component."""
+    return _least_representatives(c.objects, c.morphisms.values())
 
 
 def pi0_classes(c: FiniteCategory) -> tuple[tuple[str, ...], ...]:
@@ -543,28 +551,19 @@ def colim_set(f: SetValuedFunctor) -> ColimitCocone:
     if f.variance != COVARIANT:
         raise InputError("colim_set requires a covariant functor")
     pairs = [(u, e) for u in sorted(f.base.objects) for e in sorted(f.value[u])]
-    parent = {p: p for p in pairs}
-
-    def find(p):
-        while parent[p] != p:
-            parent[p] = parent[parent[p]]
-            p = parent[p]
-        return p
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            lo, hi = (ra, rb) if ra < rb else (rb, ra)
-            parent[hi] = lo
-
-    for m, (s, t) in f.base.morphisms.items():
-        for e in f.value[s]:
-            union((s, e), (t, f.act(m, e)))
+    rep = _least_representatives(
+        pairs,
+        (
+            ((s, e), (t, f.act(m, e)))
+            for m, (s, t) in f.base.morphisms.items()
+            for e in f.value[s]
+        ),
+    )
     leg = {
-        u: {e: _class_name(find((u, e))) for e in f.value[u]}
+        u: {e: _class_name(rep[(u, e)]) for e in f.value[u]}
         for u in f.base.objects
     }
-    elements = tuple(sorted({_class_name(find(p)) for p in pairs}))
+    elements = tuple(sorted({_class_name(r) for r in rep.values()}))
     return ColimitCocone(elements=elements, leg=leg)
 
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 from .errors import InputError
 from .fibred import PresheafOfGroupoids
-from .fincat import Groupoid, opposite, validate_groupoid
+from .fincat import Groupoid, opposite, opposite_functor, validate_groupoid
 from .sset import (
     SimplicialMap,
     TruncatedSimplicialSet,
@@ -575,9 +575,7 @@ def validate_enriched_over_nerve(y: EnrichedOverNerve) -> list[str]:
             f"site action along {alpha}: {b}" for b in validate_simplicial_map(sm)
         )
         # compatibility with the structure maps over the op-nerve restriction
-        opr = nerve_map(
-            _op_functor_of_restriction(a, alpha), d
-        )
+        opr = nerve_map(opposite_functor(a.restriction[alpha]), d)
         lhs = compose_simplicial_maps(y.sections[v].structure, sm)
         rhs = compose_simplicial_maps(opr, y.sections[u].structure)
         if any(lhs.components[n] != rhs.components[n] for n in range(d + 1)):
@@ -597,12 +595,6 @@ def validate_enriched_over_nerve(y: EnrichedOverNerve) -> list[str]:
     return report
 
 
-def _op_functor_of_restriction(a: PresheafOfGroupoids, alpha: str):
-    from .fincat import opposite_functor
-
-    return opposite_functor(a.restriction[alpha])
-
-
 def enriched_hocolim(x: EnrichedGroupoidDiagram, d: int) -> EnrichedOverNerve:
     """Sectionwise homotopy colimit; site actions act on both components.
 
@@ -618,7 +610,7 @@ def _enriched_hocolim(x: EnrichedGroupoidDiagram, d: int) -> EnrichedOverNerve:
     sections = {u: _remembered(section_diagram(x, u), _hocolim, d) for u in c.objects}
     site_action: dict[str, SimplicialMap] = {}
     for alpha, (v, u) in c.morphisms.items():
-        opr = nerve_map(_op_functor_of_restriction(a, alpha), d)
+        opr = nerve_map(opposite_functor(a.restriction[alpha]), d)
         op = sections[u].base  # the opposed fibre at u
         comps = []
         for n in range(d + 1):

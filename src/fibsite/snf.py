@@ -38,10 +38,6 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     )
 
 
-def transpose(a: Matrix) -> Matrix:
-    return tuple(zip(*a)) if a else ()
-
-
 def determinant(a: Matrix) -> int:
     """Fraction-free Bareiss determinant of a square integer matrix."""
     n = len(a)
@@ -315,35 +311,35 @@ def lattice_basis(gens: Matrix) -> Matrix:
     return matmul(gens, tuple(row[:r] for row in sf.v))
 
 
+def _coordinates(sf: SmithForm, targets: Matrix) -> Matrix:
+    """Coordinates of the columns of ``targets`` in lattice(m), with u @ m @ v == d.
+
+    lattice(m) has the basis u^-1 @ d (its first rank columns), so the
+    coordinates are the leading rank rows of u @ targets divided by the
+    diagonal; the other rows vanish exactly when every target lies in the
+    lattice.  Raises ValueError otherwise.
+    """
+    um = matmul(sf.u, targets)
+    r = sf.rank
+    if any(any(row) for row in um[r:]):
+        raise ValueError("target not in lattice")
+    out = []
+    for d, row in zip(sf.diagonal, um[:r]):
+        if any(x % d for x in row):
+            raise ValueError("target not in lattice")
+        out.append(tuple(x // d for x in row))
+    return tuple(out)
+
+
 def solve_in_lattice(basis: Matrix, targets: Matrix) -> Matrix:
     """Coordinates x with basis @ x == targets; raises if not in the lattice.
 
     ``basis`` must have full column rank (as produced by lattice_basis).
     """
-    nrows = len(basis)
-    ncols = len(basis[0]) if basis and basis[0] else 0
-    if ncols == 0:
-        if any(any(x != 0 for x in row) for row in targets):
-            raise ValueError("target not in zero lattice")
-        return tuple(() for _ in range(0))
     sf = smith_normal_form(basis)
-    if sf.rank != ncols:
+    if sf.rank != (len(basis[0]) if basis else 0):
         raise ValueError("basis does not have full column rank")
-    um = matmul(sf.u, targets)
-    ntargets = len(targets[0]) if targets else 0
-    y = []
-    for i in range(ncols):
-        d = sf.d[i][i]
-        row = []
-        for j in range(ntargets):
-            if um[i][j] % d != 0:
-                raise ValueError("target not in lattice")
-            row.append(um[i][j] // d)
-        y.append(tuple(row))
-    for i in range(ncols, nrows):
-        if any(um[i][j] != 0 for j in range(ntargets)):
-            raise ValueError("target not in lattice")
-    return matmul(sf.v, matrix(y))
+    return matmul(sf.v, _coordinates(sf, targets))
 
 
 def normalize_factors(torsion: Iterable[int], free_rank: int) -> tuple[int, ...]:
@@ -360,16 +356,9 @@ def quotient_invariants(num_gens: Matrix, den_gens: Matrix) -> tuple[int, ...]:
     """Invariant factors of lattice(num_gens) / lattice(den_gens).
 
     Both arguments are matrices whose columns generate sublattices of the
-    same ambient Z^n, with lattice(den_gens) contained in lattice(num_gens).
+    same ambient Z^n.  Raises ValueError unless lattice(den_gens) lies in
+    lattice(num_gens).
     """
-    basis = lattice_basis(num_gens)
-    r = len(basis[0]) if basis else 0
-    if r == 0:
-        return ()
-    den_cols = len(den_gens[0]) if den_gens and den_gens[0] else 0
-    if den_cols == 0:
-        return normalize_factors([], r)
-    coords = solve_in_lattice(basis, den_gens)
-    diag = snf_diagonal(coords)
-    rank = sum(1 for d in diag if d != 0)
-    return normalize_factors(diag, r - rank)
+    sf = smith_normal_form(num_gens)
+    diag = snf_diagonal(_coordinates(sf, den_gens))
+    return normalize_factors(diag, sf.rank - len(diag))

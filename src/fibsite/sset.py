@@ -18,17 +18,13 @@ from .fincat import (
     Functor,
     Groupoid,
     StringTable,
+    _least_representatives,
     automorphism_group,
     is_group_isomorphism,
     opposite,
     string_table,
 )
-from .snf import (
-    SmithForm,
-    normalize_factors,
-    smith_normal_form,
-    sparse_invariant_factors,
-)
+from .snf import normalize_factors, sparse_invariant_factors
 
 Token = Hashable
 
@@ -534,21 +530,11 @@ class HomologyResult:
 
 def pi0_sset(s: TruncatedSimplicialSet) -> dict:
     """Vertex -> least vertex of its edge-path component."""
-    parent = {v: v for v in s.simplices[0]}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for e in s.simplices[1]:
-        a = find(s.face(1, 1, e))
-        b = find(s.face(1, 0, e))
-        if a != b:
-            lo, hi = (a, b) if _tkey(a) < _tkey(b) else (b, a)
-            parent[hi] = lo
-    return {v: find(v) for v in s.simplices[0]}
+    return _least_representatives(
+        s.simplices[0],
+        ((s.face(1, 1, e), s.face(1, 0, e)) for e in s.simplices[1]),
+        key=_tkey,
+    )
 
 
 def _basis(s: TruncatedSimplicialSet, n: int, normalized: bool) -> tuple:
@@ -692,13 +678,11 @@ def we_evidence(
     )
 
 
-# re-exported: the integer kernel lives alongside the homology code
 __all__ = [
     "BisimplicialSet",
     "EvidenceReport",
     "HomologyResult",
     "SimplicialMap",
-    "SmithForm",
     "TruncatedSimplicialSet",
     "boundary_entries",
     "compose_simplicial_maps",
@@ -710,7 +694,6 @@ __all__ = [
     "nerve",
     "nerve_map",
     "pi0_sset",
-    "smith_normal_form",
     "standard_simplex",
     "validate_bisimplicial",
     "validate_simplicial",

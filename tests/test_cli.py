@@ -24,7 +24,17 @@ SHIPPED = [
     "chain_cover.bundle",
     "e2_collapse.bundle",
     "product_cj.bundle",
+    "pt_z2_twisted.bundle",
 ]
+
+
+# a presheaf of categories over a: V -> U with the fibre x -f-> y at both
+_TWO_FIBRES = (
+    "category C\nobjects U V\nmor a : V -> U\n\n"
+    "category F\nobjects x y\nmor f : x -> y\n\n"
+    "psheaf-cat A over C\nat U category F\nat V category F\n"
+)
+_FULL_RESTRICTION = "restrict a obj x = x\nrestrict a obj y = y\nrestrict a mor f = f\n"
 
 
 def go(argv):
@@ -140,6 +150,20 @@ class TestCommands:
         assert code == 0
         doc = json.loads(out)
         assert doc["payload"]["cohomology"] == [[0], [], [2], [], [2]]
+
+    def test_cohomology_with_torsion_relations(self):
+        # Z/4 + Z, t acting by 1 on Z/4 and by -1 on Z: the H^0 cross-check
+        # divides by the nonempty relation lattice 4 * Z/4
+        code, out = go([
+            "cohomology", str(BUNDLES / "pt_z2_twisted.bundle"),
+            "--psheaf", "G", "--coeffs", "FT", "--nmax", "3",
+        ])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["payload"]["cohomology"] == [[4], [2, 2], [2], [2, 2]]
+        assert doc["verdicts"] == [
+            {"check": "H0 equals the compatible-family group", "pass": True, "detail": "Z/4"}
+        ]
 
     def test_cech(self):
         code, out = go([
@@ -289,6 +313,35 @@ class TestExitCodes:
                 parse_bundle([str(p)])
             assert repr(name) in str(err.value)
             assert go(["validate", str(p)])[0] == 3
+
+    def test_non_canonical_group_line_is_3(self, tmp_path, capsys):
+        # read through from_orders, "Z Z/4" became Z/4 + Z and the matrix
+        # silently acted on swapped generators
+        text = (BUNDLES / "pt_z2_twisted.bundle").read_text()
+        p = tmp_path / "swapped.bundle"
+        p.write_text(text.replace("group Z/4 Z", "group Z Z/4"))
+        code, out = go(["cohomology", str(p), "--psheaf", "G", "--coeffs", "FT"])
+        assert (code, out) == (3, "")
+        assert capsys.readouterr().err == (
+            "error: abpresheaf FT: at (U|x): group Z Z/4 is not in canonical form Z/4 Z\n"
+        )
+
+    @pytest.mark.parametrize("lines, message", [
+        ("restrict a obj x = x\n", "psheaf-cat A: restrict a: objects ['y'] unmapped"),
+        ("restrict a obj x = x\nrestrict a obj y = y\n",
+         "psheaf-cat A: restrict a: morphisms ['f'] unmapped"),
+        (_FULL_RESTRICTION + "psheaf-mor m : A -> A\nat U obj x = x\n",
+         "psheaf-mor m: at U: objects ['y'] unmapped"),
+        (_FULL_RESTRICTION + "psheaf-mor m : A -> A\n"
+         "at U obj x = x\nat U obj y = y\nat U mor f = f\nat V obj x = x\nat V obj y = y\n",
+         "psheaf-mor m: at V: morphisms ['f'] unmapped"),
+    ], ids=["psheaf-cat-object", "psheaf-cat-morphism", "psheaf-mor-object", "psheaf-mor-morphism"])
+    def test_unmapped_name_is_3(self, lines, message, tmp_path, capsys):
+        p = tmp_path / "unmapped.bundle"
+        p.write_text(_TWO_FIBRES + lines)
+        code, out = go(["validate", str(p)])
+        assert (code, out) == (3, "")
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_failed_check_is_1(self):
         code, _ = go(["sheaf-check", str(BUNDLES / "chain_cover.bundle"), "--presheaf", "P"])

@@ -1,5 +1,6 @@
 import random
 
+import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -125,6 +126,41 @@ def test_lattice_basis_matches_sympy_hnf(g):
         assert matmul(basis, coords) == g
     else:
         assert coords == () and not any(any(row) for row in g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dense_shaped, st.data())
+def test_quotient_invariants_match_sympy(g, data):
+    g = matrix(g)
+    rank = sympy.Matrix(g).rank()
+    assert quotient_invariants(g, tuple(tuple(2 * x for x in row) for row in g)) == (2,) * rank
+    k = data.draw(st.integers(1, 4).flatmap(lambda kc: st.lists(
+        st.lists(st.integers(-3, 3), min_size=kc, max_size=kc),
+        min_size=len(g[0]), max_size=len(g[0]),
+    )))
+    den = matmul(g, matrix(k))
+    got = quotient_invariants(g, den)
+    if rank == 0:
+        assert got == ()
+        return
+    # exact rational coordinates of den in the HNF basis h of lattice(g)
+    h = hermite_normal_form(sympy.Matrix(g))
+    coords = (h.T * h).inv() * h.T * sympy.Matrix(den)
+    assert h * coords == sympy.Matrix(den) and all(x.is_integer for x in coords)
+    oracle = sympy_snf(coords, domain=sympy.ZZ)
+    diag = [abs(int(oracle[i, i])) for i in range(min(oracle.shape))]
+    nonzero = [d for d in diag if d]
+    assert got == normalize_factors(nonzero, h.shape[1] - len(nonzero))
+
+
+def test_quotient_by_a_non_sublattice_raises():
+    for num, den in (
+        (((0,), (0,)), ((1,), (0,))),  # rank 0: only 0 lies in the lattice
+        (((2,), (0,)), ((1,), (0,))),
+        (((1,), (0,)), ((0,), (1,))),
+    ):
+        with pytest.raises(ValueError):
+            quotient_invariants(num, den)
 
 
 @settings(max_examples=100, deadline=None)
