@@ -467,11 +467,15 @@ def parse_bundle(paths: list[str]) -> Bundle:
         cod = bundle.presheaves_of_categories.get(blk["cod"])
         if dom is None or cod is None:
             raise BundleNameError(blk["path"], blk["line"], f"psheaf-mor {name} references unknown presheaves")
-        # cod.value lacks u when cod lives on another site; .get keeps the
-        # unmapped-object error ahead of that failure
+        # the components are read off the domain's site, at which cod has
+        # fibres only when it lives on the same site
+        if dom.site != cod.site:
+            raise BundleValidationError(
+                f"psheaf-mor {name}", ["domain and codomain live on different sites"]
+            )
         components = {
             u: _declared_functor(
-                dom.value[u], cod.value.get(u), blk["obj"].get(u, {}), blk["mor"].get(u, {}),
+                dom.value[u], cod.value[u], blk["obj"].get(u, {}), blk["mor"].get(u, {}),
                 f"psheaf-mor {name}", f"at {u}",
             )
             for u in dom.site.objects

@@ -10,7 +10,10 @@ invariant-factor routine.  Strings are numbered per degree by
 ids.  Consecutive differentials are reduced with clearing: the
 unit-pivot rows of d^n name columns of d^{n+1} that a unimodular change of
 basis sends to zero, so they are left out of the next reduction, which is
-sound because every complex is checked to compose to zero exactly.
+sound because d^{n+1} d^n = 0 exactly.  On a complex that
+``cochain_complex`` builds this holds by construction (the argument is
+written out there), as ``sset.homology`` relies on the simplicial
+identities; ``cohomology_of_complex`` checks it on any other complex.
 
 Stack cohomology of a presheaf of groupoids is the cohomology of the total
 category of its construction, which for the trivial topology is the derived
@@ -240,6 +243,27 @@ def cochain_complex(
     arrow's restriction to the zeroth face and alternates signs on the rest.
     The returned complex computes H^0..H^{n_max}.
     """
+    # d^{n+1} d^n = 0 holds exactly on the complex built here whenever c is
+    # a category, so nothing multiplies the differentials out (the callers
+    # that skip the check build c from validated input):
+    # (a) the faces of ``string_table`` satisfy d_i d_j = d_{j-1} d_i for
+    #     i < j (a test checks the table against them), so the untwisted
+    #     terms of D^{n+1} D^n cancel in pairs, and so do the pairs (0, j)
+    #     for j >= 2, whose faces keep the first arrow and with it the twist;
+    # (b) the restriction matrices compose strictly (checked below), so the
+    #     last pair, F(t_0) F(t_1) on d_0 d_0 against F(t_1 t_0) on d_0 d_1,
+    #     cancels as well;
+    # (b') F(id) = I exactly: F(id) F(id) = F(id) by (b), and validation
+    #     makes every row of F(id) - I divisible by the smallest torsion
+    #     factor d >= 2 (zero if there is none), so det F(id) = 1 mod d is
+    #     not zero, and an invertible idempotent is the identity.  Hence
+    #     the cochains vanishing on degenerate strings form a subcomplex,
+    #     and the normalized complex, which drops degenerate (None) faces,
+    #     is that subcomplex;
+    # (c) ``rel_lift`` divides exactly, so D rho = rho r; then
+    #     rho r r = D D rho = 0 with rho injective gives r r = 0, and the
+    #     cone differential (x, s) -> (D x + rho s, -r s) squares to
+    #     (D D x + (D rho - rho r) s, r r s) = 0.
     if n_max < 0:
         raise InputError(f"cohomology degree bound {n_max} is negative")
     bad = validate_abelian_presheaf(f)
@@ -318,7 +342,6 @@ def cochain_complex(
     if not has_torsion:
         ranks = tuple(gen_ranks[: n_max + 2])
         diffs = tuple(base_diffs[: n_max + 1])
-        _check_dd_zero(ranks, diffs)
         return CochainComplex(
             ranks=ranks,
             differentials=diffs,
@@ -388,7 +411,6 @@ def cochain_complex(
         diffs.append(entries)
     ranks_t = tuple(ranks)
     diffs_t = tuple(diffs)
-    _check_dd_zero(ranks_t, diffs_t)
     return CochainComplex(
         ranks=ranks_t,
         differentials=diffs_t,
@@ -427,8 +449,17 @@ def cohomology_of_complex(cc: CochainComplex) -> list[FgAbelianGroup]:
     unimodular, those columns become zero under a change of basis that
     leaves every other column alone, so each (rank, factors) is exactly
     that of the whole matrix.  The complex must therefore compose to zero
-    exactly, which ``cochain_complex`` checks on everything it builds.
+    exactly; cc is a caller's input, so that is checked first, and a
+    complex that fails raises ``ValidationFailure`` naming the degree.
+    Complexes that ``cochain_complex`` builds compose to zero by
+    construction, and the library's own callers skip the check.
     """
+    _check_dd_zero(cc.ranks, cc.differentials)
+    return _cohomology(cc)
+
+
+def _cohomology(cc: CochainComplex) -> list[FgAbelianGroup]:
+    """``cohomology_of_complex`` without the d^{n+1} d^n = 0 check."""
     rank: dict[int, int] = {}
     torsion: dict[int, list[int]] = {}
     cleared: set[int] = set()
@@ -541,7 +572,7 @@ def stack_cohomology(
     if f.base != fs.total:
         raise InputError("coefficients do not live on the total category")
     cc = cochain_complex(fs.total, f, n_max, normalized=normalized, max_strings=max_strings)
-    return cohomology_of_complex(cc)
+    return _cohomology(cc)
 
 
 def cech_cohomology(
@@ -585,6 +616,8 @@ def cech_cohomology(
     restriction = {n: f.restriction[sl.morphism_under[n]] for n in morphisms}
     coeffs = AbelianPresheaf(base=sub, group=group, restriction=restriction)
     cc = cochain_complex(sub, coeffs, n_max, normalized=normalized, max_strings=max_strings)
+    # nothing on this path validates the site, so the argument in
+    # ``cochain_complex`` does not cover it and the complex is checked
     return cohomology_of_complex(cc)
 
 
@@ -623,12 +656,8 @@ def invariance_report(
     if f.base != t.codomain:
         raise InputError("coefficients do not live on the codomain's total category")
     f_pulled = restrict_abelian_along(t, f)
-    ch = cohomology_of_complex(
-        cochain_complex(t.codomain, f, n_max, max_strings=max_strings)
-    )
-    cg = cohomology_of_complex(
-        cochain_complex(t.domain, f_pulled, n_max, max_strings=max_strings)
-    )
+    ch = _cohomology(cochain_complex(t.codomain, f, n_max, max_strings=max_strings))
+    cg = _cohomology(cochain_complex(t.domain, f_pulled, n_max, max_strings=max_strings))
     return InvarianceReport(
         passed=all(ch[n] == cg[n] for n in range(n_max + 1)),
         degrees=n_max,

@@ -243,10 +243,14 @@ def sparse_invariant_factors(
         for q in sorted(cols, key=lambda j: len(cols[j])):
             if q not in cols:
                 continue
-            units = [i for i in cols[q] if rows[i][q] in (1, -1)]
-            if not units:
+            # the first unit row of least length
+            p, plen = None, 0
+            for i in cols[q]:
+                row = rows[i]
+                if (p is None or len(row) < plen) and row[q] in (1, -1):
+                    p, plen = i, len(row)
+            if p is None:
                 continue
-            p = min(units, key=lambda i: len(rows[i]))
             if pivot_rows is not None:
                 pivot_rows.append(p)
             prow = rows.pop(p)

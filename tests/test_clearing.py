@@ -10,12 +10,14 @@ counting recurrence for its cap.
 
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fibsite import cohom, fibred, hocopb, sampling, sset
+from fibsite.bundle import parse_bundle
 from fibsite.errors import CapExceeded
 from fibsite.fincat import (
     build_category,
@@ -190,6 +192,15 @@ def assert_matches_reference(c, top, normalized):
         ]
         if not normalized:
             assert all(None not in f for f in table.faces[n])
+        if n >= 2:
+            # the simplicial identities d_i d_j = d_{j-1} d_i for i < j, on
+            # which d.d = 0 of every cochain complex rests; a degenerate
+            # (None) face has no faces in a normalized table
+            down = table.faces[n - 1]
+            for f in table.faces[n]:
+                for i, j in itertools.combinations(range(n + 1), 2):
+                    if f[i] is not None and f[j] is not None:
+                        assert down[f[j]][i] == down[f[i]][j - 1]
 
 
 def table_categories():
@@ -238,6 +249,46 @@ def sampled_category(seed):
         return sampling.random_groupoid(rng)
     pc = sampling.random_presheaf_of_categories(rng, sampling.random_poset_site(rng, 2))
     return fibred.grothendieck_construct(pc).total
+
+
+# ---------------------------------------------------------------------------
+# every complex that cochain_complex builds composes to zero
+
+
+BUNDLES = Path(__file__).resolve().parents[1] / "bundles"
+COEFFICIENTS = (cohom.ZZ, cohom.zmod(2), cohom.zmod(4), cohom.FgAbelianGroup(factors=(2, 0)))
+
+
+def cochain_inputs():
+    """(category, coefficients) pairs: every coefficient group, constant on
+    sampled categories and on the codomain totals of sampled sectionwise
+    equivalences and pulled back to their domain totals along the induced
+    functor; and the sign-twisted Z/4 + Z of pt_z2_twisted.bundle."""
+    cats = [sampled_category(seed) for seed in range(6)]
+    rng = random.Random(7)
+    equivalences = []
+    while len(equivalences) < 2:
+        m, gh = sampling.random_sectionwise_equivalence(rng)
+        if len(fibred.grothendieck_construct(gh).total.morphisms) <= 12:
+            equivalences.append(fibred.total_functor(m))
+    out = []
+    for coeff in COEFFICIENTS:
+        out += [(c, cohom.constant_abelian_presheaf(c, coeff)) for c in cats]
+        for t in equivalences:
+            f = cohom.constant_abelian_presheaf(t.codomain, coeff)
+            out += [(t.codomain, f), (t.domain, cohom.restrict_abelian_along(t, f))]
+    twisted = parse_bundle([str(BUNDLES / "pt_z2_twisted.bundle")]).abelian_presheaves["FT"]
+    return out + [(twisted.base, twisted)]
+
+
+@pytest.mark.parametrize("normalized", [True, False])
+def test_built_complexes_compose_to_zero(normalized):
+    # cochain_complex multiplies nothing out: d.d = 0 follows from the face
+    # table, strict restriction matrices and exact relation lifts; this is
+    # the product that argument replaces
+    for c, f in cochain_inputs():
+        cc = cohom.cochain_complex(c, f, 2, normalized=normalized)
+        cohom._check_dd_zero(cc.ranks, cc.differentials)
 
 
 object_names = st.lists(st.sampled_from("UVWXY"), min_size=1, max_size=3, unique=True)

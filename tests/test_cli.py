@@ -218,6 +218,14 @@ class TestExitCodes:
         code, _ = go(["validate", str(BUNDLES / "bad_inverse.bundle")])
         assert code == 3
 
+    def test_morphism_across_sites_is_3(self, capsys):
+        # A over PT and B over PV: no component is built, so no traceback
+        code, out = go(["validate", str(BUNDLES / "bad_cross_site.bundle")])
+        assert (code, out) == (3, "")
+        assert capsys.readouterr().err == (
+            "error: psheaf-mor m: domain and codomain live on different sites\n"
+        )
+
     def test_morphism_named_like_object_is_3(self, tmp_path):
         p = tmp_path / "clash.bundle"
         p.write_text(

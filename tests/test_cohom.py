@@ -182,7 +182,7 @@ class TestCochainComplex:
 
     def test_dd_zero_guard(self, z2):
         cc = cochain_complex(z2, constant_abelian_presheaf(z2, zmod(4)), 3)
-        # construction already verifies d.d = 0; re-check the stored entries
+        # construction multiplies nothing out; check the stored entries
         from fibsite.cohom import _check_dd_zero
 
         _check_dd_zero(cc.ranks, cc.differentials)
@@ -205,6 +205,24 @@ class TestCochainComplex:
             diffs[n + 1][(0, mid)] = diffs[n + 1].get((0, mid), 0) + 1
             with pytest.raises(ValidationFailure, match=rf"at degree {n}$"):
                 _check_dd_zero(cc.ranks, tuple(diffs))
+
+    @pytest.mark.parametrize("torsion", [False, True], ids=["free", "torsion-cone"])
+    def test_public_entry_rejects_a_corrupted_complex(self, z2, torsion):
+        # the library's own callers skip the d.d check on what they build;
+        # a caller's complex goes through it
+        if torsion:
+            cc = cochain_complex(z2, constant_abelian_presheaf(z2, zmod(4)), 3)
+        else:
+            e2 = codiscrete_groupoid(["a", "b"])
+            cc = cochain_complex(e2, constant_abelian_presheaf(e2, ZZ), 3)
+        assert len(cohomology_of_complex(cc)) == 4
+        for n in range(len(cc.differentials) - 1):
+            diffs = [dict(d) for d in cc.differentials]
+            mid = min(r for r, _ in diffs[n])
+            diffs[n + 1][(0, mid)] = diffs[n + 1].get((0, mid), 0) + 1
+            corrupted = dataclasses.replace(cc, differentials=tuple(diffs))
+            with pytest.raises(ValidationFailure, match=rf"at degree {n}$"):
+                cohomology_of_complex(corrupted)
 
     def test_string_cap(self, z2):
         with pytest.raises(CapExceeded):
