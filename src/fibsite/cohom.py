@@ -4,8 +4,11 @@ The cochain complex is the cosimplicial replacement: degree-n cochains are
 tuples of coefficient elements indexed by composable n-strings, with the
 twisted face-zero differential.  Torsion coefficients are handled by the
 mapping cone of the relation inclusion, which is a free complex computing
-the same cohomology; every kernel computation then runs through the sparse
-invariant-factor routine.  Strings are numbered per degree by
+the same cohomology; it is cut at degree n_max+1, so with any coefficients
+strings are enumerated in degrees 0..n_max+1 only, and the differential out
+of the top degree, whose rank is all that is read, is reduced in rank-only
+mode.  Every kernel computation runs through the sparse invariant-factor
+routine.  Strings are numbered per degree by
 ``fincat.string_table``, and the differentials index cochains by those
 ids.  Consecutive differentials are reduced with clearing: the
 unit-pivot rows of d^n name columns of d^{n+1} that a unimodular change of
@@ -218,8 +221,11 @@ class CochainComplex:
     When the coefficients carry torsion the complex stored here is the
     mapping cone of the relation inclusion (quasi-isomorphic to the complex
     of presented groups), which starts one slot below the cochains proper;
-    offset records that shift.  string_counts is the underlying string
-    enumeration per cochain degree.
+    offset records that shift.  Its top slot is C^{n_max+1} alone, without
+    the relations of degree n_max+2: that leaves the kernel of the last
+    differential, and so every group up to degree n_max, unchanged (see
+    ``cochain_complex``).  string_counts is the underlying string
+    enumeration per cochain degree, 0..n_max+1.
     """
 
     ranks: tuple[int, ...]
@@ -241,7 +247,9 @@ def cochain_complex(
     Degree-n cochains assign to each n-string an element of the coefficient
     group at the string's first object; the differential applies the first
     arrow's restriction to the zeroth face and alternates signs on the rest.
-    The returned complex computes H^0..H^{n_max}.
+    The returned complex computes H^0..H^{n_max}.  Strings are enumerated in
+    degrees 0..n_max+1 whatever the coefficients, and a degree with more than
+    max_strings strings raises ``CapExceeded``.
     """
     # d^{n+1} d^n = 0 holds exactly on the complex built here whenever c is
     # a category, so nothing multiplies the differentials out (the callers
@@ -263,9 +271,17 @@ def cochain_complex(
     # (c) ``rel_lift`` divides exactly, so D rho = rho r; then
     #     rho r r = D D rho = 0 with rho injective gives r r = 0, and the
     #     cone differential (x, s) -> (D x + rho s, -r s) squares to
-    #     (D D x + (D rho - rho r) s, r r s) = 0.
+    #     (D D x + (D rho - rho r) s, r r s) = 0.  The cone is cut at
+    #     degree n_max+1: its top slot is C^{n_max+1} alone, and the last
+    #     differential (x, s) -> D x + rho s drops the lift block.  That is a
+    #     projection of the full one, so it still composes to zero with the
+    #     one below, and it has the same kernel: D x + rho s = 0 gives
+    #     rho r s = D rho s = -D D x = 0, so r s = 0.  Only the rank of the
+    #     last differential is read, so no string of degree n_max+2 is needed.
     if n_max < 0:
         raise InputError(f"cohomology degree bound {n_max} is negative")
+    if f.base != c:
+        raise InputError("coefficients do not live on the category")
     bad = validate_abelian_presheaf(f)
     if bad:
         raise ValidationFailure("; ".join(bad))
@@ -280,8 +296,7 @@ def cochain_complex(
                 "re-present the coefficients with strictly functorial matrices"
             )
     has_torsion = any(f.group[x].torsion for x in c.objects)
-    # the cone needs relations one degree above the last differential
-    top = n_max + 2 if has_torsion else n_max + 1
+    top = n_max + 1
     tokens, faces = string_table(c, top, normalized, max_strings)
     vertex = [[c.string_vertex(n, t) for t in level] for n, level in enumerate(tokens)]
     gens = {x: f.group[x].generator_count for x in c.objects}
@@ -337,14 +352,12 @@ def cochain_complex(
         return {k: v for k, v in entries.items() if v}
 
     base_diffs = [base_differential(n) for n in range(top)]
-    string_counts = tuple(len(vertex[n]) for n in range(n_max + 2))
+    string_counts = tuple(len(level) for level in vertex)
 
     if not has_torsion:
-        ranks = tuple(gen_ranks[: n_max + 2])
-        diffs = tuple(base_diffs[: n_max + 1])
         return CochainComplex(
-            ranks=ranks,
-            differentials=diffs,
+            ranks=tuple(gen_ranks),
+            differentials=tuple(base_diffs),
             string_counts=string_counts,
             degrees=n_max,
         )
@@ -387,10 +400,12 @@ def cochain_complex(
                         raise ValidationFailure("restriction does not respect relations")
         return {k: v for k, v in entries.items() if v}
 
-    # bottom slot: the degree-0 relations map into T^0 = F^0 (+) R^1
+    # bottom slot: the degree-0 relations map into T^0 = F^0 (+) R^1; the
+    # top slot is C^{n_max+1} alone (see (c) above)
     ranks = [rel_ranks[0]]
-    for n in range(n_max + 2):
+    for n in range(n_max + 1):
         ranks.append(gen_ranks[n] + rel_ranks[n + 1])
+    ranks.append(gen_ranks[n_max + 1])
     diffs = []
     bottom: dict[tuple[int, int], int] = {}
     for (r, cc), v in rel_matrix(0).items():
@@ -405,15 +420,13 @@ def cochain_complex(
         rho = rel_matrix(n + 1)
         for (r, cc), v in rho.items():
             entries[(r, gen_ranks[n] + cc)] = v
-        lift = rel_lift(n + 1)
-        for (r, cc), v in lift.items():
-            entries[(gen_ranks[n + 1] + r, gen_ranks[n] + cc)] = -v
+        if n < n_max:
+            for (r, cc), v in rel_lift(n + 1).items():
+                entries[(gen_ranks[n + 1] + r, gen_ranks[n] + cc)] = -v
         diffs.append(entries)
-    ranks_t = tuple(ranks)
-    diffs_t = tuple(diffs)
     return CochainComplex(
-        ranks=ranks_t,
-        differentials=diffs_t,
+        ranks=tuple(ranks),
+        differentials=tuple(diffs),
         string_counts=string_counts,
         degrees=n_max,
         offset=1,
@@ -459,18 +472,25 @@ def cohomology_of_complex(cc: CochainComplex) -> list[FgAbelianGroup]:
 
 
 def _cohomology(cc: CochainComplex) -> list[FgAbelianGroup]:
-    """``cohomology_of_complex`` without the d^{n+1} d^n = 0 check."""
+    """``cohomology_of_complex`` without the d^{n+1} d^n = 0 check.
+
+    Only the rank of the differential out of the top degree is read, so it
+    is reduced in rank-only mode and nothing above it is reduced at all.
+    """
+    last = cc.degrees + cc.offset
     rank: dict[int, int] = {}
     torsion: dict[int, list[int]] = {}
     cleared: set[int] = set()
-    for n, entries in enumerate(cc.differentials):
+    for n, entries in enumerate(cc.differentials[: last + 1]):
         rows = cc.ranks[n + 1] if n + 1 < len(cc.ranks) else 0
         if cleared:
             entries = {k: v for k, v in entries.items() if k[1] not in cleared}
+        if n == last:
+            rank[n] = sparse_invariant_factors(entries, rows, cc.ranks[n], rank_only=True)[0]
+            continue
         pivots: list[int] = []
-        rk, factors = sparse_invariant_factors(entries, rows, cc.ranks[n], pivots)
+        rank[n], factors = sparse_invariant_factors(entries, rows, cc.ranks[n], pivots)
         cleared = set(pivots)
-        rank[n] = rk
         torsion[n] = [f for f in factors if f > 1]
     out = []
     for n in range(cc.degrees + 1):

@@ -3,11 +3,14 @@
 Everything here works over arbitrary-precision Python integers; no floats
 anywhere.  Matrices are immutable row-major tuples of tuples.  The sparse
 routine exists because boundary/differential matrices of simplicial objects
-are large but mostly eliminate with unit pivots: it sweeps the columns
-shortest first, pivots on the shortest row with a +-1 entry, and hands the
-small leftover to the dense Smith-form diagonal.  It can report its unit
-pivot rows, which lets a chain-complex caller clear the matching columns of
-the next differential before reducing it.
+are large but mostly eliminate with unit pivots: a coreduction first takes
+every +-1 entry that is alone in its row or column, with no arithmetic,
+then sweeps the columns shortest first, pivots on the shortest row with a
++-1 entry, and hands the small leftover to the dense Smith-form diagonal.
+It can report its unit pivot rows, which lets a chain-complex caller clear
+the matching columns of the next differential before reducing it, and it
+has a rank-only mode, for a differential whose factors nobody reads, in
+which the coreduction also takes non-unit entries.
 """
 
 from __future__ import annotations
@@ -206,17 +209,32 @@ def sparse_invariant_factors(
     nrows: int,
     ncols: int,
     pivot_rows: list[int] | None = None,
+    *,
+    rank_only: bool = False,
 ) -> tuple[int, list[int]]:
     """(rank, invariant factors) of a sparse integer matrix.
 
-    Strategy: greedy +-1 elimination (a coreduction, or algebraic Morse
-    matching, of the cochain complex).  Each sweep visits the live columns
-    shortest first and, within a column, pivots on the shortest row whose
-    entry there is +-1; every such pivot contributes an invariant factor 1
-    and removes its row and column.  Sweeps repeat until one finds no unit
-    pivot, and whatever is left goes to the dense routine.  Invariant
-    factors do not depend on the pivot order; for simplicial boundary
-    matrices the dense leftover is tiny.
+    Strategy: greedy +-1 elimination in two phases.  The first is a
+    coreduction (algebraic Morse matching; Mrozek & Batko 2009, Skoeldberg
+    2006) driven by a work stack seeded with every row and column of length
+    one: when the single entry of such a line is +-1 it is a pivot whose
+    row and column are dropped with no arithmetic, and each neighbour whose
+    length falls to one is pushed.  A singleton column needs no row
+    operation to clear, and a singleton row's row operations touch only its
+    own column, so the factors are those of the rest.  The second phase
+    sweeps the live columns shortest first and, within a column, pivots on
+    the shortest row whose entry there is +-1, eliminating the rest of the
+    column.  Every unit pivot contributes an invariant factor 1 and removes
+    its row and column.  Sweeps repeat until one finds no unit pivot, and
+    whatever is left goes to the dense routine.  Invariant factors do not
+    depend on the pivot order; for simplicial boundary matrices the dense
+    leftover is tiny.
+
+    With ``rank_only`` only the rank is computed and the factors list comes
+    back empty.  A singleton line is then peeled whatever its nonzero entry
+    (over the rationals it splits off a rank-one block), so a column like
+    the relation column of a torsion generator never reaches the dense
+    leftover; ``pivot_rows`` cannot be asked for in this mode.
 
     When ``pivot_rows`` is given, the row of every +-1 pivot is appended to
     it, once each and in pivot order; there are as many as the unit pivots,
@@ -225,9 +243,12 @@ def sparse_invariant_factors(
     their product, ``d2 @ E^-1`` differs from ``d2`` only in the columns at
     pivot rows, and for any ``d2`` with ``d2 @ m == 0`` (``m`` this matrix)
     those columns vanish, because ``E @ m`` has a signed unit column at each
-    pivot row.  So such a ``d2`` keeps its rank and factors when the columns
-    at these rows are left out ("clearing", Chen & Kerber 2011).
+    pivot row (in both phases the pivot column ends as +-e_p).  So such a
+    ``d2`` keeps its rank and factors when the columns at these rows are
+    left out ("clearing", Chen & Kerber 2011).
     """
+    if rank_only and pivot_rows is not None:
+        raise ValueError("a rank-only reduction reports no pivot rows")
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
     for (i, j), val in entries.items():
@@ -236,7 +257,46 @@ def sparse_invariant_factors(
         rows.setdefault(i, {})[j] = val
         cols.setdefault(j, set()).add(i)
 
-    unit_count = 0
+    # every pivot adds one to the rank; outside rank-only mode each is +-1
+    # and so an invariant factor 1
+    pivot_count = 0
+    # coreduction: (is_column, index) of lines that had length one when pushed
+    stack = [(False, i) for i, row in rows.items() if len(row) == 1]
+    stack += [(True, j) for j, col in cols.items() if len(col) == 1]
+    while stack:
+        is_col, k = stack.pop()
+        if is_col:
+            col = cols.get(k)
+            if col is None or len(col) != 1:
+                continue
+            p, q = next(iter(col)), k
+        else:
+            row = rows.get(k)
+            if row is None or len(row) != 1:
+                continue
+            p, q = k, next(iter(row))
+        if not rank_only and rows[p][q] not in (1, -1):
+            continue
+        pivot_count += 1
+        if pivot_rows is not None:
+            pivot_rows.append(p)
+        for j in rows.pop(p):
+            if j != q:
+                col = cols[j]
+                col.discard(p)
+                if len(col) == 1:
+                    stack.append((True, j))
+                elif not col:
+                    del cols[j]
+        for i in cols.pop(q):
+            if i != p:
+                row = rows[i]
+                del row[q]
+                if len(row) == 1:
+                    stack.append((False, i))
+                elif not row:
+                    del rows[i]
+
     found = True
     while found:
         found = False
@@ -275,7 +335,7 @@ def sparse_invariant_factors(
                 cols[j].discard(p)
                 if not cols[j]:
                     del cols[j]
-            unit_count += 1
+            pivot_count += 1
             found = True
 
     if rows:
@@ -289,7 +349,9 @@ def sparse_invariant_factors(
         rest = snf_diagonal(dense)
     else:
         rest = []
-    factors = [1] * unit_count + [d for d in rest if d != 0]
+    if rank_only:
+        return pivot_count + len(rest), []
+    factors = [1] * pivot_count + [d for d in rest if d != 0]
     return len(factors), factors
 
 

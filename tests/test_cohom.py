@@ -232,6 +232,22 @@ class TestCochainComplex:
         with pytest.raises(InputError, match="negative"):
             cochain_complex(z2, constant_abelian_presheaf(z2, ZZ), -1)
 
+    def test_torsion_cone_stops_at_degree_n_max_plus_one(self, z3):
+        # normalized Z/3 has 2^n strings in degree n; with Z/2 and n_max = 2
+        # the cut cone enumerates degrees 0..3 (8 strings) and never degree 4
+        f = constant_abelian_presheaf(z3, zmod(2))
+        cc = cochain_complex(z3, f, 2, max_strings=10)
+        assert cc.string_counts == (1, 2, 4, 8)
+        assert [x.factors for x in cohomology_of_complex(cc)] == [(2,), (), ()]
+        with pytest.raises(CapExceeded, match="^more than 7 strings in degree 3$"):
+            cochain_complex(z3, f, 2, max_strings=7)
+
+    def test_coefficients_on_another_category_are_refused(self, chain2, z2):
+        # f lives on Z/2, whose morphism names chain2 does not share
+        f = constant_abelian_presheaf(z2, ZZ)
+        with pytest.raises(InputError, match="do not live on the category"):
+            cochain_complex(chain2, f, 2)
+
     def test_torsion_universal_coefficients(self, z2):
         # H^*(Z/2; Z/4) by universal coefficients: Z/4, Z/2, Z/2, ...
         h = cohomology_of_complex(

@@ -2,6 +2,10 @@
 
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fibsite.cohom import ZZ, _cohomology, cochain_complex, constant_abelian_presheaf, zmod
 from fibsite.fincat import (
     discrete_category,
     is_equivalence,
@@ -23,13 +27,22 @@ from fibsite.fincat import Functor, identity_functor
 from fibsite.hocopb import hocolim
 from fibsite.sampling import (
     orbit_diagram,
+    random_groupoid,
     random_poset_site,
     random_presheaf,
+    random_presheaf_of_categories,
     random_sectionwise_equivalence,
     random_topology,
 )
 from fibsite.site import is_sheaf, make_presheaf, verify_topology
-from fibsite.sset import SimplicialMap, standard_simplex, validate_simplicial_map, we_evidence
+from fibsite.sset import (
+    SimplicialMap,
+    homology,
+    nerve,
+    standard_simplex,
+    validate_simplicial_map,
+    we_evidence,
+)
 
 
 def discrete_presheaf_of_categories(site, x):
@@ -293,3 +306,50 @@ class TestHocolimPreservesEvidence:
         induced = SimplicialMap(domain=hi.total, codomain=hp.total, components=tuple(comps))
         assert validate_simplicial_map(induced) == []
         assert we_evidence(induced, 3).passed
+
+
+def uct_category(seed):
+    """A poset, a groupoid (its cyclic groups give torsion in the homology)
+    or the total category of a random presheaf of categories over a poset."""
+    rng = random.Random(seed)
+    kind = seed % 3
+    if kind == 0:
+        return random_poset_site(rng)
+    if kind == 1:
+        return random_groupoid(rng, max_objects=2, max_group=4)
+    pc = random_presheaf_of_categories(rng, random_poset_site(rng, 2), max_fibre_objects=2)
+    return grothendieck_construct(pc).total
+
+
+class TestUniversalCoefficients:
+    """The universal coefficient theorem ties the cochain complex with
+    constant coefficients (string enumeration, cone, elimination) to the
+    integral homology of the nerve (``sset.homology``, a separate assembly):
+    H^n(C; Z) = Hom(H_n, Z) + Ext(H_{n-1}, Z), and H^n(C; Z/p) has one
+    summand Z/p per factor of H_n that is 0 or divisible by p and one per
+    torsion factor of H_{n-1} divisible by p.  Every degree is checked as
+    the top degree of its own complex, where the torsion cone is cut."""
+
+    TOP = 3
+
+    @staticmethod
+    def expected(h, n, p):
+        """Factors of H^n(C; Z) (p == 0) or H^n(C; Z/p) from H_*(C)."""
+        below = [d for d in h[n - 1] if d] if n else []
+        if p == 0:
+            return tuple(sorted(below)) + (0,) * h[n].count(0)
+        dim = sum(1 for d in h[n] if d % p == 0) + sum(1 for d in below if d % p == 0)
+        return (p,) * dim
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**16), st.booleans())
+    def test_cohomology_follows_from_nerve_homology(self, seed, normalized):
+        c = uct_category(seed)
+        h = homology(nerve(c, self.TOP + 1), self.TOP).factors
+        for p, g in ((0, ZZ), (2, zmod(2)), (3, zmod(3))):
+            f = constant_abelian_presheaf(c, g)
+            for n_max in range(self.TOP + 1):
+                got = _cohomology(cochain_complex(c, f, n_max, normalized))
+                assert [x.factors for x in got] == [
+                    self.expected(h, n, p) for n in range(n_max + 1)
+                ], (p, n_max)

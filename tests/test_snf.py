@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from sympy.matrices.normalforms import hermite_normal_form
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
+from fibsite import cohom, snf
 from fibsite.cohom import (
     FgAbelianGroup,
     ZZ,
@@ -218,6 +219,84 @@ def test_sparse_matches_dense_on_cochain_differentials():
         for n, entries in enumerate(cc.differentials):
             nrows = cc.ranks[n + 1] if n + 1 < len(cc.ranks) else 0
             assert_sparse_matches_dense(dict(entries), nrows, cc.ranks[n])
+
+
+# A random sparse block, then singleton columns and rows planted beside it,
+# with unit and non-unit entries: the coreduction pivots on the unit ones in
+# both modes and peels the non-unit ones only in rank-only mode.
+@st.composite
+def planted_singletons(draw):
+    nr, nc = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    values = st.sampled_from((1, -1, 1, -1, 2, -2, 3, -3))
+    entries = draw(
+        st.dictionaries(
+            st.tuples(st.integers(0, nr - 1), st.integers(0, nc - 1)),
+            values,
+            max_size=2 * max(nr, nc),
+        )
+    )
+    singles = st.sampled_from((1, -1, 2, -3))
+    ncols = nc + draw(st.integers(0, 4))
+    for j in range(nc, ncols):
+        entries[(draw(st.integers(0, nr - 1)), j)] = draw(singles)
+    nrows = nr + draw(st.integers(0, 4))
+    for i in range(nr, nrows):
+        entries[(i, draw(st.integers(0, ncols - 1)))] = draw(singles)
+    return entries, nrows, ncols
+
+
+@settings(max_examples=150, deadline=None)
+@given(planted_singletons())
+def test_coreduction_keeps_factors_rank_and_pivot_rows(case):
+    entries, nrows, ncols = case
+    m = [[entries.get((i, j), 0) for j in range(ncols)] for i in range(nrows)]
+    dense = snf_diagonal(m)
+    pivots: list[int] = []
+    assert sparse_invariant_factors(entries, nrows, ncols, pivots) == (len(dense), dense)
+    assert sparse_invariant_factors(entries, nrows, ncols, rank_only=True) == (len(dense), [])
+    # distinct rows, each with a +-1 at its pivot: then the pivot rows alone
+    # span a saturated lattice of full rank
+    assert len(set(pivots)) == len(pivots)
+    assert snf_diagonal([m[i] for i in pivots]) == [1] * len(pivots)
+
+
+def test_rank_only_peels_non_unit_singletons_and_reports_no_pivots():
+    entries = {(0, 0): 4, (1, 1): -6, (1, 2): 2, (2, 2): 3}
+    assert sparse_invariant_factors(entries, 3, 3) == (3, [1, 2, 36])
+    assert sparse_invariant_factors(entries, 3, 3, rank_only=True) == (3, [])
+    with pytest.raises(ValueError, match="rank-only"):
+        sparse_invariant_factors(entries, 3, 3, [], rank_only=True)
+
+
+def test_cut_cone_sends_no_dense_leftover_from_its_last_differential(monkeypatch):
+    # Z/4 + Z on the codiscrete groupoid: the relation columns of the last
+    # differential carry the factor 4, and a full reduction of that matrix
+    # leaves a dense block of 182 x 182 (normalized: 32 x 32) for the Smith
+    # routine; the rank-only reduction that _cohomology runs peels them all
+    e3 = codiscrete_groupoid(["a", "b", "c"])
+    f = constant_abelian_presheaf(e3, FgAbelianGroup(factors=(4, 0)))
+    sparse = snf.sparse_invariant_factors
+    last: list[tuple] = []
+
+    def record(entries, nrows, ncols, pivot_rows=None, *, rank_only=False):
+        if rank_only:
+            last.append((entries, nrows, ncols))
+        return sparse(entries, nrows, ncols, pivot_rows, rank_only=rank_only)
+
+    monkeypatch.setattr(cohom, "sparse_invariant_factors", record)
+    for normalized, full_leftover in ((True, 32), (False, 182)):
+        last.clear()
+        h = cohom._cohomology(cochain_complex(e3, f, 3, normalized))
+        assert [x.factors for x in h] == [(4, 0), (), (), ()]
+        (top,) = last
+        # the same matrix in both modes, counting the rows that reach the
+        # dense routine without reducing them
+        leftover: list[int] = []
+        with monkeypatch.context() as mp:
+            mp.setattr(snf, "snf_diagonal", lambda m: leftover.append(len(m)) or [])
+            sparse(*top, rank_only=True)
+            sparse(*top)
+        assert leftover == [full_leftover]
 
 
 def test_kernel_basis():
