@@ -42,13 +42,15 @@ from .fincat import FiniteCategory, Functor, comma_data, identity_functor, strin
 from .site import GrothendieckTopology, Sieve, is_trivial_topology
 from .snf import (
     Matrix,
+    _reduce_with_clearing,
     identity_matrix,
     kernel_basis,
     matmul,
     matrix,
     normalize_factors,
     quotient_invariants,
-    sparse_invariant_factors,
+    # importable from here, as from sset (see there)
+    sparse_invariant_factors,  # noqa: F401
 )
 
 
@@ -456,11 +458,11 @@ def cohomology_of_complex(cc: CochainComplex) -> list[FgAbelianGroup]:
     """H^0..H^degrees by ranks and invariant factors of the differentials.
 
     The differentials are reduced in order, d^0 first, each by one
-    ``sparse_invariant_factors`` call.  Each call reports its unit-pivot
-    rows, and the next differential is passed without the columns at those
-    rows (clearing): since d^{n+1} d^n = 0 and the pivot block is
-    unimodular, those columns become zero under a change of basis that
-    leaves every other column alone, so each (rank, factors) is exactly
+    ``sparse_invariant_factors`` call, through ``snf._reduce_with_clearing``.
+    Each call reports its unit-pivot rows, and the next one skips the
+    columns at those rows (clearing): since d^{n+1} d^n = 0 and the pivot
+    block is unimodular, those columns become zero under a change of basis
+    that leaves every other column alone, so each (rank, factors) is exactly
     that of the whole matrix.  The complex must therefore compose to zero
     exactly; cc is a caller's input, so that is checked first, and a
     complex that fails raises ``ValidationFailure`` naming the degree.
@@ -478,26 +480,18 @@ def _cohomology(cc: CochainComplex) -> list[FgAbelianGroup]:
     is reduced in rank-only mode and nothing above it is reduced at all.
     """
     last = cc.degrees + cc.offset
-    rank: dict[int, int] = {}
-    torsion: dict[int, list[int]] = {}
-    cleared: set[int] = set()
-    for n, entries in enumerate(cc.differentials[: last + 1]):
-        rows = cc.ranks[n + 1] if n + 1 < len(cc.ranks) else 0
-        if cleared:
-            entries = {k: v for k, v in entries.items() if k[1] not in cleared}
-        if n == last:
-            rank[n] = sparse_invariant_factors(entries, rows, cc.ranks[n], rank_only=True)[0]
-            continue
-        pivots: list[int] = []
-        rank[n], factors = sparse_invariant_factors(entries, rows, cc.ranks[n], pivots)
-        cleared = set(pivots)
-        torsion[n] = [f for f in factors if f > 1]
+    chain = [
+        (entries, cc.ranks[n + 1] if n + 1 < len(cc.ranks) else 0, cc.ranks[n])
+        for n, entries in enumerate(cc.differentials[: last + 1])
+    ]
+    # reduced[n + 1] is (rank, factors) of d^n, with d^{-1} = 0
+    reduced = [(0, [])] + _reduce_with_clearing(chain, last_rank_only=True)
     out = []
     for n in range(cc.degrees + 1):
         idx = n + cc.offset
-        free = cc.ranks[idx] - rank[idx] - (rank[idx - 1] if idx >= 1 else 0)
-        tor = torsion[idx - 1] if idx >= 1 else []
-        out.append(FgAbelianGroup(factors=normalize_factors(tor, free)))
+        (rank_in, factors_in), (rank_out, _) = reduced[idx], reduced[idx + 1]
+        free = cc.ranks[idx] - rank_out - rank_in
+        out.append(FgAbelianGroup(factors=normalize_factors(factors_in, free)))
     return out
 
 

@@ -122,7 +122,7 @@ def validate_over_nerve(x: OverNerve) -> list[str]:
     report.extend(validate_simplicial(x.total))
     if x.structure.domain != x.total:
         report.append("structure map does not start at the total object")
-    if x.structure.codomain != nerve(x.base, x.total.dim):
+    if x.structure.codomain != _remembered(x.base, nerve, x.total.dim):
         report.append("structure map does not land in the base nerve")
     report.extend(validate_simplicial_map(x.structure))
     return report
@@ -177,7 +177,7 @@ def _hocolim(a: GroupoidDiagram, d: int) -> OverNerve:
     g = a.base
     if any(a.value[y].dim < d for y in g.objects):
         raise InputError("diagram values truncated below the requested degree")
-    ng = nerve(g, d)
+    ng = _remembered(g, nerve, d)
     simplices = []
     structure = []
     faces = {}

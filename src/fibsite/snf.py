@@ -7,16 +7,18 @@ are large but mostly eliminate with unit pivots: a coreduction first takes
 every +-1 entry that is alone in its row or column, with no arithmetic,
 then sweeps the columns shortest first, pivots on the shortest row with a
 +-1 entry, and hands the small leftover to the dense Smith-form diagonal.
-It can report its unit pivot rows, which lets a chain-complex caller clear
-the matching columns of the next differential before reducing it, and it
-has a rank-only mode, for a differential whose factors nobody reads, in
-which the coreduction also takes non-unit entries.
+It can report its unit pivot rows and skip given columns as it loads a
+matrix, so ``_reduce_with_clearing`` reduces a chain of differentials in
+order, leaving out of each the columns at the unit-pivot rows of the one
+before it without copying anything; and it has a rank-only mode, for a
+differential whose factors nobody reads, in which the coreduction also takes
+non-unit entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -211,6 +213,7 @@ def sparse_invariant_factors(
     pivot_rows: list[int] | None = None,
     *,
     rank_only: bool = False,
+    cleared: Collection[int] = (),
 ) -> tuple[int, list[int]]:
     """(rank, invariant factors) of a sparse integer matrix.
 
@@ -246,13 +249,17 @@ def sparse_invariant_factors(
     pivot row (in both phases the pivot column ends as +-e_p).  So such a
     ``d2`` keeps its rank and factors when the columns at these rows are
     left out ("clearing", Chen & Kerber 2011).
+
+    The entries in the columns named by ``cleared`` are skipped as the rows
+    are loaded, so the answer is that of the matrix with those columns set
+    to zero; ``entries`` itself is never copied or changed.
     """
     if rank_only and pivot_rows is not None:
         raise ValueError("a rank-only reduction reports no pivot rows")
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
     for (i, j), val in entries.items():
-        if val == 0:
+        if val == 0 or j in cleared:
             continue
         rows.setdefault(i, {})[j] = val
         cols.setdefault(j, set()).add(i)
@@ -353,6 +360,34 @@ def sparse_invariant_factors(
         return pivot_count + len(rest), []
     factors = [1] * pivot_count + [d for d in rest if d != 0]
     return len(factors), factors
+
+
+def _reduce_with_clearing(
+    chain: Sequence[tuple[dict[tuple[int, int], int], int, int]],
+    last_rank_only: bool = False,
+) -> list[tuple[int, list[int]]]:
+    """(rank, invariant factors) of every matrix of a chain, with clearing.
+
+    ``chain`` lists (entries, nrows, ncols) in reduction order; the columns
+    of each matrix are indexed like the rows of the one before it, and each
+    composes to zero with the one before it.  Each reduction reports its
+    unit-pivot rows, and the next one skips the columns at those rows, which
+    keeps its rank and factors (see ``sparse_invariant_factors``).  With
+    ``last_rank_only`` the last matrix is reduced in rank-only mode and its
+    factors list is empty.
+    """
+    out: list[tuple[int, list[int]]] = []
+    pivots: list[int] = []
+    last = len(chain) - 1
+    for k, (entries, nrows, ncols) in enumerate(chain):
+        cleared = set(pivots)
+        if last_rank_only and k == last:
+            out.append(sparse_invariant_factors(
+                entries, nrows, ncols, rank_only=True, cleared=cleared))
+            break
+        pivots = []
+        out.append(sparse_invariant_factors(entries, nrows, ncols, pivots, cleared=cleared))
+    return out
 
 
 def kernel_basis(m: Sequence[Sequence[int]]) -> Matrix:

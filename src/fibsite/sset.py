@@ -24,7 +24,10 @@ from .fincat import (
     opposite,
     string_table,
 )
-from .snf import normalize_factors, sparse_invariant_factors
+# sparse_invariant_factors stays importable from here, where perfbench's
+# tracer test looks for it, although homology reaches it through
+# _reduce_with_clearing
+from .snf import _reduce_with_clearing, normalize_factors, sparse_invariant_factors  # noqa: F401
 
 Token = Hashable
 
@@ -545,63 +548,61 @@ def boundary_entries(
     s: TruncatedSimplicialSet, n: int, normalized: bool = True
 ) -> tuple[dict[tuple[int, int], int], int, int]:
     """Sparse boundary matrix from degree n to degree n-1 as (entries, rows, cols)."""
-    return _boundary(s, n, _basis(s, n, normalized), _basis(s, n - 1, normalized))
+    basis_n, basis_m = _basis(s, n, normalized), _basis(s, n - 1, normalized)
+    entries, ncols, nrows = _coboundary(s, n, basis_n, basis_m)
+    return {(r, j): v for (j, r), v in entries.items()}, nrows, ncols
 
 
-def _boundary(
+def _coboundary(
     s: TruncatedSimplicialSet, n: int, basis_n: tuple, basis_m: tuple
 ) -> tuple[dict[tuple[int, int], int], int, int]:
-    """boundary_entries with the bases of degrees n and n-1 already computed."""
-    row = {x: i for i, x in enumerate(basis_m)}
+    """Transposed boundary from degree n to degree n-1 as (entries, rows, cols).
+
+    Row j is the boundary of the j-th simplex of ``basis_n``; both bases
+    come already computed.
+    """
+    col = {x: i for i, x in enumerate(basis_m)}
     faces = [s.faces[(n, i)] for i in range(n + 1)]
     entries: dict[tuple[int, int], int] = {}
     for j, x in enumerate(basis_n):
         for i in range(n + 1):
-            y = faces[i][x]
-            r = row.get(y)
-            if r is None:
+            c = col.get(faces[i][x])
+            if c is None:
                 continue  # degenerate face vanishes in the normalized complex
-            key = (r, j)
+            key = (j, c)
             entries[key] = entries.get(key, 0) + (1 if i % 2 == 0 else -1)
-    return entries, len(basis_m), len(basis_n)
+    return entries, len(basis_n), len(basis_m)
 
 
 def homology(
     s: TruncatedSimplicialSet, top: int, normalized: bool = True
 ) -> HomologyResult:
-    """H_0..H_top of the integer chain complex.
+    """H_0..H_top of the integer chain complex, and the path components.
 
     Requires top <= dim - 1 so that the boundaries out of degree top+1 are
     available; under that condition the truncated answer agrees with the
-    homology of any simplicial set this one truncates.  The boundaries are
-    reduced from the top down with clearing, which relies on d d = 0, that
-    is on s satisfying the simplicial identities (``validate_simplicial``).
+    homology of any simplicial set this one truncates.  The transposed
+    boundaries d_1^T, d_2^T, ..., d_{top+1}^T are reduced in that order with
+    clearing, the order ``cohom`` uses: the unit-pivot rows of d_n^T are
+    columns that d_{n+1}^T skips, so the largest matrix comes last with the
+    most columns cleared.  Clearing relies on d d = 0, that is on s
+    satisfying the simplicial identities (``validate_simplicial``), and
+    transposing changes no rank or invariant factor.  H_0 is free on the
+    path components, so their number is the rank of H_0.
     """
     if top < 0:
         raise InputError(f"homology degree bound {top} is negative")
     if top > s.dim - 1:
         raise InputError("truncation too low for the requested degree")
     bases = [_basis(s, n, normalized) for n in range(top + 2)]
-    rank: dict[int, int] = {0: 0}
-    torsion: dict[int, list[int]] = {0: []}
-    # top boundary first: the unit-pivot rows of d_n are columns of d_{n-1}
-    # that clearing leaves out (see cohom.cohomology_of_complex)
-    cleared: set[int] = set()
-    for n in range(top + 1, 0, -1):
-        entries, _r, _c = _boundary(s, n, bases[n], bases[n - 1])
-        if cleared:
-            entries = {k: v for k, v in entries.items() if k[1] not in cleared}
-        pivots: list[int] = []
-        rk, factors = sparse_invariant_factors(entries, _r, _c, pivots)
-        cleared = set(pivots)
-        rank[n] = rk
-        torsion[n] = [f for f in factors if f > 1]
+    chain = [_coboundary(s, n, bases[n], bases[n - 1]) for n in range(1, top + 2)]
+    # reduced[n] is (rank, factors) of d_n, with d_0 = 0
+    reduced = [(0, [])] + _reduce_with_clearing(chain)
     out = []
     for n in range(top + 1):
-        free = len(bases[n]) - rank[n] - rank[n + 1]
-        out.append(normalize_factors(torsion[n + 1], free))
-    components = len(set(pi0_sset(s).values()))
-    return HomologyResult(factors=tuple(out), components=components)
+        free = len(bases[n]) - reduced[n][0] - reduced[n + 1][0]
+        out.append(normalize_factors(reduced[n + 1][1], free))
+    return HomologyResult(factors=tuple(out), components=len(bases[0]) - reduced[1][0])
 
 
 # ---------------------------------------------------------------------------

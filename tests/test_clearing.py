@@ -2,8 +2,11 @@
 
 Clearing leaves out the columns of a differential at the unit-pivot rows of
 the one reduced before it.  These tests reduce sampled cochain complexes
-and boundary chains both ways and require the same (rank, factors) per
-matrix; they also check the ``pivot_rows`` contract and that the string
+and boundary chains, in both orders, with and without clearing and require
+the same (rank, factors) per matrix; they check ``sset.homology``, which
+reduces the transposed boundaries bottom up, against an uncleared
+reduction of every boundary matrix, and count the work it hands the
+kernel.  They also check the ``pivot_rows`` contract and that the string
 kernel matches a brute-force enumeration, the direct face formula and the
 counting recurrence for its cap.
 """
@@ -16,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibsite import cohom, fibred, hocopb, sampling, sset
+from fibsite import cohom, fibred, hocopb, sampling, snf, sset
 from fibsite.bundle import parse_bundle
 from fibsite.errors import CapExceeded
 from fibsite.fincat import (
@@ -39,7 +42,9 @@ def reduce_with_clearing(chain):
     for entries, nrows, ncols in chain:
         kept = {k: v for k, v in entries.items() if k[1] not in cleared}
         pivots: list[int] = []
-        got = sparse_invariant_factors(kept, nrows, ncols, pivots)
+        got = sparse_invariant_factors(entries, nrows, ncols, pivots, cleared=cleared)
+        # skipping the cleared columns is leaving them out of the entries
+        assert got == sparse_invariant_factors(kept, nrows, ncols)
         assert got == sparse_invariant_factors(entries, nrows, ncols)
         assert len(set(pivots)) == len(pivots)
         assert all(0 <= p < nrows for p in pivots)
@@ -52,6 +57,17 @@ def reduce_with_clearing(chain):
             [1] * len(pivots),
         )
         cleared = set(pivots)
+    # the loop that sset.homology and cohom._cohomology share
+    uncleared = [sparse_invariant_factors(*m) for m in chain]
+    assert snf._reduce_with_clearing(chain) == uncleared
+    if chain:
+        last = snf._reduce_with_clearing(chain, last_rank_only=True)
+        assert last == uncleared[:-1] + [(uncleared[-1][0], [])]
+
+
+def transposed(matrix):
+    entries, nrows, ncols = matrix
+    return {(j, i): v for (i, j), v in entries.items()}, ncols, nrows
 
 
 def cochain_chain(cc):
@@ -61,8 +77,14 @@ def cochain_chain(cc):
     ]
 
 
-def boundary_chain(s, top):
-    return [sset.boundary_entries(s, n) for n in range(top + 1, 0, -1)]
+def boundary_chain(s, top, normalized=True):
+    """d_{top+1}, ..., d_1: the boundaries from the top down."""
+    return [sset.boundary_entries(s, n, normalized) for n in range(top + 1, 0, -1)]
+
+
+def coboundary_chain(s, top, normalized=True):
+    """d_1^T, ..., d_{top+1}^T: the order ``sset.homology`` reduces in."""
+    return [transposed(m) for m in reversed(boundary_chain(s, top, normalized))]
 
 
 def sampled_invariance_complexes(seed, count):
@@ -88,33 +110,95 @@ def test_clearing_keeps_factors_on_invariance_complexes(seed):
         reduce_with_clearing(cochain_chain(cc))
 
 
-def test_clearing_keeps_factors_on_nerve_and_hocolim_chains():
+def z3_simplex_hocolim(d):
+    """hocolim(pb(x)) for x the standard 2-simplex over a 2-string of Z/3."""
+    z3 = cyclic_groupoid(3)
+    ng = sset.nerve(z3, d)
+    sigma = sorted(ng.simplices[2], key=repr)[0]
+    x = hocopb.OverNerve(z3, *sampling.simplex_over_nerve(z3, sigma, ng))
+    return hocopb.hocolim(hocopb.pb(x), d).total
+
+
+def oracle_spaces():
+    """(space, top): nerves, standard simplices and hocolims."""
     spaces = [
-        sset.nerve(cyclic_groupoid(3), 4),
-        sset.nerve(codiscrete_groupoid(["a", "b"]), 4),
-        sset.nerve(poset_chain(["W", "V", "U"]), 4),
-        sset.standard_simplex(3, 4),
+        (sset.nerve(cyclic_groupoid(2), 5), 4),
+        (sset.nerve(cyclic_groupoid(3), 5), 4),
+        (sset.nerve(cyclic_groupoid(5), 5), 4),
+        (sset.nerve(codiscrete_groupoid(["a", "b"]), 4), 3),
+        (sset.nerve(codiscrete_groupoid(["a", "b", "c"]), 4), 3),
+        (sset.nerve(poset_chain(["W", "V", "U"]), 4), 3),
+        (sset.nerve(poset_chain(["X", "W", "V", "U"]), 5), 4),
+        (sset.standard_simplex(2, 4), 3),
+        (sset.standard_simplex(3, 5), 4),
+        (z3_simplex_hocolim(4), 3),
     ]
     rng = random.Random(5)
-    for g in (cyclic_groupoid(2), codiscrete_groupoid(["a", "b"])):
-        for _ in range(3):
-            spaces.append(hocopb.hocolim(sampling.random_diagram(rng, opposite(g), 4), 4).total)
-    for s in spaces:
-        reduce_with_clearing(boundary_chain(s, 3))
+    for g in (cyclic_groupoid(2), cyclic_groupoid(3), codiscrete_groupoid(["a", "b"])):
+        for _ in range(2):
+            diagram = sampling.random_diagram(rng, opposite(g), 4)
+            spaces.append((hocopb.hocolim(diagram, 4).total, 3))
+    return spaces
+
+
+def test_clearing_keeps_factors_on_nerve_and_hocolim_chains():
+    for s, top in oracle_spaces():
+        # cut lower than the homology oracle below, to keep the chains small
+        for normalized, t in ((True, min(top, 3)), (False, min(top, 2))):
+            reduce_with_clearing(boundary_chain(s, t, normalized))
+            reduce_with_clearing(coboundary_chain(s, t, normalized))
+
+
+def uncleared_homology(s, top, normalized):
+    """H_0..H_top from one uncleared reduction of each boundary matrix."""
+    mats = {n: sset.boundary_entries(s, n, normalized) for n in range(1, top + 2)}
+    size = {0: mats[1][1], **{n: m[2] for n, m in mats.items()}}
+    rank, factors = {0: 0}, {0: []}
+    for n, m in mats.items():
+        rank[n], factors[n] = sparse_invariant_factors(*m)
+    return tuple(
+        normalize_factors(factors[n + 1], size[n] - rank[n] - rank[n + 1])
+        for n in range(top + 1)
+    )
 
 
 def test_homology_matches_uncleared_reduction():
-    s = sset.nerve(cyclic_groupoid(2), 5)
-    expected = []
-    sizes = [len(s.nondegenerate(n)) for n in range(5)]
-    rank = {0: 0, 5: 0}
-    tors = {}
-    for n in range(1, 5):
-        rank[n], factors = sparse_invariant_factors(*sset.boundary_entries(s, n))
-        tors[n] = [f for f in factors if f > 1]
-    for n in range(4):
-        expected.append(normalize_factors(tors[n + 1], sizes[n] - rank[n] - rank[n + 1]))
-    assert list(sset.homology(s, 3).factors) == expected
+    for s, top in oracle_spaces():
+        components = len(set(sset.pi0_sset(s).values()))
+        for normalized, t in ((True, top), (False, min(top, 3))):
+            h = sset.homology(s, t, normalized)
+            assert h.factors == uncleared_homology(s, t, normalized)
+            assert h.components == components
+
+
+def test_homology_hands_the_kernel_cleared_coboundaries(monkeypatch):
+    # the workload's largest homology: degrees 0..4 hold 9, 45, 171, 558 and
+    # 1656 nondegenerate simplices.  Reduced from the top down, d_4 (558 x
+    # 1656, 7254 nonzeros) reaches the kernel with nothing cleared; in
+    # coboundary order d_4^T comes last, with the columns at the pivot rows
+    # of d_3^T skipped
+    s = z3_simplex_hocolim(4)
+    calls, dense = [], []
+    sparse, diagonal = snf.sparse_invariant_factors, snf.snf_diagonal
+
+    def record(entries, nrows, ncols, pivot_rows=None, *, rank_only=False, cleared=()):
+        out = sparse(entries, nrows, ncols, pivot_rows, rank_only=rank_only, cleared=cleared)
+        calls.append((nrows, ncols, len(entries), set(cleared), list(pivot_rows)))
+        return out
+
+    monkeypatch.setattr(snf, "sparse_invariant_factors", record)
+    monkeypatch.setattr(snf, "snf_diagonal", lambda m: dense.append(m) or diagonal(m))
+    assert sset.homology(s, 3).factors == ((0,), (), (), ())
+    assert [c[:3] for c in calls] == [
+        (45, 9, 90), (171, 45, 495), (558, 171, 2052), (1656, 558, 7254)
+    ]
+    assert calls[0][3] == set()
+    for before, after in zip(calls, calls[1:]):
+        assert after[3] == set(before[4])
+    # unit pivots take every rank, so d_4^T skips rank d_3 = 134 columns,
+    # and nothing reaches the dense Smith routine
+    assert [len(c[4]) for c in calls] == [8, 37, 134, 424]
+    assert dense == []
 
 
 def test_pivot_rows_leave_the_dense_leftover_out():

@@ -198,6 +198,18 @@ class TestCommands:
         doc = json.loads(out)
         assert doc["payload"]["homology"] == [[0], [2], [], [2]]
 
+    def test_homology_payload_golden(self):
+        # H_1..H_6 of BZ/2 through the coboundary-order reduction, and the
+        # component count read off H_0, pinned with their key order
+        code, out = go([
+            "homology", str(BUNDLES / "pt_z2.bundle"), "--category", "Z2",
+            "--truncation", "8", "--top", "6",
+        ])
+        assert code == 0
+        assert json.dumps(json.loads(out)["payload"]) == (
+            '{"homology": [[0], [2], [], [2], [], [2], []], "components": 1}'
+        )
+
     def test_nerve_export(self):
         code, out = go(["nerve-export", str(BUNDLES / "pt_z2.bundle"), "--category", "Z2", "--truncation", "2"])
         assert code == 0

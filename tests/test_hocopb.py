@@ -459,6 +459,29 @@ class TestMemo:
         assert key not in hocopb._MEMO
         assert h() is None and p() is None
 
+    def test_one_nerve_per_base_groupoid(self, monkeypatch):
+        # the over side checks x against the nerve of its base and builds
+        # hocolim(pb(x)) over the same groupoid: one nerve serves both
+        g = cyclic_groupoid(3)
+        x = random_over_nerve(random.Random(4), g, 3)
+        built = []
+        monkeypatch.setattr(hocopb, "nerve", lambda c, d: built.append((c, d)) or nerve(c, d))
+        assert check_triangles(x=x).passed
+        assert we_evidence(unit_eta(x), 2).passed
+        assert built == [(g, 3)]
+
+    def test_nerve_entry_goes_with_its_groupoid(self):
+        g = cyclic_groupoid(3)
+        key = id(g)
+        h = hocolim(random_diagram(random.Random(8), g, 3), 3)
+        ng = weakref.ref(h.structure.codomain)
+        # the nerve refers to no groupoid, so nothing but g keeps the entry
+        assert hocopb._MEMO[key] == {(nerve, 3): ng()}
+        del h, g
+        gc.collect()
+        assert key not in hocopb._MEMO
+        assert ng() is None
+
     def test_invalid_input_raises_on_every_call(self, z2, builds, validated):
         rng = random.Random(9)
         a = random_diagram(rng, z2, 3)

@@ -278,24 +278,24 @@ def test_cut_cone_sends_no_dense_leftover_from_its_last_differential(monkeypatch
     sparse = snf.sparse_invariant_factors
     last: list[tuple] = []
 
-    def record(entries, nrows, ncols, pivot_rows=None, *, rank_only=False):
+    def record(entries, nrows, ncols, pivot_rows=None, *, rank_only=False, cleared=()):
         if rank_only:
-            last.append((entries, nrows, ncols))
-        return sparse(entries, nrows, ncols, pivot_rows, rank_only=rank_only)
+            last.append(((entries, nrows, ncols), cleared))
+        return sparse(entries, nrows, ncols, pivot_rows, rank_only=rank_only, cleared=cleared)
 
-    monkeypatch.setattr(cohom, "sparse_invariant_factors", record)
+    monkeypatch.setattr(snf, "sparse_invariant_factors", record)
     for normalized, full_leftover in ((True, 32), (False, 182)):
         last.clear()
         h = cohom._cohomology(cochain_complex(e3, f, 3, normalized))
         assert [x.factors for x in h] == [(4, 0), (), (), ()]
-        (top,) = last
+        ((top, cleared),) = last
         # the same matrix in both modes, counting the rows that reach the
         # dense routine without reducing them
         leftover: list[int] = []
         with monkeypatch.context() as mp:
             mp.setattr(snf, "snf_diagonal", lambda m: leftover.append(len(m)) or [])
-            sparse(*top, rank_only=True)
-            sparse(*top)
+            sparse(*top, rank_only=True, cleared=cleared)
+            sparse(*top, cleared=cleared)
         assert leftover == [full_leftover]
 
 

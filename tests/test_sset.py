@@ -1,6 +1,12 @@
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fibsite import sampling
 from fibsite.errors import InputError
+from fibsite.hocopb import hocolim
 from fibsite.fincat import Functor, Groupoid, cyclic_groupoid, opposite
 from fibsite.sset import (
     compose_simplicial_maps,
@@ -276,3 +282,35 @@ def test_z4_homology_oracle():
 
     h = homology(nerve(cyclic_groupoid(4), 5), 3)
     assert h.factors == ((0,), (4,), (), (4,))
+
+
+# ---------------------------------------------------------------------------
+# path components read off H_0, against the edge-path classes
+
+
+def sampled_piece(rng):
+    if rng.random() < 0.5:
+        c = sampling.random_groupoid(rng) if rng.random() < 0.5 else sampling.random_poset_site(rng)
+        return nerve(c, 3)
+    return standard_simplex(rng.randrange(4), 3)
+
+
+def sampled_space(seed):
+    """A nerve, a standard simplex, a disjoint union of these or a hocolim
+    of a random groupoid diagram, truncated at degree 3."""
+    rng = random.Random(seed)
+    kind = rng.randrange(3)
+    if kind == 0:
+        return sampled_piece(rng)
+    if kind == 1:
+        pieces = [sampled_piece(rng) for _ in range(rng.randint(1, 3))]
+        return disjoint_union_ssets(pieces, [f"p{i}" for i in range(len(pieces))])[0]
+    g = sampling.random_groupoid(rng, max_group=2)
+    return hocolim(sampling.random_diagram(rng, g, 3), 3).total
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**16), st.booleans())
+def test_components_are_the_edge_path_classes(seed, normalized):
+    s = sampled_space(seed)
+    assert homology(s, 2, normalized).components == len(set(pi0_sset(s).values()))
