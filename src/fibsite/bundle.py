@@ -395,6 +395,10 @@ def parse_bundle(paths: list[str]) -> Bundle:
                 for g in gens:
                     if g not in cat.morphisms:
                         raise BundleNameError(paths[0], rc.line, f"cover generator {g} unknown")
+                    if cat.target(g) != u:
+                        raise BundleValidationError(
+                            f"category {name}", [f"cover generator {g} does not target {u}"]
+                        )
                 seeds.setdefault(u, set()).add(
                     sieve_from_generators(cat, u, set(gens))
                 )

@@ -19,10 +19,11 @@ from .bundle import (
     BundleSyntaxError,
     BundleValidationError,
     _category_name,
+    _psheaf_name,
     parse_bundle,
 )
 from .errors import CapExceeded, InputError, RefusedMode, ValidationFailure
-from .fincat import string_table
+from .fincat import opposite, string_table, validate_category, validate_functor
 from .report import Report, emit_report, factors_to_payload
 
 EXIT_OK = 0
@@ -183,12 +184,8 @@ def _construction(bundle: Bundle, name: str):
 
 def cmd_fibred_build(args, bundle: Bundle, rep: Report) -> None:
     pc, fs, topo = _construction(bundle, args.psheaf)
-    from .fincat import validate_category
-
     bad = validate_category(fs.total)
     rep.add_verdict("total category valid", not bad, "; ".join(bad))
-    from .fincat import validate_functor
-
     bad = validate_functor(fs.projection)
     rep.add_verdict("projection is a functor", not bad, "; ".join(bad))
     induced = fibred.induced_topology(fs, topo)
@@ -296,10 +293,20 @@ def cmd_adjunction_check(args, bundle: Bundle, rep: Report) -> None:
     pc = bundle.presheaves_of_categories[args.psheaf]
     if not isinstance(pc, fibred.PresheafOfGroupoids):
         raise RefusedMode("the adjunction needs groupoid fibres")
-    from .fincat import opposite
-
+    # the instances are sampled over the fibre at the first site object, and
+    # anchored at its objects
+    if not pc.site.objects:
+        raise InputError(
+            f"psheaf-cat {args.psheaf} lives on a site with no objects, "
+            "so there is no fibre to sample the adjunction over"
+        )
     d = min(args.truncation, 4)
     u0 = sorted(pc.site.objects)[0]
+    if not pc.value[u0].objects:
+        raise InputError(
+            f"psheaf-cat {args.psheaf} has an empty fibre at {u0}, "
+            "so there is no object to sample the adjunction over"
+        )
     fibre_op = opposite(pc.value[u0])
     # the sampled diagrams and over-objects live over this fibre's nerve
     string_table(fibre_op, d, max_strings=args.max_strings)
@@ -353,7 +360,8 @@ def cmd_invariance_check(args, bundle: Bundle, rep: Report) -> None:
             raise InputError(f"no abpresheaf named {args.coeffs} in the bundle")
         f = bundle.abelian_presheaves[args.coeffs]
     else:
-        total = fibred.grothendieck_construct(mor.codomain).total
+        # parse_bundle validated the codomain; its total is built unchecked
+        total = bundle.fibred_site(_psheaf_name(bundle, mor.codomain)).total
         f = cohom.constant_abelian_presheaf(total, cohom.ZZ)
     n_max = min(args.nmax, 3)
     result = cohom.invariance_report(mor, f, n_max, max_strings=args.max_strings)

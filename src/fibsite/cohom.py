@@ -22,6 +22,10 @@ Stack cohomology of a presheaf of groupoids is the cohomology of the total
 category of its construction, which for the trivial topology is the derived
 limit the site theory asks for; nontrivial topologies are refused in exact
 mode and served by the Cech approximation.
+
+Inputs are validated once, at the public boundary, and coefficients the
+library builds itself, such as a pullback along an induced functor, go to
+the unchecked ``_cochain_complex``.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import InputError, RefusedMode, ValidationFailure
+from .errors import InputError, RefusedMode, ValidationFailure, require_valid
 from .fibred import (
     MorphismOfPresheavesOfCategories,
     PresheafOfGroupoids,
@@ -251,8 +255,29 @@ def cochain_complex(
     arrow's restriction to the zeroth face and alternates signs on the rest.
     The returned complex computes H^0..H^{n_max}.  Strings are enumerated in
     degrees 0..n_max+1 whatever the coefficients, and a degree with more than
-    max_strings strings raises ``CapExceeded``.
+    max_strings strings raises ``CapExceeded``.  f is validated first.
     """
+    if n_max < 0:
+        raise InputError(f"cohomology degree bound {n_max} is negative")
+    if f.base != c:
+        raise InputError("coefficients do not live on the category")
+    require_valid(validate_abelian_presheaf(f))
+    # the mapping-cone route needs the matrices to compose strictly, not just
+    # modulo relations; every presheaf built here (constants, pullbacks,
+    # slice restrictions) is strict, and a strict model can be demanded of
+    # callers without loss for the coefficients in scope
+    for (g, h), gh in c.composition.items():
+        if matmul(f.restriction[h], f.restriction[g]) != f.restriction[gh]:
+            raise ValidationFailure(
+                "restriction matrices compose only modulo relations; "
+                "re-present the coefficients with strictly functorial matrices"
+            )
+    return _cochain_complex(c, f, n_max, normalized, max_strings)
+
+
+def _cochain_complex(
+    c: FiniteCategory, f: AbelianPresheaf, n_max: int, normalized: bool, max_strings: int
+) -> CochainComplex:
     # d^{n+1} d^n = 0 holds exactly on the complex built here whenever c is
     # a category, so nothing multiplies the differentials out (the callers
     # that skip the check build c from validated input):
@@ -260,7 +285,7 @@ def cochain_complex(
     #     i < j (a test checks the table against them), so the untwisted
     #     terms of D^{n+1} D^n cancel in pairs, and so do the pairs (0, j)
     #     for j >= 2, whose faces keep the first arrow and with it the twist;
-    # (b) the restriction matrices compose strictly (checked below), so the
+    # (b) the restriction matrices compose strictly (see cochain_complex), so the
     #     last pair, F(t_0) F(t_1) on d_0 d_0 against F(t_1 t_0) on d_0 d_1,
     #     cancels as well;
     # (b') F(id) = I exactly: F(id) F(id) = F(id) by (b), and validation
@@ -280,23 +305,6 @@ def cochain_complex(
     #     one below, and it has the same kernel: D x + rho s = 0 gives
     #     rho r s = D rho s = -D D x = 0, so r s = 0.  Only the rank of the
     #     last differential is read, so no string of degree n_max+2 is needed.
-    if n_max < 0:
-        raise InputError(f"cohomology degree bound {n_max} is negative")
-    if f.base != c:
-        raise InputError("coefficients do not live on the category")
-    bad = validate_abelian_presheaf(f)
-    if bad:
-        raise ValidationFailure("; ".join(bad))
-    # the mapping-cone route needs the matrices to compose strictly, not just
-    # modulo relations; every presheaf built here (constants, pullbacks,
-    # slice restrictions) is strict, and a strict model can be demanded of
-    # callers without loss for the coefficients in scope
-    for (g, h), gh in c.composition.items():
-        if matmul(f.restriction[h], f.restriction[g]) != f.restriction[gh]:
-            raise ValidationFailure(
-                "restriction matrices compose only modulo relations; "
-                "re-present the coefficients with strictly functorial matrices"
-            )
     has_torsion = any(f.group[x].torsion for x in c.objects)
     top = n_max + 1
     tokens, faces = string_table(c, top, normalized, max_strings)
@@ -501,9 +509,9 @@ def compatible_family_group(c: FiniteCategory, f: AbelianPresheaf) -> FgAbelianG
     Independent of the cochain machinery: solves the kernel-with-relations
     problem by dense Smith-form lattice arithmetic on the degree-0 data.
     """
-    bad = validate_abelian_presheaf(f)
-    if bad:
-        raise ValidationFailure("; ".join(bad))
+    if f.base != c:
+        raise InputError("coefficients do not live on the category")
+    require_valid(validate_abelian_presheaf(f))
     objs = sorted(c.objects)
     offset = {}
     pos = 0
@@ -660,7 +668,7 @@ def invariance_report(
     coefficients and of the domain's with coefficients pulled back along the
     induced functor; a pass is equality of invariant factors in every degree
     up to n_max.  m is validated first (``total_functor``), and each total
-    category is built once.
+    category is built once.  f is validated once, by ``cochain_complex``.
     """
     t = total_functor(m)
     if not is_sectionwise_equivalence(m):
@@ -669,9 +677,11 @@ def invariance_report(
         )
     if f.base != t.codomain:
         raise InputError("coefficients do not live on the codomain's total category")
-    f_pulled = restrict_abelian_along(t, f)
     ch = _cohomology(cochain_complex(t.codomain, f, n_max, max_strings=max_strings))
-    cg = _cohomology(cochain_complex(t.domain, f_pulled, n_max, max_strings=max_strings))
+    # f is valid and strict and t is a functor, so the pullback is too:
+    # F(t(id)) = F(id), and F(t(g h)) = F(t(g) t(h)) = F(t(h)) F(t(g))
+    f_pulled = restrict_abelian_along(t, f)
+    cg = _cohomology(_cochain_complex(t.domain, f_pulled, n_max, True, max_strings))
     return InvarianceReport(
         passed=all(ch[n] == cg[n] for n in range(n_max + 1)),
         degrees=n_max,

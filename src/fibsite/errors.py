@@ -17,6 +17,12 @@ class ValidationFailure(FibsiteError):
     """A structure failed its validator where a valid one was required."""
 
 
+def require_valid(report: list[str]) -> None:
+    """Raise ``ValidationFailure`` with a validator's report, if it has one."""
+    if report:
+        raise ValidationFailure("; ".join(report))
+
+
 class RefusedMode(FibsiteError):
     """The requested computation is outside the supported exact regime."""
 

@@ -9,13 +9,18 @@ and this module implements both directions of that equivalence together with
 the restriction / left Kan adjunctions between diagram categories.  The left
 Kan extension, its unit and its counit take their comma categories and
 colimits from ``fincat._comma_cocones``, the one routine that builds them.
+
+Inputs are validated once, at the public boundary, and what the library
+built itself goes to the unchecked ``_grothendieck_construct``.
+``total_functor`` checks the morphism's domain, then its codomain, then the
+morphism, before any lookup.  The Kan functions check nothing yet.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InputError, ValidationFailure
+from .errors import InputError, ValidationFailure, require_valid
 from .fincat import (
     CONTRAVARIANT,
     COVARIANT,
@@ -182,9 +187,7 @@ def grothendieck_construct(a: PresheafOfCategories) -> FibredSite:
     injective on objects make the bare pair ambiguous).  a is validated
     first; ``_grothendieck_construct`` builds without that check.
     """
-    bad = validate_presheaf_of_categories(a)
-    if bad:
-        raise ValidationFailure("; ".join(bad))
+    require_valid(validate_presheaf_of_categories(a))
     return _grothendieck_construct(a)
 
 
@@ -409,9 +412,7 @@ def presheaf_to_enriched(fs: FibredSite, f: Presheaf) -> EnrichedSetDiagram:
     """
     if f.base != fs.total:
         raise InputError("presheaf does not live on the total category")
-    bad = validate_set_functor(f)
-    if bad:
-        raise ValidationFailure("; ".join(bad))
+    require_valid(validate_set_functor(f))
     a = fs.base
     c = a.site
     rev = {(alpha_f[0], alpha_f[1], fs.object_pair[fs.total.target(m)][1]): m
@@ -444,9 +445,7 @@ def enriched_to_presheaf(fs: FibredSite, x: EnrichedSetDiagram) -> Presheaf:
     """Reassemble the presheaf; (alpha|gamma) acts as (1|gamma) after (alpha|1)."""
     if x.base != fs.base:
         raise InputError("diagram does not live over the construction's base")
-    bad = validate_enriched(x)
-    if bad:
-        raise ValidationFailure("; ".join(bad))
+    require_valid(validate_enriched(x))
     a = fs.base
     c = a.site
     value = {n: tuple(x.value[fs.object_pair[n]]) for n in fs.total.objects}
@@ -661,6 +660,8 @@ class MorphismOfPresheavesOfCategories:
 
 
 def validate_morphism_of_presheaves(m: MorphismOfPresheavesOfCategories) -> list[str]:
+    """The laws of m, whose endpoints must be valid presheaves of categories
+    (``parse_bundle`` and ``total_functor`` check them first)."""
     report: list[str] = []
     if m.domain.site != m.codomain.site:
         return ["domain and codomain live on different sites"]
@@ -848,11 +849,11 @@ def kan_counit(
 
 def total_functor(m: MorphismOfPresheavesOfCategories) -> Functor:
     """The induced functor between the total categories of the construction."""
-    bad = validate_morphism_of_presheaves(m)
-    if bad:
-        raise ValidationFailure("; ".join(bad))
-    fs_a = grothendieck_construct(m.domain)
-    fs_b = grothendieck_construct(m.codomain)
+    require_valid(validate_presheaf_of_categories(m.domain))
+    require_valid(validate_presheaf_of_categories(m.codomain))
+    require_valid(validate_morphism_of_presheaves(m))
+    fs_a = _grothendieck_construct(m.domain)
+    fs_b = _grothendieck_construct(m.codomain)
     c = m.domain.site
     rev = {
         (p[0], p[1], fs_b.object_pair[fs_b.total.target(n)][1]): n
@@ -950,9 +951,7 @@ def make_translation_presheaf(d: PresheafDiagram) -> PresheafOfCategories:
     presheaf; a morphism (theta|x): (i|x) -> (j|x') exists when the diagram
     map carries x to x'.
     """
-    bad = validate_presheaf_diagram(d)
-    if bad:
-        raise ValidationFailure("; ".join(bad))
+    require_valid(validate_presheaf_diagram(d))
     base = next(iter(d.value.values())).base
     idx = d.index
     fibres: dict[str, FiniteCategory] = {}

@@ -171,6 +171,11 @@ def string_table(
 
 def validate_category(c: FiniteCategory) -> list[str]:
     """Report of violated category laws; empty iff c is a valid category."""
+    return _table_report(c) or _law_report(c)
+
+
+def _table_report(c: FiniteCategory) -> list[str]:
+    """Objects, identities and a total, well-typed composition table."""
     report: list[str] = []
     objset = set(c.objects)
     if len(c.objects) != len(objset):
@@ -202,8 +207,12 @@ def validate_category(c: FiniteCategory) -> list[str]:
                 report.append(f"composite {g}.{f} is not a morphism")
             elif c.morphisms[h] != (c.source(f), c.target(g)):
                 report.append(f"composite {g}.{f} has wrong endpoints")
-    if report:
-        return report
+    return report
+
+
+def _law_report(c: FiniteCategory) -> list[str]:
+    """Unit and associativity laws, read off a table ``_table_report`` passed."""
+    report: list[str] = []
     # unit laws
     for m, (s, t) in c.morphisms.items():
         if c.compose(m, c.identity[s]) != m:
@@ -228,7 +237,8 @@ class Groupoid(FiniteCategory):
 
 
 def validate_groupoid(g: Groupoid) -> list[str]:
-    return validate_category(g) + _inverse_laws(g)
+    # the inverse laws compose, so they wait for a total, well-typed table
+    return _table_report(g) or _law_report(g) + _inverse_laws(g)
 
 
 def _inverse_laws(g: Groupoid) -> list[str]:

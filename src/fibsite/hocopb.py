@@ -41,6 +41,7 @@ from .sset import (
     TruncatedSimplicialSet,
     _tkey,
     compose_simplicial_maps,
+    identity_simplicial_map,
     nerve,
     nerve_map,
     validate_simplicial,
@@ -83,17 +84,11 @@ def validate_diagram(a: GroupoidDiagram) -> list[str]:
         return report
     for y in g.objects:
         i = g.identity[y]
-        if any(
-            a.action[i].components[n] != {x: x for x in a.value[y].simplices[n]}
-            for n in range(a.value[y].dim + 1)
-        ):
+        if a.action[i].components != identity_simplicial_map(a.value[y]).components:
             report.append(f"identity action at {y} is not the identity")
     for (m2, m1), m in g.composition.items():
         lhs = compose_simplicial_maps(a.action[m2], a.action[m1])
-        if any(
-            lhs.components[n] != a.action[m].components[n]
-            for n in range(lhs.domain.dim + 1)
-        ):
+        if lhs.components != a.action[m].components:
             report.append(f"action functoriality fails on ({m2}, {m1})")
     return report
 
@@ -498,10 +493,7 @@ def validate_enriched_diagram(x: EnrichedGroupoidDiagram) -> list[str]:
     for u in c.objects:
         for ob in a.value[u].objects:
             ident = x.site_action[(c.identity[u], ob)]
-            if any(
-                ident.components[n] != {t: t for t in x.value[(u, ob)].simplices[n]}
-                for n in range(x.value[(u, ob)].dim + 1)
-            ):
+            if ident.components != identity_simplicial_map(x.value[(u, ob)]).components:
                 report.append(f"identity site action at ({u}, {ob}) not the identity")
     for (g2, g1), g12 in c.composition.items():
         u = c.target(g2)
@@ -511,10 +503,7 @@ def validate_enriched_diagram(x: EnrichedGroupoidDiagram) -> list[str]:
             two = compose_simplicial_maps(
                 x.site_action[(g1, rg.on_object(ob))], x.site_action[(g2, ob)]
             )
-            if any(
-                one.components[n] != two.components[n]
-                for n in range(one.domain.dim + 1)
-            ):
+            if one.components != two.components:
                 report.append(f"site functoriality fails on ({g2}, {g1}) at {ob}")
     # enriched commuting squares, degreewise
     for alpha, (v, u) in c.morphisms.items():
@@ -526,10 +515,7 @@ def validate_enriched_diagram(x: EnrichedGroupoidDiagram) -> list[str]:
             rhs = compose_simplicial_maps(
                 x.cat_action[(v, r.on_morphism(gamma))], x.site_action[(alpha, yy)]
             )
-            if any(
-                lhs.components[n] != rhs.components[n]
-                for n in range(lhs.domain.dim + 1)
-            ):
+            if lhs.components != rhs.components:
                 report.append(f"enriched square fails for {alpha} and {gamma}")
     return report
 
@@ -578,19 +564,16 @@ def validate_enriched_over_nerve(y: EnrichedOverNerve) -> list[str]:
         opr = nerve_map(opposite_functor(a.restriction[alpha]), d)
         lhs = compose_simplicial_maps(y.sections[v].structure, sm)
         rhs = compose_simplicial_maps(opr, y.sections[u].structure)
-        if any(lhs.components[n] != rhs.components[n] for n in range(d + 1)):
+        if lhs.components != rhs.components:
             report.append(f"site action along {alpha} does not cover the nerve restriction")
     for u in c.objects:
         ident = y.site_action[c.identity[u]]
-        if any(
-            ident.components[n] != {t: t for t in y.sections[u].total.simplices[n]}
-            for n in range(d + 1)
-        ):
+        if ident.components != identity_simplicial_map(y.sections[u].total).components:
             report.append(f"identity site action at {u} not the identity")
     for (g2, g1), g12 in c.composition.items():
         one = y.site_action[g12]
         two = compose_simplicial_maps(y.site_action[g1], y.site_action[g2])
-        if any(one.components[n] != two.components[n] for n in range(d + 1)):
+        if one.components != two.components:
             report.append(f"site functoriality fails on ({g2}, {g1})")
     return report
 
@@ -742,9 +725,7 @@ def presheaf_hocolim_pb(
                 rhs = compose_simplicial_maps(
                     eps[(v, r.on_object(ob))], p.site_action[(alpha, ob)]
                 )
-                if any(
-                    lhs.components[n] != rhs.components[n] for n in range(d + 1)
-                ):
+                if lhs.components != rhs.components:
                     counit_natural = False
         tri_ok = TriangleReport(
             hocolim_side=all(
@@ -771,7 +752,7 @@ def presheaf_hocolim_pb(
     for alpha, (v, u) in a.site.morphisms.items():
         lhs = compose_simplicial_maps(h.site_action[alpha], eta[u])
         rhs = compose_simplicial_maps(eta[v], obj.site_action[alpha])
-        if any(lhs.components[n] != rhs.components[n] for n in range(d + 1)):
+        if lhs.components != rhs.components:
             unit_natural = False
     tri = TriangleReport(
         hocolim_side=all(

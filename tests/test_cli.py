@@ -192,6 +192,18 @@ class TestCommands:
         doc = json.loads(out)
         assert doc["payload"]["cohomology"] == doc["payload"]["pulled_back"]
 
+    def test_invariance_check_builds_totals_unchecked(self, monkeypatch):
+        # parse validated the bundle's presheaves; neither the default
+        # coefficients nor total_functor may validate them again
+        from fibsite import fibred
+
+        def refuse(a):
+            raise AssertionError("a parsed presheaf of categories was validated again")
+
+        monkeypatch.setattr(fibred, "grothendieck_construct", refuse)
+        code, _ = go(["invariance-check", str(BUNDLES / "e2_collapse.bundle"), "--mor", "m"])
+        assert code == 0
+
     def test_homology_command(self):
         code, out = go(["homology", str(BUNDLES / "pt_z2.bundle"), "--category", "Z2", "--top", "3"])
         assert code == 0
@@ -362,6 +374,36 @@ class TestExitCodes:
         code, out = go(["validate", str(p)])
         assert (code, out) == (3, "")
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("name,message", [
+        # the inverse laws compose, so an incomplete table stops before them
+        ("bad_groupoid_compose", "category Z2: missing composite t.t"),
+        ("bad_inverse", "category M: inverse law fails for t"),
+    ])
+    def test_groupoid_laws_are_3(self, name, message, capsys):
+        code, out = go(["validate", str(BUNDLES / f"{name}.bundle")])
+        assert (code, out) == (3, "")
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_adjunction_check_on_an_empty_site_is_3(self, capsys):
+        bundle = str(BUNDLES / "empty_site.bundle")
+        assert go(["validate", bundle])[0] == 0
+        code, out = go(["adjunction-check", bundle, "--psheaf", "G"])
+        assert (code, out) == (3, "")
+        assert capsys.readouterr().err.endswith(
+            "error: psheaf-cat G lives on a site with no objects, "
+            "so there is no fibre to sample the adjunction over\n"
+        )
+
+    def test_adjunction_check_on_an_empty_fibre_is_3(self, tmp_path, capsys):
+        p = tmp_path / "empty_fibre.bundle"
+        p.write_text("category PT\nobjects U\n\ngroupoid F\n\npsheaf-cat G over PT\nat U category F\n")
+        code, out = go(["adjunction-check", str(p), "--psheaf", "G"])
+        assert (code, out) == (3, "")
+        assert capsys.readouterr().err.endswith(
+            "error: psheaf-cat G has an empty fibre at U, "
+            "so there is no object to sample the adjunction over\n"
+        )
 
     def test_failed_check_is_1(self):
         code, _ = go(["sheaf-check", str(BUNDLES / "chain_cover.bundle"), "--presheaf", "P"])

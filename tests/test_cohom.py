@@ -248,6 +248,12 @@ class TestCochainComplex:
         with pytest.raises(InputError, match="do not live on the category"):
             cochain_complex(chain2, f, 2)
 
+    def test_compatible_families_on_another_category_are_refused(self, chain2, pt):
+        # f's groups sit at the point's one object, and chain2 has others
+        f = constant_abelian_presheaf(pt, ZZ)
+        with pytest.raises(InputError, match="do not live on the category"):
+            compatible_family_group(chain2, f)
+
     def test_torsion_universal_coefficients(self, z2):
         # H^*(Z/2; Z/4) by universal coefficients: Z/4, Z/2, Z/2, ...
         h = cohomology_of_complex(
@@ -571,15 +577,57 @@ class TestInvariance:
         m, gh = random_sectionwise_equivalence(random.Random(1))
         f = constant_abelian_presheaf(grothendieck_construct(gh).total, ZZ)
         built = []
+        build = fibred._grothendieck_construct
 
         def counting(a):
             built.append(a)
-            return grothendieck_construct(a)
+            return build(a)
 
-        monkeypatch.setattr(fibred, "grothendieck_construct", counting)
-        monkeypatch.setattr(cohom, "grothendieck_construct", counting)
+        monkeypatch.setattr(fibred, "_grothendieck_construct", counting)
         assert invariance_report(m, f, 2).passed
         assert [id(a) for a in built] == [id(m.domain), id(m.codomain)]
+
+    def test_each_input_validated_once(self, monkeypatch):
+        # the pulled-back coefficients and the two totals are the library's
+        # own; only the caller's presheaves, morphism and coefficients are
+        # checked, once each
+        m, gh = random_sectionwise_equivalence(random.Random(1))
+        f = constant_abelian_presheaf(grothendieck_construct(gh).total, ZZ)
+        seen: dict[str, list[int]] = {}
+        for module, name in (
+            (fibred, "validate_presheaf_of_categories"),
+            (fibred, "validate_morphism_of_presheaves"),
+            (cohom, "validate_abelian_presheaf"),
+            (fibred, "_grothendieck_construct"),
+        ):
+            def counting(x, name=name, original=getattr(module, name)):
+                seen.setdefault(name, []).append(id(x))
+                return original(x)
+
+            monkeypatch.setattr(module, name, counting)
+        assert invariance_report(m, f, 2).passed
+        assert seen == {
+            "validate_presheaf_of_categories": [id(m.domain), id(m.codomain)],
+            "validate_morphism_of_presheaves": [id(m)],
+            "validate_abelian_presheaf": [id(f)],
+            "_grothendieck_construct": [id(m.domain), id(m.codomain)],
+        }
+
+    def test_broken_endpoint_fails_validation(self):
+        # the morphism's own laws read the endpoints' restrictions, so the
+        # endpoints are checked first
+        m, gh = random_sectionwise_equivalence(random.Random(5))
+        alpha = "a_U0_U2"
+        domain = dataclasses.replace(
+            m.domain,
+            restriction={k: r for k, r in m.domain.restriction.items() if k != alpha},
+        )
+        broken = dataclasses.replace(m, domain=domain)
+        f = constant_abelian_presheaf(grothendieck_construct(gh).total, ZZ)
+        with pytest.raises(ValidationFailure, match=f"no restriction functor for {alpha}"):
+            total_functor(broken)
+        with pytest.raises(ValidationFailure, match=f"no restriction functor for {alpha}"):
+            invariance_report(broken, f, 2)
 
 
 def test_torsion_coefficients_on_stack(pt, z2):

@@ -1,0 +1,115 @@
+"""Hostile input: token-level mutants of the shipped bundles through every command.
+
+Exit codes 0-5 are the whole contract between ``run`` and its caller, and a
+traceback out of ``run`` would reach a shell as exit 1, which reads as a
+failed check.  Each example mutates one shipped bundle by deleting,
+duplicating or swapping lines or tokens, then runs each of the ten commands
+on it in-process, with names drawn from what the mutant declares.  Every
+file in ``bundles/`` seeds the mutants, the refused ones too, and an
+example may leave its seed unchanged.  A crash is mended where it arises,
+never by a catch-all in ``run``.
+"""
+
+import contextlib
+import io
+import re
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fibsite.cli import COMMANDS, run
+
+BUNDLES = Path(__file__).resolve().parents[1] / "bundles"
+TEXTS = [path.read_text() for path in sorted(BUNDLES.glob("*.bundle"))]
+
+# the keyword lines that declare what each option names
+DECLARES = {
+    "--psheaf": "psheaf-cat",
+    "--category": "category|groupoid",
+    "--presheaf": "spresheaf",
+    "--coeffs": "abpresheaf",
+    "--mor": "psheaf-mor",
+    "--object": "objects",
+    "--cover": "mor",
+}
+
+
+@st.composite
+def mutants(draw) -> str:
+    text = draw(st.sampled_from(TEXTS))
+    lines = [ln.split() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        j = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(("delete", "duplicate", "swap")))
+        if draw(st.booleans()):
+            # a whole line
+            if op == "delete" and len(lines) > 1:
+                del lines[i]
+            elif op == "duplicate":
+                lines.insert(i, list(lines[i]))
+            else:
+                lines[i], lines[j] = lines[j], lines[i]
+            continue
+        k = draw(st.integers(0, len(lines[i]) - 1))
+        if op == "delete" and len(lines[i]) > 1:
+            del lines[i][k]
+        elif op == "duplicate":
+            lines[i].insert(k, lines[i][k])
+        else:
+            h = draw(st.integers(0, len(lines[j]) - 1))
+            lines[i][k], lines[j][h] = lines[j][h], lines[i][k]
+    return "".join(" ".join(ln) + "\n" for ln in lines)
+
+
+def _declared(text: str, option: str) -> list[str]:
+    out = []
+    for line in text.splitlines():
+        m = re.match(rf"(?:{DECLARES[option]})\s+(.*)", line)
+        if m:
+            words = m.group(1).split()
+            out += words if option == "--object" else words[:1]
+    return out
+
+
+def _commands(draw, path: str, text: str) -> list[list[str]]:
+    tokens = sorted(set(text.split())) or ["x"]
+
+    def name(option: str) -> list[str]:
+        return [option, draw(st.sampled_from(_declared(text, option) or tokens))]
+
+    def maybe(option: str) -> list[str]:
+        return name(option) if draw(st.booleans()) else []
+
+    return [
+        ["validate", path],
+        ["fibred-build", path, *name("--psheaf")],
+        ["topology-check", path, *maybe("--psheaf"), *maybe("--category")],
+        ["sheaf-check", path, *name("--presheaf"), "--sheafify"],
+        ["cohomology", path, *name("--psheaf"), *name("--coeffs"), "--nmax", "1"],
+        ["cech", path, *name("--coeffs"), *name("--object"), *maybe("--cover"),
+         *maybe("--psheaf"), "--nmax", "1"],
+        ["adjunction-check", path, *name("--psheaf"), "--count", "1", "--truncation", "3"],
+        ["invariance-check", path, *name("--mor"), *maybe("--coeffs"), "--nmax", "1"],
+        ["homology", path, *name("--category"), "--truncation", "3", "--top", "1"],
+        ["nerve-export", path, *name("--category"), "--truncation", "2"],
+    ]
+
+
+@pytest.fixture(scope="module")
+def bundle_path(tmp_path_factory) -> Path:
+    return tmp_path_factory.mktemp("hostile") / "mutant.bundle"
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(text=mutants(), data=st.data())
+def test_every_command_exits_with_a_documented_code(bundle_path, text, data):
+    bundle_path.write_text(text)
+    argvs = _commands(data.draw, str(bundle_path), text)
+    assert [argv[0] for argv in argvs] == list(COMMANDS)
+    for argv in argvs:
+        with contextlib.redirect_stderr(io.StringIO()):
+            code = run([*argv, "--max-strings", "5000"], stdout=io.StringIO())
+        assert code in range(6), (argv, code)
