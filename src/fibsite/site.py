@@ -3,7 +3,10 @@
 Topologies are stored extensionally: an explicit set of covering sieves per
 object.  The verifier enumerates all sieves on an object when checking local
 character, which is feasible because sites here are small; caps guard against
-pathological blowup.
+pathological blowup.  The plus construction reads the least covering sieve of
+each object, the intersection of its covers, which is the terminal object of
+the covers ordered by reverse inclusion; the sheaf condition still checks
+every cover.
 """
 
 from __future__ import annotations
@@ -14,11 +17,8 @@ from dataclasses import dataclass
 from .errors import CapExceeded, InputError
 from .fincat import (
     CONTRAVARIANT,
-    ColimitCocone,
     FiniteCategory,
     SetValuedFunctor,
-    build_category,
-    colim_set,
     validate_set_functor,
 )
 
@@ -332,8 +332,18 @@ class SheafVerdict:
     detail: str | None = None
 
 
+def _same_site(f: Presheaf, t: GrothendieckTopology) -> None:
+    if t.site != f.base:
+        raise InputError("topology does not live on the base of the presheaf")
+
+
 def is_sheaf(f: Presheaf, t: GrothendieckTopology) -> SheafVerdict:
-    """Check that sections biject with matching families for every cover."""
+    """Check that sections biject with matching families for every cover.
+
+    Every cover is checked, not only the least one that plus_construction
+    reads, so this verdict stays independent of how sheafify builds.
+    """
+    _same_site(f, t)
     c = f.base
     for u in sorted(c.objects):
         for s in sorted(t.covering(u), key=lambda s: sorted(s.members)):
@@ -357,87 +367,50 @@ def is_sheaf(f: Presheaf, t: GrothendieckTopology) -> SheafVerdict:
     return SheafVerdict(ok=True)
 
 
-def _family_name(fam: Family) -> str:
-    return "{" + ",".join(f"{m}:{e}" for m, e in fam) + "}"
-
-
 def plus_construction(f: Presheaf, t: GrothendieckTopology) -> Presheaf:
     """One application of the plus construction.
 
-    The value at u is the colimit, over covering sieves ordered by reverse
-    inclusion, of matching-family sets; the colimit is computed by colim_set
-    over the sieve poset viewed as a finite category.
+    F+(u) is the colimit, over the covers of u ordered by reverse inclusion,
+    of the matching-family sets.  Covers are closed under intersection, so
+    on a finite site the intersection S_min(u) of all covers of u is a cover,
+    and it is the terminal object of that order; a colimit over a category
+    with a terminal object is the value there.  So F+(u) is the set of
+    matching families on S_min(u).  An arrow alpha: v -> u restricts a
+    family along alpha to the cover alpha*S_min(u) of v, then cuts it down
+    to S_min(v).
     """
+    _same_site(f, t)
     c = f.base
-    sieve_list = {u: sorted(t.covering(u), key=lambda s: (len(s.members), sorted(s.members))) for u in c.objects}
-    fams = {
-        u: {i: matching_families(f, s) for i, s in enumerate(sieve_list[u])}
-        for u in c.objects
-    }
-    cocones: dict[str, ColimitCocone] = {}
-    name_of: dict[str, dict[int, str]] = {}
+    least: dict[str, Sieve] = {}
     for u in c.objects:
-        ss = sieve_list[u]
-        names = {i: f"s{i}" for i in range(len(ss))}
-        name_of[u] = names
-        arrows = {}
-        compose = {}
-        for i, si in enumerate(ss):
-            for j, sj in enumerate(ss):
-                if i != j and sj.members < si.members:
-                    arrows[f"r{i}_{j}"] = (names[i], names[j])
-        for a1, (x, y) in arrows.items():
-            for a2, (y2, z) in arrows.items():
-                if y == y2:
-                    i = int(x[1:])
-                    k = int(z[1:])
-                    compose[(a2, a1)] = f"r{i}_{k}"
-        poset = build_category(names.values(), arrows, compose)
-        diagram_value = {
-            names[i]: tuple(_family_name(fam) for fam in fams[u][i])
-            for i in range(len(ss))
-        }
-        diagram_action: dict[str, dict[str, str]] = {}
-        for m in poset.morphisms:
-            if m.startswith("id_"):
-                src = poset.source(m)
-                diagram_action[m] = {e: e for e in diagram_value[src]}
-            else:
-                i, j = (int(p) for p in m[1:].split("_"))
-                amap = {}
-                for fam in fams[u][i]:
-                    lut = dict(fam)
-                    sub = tuple(sorted((g, lut[g]) for g in ss[j].members))
-                    amap[_family_name(fam)] = _family_name(sub)
-                diagram_action[m] = amap
-        diag = SetValuedFunctor(
-            base=poset, variance="covariant", value=diagram_value, action=diagram_action
-        )
-        cocones[u] = colim_set(diag)
-
-    def classify(u: str, sieve_idx: int, fam: Family) -> str:
-        return cocones[u].leg[name_of[u][sieve_idx]][_family_name(fam)]
-
-    # relabel colimit classes compactly per object, in canonical order
-    relabel = {
-        u: {cls: f"p{i}" for i, cls in enumerate(cocones[u].elements)}
-        for u in c.objects
-    }
-    value = {u: tuple(relabel[u][cls] for cls in cocones[u].elements) for u in c.objects}
+        covers = t.covering(u)
+        if not covers:
+            raise InputError(
+                f"no cover of {u}, but the maximal sieve must cover; "
+                "verify the topology first"
+            )
+        meet = frozenset.intersection(*(s.members for s in covers))
+        least[u] = Sieve(base_object=u, members=meet)
+        if least[u] not in covers:
+            raise InputError(
+                f"the covers of {u} are not closed under intersection; "
+                "verify the topology first"
+            )
+    fams = {u: matching_families(f, least[u]) for u in c.objects}
+    label = {u: {fam: f"p{i}" for i, fam in enumerate(fams[u])} for u in c.objects}
     action: dict[str, dict[str, str]] = {}
     for alpha, (v, u) in c.morphisms.items():
+        if pullback_sieve(c, least[u], alpha) not in t.covering(v):
+            raise InputError(
+                "covers are not stable under pullback; verify the topology first"
+            )
+        keep = least[v].members
         amap: dict[str, str] = {}
-        for i, s in enumerate(sieve_list[u]):
-            p = pullback_sieve(c, s, alpha)
-            if p not in sieve_list[v]:
-                raise InputError(
-                    "covers are not stable under pullback; verify the topology first"
-                )
-            j = sieve_list[v].index(p)
-            for fam in fams[u][i]:
-                sub = restrict_family(c, fam, f, s, alpha)
-                amap[relabel[u][classify(u, i, fam)]] = relabel[v][classify(v, j, sub)]
+        for fam in fams[u]:
+            sub = restrict_family(c, fam, f, least[u], alpha)
+            amap[label[u][fam]] = label[v][tuple(p for p in sub if p[0] in keep)]
         action[alpha] = amap
+    value = {u: tuple(label[u].values()) for u in c.objects}
     return make_presheaf(c, value, action)
 
 

@@ -2,8 +2,10 @@
 
 Simplices are hashable tokens (strings, or tuples for structured carriers
 like nerve strings); all face and degeneracy maps are explicit dictionaries,
-so simplicial identities are exhaustively checkable.  Homology runs over the
-normalized integer chain complex through the exact Smith-form kernel.
+so simplicial identities are exhaustively checkable.  The two-sided string
+bisimplicial set reuses the nerve's face and degeneracy maps, reindexed by
+bidegree.  Homology runs over the normalized integer chain complex through
+the exact Smith-form kernel.
 """
 
 from __future__ import annotations
@@ -435,67 +437,35 @@ def interchange_comparison(
 ) -> tuple[BisimplicialSet, SimplicialMap, SimplicialMap]:
     """The two-sided string bisimplicial set and its comparison maps.
 
-    Bidegree (m,n) holds composable strings of m+n+1 arrows; the horizontal
-    structure works on the first m arrows read in reverse, the vertical on
-    the last n, and the middle arrow is absorbed by the innermost faces.
-    Returns the bisimplicial set with the diagonal-level maps to the nerve of
-    the opposite category (left part) and to the nerve (right part).
+    Bidegree (m,n) is degree m+n+1 of the nerve, read as is: strings of
+    m+n+1 arrows, whose vertices 0..m carry the horizontal structure in
+    reverse and vertices m+1..m+n+1 the vertical one.  So h-face i and
+    h-degeneracy i are the nerve's face and degeneracy m-i, and v-face j and
+    v-degeneracy j are its face and degeneracy m+1+j.  Returns the
+    bisimplicial set with the diagonal-level maps to the nerve of the
+    opposite category (left part) and to the nerve (right part).
     """
-    strings = string_table(c, 2 * d + 1).tokens
-    simplices = {
-        (m, n): frozenset(strings[m + n + 1]) for m in range(d + 1) for n in range(d + 1)
-    }
-    h_faces: dict[tuple[int, int, int], dict] = {}
-    h_degeneracies: dict[tuple[int, int, int], dict] = {}
-    v_faces: dict[tuple[int, int, int], dict] = {}
-    v_degeneracies: dict[tuple[int, int, int], dict] = {}
-    for m in range(d + 1):
-        for n in range(d + 1):
-            cur = simplices[(m, n)]
-            if m >= 1:
-                for i in range(m + 1):
-                    fm = {}
-                    for t in cur:
-                        if i == m:
-                            fm[t] = t[1:]
-                        else:
-                            # drop the object between arrows t[m-i-1] and t[m-i]
-                            pos = m - i - 1
-                            fm[t] = t[:pos] + (c.compose(t[pos + 1], t[pos]),) + t[pos + 2 :]
-                    h_faces[(m, n, i)] = fm
-            if m < d:
-                for i in range(m + 1):
-                    dm = {}
-                    for t in cur:
-                        pos = m - i
-                        v = c.source(t[pos])
-                        dm[t] = t[:pos] + (c.identity[v],) + t[pos:]
-                    h_degeneracies[(m, n, i)] = dm
-            if n >= 1:
-                for j in range(n + 1):
-                    fm = {}
-                    for t in cur:
-                        if j == n:
-                            fm[t] = t[:-1]
-                        else:
-                            pos = m + j
-                            fm[t] = t[:pos] + (c.compose(t[pos + 1], t[pos]),) + t[pos + 2 :]
-                    v_faces[(m, n, j)] = fm
-            if n < d:
-                for j in range(n + 1):
-                    dm = {}
-                    for t in cur:
-                        pos = m + j
-                        v = c.target(t[pos])
-                        dm[t] = t[: pos + 1] + (c.identity[v],) + t[pos + 1 :]
-                    v_degeneracies[(m, n, j)] = dm
+    strings = nerve(c, 2 * d + 1)
+    grid = [(m, n) for m in range(d + 1) for n in range(d + 1)]
     big = BisimplicialSet(
         dim=d,
-        simplices=simplices,
-        h_faces=h_faces,
-        h_degeneracies=h_degeneracies,
-        v_faces=v_faces,
-        v_degeneracies=v_degeneracies,
+        simplices={(m, n): strings.simplices[m + n + 1] for m, n in grid},
+        h_faces={
+            (m, n, i): strings.faces[(m + n + 1, m - i)]
+            for m, n in grid if m >= 1 for i in range(m + 1)
+        },
+        h_degeneracies={
+            (m, n, i): strings.degeneracies[(m + n + 1, m - i)]
+            for m, n in grid if m < d for i in range(m + 1)
+        },
+        v_faces={
+            (m, n, j): strings.faces[(m + n + 1, m + 1 + j)]
+            for m, n in grid if n >= 1 for j in range(n + 1)
+        },
+        v_degeneracies={
+            (m, n, j): strings.degeneracies[(m + n + 1, m + 1 + j)]
+            for m, n in grid if n < d for j in range(n + 1)
+        },
     )
     diag = diagonal(big)
     cop = nerve(opposite(c), d)

@@ -1,9 +1,13 @@
 import itertools
+import random
+from pathlib import Path
 
 import pytest
 
+from fibsite.bundle import parse_bundle
 from fibsite.errors import InputError
-from fibsite.fincat import poset_chain
+from fibsite.fincat import _least_representatives, build_category, poset_chain
+from fibsite.sampling import random_poset_site, random_presheaf, random_topology
 from fibsite.site import (
     GrothendieckTopology,
     Sieve,
@@ -14,9 +18,11 @@ from fibsite.site import (
     make_presheaf,
     matching_families,
     maximal_sieve,
+    plus_construction,
     presheaves_isomorphic,
     pullback_sieve,
     representable_presheaf,
+    restrict_family,
     saturate_topology,
     sheafify,
     sieve_from_generators,
@@ -24,6 +30,9 @@ from fibsite.site import (
     validate_sieve,
     verify_topology,
 )
+
+
+BUNDLES = Path(__file__).resolve().parents[1] / "bundles"
 
 
 @pytest.fixture
@@ -232,3 +241,104 @@ class TestSheafify:
         fams = matching_families(f, s)
         plus = sheafify(f, t)
         assert len(plus.value["U"]) == len(fams)
+
+    def test_topology_from_another_site_refused(self, chain2, pt):
+        # the point's covers say nothing about U and V: no verdict may pass
+        f = constant_presheaf(chain2, ("a", "b"))
+        t = trivial_topology(pt)
+        for check in (is_sheaf, plus_construction, sheafify):
+            with pytest.raises(InputError, match="does not live on"):
+                check(f, t)
+
+    def test_object_without_cover_refused(self, chain2):
+        f = constant_presheaf(chain2, ("a",))
+        t = GrothendieckTopology(site=chain2, covers={})
+        with pytest.raises(InputError, match="no cover of U"):
+            plus_construction(f, t)
+        with pytest.raises(InputError, match="verify the topology first"):
+            sheafify(f, t)
+
+    def test_covers_not_closed_under_intersection_refused(self):
+        c = build_category(["U", "A", "B"], {"a": ("A", "U"), "b": ("B", "U")}, {})
+        covers = {u: frozenset({maximal_sieve(c, u)}) for u in c.objects}
+        covers["U"] |= {sieve_from_generators(c, "U", {"a"}), sieve_from_generators(c, "U", {"b"})}
+        t = GrothendieckTopology(site=c, covers=covers)
+        with pytest.raises(InputError, match="not closed under intersection"):
+            plus_construction(constant_presheaf(c, ("x",)), t)
+
+    def test_cover_not_stable_under_pullback_refused(self, chain3):
+        covers = {u: frozenset({maximal_sieve(chain3, u)}) for u in chain3.objects}
+        covers["U"] |= {sieve_from_generators(chain3, "U", {"a_W_U"})}
+        t = GrothendieckTopology(site=chain3, covers=covers)
+        with pytest.raises(InputError, match="not stable under pullback"):
+            plus_construction(constant_presheaf(chain3, ("x",)), t)
+
+
+def _plus_oracle(f, t):
+    """F+ the slow way: the colimit over every cover of each object.
+
+    The classes are those of (cover index, matching family) pairs, where a
+    family is linked to its restriction to every smaller cover.  The action
+    of alpha is read off every member of a class and must be the same class.
+    """
+    c = f.base
+    covers = {u: sorted(t.covering(u), key=lambda s: sorted(s.members)) for u in c.objects}
+    fams = {u: [matching_families(f, s) for s in covers[u]] for u in c.objects}
+    rep = {}
+    for u in c.objects:
+        links = [
+            ((i, fam), (j, tuple(p for p in fam if p[0] in sj.members)))
+            for i, si in enumerate(covers[u])
+            for j, sj in enumerate(covers[u])
+            if sj.members < si.members
+            for fam in fams[u][i]
+        ]
+        items = [(i, fam) for i, fs in enumerate(fams[u]) for fam in fs]
+        rep[u] = _least_representatives(items, links)
+    restrict = {}
+    for alpha, (v, u) in c.morphisms.items():
+        image: dict = {}
+        for (i, fam), cls in rep[u].items():
+            j = covers[v].index(pullback_sieve(c, covers[u][i], alpha))
+            sub = restrict_family(c, fam, f, covers[u][i], alpha)
+            image.setdefault(cls, set()).add(rep[v][(j, sub)])
+        assert all(len(img) == 1 for img in image.values())
+        restrict[alpha] = {cls: img.pop() for cls, img in image.items()}
+    return covers, rep, restrict
+
+
+def _assert_plus_matches_oracle(f, t):
+    plus = plus_construction(f, t)
+    covers, rep, restrict = _plus_oracle(f, t)
+    label = {}
+    for u in f.base.objects:
+        classes = set(rep[u].values())
+        assert len(plus.value[u]) == len(classes)
+        # plus labels the families on the least cover; every class meets
+        # that cover exactly once, since it is terminal among the covers
+        i = min(range(len(covers[u])), key=lambda i: len(covers[u][i].members))
+        assert all(covers[u][i].members <= s.members for s in covers[u])
+        least = matching_families(f, covers[u][i])
+        label[u] = {rep[u][(i, fam)]: x for fam, x in zip(least, plus.value[u])}
+        assert len(least) == len(label[u]) == len(classes)
+    for alpha, (v, u) in f.base.morphisms.items():
+        for cls, img in restrict[alpha].items():
+            assert plus.act(alpha, label[u][cls]) == label[v][img]
+
+
+class TestPlusConstructionOracle:
+    def test_random_instances(self):
+        for seed in range(200):
+            rng = random.Random(seed)
+            c = random_poset_site(rng)
+            t = random_topology(rng, c)
+            f = random_presheaf(rng, c)
+            _assert_plus_matches_oracle(f, t)
+            _assert_plus_matches_oracle(plus_construction(f, t), t)
+
+    def test_chain_cover_bundle(self):
+        b = parse_bundle([str(BUNDLES / "chain_cover.bundle")])
+        t = b.topologies["C"]
+        for f in b.set_presheaves.values():
+            _assert_plus_matches_oracle(f, t)
+            _assert_plus_matches_oracle(plus_construction(f, t), t)
