@@ -150,6 +150,7 @@ class Bundle:
 @dataclass
 class _RawCategory:
     name: str
+    path: str
     line: int
     groupoid: bool = False
     objects: list[str] = field(default_factory=list)
@@ -213,7 +214,7 @@ def parse_bundle(paths: list[str]) -> Bundle:
                 if name in raw_cats:
                     syntax(path, ln, f"category {name} already declared")
                 raw_cats[name] = _RawCategory(
-                    name=name, line=ln, groupoid=(head == "groupoid")
+                    name=name, path=path, line=ln, groupoid=(head == "groupoid")
                 )
                 current = ("category", name)
             elif head == "objects":
@@ -361,11 +362,11 @@ def parse_bundle(paths: list[str]) -> Bundle:
             raise BundleValidationError(f"category {name}", reserved)
         for m, (s, t) in rc.arrows.items():
             if s not in rc.objects or t not in rc.objects:
-                raise BundleNameError(paths[0], rc.line, f"morphism {m} of {name} references unknown objects")
+                raise BundleNameError(rc.path, rc.line, f"morphism {m} of {name} references unknown objects")
         try:
-            cat = build_category(rc.objects, rc.arrows, _resolve_compose(rc, paths[0]))
+            cat = build_category(rc.objects, rc.arrows, _resolve_compose(rc))
         except InputError as e:
-            raise BundleNameError(paths[0], rc.line, str(e))
+            raise BundleNameError(rc.path, rc.line, str(e))
         if rc.inverses or rc.groupoid:
             inv = dict(rc.inverses)
             for u in cat.objects:
@@ -373,7 +374,7 @@ def parse_bundle(paths: list[str]) -> Bundle:
             # inverses of composite mentions must resolve
             for m, w in inv.items():
                 if m not in cat.morphisms or w not in cat.morphisms:
-                    raise BundleNameError(paths[0], rc.line, f"inverse line of {name} references unknown morphism")
+                    raise BundleNameError(rc.path, rc.line, f"inverse line of {name} references unknown morphism")
             cat = Groupoid(
                 objects=cat.objects,
                 morphisms=cat.morphisms,
@@ -390,11 +391,11 @@ def parse_bundle(paths: list[str]) -> Bundle:
         seeds: dict[str, set[Sieve]] = {}
         for u, gen_lists in rc.covers.items():
             if u not in set(cat.objects):
-                raise BundleNameError(paths[0], rc.line, f"cover on unknown object {u}")
+                raise BundleNameError(rc.path, rc.line, f"cover on unknown object {u}")
             for gens in gen_lists:
                 for g in gens:
                     if g not in cat.morphisms:
-                        raise BundleNameError(paths[0], rc.line, f"cover generator {g} unknown")
+                        raise BundleNameError(rc.path, rc.line, f"cover generator {g} unknown")
                     if cat.target(g) != u:
                         raise BundleValidationError(
                             f"category {name}", [f"cover generator {g} does not target {u}"]
@@ -566,12 +567,12 @@ def _declared_functor(
     return Functor(domain=dom, codomain=cod, object_map=obj_map, morphism_map=mor_map)
 
 
-def _resolve_compose(rc: _RawCategory, path: str) -> dict[tuple[str, str], str]:
+def _resolve_compose(rc: _RawCategory) -> dict[tuple[str, str], str]:
     out = {}
     for (g, f), h in rc.compose.items():
         for nm in (g, f, h):
             if nm not in rc.arrows and not nm.startswith("id_"):
-                raise BundleNameError(path, rc.line, f"compose line references unknown morphism {nm}")
+                raise BundleNameError(rc.path, rc.line, f"compose line references unknown morphism {nm}")
         out[(g, f)] = h
     return out
 
@@ -666,14 +667,15 @@ def _group_tokens(factors) -> str:
 
 
 def _category_name(bundle: Bundle, cat: FiniteCategory) -> str:
+    # by identity: blocks with equal tables are still two sites, two topologies
     for name, c in bundle.categories.items():
-        if c == cat:
+        if c is cat:
             return name
     raise InputError("category not registered in the bundle")
 
 
 def _psheaf_name(bundle: Bundle, pc: PresheafOfCategories) -> str:
     for name, p in bundle.presheaves_of_categories.items():
-        if p == pc:
+        if p is pc:
             return name
     raise InputError("presheaf of categories not registered in the bundle")

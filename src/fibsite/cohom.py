@@ -574,7 +574,6 @@ def stack_cohomology(
     g: PresheafOfGroupoids,
     f: AbelianPresheaf,
     n_max: int,
-    normalized: bool = True,
     max_strings: int = 200_000,
 ) -> list[FgAbelianGroup]:
     """H^0..H^n_max of the fibred site with abelian coefficients (exact mode).
@@ -593,7 +592,7 @@ def stack_cohomology(
     fs = grothendieck_construct(g)
     if f.base != fs.total:
         raise InputError("coefficients do not live on the total category")
-    cc = cochain_complex(fs.total, f, n_max, normalized=normalized, max_strings=max_strings)
+    cc = cochain_complex(fs.total, f, n_max, max_strings=max_strings)
     return _cohomology(cc)
 
 
@@ -603,7 +602,6 @@ def cech_cohomology(
     s: Sieve,
     f: AbelianPresheaf,
     n_max: int,
-    normalized: bool = True,
     max_strings: int = 200_000,
 ) -> list[FgAbelianGroup]:
     """Cohomology of the full slice subcategory spanned by a covering sieve.
@@ -637,7 +635,7 @@ def cech_cohomology(
     group = {a: f.group[sl.object_pair[a][0]] for a in objects}
     restriction = {n: f.restriction[sl.morphism_under[n]] for n in morphisms}
     coeffs = AbelianPresheaf(base=sub, group=group, restriction=restriction)
-    cc = cochain_complex(sub, coeffs, n_max, normalized=normalized, max_strings=max_strings)
+    cc = cochain_complex(sub, coeffs, n_max, max_strings=max_strings)
     # nothing on this path validates the site, so the argument in
     # ``cochain_complex`` does not cover it and the complex is checked
     return cohomology_of_complex(cc)

@@ -2,11 +2,14 @@
 
 The total category of the construction has objects (U|x) with U an object of
 the base site and x an object of the fibre category at U, and morphisms (a|f)
-with the twisted composition law (a|f)(g|h) = (a.g | g*(f).h).  Covering
-sieves of the fibred site are the sieves containing a preimage of a base
-cover.  Presheaves on the total category are equivalent to enriched diagrams,
-and this module implements both directions of that equivalence together with
-the restriction / left Kan adjunctions between diagram categories.  The left
+with the twisted composition law (a|f)(g|h) = (a.g | g*(f).h).  The construction
+lists each morphism as its triple (a, f, x), with (U|x) its target, and keeps
+that index as ``FibredSite.morphism_of``: readers look morphisms up there,
+and no name is ever parsed back into its parts.  Covering sieves of the
+fibred site are the sieves containing a preimage of a base cover.  Presheaves
+on the total category are equivalent to enriched diagrams, and this module
+implements both directions of that equivalence together with the
+restriction / left Kan adjunctions between diagram categories.  The left
 Kan extension, its unit and its counit take their comma categories and
 colimits from ``fincat._comma_cocones``, the one routine that builds them.
 
@@ -165,8 +168,8 @@ class FibredSite:
     """Total category of the construction, with its projection to the base.
 
     object_pair maps a total object id back to (U, x); morphism_pair maps a
-    total morphism id to (alpha, f).  The topology field is attached by
-    induced_topology and is None straight out of the construction.
+    total morphism id to (alpha, f); morphism_of is the index the
+    construction lists, from each arrow's triple (alpha, f, x) to its id.
     """
 
     base: PresheafOfCategories
@@ -174,16 +177,16 @@ class FibredSite:
     projection: Functor
     object_pair: dict[str, tuple[str, str]]
     morphism_pair: dict[str, tuple[str, str]]
-    topology: GrothendieckTopology | None = None
+    morphism_of: dict[tuple[str, str, str], str]
 
 
 def grothendieck_construct(a: PresheafOfCategories) -> FibredSite:
     """Build the total category over the presheaf of categories.
 
-    Morphisms (U|x) <- (V|y) are pairs (alpha: V -> U, f: y -> alpha*(x));
-    composition follows the twisted law.  Morphism ids are the bare pairs
-    (alpha|f) when those determine the morphism, and carry the target fibre
-    object as a third component otherwise (restrictions that are not
+    Morphisms (U|x) <- (V|y) are triples (alpha: V -> U, f: y -> alpha*(x),
+    x); composition follows the twisted law.  Morphism ids are the bare
+    pairs (alpha|f) when those determine the morphism, and carry the target
+    fibre object as a third component otherwise (restrictions that are not
     injective on objects make the bare pair ambiguous).  a is validated
     first; ``_grothendieck_construct`` builds without that check.
     """
@@ -193,81 +196,64 @@ def grothendieck_construct(a: PresheafOfCategories) -> FibredSite:
 
 def _grothendieck_construct(a: PresheafOfCategories) -> FibredSite:
     c = a.site
-    objects = []
-    object_pair: dict[str, tuple[str, str]] = {}
-    for u in sorted(c.objects):
-        for x in sorted(a.value[u].objects):
-            name = pair_name(u, x)
-            objects.append(name)
-            object_pair[name] = (u, x)
-
-    # a morphism is determined by (alpha, f, x); detect whether (alpha, f)
-    # alone is unambiguous across the whole construction
-    triples: list[tuple[str, str, str]] = []
-    pair_count: dict[tuple[str, str], int] = {}
-    for alpha in sorted(c.morphisms):
-        v, u = c.morphisms[alpha]
-        r = a.restriction[alpha]
-        for x in sorted(a.value[u].objects):
-            rx = r.on_object(x)
-            for f in a.value[v].into(rx):
-                triples.append((alpha, f, x))
-                pair_count[(alpha, f)] = pair_count.get((alpha, f), 0) + 1
-    ambiguous = any(n > 1 for n in pair_count.values())
-
-    def mor_id(alpha: str, f: str, x: str) -> str:
-        if ambiguous:
-            return f"({alpha}|{f}|{x})"
-        return pair_name(alpha, f)
-
+    object_pair = {
+        pair_name(u, x): (u, x)
+        for u in sorted(c.objects)
+        for x in sorted(a.value[u].objects)
+    }
+    triples = [
+        (alpha, f, x)
+        for alpha in sorted(c.morphisms)
+        for x in sorted(a.value[c.target(alpha)].objects)
+        for f in a.value[c.source(alpha)].into(a.restriction[alpha].on_object(x))
+    ]
+    ambiguous = len({(alpha, f) for alpha, f, _x in triples}) < len(triples)
+    morphism_of = {
+        (alpha, f, x): f"({alpha}|{f}|{x})" if ambiguous else pair_name(alpha, f)
+        for alpha, f, x in triples
+    }
     morphisms: dict[str, tuple[str, str]] = {}
-    morphism_pair: dict[str, tuple[str, str]] = {}
-    triple_of: dict[str, tuple[str, str, str]] = {}
+    # the arrows into each total object (U, x), in construction order
+    into: dict[tuple[str, str], list[tuple[str, str, str]]] = {}
     for alpha, f, x in triples:
         v, u = c.morphisms[alpha]
         y = a.value[v].source(f)
-        name = mor_id(alpha, f, x)
-        morphisms[name] = (pair_name(v, y), pair_name(u, x))
-        morphism_pair[name] = (alpha, f)
-        triple_of[name] = (alpha, f, x)
-
-    identity = {
-        pair_name(u, x): mor_id(c.identity[u], a.value[u].identity[x], x)
-        for u in c.objects
-        for x in a.value[u].objects
-    }
-
+        morphisms[morphism_of[(alpha, f, x)]] = (pair_name(v, y), pair_name(u, x))
+        into.setdefault((u, x), []).append((alpha, f, x))
+    # nothing parses a name back, but a '|' inside a site or fibre name can
+    # still print two objects or two arrows alike
+    n_objects = sum(len(a.value[u].objects) for u in c.objects)
+    if len(object_pair) < n_objects or len(morphisms) < len(triples):
+        raise InputError("two total objects or arrows share a name; a name holds '|'")
+    # (alpha|f) after (gamma|g) is (alpha.gamma | gamma*(f).g)
     composition: dict[tuple[str, str], str] = {}
-    for m2, (alpha, f, x) in triple_of.items():
+    for alpha, f, x in triples:
         v = c.source(alpha)
-        src2 = morphisms[m2][0]
-        for m1, (gamma, g, y) in triple_of.items():
-            if morphisms[m1][1] != src2:
-                continue
+        m2 = morphism_of[(alpha, f, x)]
+        for gamma, g, y in into.get((v, a.value[v].source(f)), ()):
             w = c.source(gamma)
-            ag = c.compose(alpha, gamma)
-            gf = a.restriction[gamma].on_morphism(f)
-            composition[(m2, m1)] = mor_id(ag, a.value[w].compose(gf, g), x)
-
+            h = a.value[w].compose(a.restriction[gamma].on_morphism(f), g)
+            composition[(m2, morphism_of[(gamma, g, y)])] = morphism_of[
+                (c.compose(alpha, gamma), h, x)
+            ]
     total = FiniteCategory(
-        objects=tuple(objects),
+        objects=tuple(object_pair),
         morphisms=morphisms,
-        identity=identity,
+        identity={
+            pair_name(u, x): morphism_of[(c.identity[u], a.value[u].identity[x], x)]
+            for u in c.objects
+            for x in a.value[u].objects
+        },
         composition=composition,
     )
+    morphism_pair = {n: (alpha, f) for (alpha, f, _x), n in morphism_of.items()}
     projection = Functor(
         domain=total,
         codomain=c,
         object_map={n: p[0] for n, p in object_pair.items()},
         morphism_map={n: p[0] for n, p in morphism_pair.items()},
     )
-    return FibredSite(
-        base=a,
-        total=total,
-        projection=projection,
-        object_pair=object_pair,
-        morphism_pair=morphism_pair,
-    )
+    return FibredSite(a, total, projection, object_pair, morphism_pair, morphism_of)
 
 
 def preimage_sieve(fs: FibredSite, total_object: str, s: Sieve) -> Sieve:
@@ -415,12 +401,6 @@ def presheaf_to_enriched(fs: FibredSite, f: Presheaf) -> EnrichedSetDiagram:
     require_valid(validate_set_functor(f))
     a = fs.base
     c = a.site
-    rev = {(alpha_f[0], alpha_f[1], fs.object_pair[fs.total.target(m)][1]): m
-           for m, alpha_f in fs.morphism_pair.items()}
-
-    def total_mor(alpha: str, g: str, x: str) -> str:
-        return rev[(alpha, g, x)]
-
     value = {
         fs.object_pair[n]: tuple(f.value[n]) for n in fs.total.objects
     }
@@ -428,13 +408,13 @@ def presheaf_to_enriched(fs: FibredSite, f: Presheaf) -> EnrichedSetDiagram:
     for u in c.objects:
         fib = a.value[u]
         for gamma, (xx, yy) in fib.morphisms.items():
-            m = total_mor(c.identity[u], gamma, yy)
+            m = fs.morphism_of[(c.identity[u], gamma, yy)]
             cat_action[(u, gamma)] = dict(f.action[m])
     site_action = {}
     for alpha, (v, u) in c.morphisms.items():
         r = a.restriction[alpha]
         for x in a.value[u].objects:
-            m = total_mor(alpha, a.value[v].identity[r.on_object(x)], x)
+            m = fs.morphism_of[(alpha, a.value[v].identity[r.on_object(x)], x)]
             site_action[(alpha, x)] = dict(f.action[m])
     return EnrichedSetDiagram(
         base=a, value=value, cat_action=cat_action, site_action=site_action
@@ -446,14 +426,11 @@ def enriched_to_presheaf(fs: FibredSite, x: EnrichedSetDiagram) -> Presheaf:
     if x.base != fs.base:
         raise InputError("diagram does not live over the construction's base")
     require_valid(validate_enriched(x))
-    a = fs.base
-    c = a.site
+    c = fs.base.site
     value = {n: tuple(x.value[fs.object_pair[n]]) for n in fs.total.objects}
     action: dict[str, dict[str, str]] = {}
-    for m in fs.total.morphisms:
-        alpha, gamma = fs.morphism_pair[m]
-        v = c.source(alpha)
-        u, ob = fs.object_pair[fs.total.target(m)]
+    for (alpha, gamma, ob), m in fs.morphism_of.items():
+        v, u = c.morphisms[alpha]
         site = x.site_action[(alpha, ob)]
         fib = x.cat_action[(v, gamma)]
         action[m] = {e: fib[site[e]] for e in x.value[(u, ob)]}
@@ -572,52 +549,39 @@ def free_enrichment(a: PresheafOfCategories, x0: OverPresheaf) -> EnrichedSetDia
     c = a.site
     if x0.base.value != object_presheaf(a).value:
         raise InputError("over-presheaf does not sit over the fibre objects")
-    value: dict[tuple[str, str], tuple[str, ...]] = {}
+    # each element's (e, f), in the order of its token in value
+    parts: dict[tuple[str, str], list[tuple[str, str]]] = {}
     for u in c.objects:
         fib = a.value[u]
         for y in fib.objects:
-            elems = []
-            for f in sorted(fib.out_of(y)):
-                tgt = fib.target(f)
-                for e in x0.total.value[u]:
-                    if x0.over[u][e] == tgt:
-                        elems.append(pair_name(e, f))
-            value[(u, y)] = tuple(elems)
-    cat_action: dict[tuple[str, str], dict[str, str]] = {}
-    for u in c.objects:
-        fib = a.value[u]
-        for gamma, (yy, zz) in fib.morphisms.items():
-            amap = {}
-            for token in value[(u, zz)]:
-                e, f = _split_pair(token)
-                amap[token] = pair_name(e, fib.compose(f, gamma))
-            cat_action[(u, gamma)] = amap
-    site_action: dict[tuple[str, str], dict[str, str]] = {}
-    for alpha, (v, u) in c.morphisms.items():
-        r = a.restriction[alpha]
-        for y in a.value[u].objects:
-            amap = {}
-            for token in value[(u, y)]:
-                e, f = _split_pair(token)
-                amap[token] = pair_name(x0.total.act(alpha, e), r.on_morphism(f))
-            site_action[(alpha, y)] = amap
+            parts[(u, y)] = [
+                (e, f)
+                for f in sorted(fib.out_of(y))
+                for e in x0.total.value[u]
+                if x0.over[u][e] == fib.target(f)
+            ]
+    value = {k: tuple(pair_name(e, f) for e, f in ps) for k, ps in parts.items()}
+    cat_action = {
+        (u, gamma): {
+            pair_name(e, f): pair_name(e, a.value[u].compose(f, gamma))
+            for e, f in parts[(u, zz)]
+        }
+        for u in c.objects
+        for gamma, (_yy, zz) in a.value[u].morphisms.items()
+    }
+    site_action = {
+        (alpha, y): {
+            pair_name(e, f): pair_name(
+                x0.total.act(alpha, e), a.restriction[alpha].on_morphism(f)
+            )
+            for e, f in parts[(u, y)]
+        }
+        for alpha, (_v, u) in c.morphisms.items()
+        for y in a.value[u].objects
+    }
     return EnrichedSetDiagram(
         base=a, value=value, cat_action=cat_action, site_action=site_action
     )
-
-
-def _split_pair(token: str) -> tuple[str, str]:
-    if not (token.startswith("(") and token.endswith(")")):
-        raise InputError(f"not a pair token: {token}")
-    depth = 0
-    for i, ch in enumerate(token):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "|" and depth == 1:
-            return token[1:i], token[i + 1 : -1]
-    raise InputError(f"not a pair token: {token}")
 
 
 def enrichment_unit(a: PresheafOfCategories, x0: OverPresheaf) -> dict[str, dict[str, str]]:
@@ -855,18 +819,13 @@ def total_functor(m: MorphismOfPresheavesOfCategories) -> Functor:
     fs_a = _grothendieck_construct(m.domain)
     fs_b = _grothendieck_construct(m.codomain)
     c = m.domain.site
-    rev = {
-        (p[0], p[1], fs_b.object_pair[fs_b.total.target(n)][1]): n
-        for n, p in fs_b.morphism_pair.items()
-    }
     object_map = {}
     for n, (u, x) in fs_a.object_pair.items():
         object_map[n] = pair_name(u, m.components[u].on_object(x))
     morphism_map = {}
-    for n, (alpha, f) in fs_a.morphism_pair.items():
+    for (alpha, f, x), n in fs_a.morphism_of.items():
         v, u = c.morphisms[alpha]
-        x = fs_a.object_pair[fs_a.total.target(n)][1]
-        morphism_map[n] = rev[
+        morphism_map[n] = fs_b.morphism_of[
             (alpha, m.components[v].on_morphism(f), m.components[u].on_object(x))
         ]
     return Functor(

@@ -643,20 +643,14 @@ def is_fully_faithful(f: Functor) -> bool:
 
 
 def is_essentially_surjective(f: Functor) -> bool:
+    """Every codomain object is isomorphic to an image object: its class
+    under the isomorphisms meets the image."""
     cod = f.codomain
-    hit = {f.on_object(x) for x in f.domain.objects}
-    iso_reachable = set(hit)
-    changed = True
-    while changed:
-        changed = False
-        for m, (s, t) in cod.morphisms.items():
-            if not is_isomorphism(cod, m):
-                continue
-            for a, b in ((s, t), (t, s)):
-                if a in iso_reachable and b not in iso_reachable:
-                    iso_reachable.add(b)
-                    changed = True
-    return iso_reachable >= set(cod.objects)
+    rep = _least_representatives(
+        cod.objects, (st for m, st in cod.morphisms.items() if is_isomorphism(cod, m))
+    )
+    hit = {rep[f.on_object(x)] for x in f.domain.objects}
+    return all(rep[y] in hit for y in cod.objects)
 
 
 def is_equivalence(f: Functor) -> bool:

@@ -39,7 +39,6 @@ from .fincat import Groupoid, opposite, opposite_functor, validate_groupoid
 from .sset import (
     SimplicialMap,
     TruncatedSimplicialSet,
-    _tkey,
     compose_simplicial_maps,
     identity_simplicial_map,
     nerve,
@@ -100,14 +99,6 @@ class OverNerve:
     base: Groupoid
     total: TruncatedSimplicialSet
     structure: SimplicialMap
-
-    def fibre(self, n: int, sigma) -> tuple:
-        return tuple(
-            sorted(
-                (x for x in self.total.simplices[n] if self.structure.apply(n, x) == sigma),
-                key=_tkey,
-            )
-        )
 
 
 def validate_over_nerve(x: OverNerve) -> list[str]:

@@ -17,7 +17,6 @@ from .fibred import (
     PresheafDiagram,
     PresheafOfCategories,
     PresheafOfGroupoids,
-    _split_pair,
     constant_presheaf_of_categories,
     make_translation_presheaf,
 )
@@ -243,8 +242,8 @@ def random_sectionwise_equivalence(
         comp = Functor(
             domain=g,
             codomain=h,
-            object_map={o: _split_pair(o)[0] for o in g.objects},
-            morphism_map={m: _split_pair(m)[0] for m in g.morphisms},
+            object_map={pair_name(o, p): o for o in h.objects for p in e.objects},
+            morphism_map={pair_name(m, n): m for m in h.morphisms for n in e.morphisms},
         )
     gh = constant_presheaf_of_categories(site, h)
     gg = constant_presheaf_of_categories(site, g)

@@ -312,10 +312,9 @@ def matching_families(f: Presheaf, s: Sieve) -> tuple[Family, ...]:
     return tuple(sorted(set(families)))
 
 
-def restrict_family(c: FiniteCategory, fam: Family, f: Presheaf, s: Sieve, alpha: str) -> Family:
-    """Pull a matching family on s back to one on pullback_sieve(s, alpha)."""
+def restrict_family(c: FiniteCategory, fam: Family, p: Sieve, alpha: str) -> Family:
+    """Pull a matching family on s back to one on p = pullback_sieve(c, s, alpha)."""
     lut = dict(fam)
-    p = pullback_sieve(c, s, alpha)
     return tuple(sorted((g, lut[c.compose(alpha, g)]) for g in p.members))
 
 
@@ -400,14 +399,15 @@ def plus_construction(f: Presheaf, t: GrothendieckTopology) -> Presheaf:
     label = {u: {fam: f"p{i}" for i, fam in enumerate(fams[u])} for u in c.objects}
     action: dict[str, dict[str, str]] = {}
     for alpha, (v, u) in c.morphisms.items():
-        if pullback_sieve(c, least[u], alpha) not in t.covering(v):
+        pulled = pullback_sieve(c, least[u], alpha)
+        if pulled not in t.covering(v):
             raise InputError(
                 "covers are not stable under pullback; verify the topology first"
             )
         keep = least[v].members
         amap: dict[str, str] = {}
         for fam in fams[u]:
-            sub = restrict_family(c, fam, f, least[u], alpha)
+            sub = restrict_family(c, fam, pulled, alpha)
             amap[label[u][fam]] = label[v][tuple(p for p in sub if p[0] in keep)]
         action[alpha] = amap
     value = {u: tuple(label[u].values()) for u in c.objects}

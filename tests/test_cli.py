@@ -25,6 +25,7 @@ SHIPPED = [
     "e2_collapse.bundle",
     "product_cj.bundle",
     "pt_z2_twisted.bundle",
+    "twin_sites.bundle",
 ]
 
 
@@ -98,6 +99,39 @@ class TestParsing:
 
         with pytest.raises(BundleNameError):
             parse_bundle([str(p)])
+
+    def test_error_in_a_second_file_names_that_file(self, tmp_path, capsys):
+        one = tmp_path / "one.bundle"
+        one.write_text("category C\nobjects U\n")
+        two = tmp_path / "two.bundle"
+        two.write_text("# the category block starts on line 3\n\ncategory D\n"
+                       "objects U\nmor a : V -> U\n")
+        assert go(["validate", str(one), str(two)])[0] == 2
+        err = capsys.readouterr().err
+        assert f"{two}:3: morphism a of D references unknown objects" in err
+        assert str(one) not in err
+
+
+class TestTwinSites:
+    """C and D in twin_sites.bundle have equal tables; only D has a cover."""
+
+    BUNDLE = str(BUNDLES / "twin_sites.bundle")
+
+    def test_sheaf_check_reads_the_declared_site(self):
+        code, out = go(["sheaf-check", self.BUNDLE, "--presheaf", "P"])
+        assert code == 1
+        (verdict,) = json.loads(out)["verdicts"]
+        assert verdict["detail"] == "uniqueness fails at U: sections s and t agree on the cover"
+
+    def test_induced_topology_reads_the_declared_site(self):
+        code, out = go(["topology-check", self.BUNDLE, "--psheaf", "A"])
+        assert code == 0
+        assert json.loads(out)["payload"]["cover_counts"] == {"(U|x)": 2, "(V|x)": 1}
+
+    def test_emit_names_the_declared_site(self):
+        text = emit_bundle(parse_bundle([self.BUNDLE]))
+        assert "spresheaf P over D\n" in text
+        assert "psheaf-cat A over D\n" in text
 
 
 class TestRoundTrip:

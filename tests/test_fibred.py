@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from fibsite.errors import ValidationFailure
+from fibsite.errors import InputError, ValidationFailure
 from fibsite.fincat import (
     CONTRAVARIANT,
     COVARIANT,
@@ -13,6 +13,7 @@ from fibsite.fincat import (
     colim_set,
     comma_data,
     cyclic_groupoid,
+    discrete_category,
     identity_functor,
     is_isomorphism,
     left_kan_set,
@@ -27,7 +28,9 @@ from fibsite.fincat import (
 from fibsite.fibred import (
     EnrichedSetDiagram,
     MorphismOfPresheavesOfCategories,
+    OverPresheaf,
     PresheafDiagram,
+    PresheafOfCategories,
     PresheafOfGroupoids,
     constant_enriched_diagram,
     constant_presheaf_of_categories,
@@ -42,6 +45,7 @@ from fibsite.fibred import (
     kan_unit,
     left_kan_along,
     make_translation_presheaf,
+    object_presheaf,
     object_restriction,
     preimage_sieve,
     presheaf_to_enriched,
@@ -51,7 +55,6 @@ from fibsite.fibred import (
     validate_morphism_of_presheaves,
     validate_over_presheaf,
     validate_presheaf_of_categories,
-    _split_pair,
 )
 from fibsite.sampling import (
     random_poset_site,
@@ -64,6 +67,7 @@ from fibsite.site import (
     all_sieves,
     constant_presheaf,
     coproduct_presheaf,
+    make_presheaf,
     pullback_sieve,
     representable_presheaf,
     saturate_topology,
@@ -74,6 +78,19 @@ from fibsite.site import (
 
 
 class TestConstruction:
+    def test_names_that_collide_are_refused(self):
+        # (U, a|x) and (U|a, x) would both be the total object (U|a|x)
+        site = discrete_category(["U", "U|a"])
+        fa, fb = discrete_category(["a|x"]), discrete_category(["x"])
+        a = PresheafOfCategories(
+            site=site,
+            value={"U": fa, "U|a": fb},
+            restriction={"id_U": identity_functor(fa), "id_U|a": identity_functor(fb)},
+        )
+        assert validate_presheaf_of_categories(a) == []
+        with pytest.raises(InputError, match="share a name"):
+            grothendieck_construct(a)
+
     def test_constant_terminal_gives_base(self, chain2, pt):
         fs = grothendieck_construct(constant_presheaf_of_categories(chain2, pt))
         assert len(fs.total.objects) == len(chain2.objects)
@@ -307,6 +324,24 @@ class TestObjectAdjunction:
         assert validate_enriched(free) == []
         assert len(free.value[("*", "*")]) == 2  # one per group element
 
+    def test_free_enrichment_keeps_elements_with_bars(self, pt, z2):
+        # element names are not parsed back out of the (e|f) tokens, so an
+        # element e|z is kept whole
+        a = constant_presheaf_of_categories(pt, z2)
+        x0 = OverPresheaf(
+            total=make_presheaf(pt, {"*": ("e|z",)}, {"id_*": {"e|z": "e|z"}}),
+            base=object_presheaf(a),
+            over={"*": {"e|z": "*"}},
+        )
+        assert validate_over_presheaf(x0) == []
+        free = free_enrichment(a, x0)
+        assert validate_enriched(free) == []
+        assert free.value[("*", "*")] == ("(e|z|id_*)", "(e|z|r1)")
+        assert free.cat_action[("*", "r1")] == {
+            "(e|z|id_*)": "(e|z|r1)",
+            "(e|z|r1)": "(e|z|id_*)",
+        }
+
     def test_triangles_exact(self, chain2, z2, e2):
         rng = random.Random(11)
         for fibre in (z2, e2, poset_chain(["x", "y"]), terminal_category("x")):
@@ -328,29 +363,31 @@ class TestObjectAdjunction:
                 assert validate_enriched(free) == []
                 unit = enrichment_unit(a, x0)
                 counit = enrichment_counit(x)
-                # triangle 1: counit after free(unit) is the identity of free(x0)
+                counit_free = enrichment_counit(free)
+                # the tokens of free(x0) are the pairs (e|arrow) with e over
+                # the target of arrow; triangle 1: the counit at free(x0)
+                # after free(unit) is the identity, and free(unit) sends
+                # (e|arrow) to (unit(e)|arrow)
                 for (u, y), elems in free.value.items():
                     fib = a.value[u]
-                    for token in elems:
-                        e, arrow = _split_pair(token)
-                        lifted = pair_name(unit[u][e], arrow)
-                        # free(unit) sends (e, arrow) to (unit(e), arrow); the
-                        # counit then acts by the free diagram's own action
-                        ob2, inner = _split_pair(unit[u][e])
-                        pushed = pair_name(inner, arrow)
-                        result_e, result_arrow = _split_pair(pushed)
-                        # counit of the free diagram composes the arrows
-                        ee, f1 = _split_pair(result_e)
-                        composed = fib.compose(f1, result_arrow)
-                        assert pair_name(ee, composed) == token
-                # triangle 2: restriction of counit after unit at x0 of x;
-                # elements of the restriction carry the (object | raw) wrapper
-                x0x = object_restriction(x)
+                    expected = []
+                    for arrow in sorted(fib.out_of(y)):
+                        for e in x0.total.value[u]:
+                            if x0.over[u][e] != fib.target(arrow):
+                                continue
+                            token = pair_name(e, arrow)
+                            expected.append(token)
+                            lifted = pair_name(unit[u][e], arrow)
+                            assert counit_free[(u, y)][lifted] == token
+                    assert list(elems) == expected
+                # triangle 2: the restriction of the counit after the unit
+                # at x0 is the identity; unit(e) is (ob|(e|id_ob))
                 for u in chain2.objects:
-                    for e in x0x.total.value[u]:
-                        ob = x0x.over[u][e]
-                        ob2, inner = _split_pair(unit[u][e])
-                        assert ob2 == ob
+                    fib = a.value[u]
+                    for e in x0.total.value[u]:
+                        ob = x0.over[u][e]
+                        inner = pair_name(e, fib.identity[ob])
+                        assert unit[u][e] == pair_name(ob, inner)
                         assert pair_name(ob, counit[(u, ob)][inner]) == e
 
 

@@ -19,6 +19,7 @@ from fibsite.fincat import (
     groups_isomorphic,
     identity_functor,
     is_equivalence,
+    is_essentially_surjective,
     is_isomorphism,
     left_kan_set,
     opposite,
@@ -354,6 +355,48 @@ class TestEquivalenceAndGroups:
         assert not groups_isomorphic(
             automorphism_group(z4, "*"), automorphism_group(klein, "*")
         )
+
+
+def _point_at(cod: FiniteCategory, x: str) -> Functor:
+    """The functor from the one-object category p that picks x."""
+    return Functor(
+        domain=terminal_category("p"),
+        codomain=cod,
+        object_map={"p": x},
+        morphism_map={"id_p": cod.identity[x]},
+    )
+
+
+class TestEssentiallySurjective:
+    def test_iso_chain_reaches_every_object(self):
+        # in the chain x0 ~ x1 ~ x2 each object's isomorphisms reach the
+        # other two, so an image of one object is enough
+        cod = codiscrete_groupoid(["x0", "x1", "x2"])
+        for x in cod.objects:
+            f = _point_at(cod, x)
+            assert validate_functor(f) == []
+            assert is_essentially_surjective(f)
+
+    def test_non_iso_arrow_does_not_reach(self, chain2):
+        # V -> U is not invertible, so neither end reaches the other
+        for x in chain2.objects:
+            assert not is_essentially_surjective(_point_at(chain2, x))
+        # one object of each iso class is enough
+        both = Functor(
+            domain=discrete_category(["p", "q"]),
+            codomain=chain2,
+            object_map={"p": "V", "q": "U"},
+            morphism_map={"id_p": "id_V", "id_q": "id_U"},
+        )
+        assert validate_functor(both) == []
+        assert is_essentially_surjective(both)
+
+    def test_empty_domain_and_codomain(self, pt):
+        empty = discrete_category([])
+        assert is_essentially_surjective(identity_functor(empty))
+        to_pt = Functor(domain=empty, codomain=pt, object_map={}, morphism_map={})
+        assert validate_functor(to_pt) == []
+        assert not is_essentially_surjective(to_pt)
 
 
 def test_product_category(chain2):

@@ -21,7 +21,6 @@ from fibsite.fibred import (
     restrict_along,
     total_functor,
     validate_presheaf_of_categories,
-    _split_pair,
 )
 from fibsite.fincat import Functor, identity_functor
 from fibsite.hocopb import hocolim
@@ -247,21 +246,19 @@ class TestObjectRestrictionNaturality:
         lhs = object_restriction(restrict_along(m, x))
         rhs = object_restriction(x)
         # the object level of the restriction is the pullback of the object
-        # level along the object map: elements (a, raw) with raw sitting
-        # over m(a)
+        # level along the object map: elements (a|raw) with (m(a)|raw) an
+        # element over m(a)
         for u in chain2.objects:
-            expected = []
+            expected = {}
             for a in sorted(ge.value[u].objects):
                 ma = comp.on_object(a)
-                for e in rhs.total.value[u]:
-                    if rhs.over[u][e] == ma:
-                        expected.append((a, _split_pair(e)[1]))
-            got = [tuple(_split_pair(e)) for e in lhs.total.value[u]]
-            assert sorted(got) == sorted(expected)
+                over_ma = [e for e in rhs.total.value[u] if rhs.over[u][e] == ma]
+                assert over_ma == [pair_name(ma, raw) for raw in x.value[(u, ma)]]
+                for raw in x.value[(u, ma)]:
+                    expected[pair_name(a, raw)] = a
+            assert sorted(lhs.total.value[u]) == sorted(expected)
             # structure maps match through the pullback projection
-            for e in lhs.total.value[u]:
-                a, raw = _split_pair(e)
-                assert lhs.over[u][e] == a
+            assert lhs.over[u] == expected
 
 
 class TestEquivalenceTransfersToTotal:

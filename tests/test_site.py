@@ -299,8 +299,9 @@ def _plus_oracle(f, t):
     for alpha, (v, u) in c.morphisms.items():
         image: dict = {}
         for (i, fam), cls in rep[u].items():
-            j = covers[v].index(pullback_sieve(c, covers[u][i], alpha))
-            sub = restrict_family(c, fam, f, covers[u][i], alpha)
+            pulled = pullback_sieve(c, covers[u][i], alpha)
+            j = covers[v].index(pulled)
+            sub = restrict_family(c, fam, pulled, alpha)
             image.setdefault(cls, set()).add(rep[v][(j, sub)])
         assert all(len(img) == 1 for img in image.values())
         restrict[alpha] = {cls: img.pop() for cls, img in image.items()}
