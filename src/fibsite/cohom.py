@@ -308,9 +308,21 @@ def _cochain_complex(
     has_torsion = any(f.group[x].torsion for x in c.objects)
     top = n_max + 1
     tokens, faces = string_table(c, top, normalized, max_strings)
-    vertex = [[c.string_vertex(n, t) for t in level] for n, level in enumerate(tokens)]
+    ends = c.morphisms
+    vertex = [[t[0] for t in tokens[0]]]
+    vertex += [[ends[t[0]][0] for t in level] for level in tokens[1:]]
     gens = {x: f.group[x].generator_count for x in c.objects}
     tors = {x: f.group[x].torsion for x in c.objects}
+    # per arrow m: the nonzero entries (i, j, v) of F(m), which face 0 of a
+    # string starting with m carries, and the identity block range(k) on
+    # the k generators at m's source, which the other faces carry
+    split = {
+        m: (
+            [(i, j, v) for i, row in enumerate(f.restriction[m]) for j, v in enumerate(row) if v],
+            range(gens[a]),
+        )
+        for m, (a, _) in ends.items()
+    }
 
     # per degree and string id: offset of its generators and of its
     # relations (the torsion factors come first in a canonical group)
@@ -333,33 +345,42 @@ def _cochain_complex(
         rel_ranks.append(rpos)
 
     def base_differential(n: int) -> dict[tuple[int, int], int]:
-        """Entries of D^n: strings_n-cochains -> strings_{n+1}-cochains."""
+        """Entries of D^n: strings_n-cochains -> strings_{n+1}-cochains.
+
+        Each contribution is added where it lands, and an entry whose
+        contributions cancel is deleted, so no zero is stored.
+        """
         entries: dict[tuple[int, int], int] = {}
-        cols, rows = gen_offsets[n], gen_offsets[n + 1]
-        for tau, tau_faces in enumerate(faces[n + 1]):
-            kx0 = gens[vertex[n + 1][tau]]
-            rbase = rows[tau]
+        get = entries.get
+        cols = gen_offsets[n]
+        for tok, tau_faces, rbase in zip(tokens[n + 1], faces[n + 1], gen_offsets[n + 1]):
+            twist, block = split[tok[0]]
             # face 0 is twisted by the restriction along the first arrow;
             # a degenerate (None) face vanishes in the normalized complex
             sigma = tau_faces[0]
             if sigma is not None:
-                mat = f.restriction[tokens[n + 1][tau][0]]
                 cbase = cols[sigma]
-                for i in range(kx0):
-                    for j, vv in enumerate(mat[i]):
-                        if vv:
-                            key = (rbase + i, cbase + j)
-                            entries[key] = entries.get(key, 0) + vv
-            for idx in range(1, n + 2):
-                sigma = tau_faces[idx]
+                for i, j, v in twist:
+                    key = (rbase + i, cbase + j)
+                    s = get(key, 0) + v
+                    if s:
+                        entries[key] = s
+                    else:
+                        del entries[key]
+            sgn = 1
+            for sigma in tau_faces[1:]:
+                sgn = -sgn
                 if sigma is None:
                     continue
-                sgn = 1 if idx % 2 == 0 else -1
                 cbase = cols[sigma]
-                for i in range(kx0):
+                for i in block:
                     key = (rbase + i, cbase + i)
-                    entries[key] = entries.get(key, 0) + sgn
-        return {k: v for k, v in entries.items() if v}
+                    s = get(key, 0) + sgn
+                    if s:
+                        entries[key] = s
+                    else:
+                        del entries[key]
+        return entries
 
     base_diffs = [base_differential(n) for n in range(top)]
     string_counts = tuple(len(level) for level in vertex)
@@ -403,12 +424,15 @@ def _cochain_complex(
                         rrow, dr = rel
                         if num % dr != 0:
                             raise ValidationFailure("restriction does not respect relations")
+                        # each entry of column col is written once: the
+                        # rows r of one column of D^n are distinct, and so
+                        # are their relations
                         q = num // dr
                         if q:
-                            entries[(rrow, col)] = entries.get((rrow, col), 0) + q
+                            entries[(rrow, col)] = q
                     elif num != 0:
                         raise ValidationFailure("restriction does not respect relations")
-        return {k: v for k, v in entries.items() if v}
+        return entries
 
     # bottom slot: the degree-0 relations map into T^0 = F^0 (+) R^1; the
     # top slot is C^{n_max+1} alone (see (c) above)
@@ -417,18 +441,14 @@ def _cochain_complex(
         ranks.append(gen_ranks[n] + rel_ranks[n + 1])
     ranks.append(gen_ranks[n_max + 1])
     diffs = []
-    bottom: dict[tuple[int, int], int] = {}
-    for (r, cc), v in rel_matrix(0).items():
-        bottom[(r, cc)] = v
+    bottom = rel_matrix(0)
     for (r, cc), v in rel_lift(0).items():
         bottom[(gen_ranks[0] + r, cc)] = -v
     diffs.append(bottom)
+    # D^n becomes the cone's differential in place: rel_lift(n) has read it
     for n in range(n_max + 1):
-        entries: dict[tuple[int, int], int] = {}
-        for (r, cc), v in base_diffs[n].items():
-            entries[(r, cc)] = v
-        rho = rel_matrix(n + 1)
-        for (r, cc), v in rho.items():
+        entries = base_diffs[n]
+        for (r, cc), v in rel_matrix(n + 1).items():
             entries[(r, gen_ranks[n] + cc)] = v
         if n < n_max:
             for (r, cc), v in rel_lift(n + 1).items():

@@ -145,21 +145,26 @@ def string_table(
     # not sources, so the children of an object are looked up one by one
     one = {m: k for k, m in enumerate(pool)}
     children: list = [[one[m] for m in out_of[u]] for u in objects]
+    # per last arrow a: the arrows m that may follow it, and the place of
+    # m.a among the arrows leaving a's source (None for an omitted identity)
+    after = {}
+    if top >= 2:
+        for a in pool:
+            arrows = out_of[ends[a][1]]
+            after[a] = (arrows, [place.get(compose[(m, a)]) for m in arrows])
     for n in range(2, top + 1):
         tokens: list[tuple[str, ...]] = []
         faces: list[tuple] = []
         starts: list[range] = []
         for p, (tok, pf) in enumerate(zip(table.tokens[n - 1], table.faces[n - 1])):
-            a = tok[-1]
-            arrows = out_of[ends[a][1]]
+            arrows, places = after[tok[-1]]
             starts.append(range(len(tokens), len(tokens) + len(arrows)))
             # the inner faces of p end where p ends, so their children line
             # up with p's: row k holds the inner faces of p's k-th child
             none = (None,) * len(arrows)
             inner = zip(*[none if f is None else children[f] for f in pf[:-1]])
             tail = children[pf[-1]]
-            for m, row in zip(arrows, inner):
-                j = place.get(compose[(m, a)])
+            for m, row, j in zip(arrows, inner, places):
                 faces.append(row + (None if j is None else tail[j], p))
                 tokens.append(tok + (m,))
             within_cap(n, len(tokens))
@@ -372,36 +377,52 @@ class CommaCategory:
 
 
 def comma_data(f: Functor, y: str) -> CommaCategory:
+    """The comma category f/y, named as ``CommaCategory`` says.
+
+    A '|' or '>' inside a name can print two comma objects or two comma
+    arrows alike; that raises ``InputError`` naming the shared name.
+    """
     cod = f.codomain
     dom = f.domain
     if y not in set(cod.objects):
         raise InputError(f"object {y} not in codomain")
+
+    def clash(kind: str, name: str) -> InputError:
+        return InputError(f"two comma {kind} over {y} are both named {name}; a name holds '|' or '>'")
+
     obj_of: dict[tuple[str, str], str] = {}
+    object_pair: dict[str, tuple[str, str]] = {}
     for x in sorted(dom.objects):
         for h in cod.hom(f.on_object(x), y):
-            obj_of[(x, h)] = pair_name(x, h)
+            a = pair_name(x, h)
+            if a in object_pair:
+                raise clash("objects", a)
+            obj_of[(x, h)] = a
+            object_pair[a] = (x, h)
     morphisms: dict[str, tuple[str, str]] = {}
     under: dict[str, str] = {}
     mor_of: dict[tuple[str, str, str], str] = {}
+    # the arrows into each comma object, in construction order
+    into: dict[str, list[str]] = {}
     for (x, h), a in sorted(obj_of.items()):
         for (x2, h2), b in sorted(obj_of.items()):
             for m in dom.hom(x, x2):
                 if cod.compose(h2, f.on_morphism(m)) == h:
                     name = f"({m}|{h}>{h2})"
+                    if name in morphisms:
+                        raise clash("arrows", name)
                     morphisms[name] = (a, b)
                     under[name] = m
                     mor_of[(m, a, b)] = name
-    identity = {
-        obj_of[(x, h)]: mor_of[(dom.identity[x], obj_of[(x, h)], obj_of[(x, h)])]
-        for (x, h) in obj_of
-    }
+                    into.setdefault(b, []).append(name)
+    identity = {a: mor_of[(dom.identity[x], a, a)] for (x, _h), a in obj_of.items()}
     composition: dict[tuple[str, str], str] = {}
     for n2, (b, c_) in morphisms.items():
-        for n1, (a, b1) in morphisms.items():
-            if b1 == b:
-                composition[(n2, n1)] = mor_of[(dom.compose(under[n2], under[n1]), a, c_)]
+        for n1 in into.get(b, ()):
+            a = morphisms[n1][0]
+            composition[(n2, n1)] = mor_of[(dom.compose(under[n2], under[n1]), a, c_)]
     cat = FiniteCategory(
-        objects=tuple(sorted(obj_of.values())),
+        objects=tuple(sorted(object_pair)),
         morphisms=morphisms,
         identity=identity,
         composition=composition,
@@ -409,12 +430,11 @@ def comma_data(f: Functor, y: str) -> CommaCategory:
     proj = Functor(
         domain=cat,
         codomain=dom,
-        object_map={a: x for (x, h), a in obj_of.items()},
+        object_map={a: x for a, (x, _h) in object_pair.items()},
         morphism_map=dict(under),
     )
     return CommaCategory(
-        category=cat, object_pair={a: (x, h) for (x, h), a in obj_of.items()},
-        morphism_under=under, projection=proj,
+        category=cat, object_pair=object_pair, morphism_under=under, projection=proj,
     )
 
 

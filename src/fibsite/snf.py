@@ -258,11 +258,20 @@ def sparse_invariant_factors(
         raise ValueError("a rank-only reduction reports no pivot rows")
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
+    # each row and column is created at its first entry
     for (i, j), val in entries.items():
         if val == 0 or j in cleared:
             continue
-        rows.setdefault(i, {})[j] = val
-        cols.setdefault(j, set()).add(i)
+        row = rows.get(i)
+        if row is None:
+            rows[i] = {j: val}
+        else:
+            row[j] = val
+        col = cols.get(j)
+        if col is None:
+            cols[j] = {i}
+        else:
+            col.add(i)
 
     # every pivot adds one to the rank; outside rank-only mode each is +-1
     # and so an invariant factor 1

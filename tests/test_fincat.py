@@ -141,6 +141,44 @@ class TestComma:
         with pytest.raises(InputError):
             comma_category(identity_functor(pt), "nope")
 
+    def test_comma_objects_printing_alike_are_refused(self):
+        # (U, a|g) and (U|a, g) both print as (U|a|g) over Y
+        c = build_category(["Y", "U|a", "U"], {"a|g": ("U", "Y"), "g": ("U|a", "Y")}, {})
+        assert validate_category(c) == []
+        with pytest.raises(InputError, match=r"comma objects over Y are both named \(U\|a\|g\)"):
+            comma_data(identity_functor(c), "Y")
+
+    def test_comma_arrows_printing_alike_are_refused(self):
+        # endomorphisms p|q and p of A compose as g.f = f; h.(p|q) = r and
+        # h.p = q|r, so (p|q: (A, r) -> (A, h)) and (p: (A, q|r) -> (A, h))
+        # both print as (p|q|r>h)
+        ends = ("p|q", "p")
+        c = build_category(
+            ["A", "Y"],
+            {"p|q": ("A", "A"), "p": ("A", "A"), "r": ("A", "Y"), "q|r": ("A", "Y")},
+            {
+                **{(g, f): f for g in ends for f in ends},
+                **{(h, "p|q"): "r" for h in ("r", "q|r")},
+                **{(h, "p"): "q|r" for h in ("r", "q|r")},
+            },
+        )
+        assert validate_category(c) == []
+        with pytest.raises(InputError, match=r"comma arrows over Y are both named \(p\|q\|r>"):
+            comma_data(identity_functor(c), "Y")
+
+    def test_comma_composition_matches_the_underlying_arrows(self, chain3, z3, e2):
+        # composites come from an index by target; each must lie over the
+        # composite of the underlying arrows, and every composable pair
+        # must be present
+        for c in (chain3, z3, e2):
+            for y in c.objects:
+                cd = comma_data(identity_functor(c), y)
+                cat = cd.category
+                assert validate_category(cat) == []
+                for (g, f), h in cat.composition.items():
+                    under = cd.morphism_under
+                    assert under[h] == c.compose(under[g], under[f])
+
 
 class TestPi0:
     def test_discrete(self):

@@ -260,6 +260,44 @@ def test_coreduction_keeps_factors_rank_and_pivot_rows(case):
     assert snf_diagonal([m[i] for i in pivots]) == [1] * len(pivots)
 
 
+# A boundary-shaped matrix with explicit zero entries mixed in and a random
+# set of cleared columns.
+@st.composite
+def zeros_and_cleared(draw):
+    entries, nrows, ncols = draw(boundary_shaped)
+    for key in draw(
+        st.lists(st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1)), max_size=nrows + ncols)
+    ):
+        entries[key] = 0
+    cleared = draw(st.sets(st.integers(0, ncols - 1), max_size=ncols))
+    return entries, nrows, ncols, cleared
+
+
+@settings(max_examples=150, deadline=None)
+@given(zeros_and_cleared())
+def test_kernel_load_skips_zeros_and_cleared_columns_and_never_changes_entries(case):
+    entries, nrows, ncols, cleared = case
+    before = list(entries.items())
+    kept = {(i, j): v for (i, j), v in entries.items() if v and j not in cleared}
+    m = [[kept.get((i, j), 0) for j in range(ncols)] for i in range(nrows)]
+    dense = snf_diagonal(m)
+    pivots: list[int] = []
+    kept_pivots: list[int] = []
+    assert sparse_invariant_factors(entries, nrows, ncols, pivots, cleared=cleared) == (
+        len(dense),
+        dense,
+    )
+    assert sparse_invariant_factors(kept, nrows, ncols, kept_pivots) == (len(dense), dense)
+    # the load drops zeros and cleared entries before building anything, so
+    # the reduction of the rest runs exactly as on the matrix without them
+    assert pivots == kept_pivots
+    assert sparse_invariant_factors(entries, nrows, ncols, rank_only=True, cleared=cleared) == (
+        len(dense),
+        [],
+    )
+    assert list(entries.items()) == before
+
+
 def test_rank_only_peels_non_unit_singletons_and_reports_no_pivots():
     entries = {(0, 0): 4, (1, 1): -6, (1, 2): 2, (2, 2): 3}
     assert sparse_invariant_factors(entries, 3, 3) == (3, [1, 2, 36])
