@@ -427,7 +427,7 @@ def textbook_differential(c, f, n, normalized):
                 for b, v in enumerate(row):
                     key = (rows[t] + a, cols[s] + b)
                     entries[key] = entries.get(key, 0) + (-1) ** i * v
-    return {k: v for k, v in entries.items() if v}, len(tokens[n + 1])
+    return {k: v for k, v in entries.items() if v}
 
 
 @pytest.mark.parametrize("normalized", [True, False])
@@ -444,8 +444,7 @@ def test_built_differentials_match_the_textbook_formula(normalized):
             for k, level in enumerate(string_table(c, n_max + 1, normalized).tokens)
         ]
         for n in range(n_max + 1):
-            want, count = textbook_differential(c, f, n, normalized)
-            assert count == cc.string_counts[n + 1]
+            want = textbook_differential(c, f, n, normalized)
             built = {
                 (r, col): v
                 for (r, col), v in cc.differentials[n + cc.offset].items()

@@ -119,6 +119,35 @@ class TestOpposite:
         assert len(op.composition) == len(chain3.composition)
 
 
+def pipe_clash_category():
+    # endomorphisms p|q and p of A compose as g.f = f; h.(p|q) = r and
+    # h.p = q|r, so (p|q: (A, r) -> (A, h)) and (p: (A, q|r) -> (A, h))
+    # both print as (p|q|r>h)
+    ends = ("p|q", "p")
+    return build_category(
+        ["A", "Y"],
+        {"p|q": ("A", "A"), "p": ("A", "A"), "r": ("A", "Y"), "q|r": ("A", "Y")},
+        {
+            **{(g, f): f for g in ends for f in ends},
+            **{(h, "p|q"): "r" for h in ("r", "q|r")},
+            **{(h, "p"): "q|r" for h in ("r", "q|r")},
+        },
+    )
+
+
+def angle_clash_category():
+    # no '|' at all, so a bundle may declare it: m is idempotent with
+    # r.m = p>q and (q>r).m = p, so (m: (X, p>q) -> (X, r)) and
+    # (m: (X, p) -> (X, q>r)) both print as (m|p>q>r); a comma category
+    # that kept only one of them would still validate
+    action = {"r": "p>q", "p>q": "p>q", "q>r": "p", "p": "p"}
+    return build_category(
+        ["X", "Y"],
+        {"m": ("X", "X"), **{h: ("X", "Y") for h in action}},
+        {("m", "m"): "m", **{(h, "m"): v for h, v in action.items()}},
+    )
+
+
 class TestComma:
     def test_identity_on_point(self, pt):
         c = comma_category(identity_functor(pt), "*")
@@ -148,22 +177,14 @@ class TestComma:
         with pytest.raises(InputError, match=r"comma objects over Y are both named \(U\|a\|g\)"):
             comma_data(identity_functor(c), "Y")
 
-    def test_comma_arrows_printing_alike_are_refused(self):
-        # endomorphisms p|q and p of A compose as g.f = f; h.(p|q) = r and
-        # h.p = q|r, so (p|q: (A, r) -> (A, h)) and (p: (A, q|r) -> (A, h))
-        # both print as (p|q|r>h)
-        ends = ("p|q", "p")
-        c = build_category(
-            ["A", "Y"],
-            {"p|q": ("A", "A"), "p": ("A", "A"), "r": ("A", "Y"), "q|r": ("A", "Y")},
-            {
-                **{(g, f): f for g in ends for f in ends},
-                **{(h, "p|q"): "r" for h in ("r", "q|r")},
-                **{(h, "p"): "q|r" for h in ("r", "q|r")},
-            },
-        )
+    @pytest.mark.parametrize(
+        "make, name",
+        [(pipe_clash_category, r"\(p\|q\|r>"), (angle_clash_category, r"\(m\|p>q>r\)")],
+    )
+    def test_comma_arrows_printing_alike_are_refused(self, make, name):
+        c = make()
         assert validate_category(c) == []
-        with pytest.raises(InputError, match=r"comma arrows over Y are both named \(p\|q\|r>"):
+        with pytest.raises(InputError, match=rf"comma arrows over Y are both named {name}"):
             comma_data(identity_functor(c), "Y")
 
     def test_comma_composition_matches_the_underlying_arrows(self, chain3, z3, e2):
