@@ -33,7 +33,8 @@ in that order; a group line in any other order is a validation error.
 Identity morphisms are created automatically and named ``id_<object>``; the
 parser rejects attempts to redefine them.  Declared object and morphism
 names may not contain ``|``, ``(`` or ``)``, which the pair names of total
-objects and arrows use.  Every block is validated after
+objects and arrows use, nor ``>``, which comma arrow names use.  Every block
+is validated after
 parsing; validation failures surface as BundleValidationError with the
 structure's own report attached.
 """
@@ -73,9 +74,15 @@ from .site import (
 from .fincat import SetValuedFunctor, validate_set_functor
 
 
-# total objects and arrows are written (U|x) and (a|f), so a declared name
-# holding one of these could not be told apart from a pair
-_RESERVED = "|()"
+# total objects and arrows are written (U|x) and (a|f), and comma arrows
+# (m|h>h2), so a declared name holding one of these could not be told apart
+# from a pair or a comma arrow; each character maps to the names it reserves
+_RESERVED = {
+    "|": "total-object names",
+    "(": "total-object names",
+    ")": "total-object names",
+    ">": "comma arrow names",
+}
 
 
 class BundleSyntaxError(FibsiteError):
@@ -352,10 +359,10 @@ def parse_bundle(paths: list[str]) -> Bundle:
 
     for name, rc in raw_cats.items():
         reserved = [
-            f"{kind} {x!r} contains {ch!r}, which total-object names reserve"
+            f"{kind} {x!r} contains {ch!r}, which {names_of} reserve"
             for kind, names in (("object", rc.objects), ("morphism", rc.arrows))
             for x in names
-            for ch in _RESERVED
+            for ch, names_of in _RESERVED.items()
             if ch in x
         ]
         if reserved:

@@ -85,11 +85,14 @@ class FiniteCategory:
 
 
 class StringTable(NamedTuple):
-    """Composable strings per degree, numbered from 0 in each degree.
+    """Simplices per degree, numbered from 0 in each degree.
 
-    tokens[n][k] is string k of degree n; faces[n][k] holds its face ids in
-    degree n-1, in vertex-deletion order, with None for a face that contains
-    a left-out identity (degree 0 has no faces).
+    ``string_table`` fills it with composable strings, and
+    ``sset.simplex_table`` with the nondegenerate simplices of a simplicial
+    set.  tokens[n][k] is simplex k of degree n; faces[n][k] holds its face
+    ids in degree n-1, in vertex-deletion order, with None for a degenerate
+    face, such as one that contains a left-out identity (degree 0 has no
+    faces).
     """
 
     tokens: list[list[tuple[str, ...]]]

@@ -12,7 +12,9 @@ the sectionwise versions over a presheaf of groupoids carry the site actions
 along unchanged.  The triangle identities are equations between
 components, so ``check_triangles`` reads the unit's components and never
 builds the unit's codomain hocolim(pb(...)); ``unit_eta`` builds it when a
-caller asks for the map itself.
+caller asks for the map itself.  A hocolim builds its normalized table
+(``sset.simplex_table``) and its dicts apart, each on first read, so
+``we_evidence`` on the unit never builds the dicts of its codomain.
 
 Inputs are validated once, at the public boundary: ``hocolim``, ``pb``,
 ``enriched_hocolim`` and ``enriched_pb`` validate a caller's argument before
@@ -35,10 +37,12 @@ from dataclasses import dataclass
 
 from .errors import InputError
 from .fibred import PresheafOfGroupoids
-from .fincat import Groupoid, opposite, opposite_functor, validate_groupoid
+from .fincat import Groupoid, opposite, opposite_functor, string_table, validate_groupoid
 from .sset import (
     SimplicialMap,
     TruncatedSimplicialSet,
+    _deferred,
+    _filled,
     compose_simplicial_maps,
     identity_simplicial_map,
     nerve,
@@ -160,50 +164,114 @@ def hocolim(a: GroupoidDiagram, d: int) -> OverNerve:
 
 
 def _hocolim(a: GroupoidDiagram, d: int) -> OverNerve:
+    """The hocolim, its normalized table and its dicts both deferred.
+
+    The first read of any dict of the total or of the structure map fills
+    them all.  Both deferred builds hold a's parts but not a itself, so the
+    memo entry for a is freed with a.
+    """
     g = a.base
     if any(a.value[y].dim < d for y in g.objects):
         raise InputError("diagram values truncated below the requested degree")
     ng = _remembered(g, nerve, d)
-    simplices = []
-    structure = []
-    faces = {}
-    degeneracies = {}
+    value, action = a.value, a.action
+
+    def fill() -> None:
+        simplices = []
+        over_sigma = []
+        faces = {}
+        degeneracies = {}
+        for n in range(d + 1):
+            over = {}
+            fms = [{} for _ in range(n + 1)] if n else []
+            dms = [{} for _ in range(n + 1)] if n < d else []
+            nerve_faces = [ng.faces[(n, i)] for i in range(len(fms))]
+            nerve_degens = [ng.degeneracies[(n, i)] for i in range(len(dms))]
+            for sigma in ng.simplices[n]:
+                val = value[g.string_vertex(n, sigma)]
+                xs = val.simplices[n]
+                keys = [(sigma, x) for x in xs]
+                over.update(dict.fromkeys(keys, sigma))
+                if fms:
+                    # the 0-th face moves x along the first arrow g1 first
+                    g1 = sigma[0]
+                    moved = action[g1].components[n]
+                    d0 = value[g.target(g1)].faces[(n, 0)]
+                    tau = nerve_faces[0][sigma]
+                    fms[0].update(zip(keys, [(tau, d0[moved[x]]) for x in xs]))
+                    for i in range(1, n + 1):
+                        tau, di = nerve_faces[i][sigma], val.faces[(n, i)]
+                        fms[i].update(zip(keys, [(tau, di[x]) for x in xs]))
+                for i, dm in enumerate(dms):
+                    s_sigma, si = nerve_degens[i][sigma], val.degeneracies[(n, i)]
+                    dm.update(zip(keys, [(s_sigma, si[x]) for x in xs]))
+            simplices.append(frozenset(over))
+            over_sigma.append(over)
+            faces.update(((n, i), fm) for i, fm in enumerate(fms))
+            degeneracies.update(((n, i), dm) for i, dm in enumerate(dms))
+        _filled(total, simplices=tuple(simplices), faces=faces, degeneracies=degeneracies)
+        _filled(structure, components=tuple(over_sigma))
+
+    total = _deferred(
+        TruncatedSimplicialSet, fill, dim=d, _levels=_hocolim_levels(g, value, action, d)
+    )
+    structure = _deferred(SimplicialMap, fill, domain=total, codomain=ng)
+    return OverNerve(base=g, total=total, structure=structure)
+
+
+def _hocolim_levels(g: Groupoid, value: dict, action: dict, d: int):
+    """The hocolim's normalized table, one degree at a time.
+
+    Degeneracies act on both parts of (sigma, x) at once, so (sigma, x) is
+    degenerate iff, for some i, arrow i of sigma is an identity and x lies in
+    the image of s_i in the value at sigma's first vertex.  Simplices are
+    ordered by sigma's string-table order, then by the repr of x; face ids
+    are looked up by sigma's face id and the face of x, so no pair token is
+    hashed.
+    """
+    strings = _remembered(g, string_table, d)
+    identities = g._identity_set
+    # (y, n) -> the value's n-simplices in repr order, and per simplex the
+    # bits i with the simplex in the image of s_i
+    ordered: dict = {}
+    # (y, n, bits of sigma's identity arrows) -> the x that pair with such a
+    # sigma into a nondegenerate simplex
+    kept: dict = {}
+    below: list[dict] = []  # per string of degree n-1: x -> id of (string, x)
     for n in range(d + 1):
-        over = {}
-        fms = [{} for _ in range(n + 1)] if n else []
-        dms = [{} for _ in range(n + 1)] if n < d else []
-        nerve_faces = [ng.faces[(n, i)] for i in range(len(fms))]
-        nerve_degens = [ng.degeneracies[(n, i)] for i in range(len(dms))]
-        for sigma in ng.simplices[n]:
-            value = a.value[g.string_vertex(n, sigma)]
-            xs = value.simplices[n]
-            keys = [(sigma, x) for x in xs]
-            over.update(dict.fromkeys(keys, sigma))
-            if fms:
-                # the 0-th face moves x along the first arrow g1 first
+        tokens: list = []
+        faces: list = []
+        ids: list[dict] = []
+        for k, sigma in enumerate(strings.tokens[n]):
+            y0 = g.string_vertex(n, sigma)
+            bits = sum(1 << i for i, m in enumerate(sigma) if m in identities) if n else 0
+            xs = kept.get((y0, n, bits))
+            if xs is None:
+                if (y0, n) not in ordered:
+                    val = value[y0]
+                    masks = dict.fromkeys(sorted(val.simplices[n], key=repr), 0)
+                    for i in range(n):
+                        for x in val.degeneracies[(n - 1, i)].values():
+                            masks[x] |= 1 << i
+                    ordered[(y0, n)] = masks
+                masks = ordered[(y0, n)]
+                xs = kept[(y0, n, bits)] = [x for x, b in masks.items() if not b & bits]
+            ids.append(dict(zip(xs, range(len(tokens), len(tokens) + len(xs)))))
+            tokens.extend([(sigma, x) for x in xs])
+            if n:
+                # face 0 moves x along the first arrow g1 before its face
+                sf = strings.faces[n][k]
                 g1 = sigma[0]
-                moved = a.action[g1].components[n]
-                d0 = a.value[g.target(g1)].faces[(n, 0)]
-                tau = nerve_faces[0][sigma]
-                fms[0].update(zip(keys, [(tau, d0[moved[x]]) for x in xs]))
-                for i in range(1, n + 1):
-                    tau, di = nerve_faces[i][sigma], value.faces[(n, i)]
-                    fms[i].update(zip(keys, [(tau, di[x]) for x in xs]))
-            for i, dm in enumerate(dms):
-                s_sigma, si = nerve_degens[i][sigma], value.degeneracies[(n, i)]
-                dm.update(zip(keys, [(s_sigma, si[x]) for x in xs]))
-        simplices.append(frozenset(over))
-        structure.append(over)
-        faces.update(((n, i), fm) for i, fm in enumerate(fms))
-        degeneracies.update(((n, i), dm) for i, dm in enumerate(dms))
-    total = TruncatedSimplicialSet(
-        dim=d, simplices=tuple(simplices), faces=faces, degeneracies=degeneracies
-    )
-    return OverNerve(
-        base=g,
-        total=total,
-        structure=SimplicialMap(domain=total, codomain=ng, components=tuple(structure)),
-    )
+                moved = action[g1].components[n]
+                d0 = value[g.target(g1)].faces[(n, 0)]
+                first = below[sf[0]]
+                rest = [(below[sf[i]], value[y0].faces[(n, i)]) for i in range(1, n + 1)]
+                faces.extend([
+                    (first.get(d0[moved[x]]), *[ids_i.get(di[x]) for ids_i, di in rest])
+                    for x in xs
+                ])
+        yield tokens, faces
+        below = ids
 
 
 def anchor_from_last(g: Groupoid, sigma, alpha: str) -> str:

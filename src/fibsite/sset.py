@@ -4,13 +4,19 @@ Simplices are hashable tokens (strings, or tuples for structured carriers
 like nerve strings); all face and degeneracy maps are explicit dictionaries,
 so simplicial identities are exhaustively checkable.  The two-sided string
 bisimplicial set reuses the nerve's face and degeneracy maps, reindexed by
-bidegree.  Homology runs over the normalized integer chain complex through
-the exact Smith-form kernel.
+bidegree.  Homology and path components read one normalized table per set
+(``simplex_table``): per degree the nondegenerate simplices in a fixed order
+and their face ids, with None for a degenerate face.  A builder that knows
+its nondegenerate simplices (``hocopb``'s hocolim) supplies that table and
+defers its dicts until something reads them; any other set's table is read
+off its dicts.  Homology runs over the normalized integer chain complex
+through the exact Smith-form kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from operator import itemgetter
 from typing import Hashable
 
@@ -38,6 +44,62 @@ def _tkey(t: Token):
     return repr(t)
 
 
+class _DeferredField:
+    """A dataclass field that a builder may fill on first read.
+
+    ``_deferred(cls, fill, **given)`` makes an instance that holds only the
+    given fields.  An instance's own value always wins over this class-level
+    descriptor, so only the first read of a missing field reaches it; that
+    runs fill, which sets the fields of every object it was deferred for.
+    Equality, repr, pickling and every reader then see the ordinary values.
+    A descriptor, unlike ``__getattr__``, leaves the reads of every other
+    attribute on the interpreter's fast path.
+    """
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        fill = vars(obj).get("_fill")
+        if fill is None:
+            raise AttributeError(self.name)
+        fill()
+        return vars(obj)[self.name]
+
+
+def _reduce_to_fields(obj):
+    # the fields only: a fill function and a table's level generator cannot
+    # be pickled, and both are rebuilt on demand
+    return type(obj), tuple(getattr(obj, f) for f in obj.__dataclass_fields__)
+
+
+def _deferrable(*names):
+    """Class decorator: the dataclass fields ``names`` may be deferred."""
+
+    def decorate(cls):
+        for name in names:
+            setattr(cls, name, _DeferredField(name))
+        cls.__reduce__ = _reduce_to_fields
+        return cls
+
+    return decorate
+
+
+def _deferred(cls, fill, **given):
+    obj = object.__new__(cls)
+    vars(obj).update(given, _fill=fill)
+    return obj
+
+
+def _filled(obj, **fields) -> None:
+    """Set the deferred fields of obj; its fill function is dropped."""
+    vars(obj).update(fields)
+    vars(obj).pop("_fill")
+
+
+@_deferrable("simplices", "faces", "degeneracies")
 @dataclass(frozen=True)
 class TruncatedSimplicialSet:
     """Simplicial set truncated at dimension ``dim``.
@@ -68,8 +130,8 @@ class TruncatedSimplicialSet:
         return frozenset(out)
 
     def nondegenerate(self, n: int) -> tuple:
-        deg = self.degenerate(n)
-        return tuple(sorted((x for x in self.simplices[n] if x not in deg), key=_tkey))
+        """Degree-n simplices outside every degeneracy image, in table order."""
+        return tuple(simplex_table(self, n).tokens[n])
 
 
 def validate_simplicial(s: TruncatedSimplicialSet) -> list[str]:
@@ -134,6 +196,7 @@ def validate_simplicial(s: TruncatedSimplicialSet) -> list[str]:
     return report
 
 
+@_deferrable("components")
 @dataclass(frozen=True)
 class SimplicialMap:
     domain: TruncatedSimplicialSet
@@ -501,47 +564,94 @@ class HomologyResult:
     components: int
 
 
+def simplex_table(s: TruncatedSimplicialSet, top: int) -> StringTable:
+    """The normalized table of s through degree top (see ``StringTable``).
+
+    Per degree: the nondegenerate simplices, and for each its face ids in
+    the degree below, None for a degenerate face.  A set built with its own
+    table (``hocopb``'s hocolim) yields that; any other set's table is read
+    off its dicts, nondegenerate simplices in ``repr`` order.  Each degree is
+    built once per set, on first request, and the table returned may run
+    past top.
+    """
+    own = vars(s)
+    table = own.get("_table")
+    if table is None:
+        table = own["_table"] = StringTable([], [])
+        own.setdefault("_levels", _levels_from_dicts(s))
+    levels = own["_levels"]
+    for tokens, faces in islice(levels, max(0, top + 1 - len(table.tokens))):
+        table.tokens.append(tokens)
+        table.faces.append(faces)
+    return table
+
+
+def _levels_from_dicts(s: TruncatedSimplicialSet, normalized: bool = True):
+    """The levels of s's table read off its dicts, in ``repr`` order.
+
+    Without normalized every simplex is listed and no face id is None.
+    """
+    index: dict = {}
+    for n in range(s.dim + 1):
+        level = s.simplices[n]
+        if normalized and n:
+            degenerate = s.degenerate(n)
+            level = [x for x in level if x not in degenerate]
+        tokens = sorted(level, key=_tkey)
+        faces = []
+        if n:
+            maps = [s.faces[(n, i)] for i in range(n + 1)]
+            faces = [tuple([index.get(m[x]) for m in maps]) for x in tokens]
+        index = {x: k for k, x in enumerate(tokens)}
+        yield tokens, faces
+
+
+def _table(s: TruncatedSimplicialSet, top: int, normalized: bool) -> StringTable:
+    """``simplex_table``, or without normalized every simplex in ``repr`` order."""
+    if normalized:
+        return simplex_table(s, top)
+    levels = list(islice(_levels_from_dicts(s, False), top + 1))
+    return StringTable([tokens for tokens, _ in levels], [faces for _, faces in levels])
+
+
 def pi0_sset(s: TruncatedSimplicialSet) -> dict:
     """Vertex -> least vertex of its edge-path component."""
+    table = simplex_table(s, 1)
+    vertices = table.tokens[0]
+    # a degenerate edge is a loop at one vertex, so the table's edges suffice
     return _least_representatives(
-        s.simplices[0],
-        ((s.face(1, 1, e), s.face(1, 0, e)) for e in s.simplices[1]),
-        key=_tkey,
+        vertices, ((vertices[e[1]], vertices[e[0]]) for e in table.faces[1]), key=_tkey
     )
-
-
-def _basis(s: TruncatedSimplicialSet, n: int, normalized: bool) -> tuple:
-    return s.nondegenerate(n) if normalized else tuple(sorted(s.simplices[n], key=_tkey))
 
 
 def boundary_entries(
     s: TruncatedSimplicialSet, n: int, normalized: bool = True
 ) -> tuple[dict[tuple[int, int], int], int, int]:
-    """Sparse boundary matrix from degree n to degree n-1 as (entries, rows, cols)."""
-    basis_n, basis_m = _basis(s, n, normalized), _basis(s, n - 1, normalized)
-    entries, ncols, nrows = _coboundary(s, n, basis_n, basis_m)
+    """Sparse boundary matrix from degree n to degree n-1 as (entries, rows, cols).
+
+    Rows and columns follow the order of ``simplex_table``, or ``repr``
+    order over every simplex without normalized.
+    """
+    entries, ncols, nrows = _coboundary(_table(s, n, normalized), n)
     return {(r, j): v for (j, r), v in entries.items()}, nrows, ncols
 
 
 def _coboundary(
-    s: TruncatedSimplicialSet, n: int, basis_n: tuple, basis_m: tuple
+    table: StringTable, n: int
 ) -> tuple[dict[tuple[int, int], int], int, int]:
     """Transposed boundary from degree n to degree n-1 as (entries, rows, cols).
 
-    Row j is the boundary of the j-th simplex of ``basis_n``; both bases
-    come already computed.
+    Row j is the boundary of simplex j of degree n; a face id of None is a
+    degenerate face, which vanishes in the normalized complex.
     """
-    col = {x: i for i, x in enumerate(basis_m)}
-    faces = [s.faces[(n, i)] for i in range(n + 1)]
     entries: dict[tuple[int, int], int] = {}
-    for j, x in enumerate(basis_n):
-        for i in range(n + 1):
-            c = col.get(faces[i][x])
-            if c is None:
-                continue  # degenerate face vanishes in the normalized complex
-            key = (j, c)
-            entries[key] = entries.get(key, 0) + (1 if i % 2 == 0 else -1)
-    return entries, len(basis_n), len(basis_m)
+    get = entries.get
+    for j, row in enumerate(table.faces[n]):
+        for i, c in enumerate(row):
+            if c is not None:
+                key = (j, c)
+                entries[key] = get(key, 0) + (-1 if i & 1 else 1)
+    return entries, len(table.tokens[n]), len(table.tokens[n - 1])
 
 
 def homology(
@@ -564,15 +674,15 @@ def homology(
         raise InputError(f"homology degree bound {top} is negative")
     if top > s.dim - 1:
         raise InputError("truncation too low for the requested degree")
-    bases = [_basis(s, n, normalized) for n in range(top + 2)]
-    chain = [_coboundary(s, n, bases[n], bases[n - 1]) for n in range(1, top + 2)]
+    table = _table(s, top + 1, normalized)
+    chain = [_coboundary(table, n) for n in range(1, top + 2)]
     # reduced[n] is (rank, factors) of d_n, with d_0 = 0
     reduced = [(0, [])] + _reduce_with_clearing(chain)
     out = []
     for n in range(top + 1):
-        free = len(bases[n]) - reduced[n][0] - reduced[n + 1][0]
+        free = len(table.tokens[n]) - reduced[n][0] - reduced[n + 1][0]
         out.append(normalize_factors(reduced[n + 1][1], free))
-    return HomologyResult(factors=tuple(out), components=len(bases[0]) - reduced[1][0])
+    return HomologyResult(factors=tuple(out), components=len(table.tokens[0]) - reduced[1][0])
 
 
 # ---------------------------------------------------------------------------
@@ -665,6 +775,7 @@ __all__ = [
     "nerve",
     "nerve_map",
     "pi0_sset",
+    "simplex_table",
     "standard_simplex",
     "validate_bisimplicial",
     "validate_simplicial",

@@ -367,7 +367,7 @@ class TestExitCodes:
             assert go(argv + [str(most)])[0] == 0
             assert go(argv + [str(most - 1)])[0] == 5
 
-    @pytest.mark.parametrize("char", ["|", "(", ")"])
+    @pytest.mark.parametrize("char", ["|", "(", ")", ">"])
     def test_reserved_character_in_a_name_is_3(self, char, tmp_path):
         for text, name in (
             (f"category C\nobjects U x{char}y\n", f"x{char}y"),
@@ -418,6 +418,14 @@ class TestExitCodes:
         code, out = go(["validate", str(BUNDLES / f"{name}.bundle")])
         assert (code, out) == (3, "")
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_angle_in_a_name_is_3(self, capsys):
+        # comma arrows are named (m|h>h2), so 'p>q' could print two alike
+        code, out = go(["validate", str(BUNDLES / "bad_angle_name.bundle")])
+        assert (code, out) == (3, "")
+        assert capsys.readouterr().err == (
+            "error: category C: morphism 'p>q' contains '>', which comma arrow names reserve\n"
+        )
 
     def test_adjunction_check_on_an_empty_site_is_3(self, capsys):
         bundle = str(BUNDLES / "empty_site.bundle")

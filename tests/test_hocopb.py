@@ -1,9 +1,12 @@
 import gc
+import pickle
 import random
 import weakref
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fibsite import hocopb
 from fibsite.errors import InputError
@@ -43,9 +46,12 @@ from fibsite.sampling import (
 )
 from fibsite.sset import (
     SimplicialMap,
+    TruncatedSimplicialSet,
     homology,
     identity_simplicial_map,
     nerve,
+    pi0_sset,
+    simplex_table,
     standard_simplex,
     validate_simplicial_map,
     we_evidence,
@@ -237,6 +243,81 @@ class TestTriangles:
         for n in range(4):
             for t in x.total.simplices[n]:
                 assert c.apply(n, eta.apply(n, t)) == t
+
+
+def _faces_by_token(table, n):
+    """The degree-n simplices of a table, each with its faces as tokens."""
+    if n == 0:
+        return dict.fromkeys(table.tokens[0], ())
+    below = table.tokens[n - 1]
+    return {
+        t: tuple(None if f is None else below[f] for f in faces)
+        for t, faces in zip(table.tokens[n], table.faces[n])
+    }
+
+
+def _unbuilt(s) -> bool:
+    return not {"simplices", "faces", "degeneracies"} & vars(s).keys()
+
+
+@st.composite
+def hocolim_inputs(draw):
+    """A random diagram, pb of a random over-nerve, or a section of a random
+    enriched diagram, with the truncation degree."""
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    d = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["diagram", "pb", "section"]))
+    if kind == "diagram":
+        return random_diagram(rng, random_groupoid(rng), d), d
+    if kind == "pb":
+        return hocopb._pb(random_over_nerve(rng, random_groupoid(rng), d)), d
+    x = random_enriched_diagram(rng, random_poset_site(rng, 2), d)
+    return section_diagram(x, rng.choice(sorted(x.base.site.objects))), d
+
+
+class TestTable:
+    """The hocolim's directly built table against the one its dicts give."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(hocolim_inputs())
+    def test_direct_table_matches_the_dicts(self, case):
+        a, d = case
+        h = hocopb._hocolim(a, d)
+        direct = simplex_table(h.total, d)
+        assert _unbuilt(h.total)
+        # an equal set given as dicts has its table read off them
+        eager = TruncatedSimplicialSet(
+            dim=d, simplices=h.total.simplices, faces=h.total.faces,
+            degeneracies=h.total.degeneracies,
+        )
+        derived = simplex_table(eager, d)
+        for n in range(d + 1):
+            assert _faces_by_token(direct, n) == _faces_by_token(derived, n)
+        assert homology(h.total, d - 1) == homology(eager, d - 1)
+        assert pi0_sset(h.total) == pi0_sset(eager)
+
+    def test_unit_evidence_leaves_the_codomain_unbuilt(self, z2):
+        x = random_over_nerve(random.Random(6), z2, 4)
+        eta = unit_eta(x)
+        assert we_evidence(eta, 3).passed
+        h = hocopb._remembered(pb(x), hocopb._hocolim, 4)
+        assert h.total is eta.codomain
+        assert _unbuilt(eta.codomain) and "components" not in vars(h.structure)
+        # the first read fills the dicts of the total and of the structure map
+        assert validate_simplicial_map(eta) == []
+        assert validate_over_nerve(h) == []
+        assert not _unbuilt(eta.codomain) and "_fill" not in vars(h.structure)
+
+
+    def test_a_hocolim_pickles_as_its_dicts(self, z2):
+        # neither the fill function nor the table's level generator pickles;
+        # a copy carries the fields only, read before or after homology
+        h = hocopb._hocolim(random_diagram(random.Random(2), z2, 3), 3)
+        before = pickle.loads(pickle.dumps(h))
+        assert homology(h.total, 2) == homology(before.total, 2)
+        after = pickle.loads(pickle.dumps(h))
+        assert before == after == h
+        assert "_table" not in vars(after.total)
 
 
 class TestFunctorialityEvidence:

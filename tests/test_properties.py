@@ -2,13 +2,25 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibsite.cohom import ZZ, _cohomology, cochain_complex, constant_abelian_presheaf, zmod
+from fibsite.cohom import (
+    ZZ,
+    FgAbelianGroup,
+    _cohomology,
+    cochain_complex,
+    constant_abelian_presheaf,
+    zmod,
+)
 from fibsite.fincat import (
+    codiscrete_groupoid,
+    cyclic_groupoid,
     discrete_category,
+    group_block_groupoid,
     is_equivalence,
+    opposite,
     pair_name,
 )
 from fibsite.fibred import (
@@ -23,10 +35,12 @@ from fibsite.fibred import (
     validate_presheaf_of_categories,
 )
 from fibsite.fincat import Functor, identity_functor
-from fibsite.hocopb import hocolim
+from fibsite.hocopb import GroupoidDiagram, hocolim, pb
 from fibsite.sampling import (
     orbit_diagram,
+    random_diagram,
     random_groupoid,
+    random_over_nerve,
     random_poset_site,
     random_presheaf,
     random_presheaf_of_categories,
@@ -36,8 +50,10 @@ from fibsite.sampling import (
 from fibsite.site import is_sheaf, make_presheaf, verify_topology
 from fibsite.sset import (
     SimplicialMap,
+    disjoint_union_ssets,
     homology,
     nerve,
+    nerve_map,
     standard_simplex,
     validate_simplicial_map,
     we_evidence,
@@ -303,6 +319,86 @@ class TestHocolimPreservesEvidence:
         induced = SimplicialMap(domain=hi.total, codomain=hp.total, components=tuple(comps))
         assert validate_simplicial_map(induced) == []
         assert we_evidence(induced, 3).passed
+
+
+def nerve_diagram(a, d):
+    """y -> nerve(A(y)) on the opposed base, acting by nerve_map(A(alpha)).
+
+    A presheaf A on a groupoid G is a covariant diagram on G^op; its values
+    are shared with the actions' endpoints, so the diagram validates without
+    comparing equal copies of the nerves."""
+    g = a.site
+    value = {u: nerve(a.value[u], d) for u in g.objects}
+    action = {
+        m: SimplicialMap(
+            domain=value[u],
+            codomain=value[v],
+            components=nerve_map(a.restriction[m], d).components,
+        )
+        for m, (v, u) in g.morphisms.items()
+    }
+    return GroupoidDiagram(base=opposite(g), value=value, action=action)
+
+
+class TestThomason:
+    """Thomason's theorem: N(total of A) and hocolim of y -> N(A(y)) are weakly
+    equivalent, so their homologies agree.  The left side is an eager nerve,
+    whose table is read off its dicts; the right side is a hocolim, whose
+    table is built directly from the diagram."""
+
+    D = 4
+
+    @pytest.mark.parametrize("base", ["z2", "z3", "e2", "z2 block"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_total_nerve_matches_hocolim_of_fibre_nerves(self, base, seed):
+        g = {
+            "z2": cyclic_groupoid(2),
+            "z3": cyclic_groupoid(3),
+            "e2": codiscrete_groupoid(["o1", "o2"]),
+            "z2 block": group_block_groupoid(["o1", "o2"], 2),
+        }[base]
+        a = random_presheaf_of_categories(random.Random(seed), g)
+        total = grothendieck_construct(a).total
+        expected = homology(nerve(total, self.D), self.D - 1)
+        h = hocolim(nerve_diagram(a, self.D), self.D)
+        assert homology(h.total, self.D - 1) == expected
+
+
+def additive(*results):
+    """Degreewise direct sum of homology results, in invariant-factor form."""
+    return tuple(
+        FgAbelianGroup.from_orders([f for r in results for f in r.factors[n]]).factors
+        for n in range(len(results[0].factors))
+    )
+
+
+class TestAdditivity:
+    """H(A + B) = H(A) + H(B) on nerves, on hocolims (whose tables are built
+    directly) and on pb values."""
+
+    D = 3
+
+    def check(self, a, b):
+        union, _ = disjoint_union_ssets([a, b], ["a", "b"])
+        ha, hb = homology(a, self.D - 1), homology(b, self.D - 1)
+        hu = homology(union, self.D - 1)
+        assert hu.factors == additive(ha, hb)
+        assert hu.components == ha.components + hb.components
+
+    def test_nerves(self, z2, z3, chain2):
+        self.check(nerve(z2, self.D), nerve(z3, self.D))
+        self.check(nerve(z2, self.D), nerve(chain2, self.D))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_hocolims_and_pb_values(self, seed):
+        rng = random.Random(seed)
+        g, k = random_groupoid(rng), random_groupoid(rng)
+        h1 = hocolim(random_diagram(rng, g, self.D), self.D)
+        h2 = hocolim(random_diagram(rng, k, self.D), self.D)
+        self.check(h1.total, h2.total)
+        p = pb(random_over_nerve(rng, g, self.D))
+        y = sorted(p.value)[0]
+        self.check(p.value[y], h2.total)
 
 
 def uct_category(seed):
