@@ -16,7 +16,8 @@ colimits from ``fincat._comma_cocones``, the one routine that builds them.
 Inputs are validated once, at the public boundary, and what the library
 built itself goes to the unchecked ``_grothendieck_construct``.
 ``total_functor`` checks the morphism's domain, then its codomain, then the
-morphism, before any lookup.  The Kan functions check nothing yet.
+morphism, before any lookup; restriction and the Kan functions check the
+diagram they are given, once, before any lookup.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from .site import (
     Presheaf,
     Sieve,
     all_sieves,
+    least_cover,
     make_presheaf,
 )
 
@@ -277,21 +279,19 @@ def induced_topology(
     """Topology on the total category generated by preimages of base covers.
 
     A sieve covers (U|x) exactly when it contains the preimage of some
-    covering sieve of U.  (For groupoid fibres every such sieve is itself a
-    preimage; with non-invertible fibre morphisms properly larger covering
-    sieves occur, and dropping them would break the local character axiom.)
+    cover of U.  Preimages are monotone, so L(U|x) is the preimage of L(U),
+    the least cover of U (``site.least_cover``, which refuses a base without
+    one), and the covers are the sieves containing it.  For groupoid fibres
+    these are all preimages; with non-invertible fibre morphisms, dropping
+    the larger ones would break the local character axiom.
     """
     if base_topology.site != fs.base.site:
         raise InputError("topology does not live on the base site")
-    covers: dict[str, frozenset[Sieve]] = {}
-    for tot in fs.total.objects:
-        u, _x = fs.object_pair[tot]
-        gens = [preimage_sieve(fs, tot, s) for s in base_topology.covering(u)]
-        out = set()
-        for r in all_sieves(fs.total, tot, cap=max_sieves):
-            if any(g.members <= r.members for g in gens):
-                out.add(r)
-        covers[tot] = frozenset(out)
+    least = {u: least_cover(base_topology, u) for u in fs.base.site.objects}
+    covers = {
+        tot: frozenset(all_sieves(fs.total, tot, max_sieves, preimage_sieve(fs, tot, least[u])))
+        for tot, (u, _x) in fs.object_pair.items()
+    }
     return GrothendieckTopology(site=fs.total, covers=covers)
 
 
@@ -661,9 +661,8 @@ def restrict_along(
     m: MorphismOfPresheavesOfCategories, x: EnrichedSetDiagram
 ) -> EnrichedSetDiagram:
     """Pull an enriched diagram on the codomain back along the morphism."""
-    if x.base != m.codomain:
-        raise InputError("diagram does not live on the codomain")
-    a, b = m.domain, m.codomain
+    _require_diagram_on(x, m.codomain, "codomain")
+    a = m.domain
     c = a.site
     value = {
         (u, ob): tuple(x.value[(u, m.components[u].on_object(ob))])
@@ -683,6 +682,12 @@ def restrict_along(
     return EnrichedSetDiagram(
         base=a, value=value, cat_action=cat_action, site_action=site_action
     )
+
+
+def _require_diagram_on(x: EnrichedSetDiagram, base: PresheafOfCategories, side: str) -> None:
+    if x.base != base:
+        raise InputError(f"diagram does not live on the {side}")
+    require_valid(validate_enriched(x))
 
 
 def _kan_cocones(
@@ -712,8 +717,7 @@ def left_kan_along(
     the comma category of the opposed sectionwise functor at b.  Site actions
     carry colimit classes along the restrictions.
     """
-    if y.base != m.domain:
-        raise InputError("diagram does not live on the domain")
+    _require_diagram_on(y, m.domain, "domain")
     a, b = m.domain, m.codomain
     c = a.site
     cocones = _kan_cocones(m, y)
@@ -775,6 +779,7 @@ def kan_unit(
     m: MorphismOfPresheavesOfCategories, y: EnrichedSetDiagram
 ) -> dict[tuple[str, str], dict[str, str]]:
     """Unit y -> restrict_along(m, left_kan_along(m, y))."""
+    _require_diagram_on(y, m.domain, "domain")
     a, b = m.domain, m.codomain
     cocones = _kan_cocones(m, y)
     out: dict[tuple[str, str], dict[str, str]] = {}
@@ -791,7 +796,7 @@ def kan_unit(
 def kan_counit(
     m: MorphismOfPresheavesOfCategories, x: EnrichedSetDiagram
 ) -> dict[tuple[str, str], dict[str, str]]:
-    """Counit left_kan_along(m, restrict_along(m, x)) -> x."""
+    """Counit left_kan_along(m, restrict_along(m, x)) -> x; restrict_along checks x."""
     a, b = m.domain, m.codomain
     y = restrict_along(m, x)
     cocones = _kan_cocones(m, y)

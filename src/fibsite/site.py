@@ -1,12 +1,12 @@
 """Sieves, Grothendieck topologies, the sheaf condition, and sheafification.
 
 Topologies are stored extensionally: an explicit set of covering sieves per
-object.  The verifier enumerates all sieves on an object when checking local
-character, which is feasible because sites here are small; caps guard against
-pathological blowup.  The plus construction reads the least covering sieve of
-each object, the intersection of its covers, which is the terminal object of
-the covers ordered by reverse inclusion; the sheaf condition still checks
-every cover.
+object.  On a finite site they are the sieves containing the least cover
+L(u), the intersection of the covers (``least_cover``).  The verifier checks
+the axioms as two conditions on L, saturation shrinks L to a fixpoint, and
+both list only the sieves containing L(u), never every sieve.  The plus
+construction reads L(u), the terminal cover; the sheaf condition still
+checks every cover.
 """
 
 from __future__ import annotations
@@ -113,8 +113,10 @@ def pullback_sieve(c: FiniteCategory, s: Sieve, alpha: str) -> Sieve:
     return Sieve(base_object=v, members=members)
 
 
-def all_sieves(c: FiniteCategory, u: str, cap: int = 100_000) -> tuple[Sieve, ...]:
-    """Every sieve on u, enumerated as unions of principal sieves."""
+def all_sieves(
+    c: FiniteCategory, u: str, cap: int = 100_000, contains: Sieve | None = None
+) -> tuple[Sieve, ...]:
+    """Every sieve on u that contains ``contains`` (default: the empty sieve)."""
     arrows = c.into(u)
     index = {m: i for i, m in enumerate(arrows)}
     principal: dict[str, int] = {}
@@ -123,8 +125,9 @@ def all_sieves(c: FiniteCategory, u: str, cap: int = 100_000) -> tuple[Sieve, ..
         for h in c.into(c.source(m)):
             mask |= 1 << index[c.compose(m, h)]
         principal[m] = mask
-    seen = {0}
-    frontier = [0]
+    start = sum(1 << index[m] for m in contains.members) if contains else 0
+    seen = {start}
+    frontier = [start]
     while frontier:
         cur = frontier.pop()
         for m, pmask in principal.items():
@@ -162,13 +165,52 @@ def is_trivial_topology(t: GrothendieckTopology) -> bool:
     )
 
 
-def verify_topology(
-    t: GrothendieckTopology, max_sieves: int = 100_000
-) -> list[str]:
+def least_cover(t: GrothendieckTopology, u: str) -> Sieve:
+    """L(u), the intersection of the covers of u, which must itself cover."""
+    covers = t.covering(u)
+    least = Sieve(u, frozenset.intersection(*(s.members for s in covers))) if covers else None
+    if least not in covers:
+        raise InputError(
+            (f"the covers of {u} are not closed under intersection" if covers
+             else f"no cover of {u}, but the maximal sieve must cover")
+            + "; verify the topology first"
+        )
+    return least
+
+
+def _composite(c: FiniteCategory, least: dict[str, Sieve], u: str) -> frozenset[str]:
+    """L.L(u) = {alpha.beta : alpha in L(u), beta in L(dom alpha)}, a sieve."""
+    return frozenset(
+        c.compose(a, b) for a in least[u].members for b in least[c.source(a)].members
+    )
+
+
+def verify_topology(t: GrothendieckTopology) -> list[str]:
     """Report of violated topology axioms; empty iff t is a Grothendieck topology.
 
-    Local character is checked against every sieve on every object, so this
-    is exponential in the worst case; max_sieves caps the enumeration.
+    With L(u) the intersection of the covers of u and L.L(u) the sieve
+    {ab : a in L(u), b in L(dom a)}, t is a topology iff each covers(u) is
+    the set of sieves containing L(u), (a) L(v) <= a*L(u) for every
+    a: v -> u, and (b) L(u) <= L.L(u).  If: a cover S contains L(u), so a*S
+    contains L(v) by (a); and if a*R covers for each a in a cover S, then R
+    contains L.L(u), hence L(u) by (b).  Only if: local character makes
+    covers upward closed (R above a cover S pulls back to maximal sieves
+    along S) and closed under meets (a*(A & S) = a*A for a in S); (a) is
+    stability of L(u); and L.L(u) is locally covering for L(u), giving (b).
+
+    After checking that covers are sieves including the maximal one:
+    3. covers(u) is the set of sieves containing L(u), listed under a cap of
+       one more than the number of covers.  If not, some R outside the
+       covers is A & S for covers A, S, or S | <m> for a cover S (grow L(u)
+       one principal sieve at a time); along a in S, R pulls back to a*A or
+       to the maximal sieve a*S, pullbacks of covers.
+    4. (a), between objects passing 3; a failure pulls the cover L(u) back
+       to a sieve missing part of L(v), so not to a cover.
+    5. (b), where u and the domains of L(u) pass 3; L.L(u) is locally
+       covering for L(u), and does not cover if it misses part of L(u).
+    A witness (R, S) from 3 or 5 is checked last: R is locally covering
+    for S but does not cover, or some a in S pulls a cover back to a
+    non-cover, and base change fails.
     """
     c = t.site
     report: list[str] = []
@@ -182,48 +224,39 @@ def verify_topology(
     for u in c.objects:
         if maximal_sieve(c, u) not in t.covering(u):
             report.append(f"maximal sieve missing from covers({u})")
-    for alpha, (v, u) in c.morphisms.items():
-        for s in t.covering(u):
-            if pullback_sieve(c, s, alpha) not in t.covering(v):
-                report.append(
-                    f"base change fails: pullback of a cover of {u} along {alpha}"
-                )
-    # local character, via bitmask arithmetic over morphisms into each object
+    least: dict[str, Sieve] = {}
+    witnesses: list[tuple[str, Sieve, Sieve]] = []  # (u, R, S): R locally covers for S?
     for u in c.objects:
-        if not t.covering(u):
-            continue
-        arrows = c.into(u)
-        index = {m: i for i, m in enumerate(arrows)}
-
-        def mask_of(s: Sieve) -> int:
-            out = 0
-            for m in s.members:
-                out |= 1 << index[m]
-            return out
-
-        sieves = all_sieves(c, u, cap=max_sieves)
-        cover_masks = {mask_of(s) for s in t.covering(u)}
-        pull_cache: dict[tuple[str, int], bool] = {}
-
-        def pulled_covering(alpha: str, rmask: int, r: Sieve) -> bool:
-            key = (alpha, rmask)
-            if key not in pull_cache:
-                p = pullback_sieve(c, r, alpha)
-                pull_cache[key] = p in t.covering(c.source(alpha))
-            return pull_cache[key]
-
-        for s in t.covering(u):
-            smembers = sorted(s.members)
-            for r in sieves:
-                rmask = mask_of(r)
-                if rmask in cover_masks:
-                    continue
-                if all(pulled_covering(alpha, rmask, r) for alpha in smembers):
-                    report.append(
-                        f"local character fails at {u}: sieve {sorted(r.members)} "
-                        f"is locally covering for {sorted(s.members)} but not covering"
-                    )
-                    break
+        covers = t.covering(u)
+        try:
+            lu = least_cover(t, u)
+            if set(all_sieves(c, u, len(covers) + 1, lu)) == covers:
+                least[u] = lu
+                continue
+        except (InputError, CapExceeded):
+            if not covers:
+                continue
+        order = sorted(covers, key=lambda s: sorted(s.members))
+        up = ((sieve_from_generators(c, u, s.members | {m}), s) for s in order for m in c.into(u))
+        meets = ((Sieve(u, a.members & s.members), s) for a, s in itertools.combinations(order, 2))
+        witnesses.append(next((u, r, s) for r, s in itertools.chain(up, meets) if r not in covers))
+    for alpha, (v, u) in c.morphisms.items():
+        if u in least and v in least:
+            if not least[v].members <= pullback_sieve(c, least[u], alpha).members:
+                report.append(f"base change fails: pullback of a cover of {u} along {alpha}")
+    for u, lu in least.items():
+        if all(c.source(a) in least for a in lu.members):
+            r = Sieve(u, _composite(c, least, u))
+            if not lu.members <= r.members:
+                witnesses.append((u, r, lu))
+    for u, r, s in witnesses:
+        bad = [a for a in sorted(s.members)
+               if pullback_sieve(c, r, a) not in t.covering(c.source(a))]
+        report.append(
+            f"base change fails: pullback of a cover of {u} along {bad[0]}" if bad
+            else f"local character fails at {u}: sieve {sorted(r.members)} "
+            f"is locally covering for {sorted(s.members)} but not covering"
+        )
     return report
 
 
@@ -232,38 +265,33 @@ def saturate_topology(
     seeds: dict[str, set[Sieve]] | None = None,
     max_sieves: int = 100_000,
 ) -> GrothendieckTopology:
-    """Smallest Grothendieck topology whose covers include the seed sieves."""
-    sieves = {u: all_sieves(c, u, cap=max_sieves) for u in c.objects}
-    covers: dict[str, set[Sieve]] = {u: {maximal_sieve(c, u)} for u in c.objects}
+    """Smallest Grothendieck topology whose covers include the seed sieves.
+
+    Its least covers are the largest L below the seeds' intersections with
+    (a) and (b) of ``verify_topology``: shrink L(v) to L(v) & alpha*L(u), and
+    L(u) to L.L(u), until nothing changes.  Both steps are monotone, so any
+    such L stays below the iterate.  The covers are the sieves containing
+    L(u), at most max_sieves of them per object.
+    """
+    least = {u: maximal_sieve(c, u) for u in c.objects}
     for u, ss in (seeds or {}).items():
         for s in ss:
-            if validate_sieve(c, s):
+            if validate_sieve(c, s) or s.base_object != u:
                 raise InputError(f"seed sieve on {u} is not a sieve")
-            covers[u].add(s)
+            least[u] = Sieve(u, least[u].members & s.members)
     changed = True
     while changed:
         changed = False
         for alpha, (v, u) in c.morphisms.items():
-            for s in list(covers[u]):
-                p = pullback_sieve(c, s, alpha)
-                if p not in covers[v]:
-                    covers[v].add(p)
-                    changed = True
+            meet = least[v].members & pullback_sieve(c, least[u], alpha).members
+            changed |= meet != least[v].members
+            least[v] = Sieve(v, meet)
         for u in c.objects:
-            for r in sieves[u]:
-                if r in covers[u]:
-                    continue
-                for s in covers[u]:
-                    if all(
-                        pullback_sieve(c, r, alpha) in covers[c.source(alpha)]
-                        for alpha in s.members
-                    ):
-                        covers[u].add(r)
-                        changed = True
-                        break
-    return GrothendieckTopology(
-        site=c, covers={u: frozenset(v) for u, v in covers.items()}
-    )
+            comp = _composite(c, least, u)
+            changed |= comp != least[u].members
+            least[u] = Sieve(u, comp)
+    covers = {u: frozenset(all_sieves(c, u, max_sieves, least[u])) for u in c.objects}
+    return GrothendieckTopology(site=c, covers=covers)
 
 
 # ---------------------------------------------------------------------------
@@ -288,25 +316,14 @@ def matching_families(f: Presheaf, s: Sieve) -> tuple[Family, ...]:
             search(i + 1, assigned)
             return
         for e in f.value[c.source(m)]:
-            forced: dict[str, str] = {m: e}
-            ok = True
-            for g in c.into(c.source(m)):
-                mg = c.compose(m, g)
-                val = f.act(g, e)
-                if mg in assigned and assigned[mg] != val:
-                    ok = False
-                    break
-                if mg in forced and forced[mg] != val:
-                    ok = False
-                    break
-                forced[mg] = val
-            if not ok:
-                continue
-            assigned.update(forced)
-            search(i + 1, assigned)
-            for k in forced:
-                if k in assigned:
-                    del assigned[k]
+            # e at m forces its restriction at every m.g, which must agree
+            # with what is already assigned there
+            grown = dict(assigned)
+            if all(
+                grown.setdefault(c.compose(m, g), f.act(g, e)) == f.act(g, e)
+                for g in c.into(c.source(m))
+            ):
+                search(i + 1, grown)
 
     search(0, {})
     return tuple(sorted(set(families)))
@@ -371,30 +388,15 @@ def plus_construction(f: Presheaf, t: GrothendieckTopology) -> Presheaf:
 
     F+(u) is the colimit, over the covers of u ordered by reverse inclusion,
     of the matching-family sets.  Covers are closed under intersection, so
-    on a finite site the intersection S_min(u) of all covers of u is a cover,
-    and it is the terminal object of that order; a colimit over a category
-    with a terminal object is the value there.  So F+(u) is the set of
-    matching families on S_min(u).  An arrow alpha: v -> u restricts a
-    family along alpha to the cover alpha*S_min(u) of v, then cuts it down
-    to S_min(v).
+    on a finite site the least cover L(u) = ``least_cover(t, u)`` is the
+    terminal object of that order; a colimit over a category with a
+    terminal object is the value there.  So F+(u) is the set of matching
+    families on L(u).  An arrow alpha: v -> u restricts a family along alpha
+    to the cover alpha*L(u) of v, then cuts it down to L(v).
     """
     _same_site(f, t)
     c = f.base
-    least: dict[str, Sieve] = {}
-    for u in c.objects:
-        covers = t.covering(u)
-        if not covers:
-            raise InputError(
-                f"no cover of {u}, but the maximal sieve must cover; "
-                "verify the topology first"
-            )
-        meet = frozenset.intersection(*(s.members for s in covers))
-        least[u] = Sieve(base_object=u, members=meet)
-        if least[u] not in covers:
-            raise InputError(
-                f"the covers of {u} are not closed under intersection; "
-                "verify the topology first"
-            )
+    least = {u: least_cover(t, u) for u in c.objects}
     fams = {u: matching_families(f, least[u]) for u in c.objects}
     label = {u: {fam: f"p{i}" for i, fam in enumerate(fams[u])} for u in c.objects}
     action: dict[str, dict[str, str]] = {}
@@ -432,27 +434,19 @@ def presheaves_isomorphic(f: Presheaf, g: Presheaf) -> bool:
     objs = sorted(c.objects)
 
     def extend(i: int, maps: dict[str, dict[str, str]]) -> bool:
-        if i == len(objs):
-            for m, (v, u) in c.morphisms.items():
-                for e in f.value[u]:
-                    if maps[v][f.act(m, e)] != g.act(m, maps[u][e]):
-                        return False
+        if i == len(objs):  # the last assignment checked every arrow
             return True
         u = objs[i]
         fe = sorted(f.value[u])
         for perm in itertools.permutations(sorted(g.value[u])):
             maps[u] = dict(zip(fe, perm))
-            ok = True
-            for m in c.morphisms:
-                mv, mu = c.morphisms[m]
-                if mu in maps and mv in maps:
-                    for e in f.value[mu]:
-                        if maps[mv][f.act(m, e)] != g.act(m, maps[mu][e]):
-                            ok = False
-                            break
-                if not ok:
-                    break
-            if ok and extend(i + 1, maps):
+            natural = all(
+                maps[v][f.act(m, e)] == g.act(m, maps[w][e])
+                for m, (v, w) in c.morphisms.items()
+                if v in maps and w in maps
+                for e in f.value[w]
+            )
+            if natural and extend(i + 1, maps):
                 return True
             del maps[u]
         return False

@@ -228,6 +228,16 @@ class TestInducedTopology:
         report = verify_topology(strict)
         assert any("local character" in r for r in report)
 
+    def test_base_without_least_covers_is_refused(self, chain2, z2):
+        from fibsite.site import GrothendieckTopology, maximal_sieve
+
+        fs = grothendieck_construct(constant_presheaf_of_categories(chain2, z2))
+        base = GrothendieckTopology(
+            site=chain2, covers={"U": frozenset({maximal_sieve(chain2, "U")})}
+        )
+        with pytest.raises(InputError, match="no cover of V"):
+            induced_topology(fs, base)
+
     def test_pullback_commutes_with_preimage(self, chain2, z2):
         # (alpha,f)^{-1} pre(S) = pre(alpha^{-1} S), exhaustively
         fs = grothendieck_construct(constant_presheaf_of_categories(chain2, z2))
@@ -405,6 +415,29 @@ class TestRestrictionKan:
         return MorphismOfPresheavesOfCategories(
             domain=ge, codomain=gt, components={u: comp for u in chain2.objects}
         )
+
+    @staticmethod
+    def without_last_fibre_action(x):
+        *kept, _dropped = x.cat_action
+        return EnrichedSetDiagram(
+            base=x.base,
+            value=x.value,
+            cat_action={k: x.cat_action[k] for k in kept},
+            site_action=x.site_action,
+        )
+
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_kan_functions_refuse_an_invalid_diagram(self, seed):
+        # a diagram with a fibre action missing is refused before any lookup,
+        # never read until a KeyError
+        m, _h = random_sectionwise_equivalence(random.Random(seed))
+        y = self.without_last_fibre_action(constant_enriched_diagram(m.domain))
+        x = self.without_last_fibre_action(constant_enriched_diagram(m.codomain))
+        for call, arg in (
+            (left_kan_along, y), (kan_unit, y), (restrict_along, x), (kan_counit, x)
+        ):
+            with pytest.raises(ValidationFailure, match="no fibre action"):
+                call(m, arg)
 
     def test_restrict_along_identity(self, chain2, z2):
         a = constant_presheaf_of_categories(chain2, z2)

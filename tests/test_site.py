@@ -123,6 +123,35 @@ class TestVerifyTopology:
         assert len(all_sieves(chain3, "U")) == 4
 
 
+class TestMatchingFamilies:
+    @staticmethod
+    def every_family(f, s):
+        """Matching families by brute force over all assignments."""
+        c = f.base
+        members = sorted(s.members)
+        out = []
+        for values in itertools.product(*(f.value[c.source(m)] for m in members)):
+            fam = dict(zip(members, values))
+            if all(
+                f.act(g, fam[m]) == fam[c.compose(m, g)]
+                for m in members
+                for g in c.into(c.source(m))
+            ):
+                out.append(tuple(sorted(fam.items())))
+        return tuple(sorted(out))
+
+    @pytest.mark.parametrize("seed", [99, 191, *range(12)])
+    def test_search_agrees_with_brute_force(self, seed):
+        # seeds 99 and 191 reach a member forced twice, by two earlier
+        # members; the search must not forget the first forcing on backtrack
+        rng = random.Random(seed)
+        site = random_poset_site(rng, rng.choice([3, 4, 5]))
+        f = random_presheaf(rng, site)
+        for u in site.objects:
+            for s in all_sieves(site, u):
+                assert matching_families(f, s) == self.every_family(f, s)
+
+
 class TestSheafCondition:
     def test_trivial_topology_everything_is_sheaf(self, chain2):
         t = trivial_topology(chain2)
