@@ -67,6 +67,7 @@ from .site import (
     GrothendieckTopology,
     Sieve,
     make_presheaf,
+    maximal_sieve,
     saturate_topology,
     sieve_from_generators,
     trivial_topology,
@@ -137,7 +138,7 @@ class Bundle:
     def structural_key(self):
         return (
             self.categories,
-            {k: v.covers for k, v in self.topologies.items()},
+            {k: v.least for k, v in self.topologies.items()},
             self.set_presheaves,
             self.presheaves_of_categories,
             {
@@ -585,7 +586,12 @@ def _resolve_compose(rc: _RawCategory) -> dict[tuple[str, str], str]:
 
 
 def emit_bundle(bundle: Bundle) -> str:
-    """Render a bundle back into the declarative format (canonical order)."""
+    """Render a bundle back into the declarative format (canonical order).
+
+    A topology is written as one ``cover`` line per object whose least cover
+    is not maximal, listing its members; parsing saturates those lines back
+    to the same least covers.
+    """
     lines: list[str] = []
     for name in sorted(bundle.categories):
         cat = bundle.categories[name]
@@ -606,11 +612,11 @@ def emit_bundle(bundle: Bundle) -> str:
                     lines.append(f"inverse {m} = {cat.inverse[m]}")
         topo = bundle.topologies.get(name)
         if topo is not None:
+            least = topo.checked_least()
             for u in sorted(cat.objects):
-                for s in sorted(topo.covering(u), key=lambda s: sorted(s.members)):
-                    if s.members == frozenset(cat.into(u)):
-                        continue  # the maximal sieve is implicit
-                    lines.append(f"cover {u} = {{ " + " ".join(sorted(s.members)) + " }")
+                lu = least[u]
+                if lu != maximal_sieve(cat, u):  # a maximal least cover is implicit
+                    lines.append(f"cover {u} = {{ " + " ".join(sorted(lu.members)) + " }")
         lines.append("")
     for name in sorted(bundle.set_presheaves):
         pre = bundle.set_presheaves[name]

@@ -43,7 +43,7 @@ from .fibred import (
     total_functor,
 )
 from .fincat import FiniteCategory, Functor, comma_data, identity_functor, string_table
-from .site import GrothendieckTopology, Sieve, is_trivial_topology
+from .site import GrothendieckTopology, Sieve, is_trivial_topology, validate_sieve
 from .snf import (
     Matrix,
     _reduce_with_clearing,
@@ -629,8 +629,13 @@ def cech_cohomology(
     H^0 is the matching-family group of the sieve; higher degrees give the
     Cech approximation for nontrivial topologies.
     """
-    c = t.site
-    if s not in t.covering(u):
+    c, least = t.site, t.checked_least()
+    if (
+        u not in c.objects
+        or s.base_object != u
+        or validate_sieve(c, s)
+        or not least[u].members <= s.members
+    ):
         raise InputError(f"the sieve is not a covering sieve of {u}")
     if f.base != c:
         raise InputError("coefficients do not live on the site")

@@ -50,8 +50,6 @@ from .site import (
     GrothendieckTopology,
     Presheaf,
     Sieve,
-    all_sieves,
-    least_cover,
     make_presheaf,
 )
 
@@ -271,28 +269,23 @@ def preimage_sieve(fs: FibredSite, total_object: str, s: Sieve) -> Sieve:
     return Sieve(base_object=total_object, members=members)
 
 
-def induced_topology(
-    fs: FibredSite,
-    base_topology: GrothendieckTopology,
-    max_sieves: int = 100_000,
-) -> GrothendieckTopology:
+def induced_topology(fs: FibredSite, base_topology: GrothendieckTopology) -> GrothendieckTopology:
     """Topology on the total category generated by preimages of base covers.
 
     A sieve covers (U|x) exactly when it contains the preimage of some
-    cover of U.  Preimages are monotone, so L(U|x) is the preimage of L(U),
-    the least cover of U (``site.least_cover``, which refuses a base without
-    one), and the covers are the sieves containing it.  For groupoid fibres
-    these are all preimages; with non-invertible fibre morphisms, dropping
-    the larger ones would break the local character axiom.
+    cover of U.  Preimages are monotone, so L(U|x) is the preimage of L(U).
+    For groupoid fibres every cover is a preimage; with non-invertible
+    fibre morphisms some covers are not, and dropping them would break the
+    local character axiom.
     """
     if base_topology.site != fs.base.site:
         raise InputError("topology does not live on the base site")
-    least = {u: least_cover(base_topology, u) for u in fs.base.site.objects}
-    covers = {
-        tot: frozenset(all_sieves(fs.total, tot, max_sieves, preimage_sieve(fs, tot, least[u])))
+    base_least = base_topology.checked_least()
+    least = {
+        tot: preimage_sieve(fs, tot, base_least[u])
         for tot, (u, _x) in fs.object_pair.items()
     }
-    return GrothendieckTopology(site=fs.total, covers=covers)
+    return GrothendieckTopology(site=fs.total, least=least)
 
 
 # ---------------------------------------------------------------------------
@@ -661,7 +654,7 @@ def restrict_along(
     m: MorphismOfPresheavesOfCategories, x: EnrichedSetDiagram
 ) -> EnrichedSetDiagram:
     """Pull an enriched diagram on the codomain back along the morphism."""
-    _require_diagram_on(x, m.codomain, "codomain")
+    _require_kan_inputs(m, x, m.codomain, "codomain")
     a = m.domain
     c = a.site
     value = {
@@ -684,7 +677,15 @@ def restrict_along(
     )
 
 
-def _require_diagram_on(x: EnrichedSetDiagram, base: PresheafOfCategories, side: str) -> None:
+def _require_kan_inputs(
+    m: MorphismOfPresheavesOfCategories,
+    x: EnrichedSetDiagram,
+    base: PresheafOfCategories,
+    side: str,
+) -> None:
+    """Validate m, then x, a diagram on base; m's endpoints must be valid
+    presheaves of categories (see ``validate_morphism_of_presheaves``)."""
+    require_valid(validate_morphism_of_presheaves(m))
     if x.base != base:
         raise InputError(f"diagram does not live on the {side}")
     require_valid(validate_enriched(x))
@@ -717,7 +718,7 @@ def left_kan_along(
     the comma category of the opposed sectionwise functor at b.  Site actions
     carry colimit classes along the restrictions.
     """
-    _require_diagram_on(y, m.domain, "domain")
+    _require_kan_inputs(m, y, m.domain, "domain")
     a, b = m.domain, m.codomain
     c = a.site
     cocones = _kan_cocones(m, y)
@@ -779,7 +780,7 @@ def kan_unit(
     m: MorphismOfPresheavesOfCategories, y: EnrichedSetDiagram
 ) -> dict[tuple[str, str], dict[str, str]]:
     """Unit y -> restrict_along(m, left_kan_along(m, y))."""
-    _require_diagram_on(y, m.domain, "domain")
+    _require_kan_inputs(m, y, m.domain, "domain")
     a, b = m.domain, m.codomain
     cocones = _kan_cocones(m, y)
     out: dict[tuple[str, str], dict[str, str]] = {}
@@ -796,7 +797,8 @@ def kan_unit(
 def kan_counit(
     m: MorphismOfPresheavesOfCategories, x: EnrichedSetDiagram
 ) -> dict[tuple[str, str], dict[str, str]]:
-    """Counit left_kan_along(m, restrict_along(m, x)) -> x; restrict_along checks x."""
+    """Counit left_kan_along(m, restrict_along(m, x)) -> x; restrict_along
+    checks m and x."""
     a, b = m.domain, m.codomain
     y = restrict_along(m, x)
     cocones = _kan_cocones(m, y)

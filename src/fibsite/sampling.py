@@ -112,9 +112,7 @@ def random_poset_site(rng: random.Random, max_objects: int = 3) -> FiniteCategor
     return build_category(names, arrows, compose)
 
 
-def random_topology(
-    rng: random.Random, site: FiniteCategory, max_sieves: int = 4096
-) -> GrothendieckTopology:
+def random_topology(rng: random.Random, site: FiniteCategory) -> GrothendieckTopology:
     """Trivial or a saturation of one random generated sieve."""
     candidates = [
         u
@@ -127,7 +125,7 @@ def random_topology(
     arrows = [m for m in site.into(u) if not site.is_identity(m)]
     gens = set(rng.sample(arrows, rng.randint(1, min(2, len(arrows)))))
     seed_sieve = sieve_from_generators(site, u, gens)
-    return saturate_topology(site, {u: {seed_sieve}}, max_sieves=max_sieves)
+    return saturate_topology(site, {u: {seed_sieve}})
 
 
 def random_presheaf(rng: random.Random, site: FiniteCategory, max_parts: int = 2) -> Presheaf:

@@ -1,12 +1,11 @@
 """Sieves, Grothendieck topologies, the sheaf condition, and sheafification.
 
-Topologies are stored extensionally: an explicit set of covering sieves per
-object.  On a finite site they are the sieves containing the least cover
-L(u), the intersection of the covers (``least_cover``).  The verifier checks
-the axioms as two conditions on L, saturation shrinks L to a fixpoint, and
-both list only the sieves containing L(u), never every sieve.  The plus
-construction reads L(u), the terminal cover; the sheaf condition still
-checks every cover.
+A topology on a finite site is stored as its least covers: one sieve L(u)
+per object, the intersection of the covers of u, which covers u itself.
+The covers of u are the sieves containing L(u) (Johnstone, *Elephant*
+C2.1); ``covering`` lists them only for reports that count them.  The
+verifier checks the axioms as two conditions on L, saturation shrinks L to
+a fixpoint, and the sheaf condition and the plus construction read L(u).
 """
 
 from __future__ import annotations
@@ -144,38 +143,43 @@ def all_sieves(
     return tuple(out)
 
 
+#: the most covering sieves ``covering`` lists on one object
+MAX_LISTED_COVERS = 100_000
+
+
 @dataclass(frozen=True)
 class GrothendieckTopology:
+    """A topology given by its least covers: the covers of u are the sieves
+    containing ``least[u]``."""
+
     site: FiniteCategory
-    covers: dict[str, frozenset[Sieve]]
+    least: dict[str, Sieve]
+
+    def checked_least(self) -> dict[str, Sieve]:
+        """``least``, refused unless it holds a sieve on u for every object u."""
+        for u in self.site.objects:
+            lu = self.least.get(u)
+            if lu is None:
+                raise InputError(f"the topology has no least cover of {u}")
+            if lu.base_object != u:
+                raise InputError(f"the least cover of {u} lives on {lu.base_object}")
+        return self.least
 
     def covering(self, u: str) -> frozenset[Sieve]:
-        return self.covers.get(u, frozenset())
+        """Every covering sieve of u, for reports that count them."""
+        least = self.checked_least()
+        if u not in self.site.objects:
+            raise InputError(f"{u} is not an object of the site")
+        return frozenset(all_sieves(self.site, u, MAX_LISTED_COVERS, least[u]))
 
 
 def trivial_topology(c: FiniteCategory) -> GrothendieckTopology:
-    return GrothendieckTopology(
-        site=c, covers={u: frozenset({maximal_sieve(c, u)}) for u in c.objects}
-    )
+    return GrothendieckTopology(site=c, least={u: maximal_sieve(c, u) for u in c.objects})
 
 
 def is_trivial_topology(t: GrothendieckTopology) -> bool:
-    return all(
-        t.covering(u) == frozenset({maximal_sieve(t.site, u)}) for u in t.site.objects
-    )
-
-
-def least_cover(t: GrothendieckTopology, u: str) -> Sieve:
-    """L(u), the intersection of the covers of u, which must itself cover."""
-    covers = t.covering(u)
-    least = Sieve(u, frozenset.intersection(*(s.members for s in covers))) if covers else None
-    if least not in covers:
-        raise InputError(
-            (f"the covers of {u} are not closed under intersection" if covers
-             else f"no cover of {u}, but the maximal sieve must cover")
-            + "; verify the topology first"
-        )
-    return least
+    least = t.checked_least()
+    return all(least[u] == maximal_sieve(t.site, u) for u in t.site.objects)
 
 
 def _composite(c: FiniteCategory, least: dict[str, Sieve], u: str) -> frozenset[str]:
@@ -188,95 +192,50 @@ def _composite(c: FiniteCategory, least: dict[str, Sieve], u: str) -> frozenset[
 def verify_topology(t: GrothendieckTopology) -> list[str]:
     """Report of violated topology axioms; empty iff t is a Grothendieck topology.
 
-    With L(u) the intersection of the covers of u and L.L(u) the sieve
-    {ab : a in L(u), b in L(dom a)}, t is a topology iff each covers(u) is
-    the set of sieves containing L(u), (a) L(v) <= a*L(u) for every
-    a: v -> u, and (b) L(u) <= L.L(u).  If: a cover S contains L(u), so a*S
-    contains L(v) by (a); and if a*R covers for each a in a cover S, then R
-    contains L.L(u), hence L(u) by (b).  Only if: local character makes
-    covers upward closed (R above a cover S pulls back to maximal sieves
-    along S) and closed under meets (a*(A & S) = a*A for a in S); (a) is
-    stability of L(u); and L.L(u) is locally covering for L(u), giving (b).
-
-    After checking that covers are sieves including the maximal one:
-    3. covers(u) is the set of sieves containing L(u), listed under a cap of
-       one more than the number of covers.  If not, some R outside the
-       covers is A & S for covers A, S, or S | <m> for a cover S (grow L(u)
-       one principal sieve at a time); along a in S, R pulls back to a*A or
-       to the maximal sieve a*S, pullbacks of covers.
-    4. (a), between objects passing 3; a failure pulls the cover L(u) back
-       to a sieve missing part of L(v), so not to a cover.
-    5. (b), where u and the domains of L(u) pass 3; L.L(u) is locally
-       covering for L(u), and does not cover if it misses part of L(u).
-    A witness (R, S) from 3 or 5 is checked last: R is locally covering
-    for S but does not cover, or some a in S pulls a cover back to a
-    non-cover, and base change fails.
+    The covers of u are the sieves containing L(u), so they hold the maximal
+    sieve once L(u) is a sieve on u.  With L.L(u) the sieve
+    {ab : a in L(u), b in L(dom a)}, the other two axioms hold iff
+    (a) L(v) <= a*L(u) for every a: v -> u, and (b) L(u) <= L.L(u).
+    Stability: a* is monotone, so every cover pulls back to a cover iff
+    L(u) does, which is (a).  Local character: if a*R covers for each a in
+    a cover S, then R contains L.L(u), hence L(u) by (b); conversely L.L(u)
+    is locally covering for L(u), so it must cover, which is (b).
     """
-    c = t.site
-    report: list[str] = []
-    for u in c.objects:
-        for s in t.covering(u):
-            bad = validate_sieve(c, s)
-            if bad or s.base_object != u:
-                report.append(f"covers({u}) contains an invalid sieve: {sorted(s.members)}")
+    c, least = t.site, t.checked_least()
+    report = [
+        f"L({u}) is not a sieve on {u}: {sorted(least[u].members)}"
+        for u in c.objects
+        if validate_sieve(c, least[u])
+    ]
     if report:
         return report
-    for u in c.objects:
-        if maximal_sieve(c, u) not in t.covering(u):
-            report.append(f"maximal sieve missing from covers({u})")
-    least: dict[str, Sieve] = {}
-    witnesses: list[tuple[str, Sieve, Sieve]] = []  # (u, R, S): R locally covers for S?
-    for u in c.objects:
-        covers = t.covering(u)
-        try:
-            lu = least_cover(t, u)
-            if set(all_sieves(c, u, len(covers) + 1, lu)) == covers:
-                least[u] = lu
-                continue
-        except (InputError, CapExceeded):
-            if not covers:
-                continue
-        order = sorted(covers, key=lambda s: sorted(s.members))
-        up = ((sieve_from_generators(c, u, s.members | {m}), s) for s in order for m in c.into(u))
-        meets = ((Sieve(u, a.members & s.members), s) for a, s in itertools.combinations(order, 2))
-        witnesses.append(next((u, r, s) for r, s in itertools.chain(up, meets) if r not in covers))
     for alpha, (v, u) in c.morphisms.items():
-        if u in least and v in least:
-            if not least[v].members <= pullback_sieve(c, least[u], alpha).members:
-                report.append(f"base change fails: pullback of a cover of {u} along {alpha}")
-    for u, lu in least.items():
-        if all(c.source(a) in least for a in lu.members):
-            r = Sieve(u, _composite(c, least, u))
-            if not lu.members <= r.members:
-                witnesses.append((u, r, lu))
-    for u, r, s in witnesses:
-        bad = [a for a in sorted(s.members)
-               if pullback_sieve(c, r, a) not in t.covering(c.source(a))]
-        report.append(
-            f"base change fails: pullback of a cover of {u} along {bad[0]}" if bad
-            else f"local character fails at {u}: sieve {sorted(r.members)} "
-            f"is locally covering for {sorted(s.members)} but not covering"
-        )
+        if not least[v].members <= pullback_sieve(c, least[u], alpha).members:
+            report.append(f"base change fails: pullback of a cover of {u} along {alpha}")
+    for u in c.objects:
+        comp = _composite(c, least, u)
+        if not least[u].members <= comp:
+            report.append(
+                f"local character fails at {u}: sieve {sorted(comp)} "
+                f"is locally covering for {sorted(least[u].members)} but not covering"
+            )
     return report
 
 
 def saturate_topology(
-    c: FiniteCategory,
-    seeds: dict[str, set[Sieve]] | None = None,
-    max_sieves: int = 100_000,
+    c: FiniteCategory, seeds: dict[str, set[Sieve]] | None = None
 ) -> GrothendieckTopology:
     """Smallest Grothendieck topology whose covers include the seed sieves.
 
     Its least covers are the largest L below the seeds' intersections with
     (a) and (b) of ``verify_topology``: shrink L(v) to L(v) & alpha*L(u), and
     L(u) to L.L(u), until nothing changes.  Both steps are monotone, so any
-    such L stays below the iterate.  The covers are the sieves containing
-    L(u), at most max_sieves of them per object.
+    such L stays below the iterate.
     """
     least = {u: maximal_sieve(c, u) for u in c.objects}
     for u, ss in (seeds or {}).items():
         for s in ss:
-            if validate_sieve(c, s) or s.base_object != u:
+            if u not in least or validate_sieve(c, s) or s.base_object != u:
                 raise InputError(f"seed sieve on {u} is not a sieve")
             least[u] = Sieve(u, least[u].members & s.members)
     changed = True
@@ -290,8 +249,7 @@ def saturate_topology(
             comp = _composite(c, least, u)
             changed |= comp != least[u].members
             least[u] = Sieve(u, comp)
-    covers = {u: frozenset(all_sieves(c, u, max_sieves, least[u])) for u in c.objects}
-    return GrothendieckTopology(site=c, covers=covers)
+    return GrothendieckTopology(site=c, least=least)
 
 
 # ---------------------------------------------------------------------------
@@ -354,32 +312,33 @@ def _same_site(f: Presheaf, t: GrothendieckTopology) -> None:
 
 
 def is_sheaf(f: Presheaf, t: GrothendieckTopology) -> SheafVerdict:
-    """Check that sections biject with matching families for every cover.
+    """Check that sections biject with matching families on each L(u).
 
-    Every cover is checked, not only the least one that plus_construction
-    reads, so this verdict stays independent of how sheafify builds.
+    That suffices: by (a) of ``verify_topology`` the least covers form a
+    coverage generating t, and a presheaf is a sheaf for a topology iff it
+    is one for a coverage generating it (Johnstone, *Elephant* C2.1).
     """
     _same_site(f, t)
-    c = f.base
-    for u in sorted(c.objects):
-        for s in sorted(t.covering(u), key=lambda s: sorted(s.members)):
-            fams = set(matching_families(f, s))
-            image: dict[Family, str] = {}
-            for x in f.value[u]:
-                fam = family_of_section(f, s, x)
-                if fam in image:
-                    return SheafVerdict(
-                        ok=False, object=u, sieve=s, kind="uniqueness",
-                        detail=f"sections {image[fam]} and {x} agree on the cover",
-                    )
-                image[fam] = x
-            missing = fams - set(image)
-            if missing:
-                fam = sorted(missing)[0]
+    least = t.checked_least()
+    for u in sorted(f.base.objects):
+        s = least[u]
+        fams = set(matching_families(f, s))
+        image: dict[Family, str] = {}
+        for x in f.value[u]:
+            fam = family_of_section(f, s, x)
+            if fam in image:
                 return SheafVerdict(
-                    ok=False, object=u, sieve=s, kind="existence",
-                    detail=f"matching family {fam} has no amalgamation",
+                    ok=False, object=u, sieve=s, kind="uniqueness",
+                    detail=f"sections {image[fam]} and {x} agree on the cover",
                 )
+            image[fam] = x
+        missing = fams - set(image)
+        if missing:
+            fam = sorted(missing)[0]
+            return SheafVerdict(
+                ok=False, object=u, sieve=s, kind="existence",
+                detail=f"matching family {fam} has no amalgamation",
+            )
     return SheafVerdict(ok=True)
 
 
@@ -387,26 +346,24 @@ def plus_construction(f: Presheaf, t: GrothendieckTopology) -> Presheaf:
     """One application of the plus construction.
 
     F+(u) is the colimit, over the covers of u ordered by reverse inclusion,
-    of the matching-family sets.  Covers are closed under intersection, so
-    on a finite site the least cover L(u) = ``least_cover(t, u)`` is the
-    terminal object of that order; a colimit over a category with a
-    terminal object is the value there.  So F+(u) is the set of matching
-    families on L(u).  An arrow alpha: v -> u restricts a family along alpha
-    to the cover alpha*L(u) of v, then cuts it down to L(v).
+    of the matching-family sets.  The least cover L(u) is the terminal
+    object of that order, and a colimit over a category with a terminal
+    object is the value there.  So F+(u) is the set of matching families on
+    L(u).  An arrow alpha: v -> u restricts a family along alpha to the
+    cover alpha*L(u) of v, then cuts it down to L(v).
     """
     _same_site(f, t)
-    c = f.base
-    least = {u: least_cover(t, u) for u in c.objects}
+    c, least = f.base, t.checked_least()
     fams = {u: matching_families(f, least[u]) for u in c.objects}
     label = {u: {fam: f"p{i}" for i, fam in enumerate(fams[u])} for u in c.objects}
     action: dict[str, dict[str, str]] = {}
     for alpha, (v, u) in c.morphisms.items():
         pulled = pullback_sieve(c, least[u], alpha)
-        if pulled not in t.covering(v):
+        keep = least[v].members
+        if not keep <= pulled.members:
             raise InputError(
                 "covers are not stable under pullback; verify the topology first"
             )
-        keep = least[v].members
         amap: dict[str, str] = {}
         for fam in fams[u]:
             sub = restrict_family(c, fam, pulled, alpha)

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from fibsite.bundle import (
+    Bundle,
     BundleSyntaxError,
     BundleValidationError,
     emit_bundle,
@@ -17,6 +19,8 @@ from fibsite.bundle import (
 from fibsite import cli
 from fibsite.cli import run
 from fibsite.report import Report, emit_report, report_from_json
+from fibsite.sampling import random_poset_site, random_topology
+from fibsite.site import maximal_sieve
 
 BUNDLES = Path(__file__).resolve().parents[1] / "bundles"
 SHIPPED = [
@@ -144,6 +148,19 @@ class TestRoundTrip:
         b2 = parse_bundle([str(p)])
         assert b2 == b
         assert emit_bundle(b2) == text
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_topology_is_emitted_as_its_least_covers(self, seed, tmp_path):
+        # one cover line per non-maximal L(u), saturated back to the same L
+        rng = random.Random(seed)
+        site = random_poset_site(rng, 4)
+        t = random_topology(rng, site)
+        text = emit_bundle(Bundle(categories={"C": site}, topologies={"C": t}))
+        lines = [ln for ln in text.splitlines() if ln.startswith("cover ")]
+        assert len(lines) == sum(t.least[u] != maximal_sieve(site, u) for u in site.objects)
+        p = tmp_path / "topology.bundle"
+        p.write_text(text)
+        assert parse_bundle([str(p)]).topologies["C"].least == t.least
 
 
 class TestCommands:

@@ -57,6 +57,7 @@ from fibsite.sampling import (
 )
 from fibsite.snf import normalize_factors, snf_diagonal
 from fibsite.site import (
+    Sieve,
     maximal_sieve,
     saturate_topology,
     sieve_from_generators,
@@ -456,6 +457,21 @@ class TestCech:
 
         with pytest.raises(InputError):
             cech_cohomology(t, "U", empty, f, 2)
+
+    def test_cover_above_least_cover_must_be_a_sieve_on_the_object(self, chain2, chain3):
+        # the check reads L(u) rather than listing covers, so a set of arrows
+        # above L(u) that is no sieve, or a sieve on another object, is refused
+        t = saturate_topology(chain3, {"U": {sieve_from_generators(chain3, "U", {"a_W_U"})}})
+        assert t.least["U"].members == {"a_W_U"}
+        f = constant_abelian_presheaf(chain3, ZZ)
+        with pytest.raises(InputError, match="not a covering sieve of U"):
+            cech_cohomology(t, "U", Sieve("U", frozenset({"a_W_U", "id_U"})), f, 1)
+        empty = sieve_from_generators(chain2, "U", set())
+        t = saturate_topology(chain2, {"U": {empty}})
+        assert t.least["U"] == empty
+        f = constant_abelian_presheaf(chain2, ZZ)
+        with pytest.raises(InputError, match="not a covering sieve of U"):
+            cech_cohomology(t, "U", maximal_sieve(chain2, "V"), f, 1)
 
     def test_h0_matches_matching_families_mod2(self, chain2):
         # set-level matching families of the underlying Z/2 presheaf count

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -196,8 +197,7 @@ class TestInducedTopology:
     def test_category_fibres_need_upward_closure(self, chain3):
         # with a non-invertible fibre arrow there are covering sieves that
         # are not preimages; dropping them breaks local character
-        from fibsite.fibred import PresheafOfCategories
-        from fibsite.site import GrothendieckTopology
+        from topology_oracles import oracle_verify_topology
 
         j = poset_chain(["y", "x"])
         a = constant_presheaf_of_categories(chain3, j)
@@ -215,27 +215,21 @@ class TestInducedTopology:
         pres = {preimage_sieve(fs, tot, s).members for s in base.covering(u)}
         extra = [r for r in t.covering(tot) if r.members not in pres]
         assert extra, "expected non-preimage covering sieves over a chain fibre"
-        strict = GrothendieckTopology(
-            site=fs.total,
-            covers={
-                tt: frozenset(
-                    preimage_sieve(fs, tt, s)
-                    for s in base.covering(fs.object_pair[tt][0])
-                )
-                for tt in fs.total.objects
-            },
-        )
-        report = verify_topology(strict)
+        strict = {
+            tt: frozenset(
+                preimage_sieve(fs, tt, s) for s in base.covering(fs.object_pair[tt][0])
+            )
+            for tt in fs.total.objects
+        }
+        report = oracle_verify_topology(fs.total, strict)
         assert any("local character" in r for r in report)
 
     def test_base_without_least_covers_is_refused(self, chain2, z2):
         from fibsite.site import GrothendieckTopology, maximal_sieve
 
         fs = grothendieck_construct(constant_presheaf_of_categories(chain2, z2))
-        base = GrothendieckTopology(
-            site=chain2, covers={"U": frozenset({maximal_sieve(chain2, "U")})}
-        )
-        with pytest.raises(InputError, match="no cover of V"):
+        base = GrothendieckTopology(site=chain2, least={"U": maximal_sieve(chain2, "U")})
+        with pytest.raises(InputError, match="no least cover of V"):
             induced_topology(fs, base)
 
     def test_pullback_commutes_with_preimage(self, chain2, z2):
@@ -438,6 +432,21 @@ class TestRestrictionKan:
         ):
             with pytest.raises(ValidationFailure, match="no fibre action"):
                 call(m, arg)
+
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_kan_functions_refuse_an_invalid_morphism(self, seed):
+        # a morphism with its last component dropped is refused before any
+        # lookup, never read until a KeyError
+        m, _h = random_sectionwise_equivalence(random.Random(seed))
+        *kept, dropped = m.components
+        broken = dataclasses.replace(m, components={u: m.components[u] for u in kept})
+        y = constant_enriched_diagram(m.domain)
+        x = constant_enriched_diagram(m.codomain)
+        for call, arg in (
+            (left_kan_along, y), (kan_unit, y), (restrict_along, x), (kan_counit, x)
+        ):
+            with pytest.raises(ValidationFailure, match=f"no component at {dropped}"):
+                call(broken, arg)
 
     def test_restrict_along_identity(self, chain2, z2):
         a = constant_presheaf_of_categories(chain2, z2)

@@ -6,7 +6,7 @@ import pytest
 
 from fibsite.bundle import parse_bundle
 from fibsite.errors import InputError
-from fibsite.fincat import _least_representatives, build_category, poset_chain
+from fibsite.fincat import _least_representatives
 from fibsite.sampling import random_poset_site, random_presheaf, random_topology
 from fibsite.site import (
     GrothendieckTopology,
@@ -15,6 +15,7 @@ from fibsite.site import (
     constant_presheaf,
     coproduct_presheaf,
     is_sheaf,
+    is_trivial_topology,
     make_presheaf,
     matching_families,
     maximal_sieve,
@@ -100,16 +101,6 @@ class TestVerifyTopology:
         for c in (pt, chain3, z2, e2):
             assert verify_topology(trivial_topology(c)) == []
 
-    def test_missing_maximal_cited(self, chain2):
-        s = sieve_from_generators(chain2, "U", {"a_V_U"})
-        t = GrothendieckTopology(
-            site=chain2,
-            covers={"U": frozenset({s}), "V": frozenset({maximal_sieve(chain2, "V")})},
-        )
-        report = verify_topology(t)
-        assert any("maximal" in r for r in report)
-        assert any("local character" in r for r in report)
-
     def test_saturation_produces_topology(self, chain3):
         s = sieve_from_generators(chain3, "U", {"a_W_U"})
         t = saturate_topology(chain3, {"U": {s}})
@@ -117,6 +108,10 @@ class TestVerifyTopology:
         # local character forces the intermediate sieve to cover
         mid = sieve_from_generators(chain3, "U", {"a_V_U"})
         assert mid in t.covering("U")
+
+    def test_seed_on_an_unknown_object_refused(self, chain2):
+        with pytest.raises(InputError, match="seed sieve on X is not a sieve"):
+            saturate_topology(chain2, {"X": {Sieve("X", frozenset())}})
 
     def test_all_sieves_counts(self, chain3):
         # sieves on U: {}, <a_W_U>, <a_V_U>, maximal
@@ -281,24 +276,25 @@ class TestSheafify:
 
     def test_object_without_cover_refused(self, chain2):
         f = constant_presheaf(chain2, ("a",))
-        t = GrothendieckTopology(site=chain2, covers={})
-        with pytest.raises(InputError, match="no cover of U"):
-            plus_construction(f, t)
-        with pytest.raises(InputError, match="verify the topology first"):
-            sheafify(f, t)
-
-    def test_covers_not_closed_under_intersection_refused(self):
-        c = build_category(["U", "A", "B"], {"a": ("A", "U"), "b": ("B", "U")}, {})
-        covers = {u: frozenset({maximal_sieve(c, u)}) for u in c.objects}
-        covers["U"] |= {sieve_from_generators(c, "U", {"a"}), sieve_from_generators(c, "U", {"b"})}
-        t = GrothendieckTopology(site=c, covers=covers)
-        with pytest.raises(InputError, match="not closed under intersection"):
-            plus_construction(constant_presheaf(c, ("x",)), t)
+        lacking = GrothendieckTopology(site=chain2, least={"U": maximal_sieve(chain2, "U")})
+        elsewhere = GrothendieckTopology(
+            site=chain2, least={u: maximal_sieve(chain2, "V") for u in chain2.objects}
+        )
+        for t, message in ((lacking, "no least cover of V"), (elsewhere, "cover of U lives on V")):
+            for read in (
+                verify_topology, is_trivial_topology, lambda t: t.covering("U"),
+                lambda t: is_sheaf(f, t), lambda t: plus_construction(f, t),
+                lambda t: sheafify(f, t),
+            ):
+                with pytest.raises(InputError, match=message):
+                    read(t)
+        with pytest.raises(InputError, match="W is not an object"):
+            trivial_topology(chain2).covering("W")
 
     def test_cover_not_stable_under_pullback_refused(self, chain3):
-        covers = {u: frozenset({maximal_sieve(chain3, u)}) for u in chain3.objects}
-        covers["U"] |= {sieve_from_generators(chain3, "U", {"a_W_U"})}
-        t = GrothendieckTopology(site=chain3, covers=covers)
+        least = {u: maximal_sieve(chain3, u) for u in chain3.objects}
+        least["U"] = sieve_from_generators(chain3, "U", {"a_W_U"})
+        t = GrothendieckTopology(site=chain3, least=least)
         with pytest.raises(InputError, match="not stable under pullback"):
             plus_construction(constant_presheaf(chain3, ("x",)), t)
 

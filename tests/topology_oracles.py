@@ -1,50 +1,58 @@
 """Reference implementations of the topology code, read off every sieve.
 
-These are the extensional versions the library used before it worked from
-least covers: each lists every sieve on every object, so they cost time
+These are the extensional versions the library used before it stored a
+topology as its least covers: each works on an explicit set of covering
+sieves per object, and lists every sieve on every object, so they cost time
 exponential in the site.  The tests compare the library against them on
-small sites.
+small sites, passing ``listed(t)`` for a library topology t.
 """
 
 from fibsite.errors import InputError
 from fibsite.fibred import preimage_sieve
 from fibsite.site import (
-    GrothendieckTopology,
-    Sieve,
+    SheafVerdict,
     all_sieves,
+    family_of_section,
+    matching_families,
     maximal_sieve,
     pullback_sieve,
     validate_sieve,
 )
 
 
-def oracle_verify_topology(t, max_sieves=100_000):
+def listed(t):
+    """The covers of every object of t, listed."""
+    return {u: t.covering(u) for u in t.site.objects}
+
+
+def oracle_verify_topology(c, covers, max_sieves=100_000):
     """Every axiom checked directly; local character against every sieve."""
-    c = t.site
+
+    def covering(u):
+        return covers.get(u, frozenset())
+
     report = []
     for u in c.objects:
-        for s in t.covering(u):
+        for s in covering(u):
             bad = validate_sieve(c, s)
             if bad or s.base_object != u:
                 report.append(f"covers({u}) contains an invalid sieve: {sorted(s.members)}")
     if report:
         return report
     for u in c.objects:
-        if maximal_sieve(c, u) not in t.covering(u):
+        if maximal_sieve(c, u) not in covering(u):
             report.append(f"maximal sieve missing from covers({u})")
     for alpha, (v, u) in c.morphisms.items():
-        for s in t.covering(u):
-            if pullback_sieve(c, s, alpha) not in t.covering(v):
+        for s in covering(u):
+            if pullback_sieve(c, s, alpha) not in covering(v):
                 report.append(f"base change fails: pullback of a cover of {u} along {alpha}")
     for u in c.objects:
-        if not t.covering(u):
-            continue
-        for s in t.covering(u):
+        for s in covering(u):
             for r in all_sieves(c, u, cap=max_sieves):
-                if r in t.covering(u):
+                if r in covering(u):
                     continue
                 if all(
-                    pullback_sieve(c, r, alpha) in t.covering(c.source(alpha))
+                    pullback_sieve(c, r, alpha) in covering(c.source(alpha))
                     for alpha in s.members
                 ):
                     report.append(
@@ -85,18 +93,41 @@ def oracle_saturate_topology(c, seeds=None, max_sieves=100_000):
                         covers[u].add(r)
                         changed = True
                         break
-    return GrothendieckTopology(site=c, covers={u: frozenset(v) for u, v in covers.items()})
+    return {u: frozenset(v) for u, v in covers.items()}
 
 
-def oracle_induced_topology(fs, base_topology, max_sieves=100_000):
+def oracle_induced_topology(fs, base_covers, max_sieves=100_000):
     """Every sieve on each total object that contains a preimage of a base cover."""
     covers = {}
     for tot in fs.total.objects:
         u, _x = fs.object_pair[tot]
-        gens = [preimage_sieve(fs, tot, s) for s in base_topology.covering(u)]
+        gens = [preimage_sieve(fs, tot, s) for s in base_covers[u]]
         covers[tot] = frozenset(
             r
             for r in all_sieves(fs.total, tot, cap=max_sieves)
             if any(g.members <= r.members for g in gens)
         )
-    return GrothendieckTopology(site=fs.total, covers=covers)
+    return covers
+
+
+def oracle_is_sheaf(f, covers):
+    """Sections biject with matching families on every cover, in sorted order."""
+    for u in sorted(f.base.objects):
+        for s in sorted(covers[u], key=lambda s: sorted(s.members)):
+            fams = set(matching_families(f, s))
+            image = {}
+            for x in f.value[u]:
+                fam = family_of_section(f, s, x)
+                if fam in image:
+                    return SheafVerdict(
+                        ok=False, object=u, sieve=s, kind="uniqueness",
+                        detail=f"sections {image[fam]} and {x} agree on the cover",
+                    )
+                image[fam] = x
+            missing = fams - set(image)
+            if missing:
+                return SheafVerdict(
+                    ok=False, object=u, sieve=s, kind="existence",
+                    detail=f"matching family {sorted(missing)[0]} has no amalgamation",
+                )
+    return SheafVerdict(ok=True)
