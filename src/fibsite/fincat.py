@@ -68,8 +68,21 @@ class FiniteCategory:
     def out_of(self, u: str) -> tuple[str, ...]:
         return self._out_of[u]
 
+    @cached_property
+    def _hom(self) -> dict[tuple[str, str], tuple[str, ...]]:
+        out: dict[tuple[str, str], list[str]] = {}
+        for m in sorted(self.morphisms):
+            out.setdefault(self.morphisms[m], []).append(m)
+        return {ends: tuple(ms) for ends, ms in out.items()}
+
     def hom(self, a: str, b: str) -> tuple[str, ...]:
-        return tuple(m for m in self.into(b) if self.source(m) == a)
+        """The arrows a -> b in name order; KeyError if b is not an object."""
+        arrows = self._hom.get((a, b))
+        if arrows is None:
+            if b not in self._into:
+                raise KeyError(b)
+            return ()
+        return arrows
 
     def string_vertex(self, n: int, t: tuple[str, ...], i: int = 0) -> str:
         """The i-th object along a degree-n string token (see ``string_table``).
@@ -537,11 +550,22 @@ def validate_set_functor(f: SetValuedFunctor) -> list[str]:
             report.append(f"action of {m} escapes the target value set")
     if report:
         return report
+    ends = f.base.morphisms
+    loop_at: dict[str, str] = {}  # identity -> its object, for loops acting as one
     for u in f.base.objects:
         i = f.base.identity[u]
         if any(f.act(i, e) != e for e in f.value[u]):
             report.append(f"identity action at {u} is not the identity")
+        elif ends.get(i) == (u, u):
+            loop_at[i] = u
     for (g, h), gh in f.base.composition.items():
+        # (g, id_u) with composite g out of u, and (id_u, h) with composite
+        # h into u, hold whenever id_u acts as the identity, so the every-
+        # pair check would report neither
+        if gh == g and h in loop_at and ends.get(g, (None,))[0] == loop_at[h]:
+            continue
+        if gh == h and g in loop_at and ends.get(h, (None, None))[1] == loop_at[g]:
+            continue
         if f.variance == COVARIANT:
             lhs = {e: f.act(g, f.act(h, e)) for e in f.action[h]}
         else:

@@ -12,9 +12,20 @@ the sectionwise versions over a presheaf of groupoids carry the site actions
 along unchanged.  The triangle identities are equations between
 components, so ``check_triangles`` reads the unit's components and never
 builds the unit's codomain hocolim(pb(...)); ``unit_eta`` builds it when a
-caller asks for the map itself.  A hocolim builds its normalized table
-(``sset.simplex_table``) and its dicts apart, each on first read, so
-``we_evidence`` on the unit never builds the dicts of its codomain.
+caller asks for the map itself.
+
+Both builders are deferred.  A hocolim or pb value builds its normalized
+table (``sset.simplex_table``), which homology and path components read,
+and its integer level (``sset._integer_level``), which a hocolim of it
+reads, directly: a hocolim from its values' integer levels, a pb value
+from x's table and x's integer level.  Its dicts have two fills, each run
+on the first read of a field it builds: the cells (the simplices, and a
+hocolim's structure map), which the triangle checks and the counit read,
+and the maps (faces and degeneracies, and pb's action components), which
+only equality, pickling, the validators and the maps of a hocolim over it
+read.  So the triangle checks and ``we_evidence`` on the unit and on each
+counit build no face or degeneracy dict.  The counit is remembered per
+diagram, so ``check_triangles(a=...)`` and ``counit_epsilon`` share one.
 
 Inputs are validated once, at the public boundary: ``hocolim``, ``pb``,
 ``enriched_hocolim`` and ``enriched_pb`` validate a caller's argument before
@@ -34,6 +45,8 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from itertools import repeat, tee
+from operator import itemgetter
 
 from .errors import InputError
 from .fibred import PresheafOfGroupoids
@@ -41,12 +54,15 @@ from .fincat import Groupoid, opposite, opposite_functor, string_table, validate
 from .sset import (
     SimplicialMap,
     TruncatedSimplicialSet,
+    _action_ids,
     _deferred,
     _filled,
+    _integer_level,
     compose_simplicial_maps,
     identity_simplicial_map,
     nerve,
     nerve_map,
+    simplex_table,
     validate_simplicial,
     validate_simplicial_map,
 )
@@ -164,11 +180,13 @@ def hocolim(a: GroupoidDiagram, d: int) -> OverNerve:
 
 
 def _hocolim(a: GroupoidDiagram, d: int) -> OverNerve:
-    """The hocolim, its normalized table and its dicts both deferred.
+    """The hocolim, with its normalized table, cells and maps each deferred.
 
-    The first read of any dict of the total or of the structure map fills
-    them all.  Both deferred builds hold a's parts but not a itself, so the
-    memo entry for a is freed with a.
+    The cells (the total's simplices and the structure map's components) are
+    filled on the first read of either, and the maps (the total's faces and
+    degeneracies) on the first read of either; the table comes from
+    ``_hocolim_levels``.  The deferred builds hold a's parts but not a
+    itself, so the memo entry for a is freed with a.
     """
     g = a.base
     if any(a.value[y].dim < d for y in g.objects):
@@ -176,13 +194,23 @@ def _hocolim(a: GroupoidDiagram, d: int) -> OverNerve:
     ng = _remembered(g, nerve, d)
     value, action = a.value, a.action
 
-    def fill() -> None:
+    def cells() -> None:
         simplices = []
         over_sigma = []
+        for n in range(d + 1):
+            over = {}
+            for sigma in ng.simplices[n]:
+                xs = _integer_level(value[g.string_vertex(n, sigma)], n)[0]
+                over.update(dict.fromkeys([(sigma, x) for x in xs], sigma))
+            simplices.append(frozenset(over))
+            over_sigma.append(over)
+        _filled(total, simplices=tuple(simplices))
+        _filled(structure, components=tuple(over_sigma))
+
+    def maps() -> None:
         faces = {}
         degeneracies = {}
         for n in range(d + 1):
-            over = {}
             fms = [{} for _ in range(n + 1)] if n else []
             dms = [{} for _ in range(n + 1)] if n < d else []
             nerve_faces = [ng.faces[(n, i)] for i in range(len(fms))]
@@ -191,7 +219,6 @@ def _hocolim(a: GroupoidDiagram, d: int) -> OverNerve:
                 val = value[g.string_vertex(n, sigma)]
                 xs = val.simplices[n]
                 keys = [(sigma, x) for x in xs]
-                over.update(dict.fromkeys(keys, sigma))
                 if fms:
                     # the 0-th face moves x along the first arrow g1 first
                     g1 = sigma[0]
@@ -205,17 +232,17 @@ def _hocolim(a: GroupoidDiagram, d: int) -> OverNerve:
                 for i, dm in enumerate(dms):
                     s_sigma, si = nerve_degens[i][sigma], val.degeneracies[(n, i)]
                     dm.update(zip(keys, [(s_sigma, si[x]) for x in xs]))
-            simplices.append(frozenset(over))
-            over_sigma.append(over)
             faces.update(((n, i), fm) for i, fm in enumerate(fms))
             degeneracies.update(((n, i), dm) for i, dm in enumerate(dms))
-        _filled(total, simplices=tuple(simplices), faces=faces, degeneracies=degeneracies)
-        _filled(structure, components=tuple(over_sigma))
+        _filled(total, faces=faces, degeneracies=degeneracies)
 
     total = _deferred(
-        TruncatedSimplicialSet, fill, dim=d, _levels=_hocolim_levels(g, value, action, d)
+        TruncatedSimplicialSet,
+        {"simplices": cells, "faces": maps, "degeneracies": maps},
+        dim=d,
+        _levels=_hocolim_levels(g, value, action, d),
     )
-    structure = _deferred(SimplicialMap, fill, domain=total, codomain=ng)
+    structure = _deferred(SimplicialMap, {"components": cells}, domain=total, codomain=ng)
     return OverNerve(base=g, total=total, structure=structure)
 
 
@@ -223,53 +250,60 @@ def _hocolim_levels(g: Groupoid, value: dict, action: dict, d: int):
     """The hocolim's normalized table, one degree at a time.
 
     Degeneracies act on both parts of (sigma, x) at once, so (sigma, x) is
-    degenerate iff, for some i, arrow i of sigma is an identity and x lies in
-    the image of s_i in the value at sigma's first vertex.  Simplices are
-    ordered by sigma's string-table order, then by the repr of x; face ids
-    are looked up by sigma's face id and the face of x, so no pair token is
+    degenerate iff, for some i, arrow i of sigma is an identity and x lies
+    in the image of s_i in the value at sigma's first vertex, that is bit i
+    of x's mask.  Every value is read as its integer level and every action
+    as its integer one (``sset._integer_level``, ``sset._action_ids``), so
+    simplices are ordered by sigma's string-table order, then by x's place
+    in that level, and face ids are looked up by position: no token is
     hashed.
     """
     strings = _remembered(g, string_table, d)
     identities = g._identity_set
-    # (y, n) -> the value's n-simplices in repr order, and per simplex the
-    # bits i with the simplex in the image of s_i
-    ordered: dict = {}
-    # (y, n, bits of sigma's identity arrows) -> the x that pair with such a
-    # sigma into a nondegenerate simplex
-    kept: dict = {}
-    below: list[dict] = []  # per string of degree n-1: x -> id of (string, x)
+    # per string of degree n-1: place of x -> id of (string, x), or None
+    below: list = []
     for n in range(d + 1):
         tokens: list = []
         faces: list = []
-        ids: list[dict] = []
+        ids: list = []
+        levels = {y: _integer_level(value[y], n) for y in g.objects}
+        # (y, bits of sigma's identity arrows) -> the places of the x that
+        # pair with such a sigma into a nondegenerate simplex, those x, and
+        # their faces as one column per face map
+        kept: dict = {}
+        moves: dict = {}  # arrow -> its action's integer level n
+        # y -> face 0 of each n-simplex of the value at y
+        first_faces = {y: [f[0] for f in level[2]] for y, level in levels.items()}
         for k, sigma in enumerate(strings.tokens[n]):
             y0 = g.string_vertex(n, sigma)
             bits = sum(1 << i for i, m in enumerate(sigma) if m in identities) if n else 0
-            xs = kept.get((y0, n, bits))
-            if xs is None:
-                if (y0, n) not in ordered:
-                    val = value[y0]
-                    masks = dict.fromkeys(sorted(val.simplices[n], key=repr), 0)
-                    for i in range(n):
-                        for x in val.degeneracies[(n - 1, i)].values():
-                            masks[x] |= 1 << i
-                    ordered[(y0, n)] = masks
-                masks = ordered[(y0, n)]
-                xs = kept[(y0, n, bits)] = [x for x, b in masks.items() if not b & bits]
-            ids.append(dict(zip(xs, range(len(tokens), len(tokens) + len(xs)))))
-            tokens.extend([(sigma, x) for x in xs])
-            if n:
+            entry = kept.get((y0, bits))
+            if entry is None:
+                xt, masks, xf = levels[y0]
+                keep = [j for j, b in enumerate(masks) if not b & bits]
+                columns = list(zip(*[xf[j] for j in keep])) if n else []
+                entry = kept[(y0, bits)] = (keep, [xt[j] for j in keep], columns, len(xt))
+            keep, xs, columns, size = entry
+            start = len(tokens)
+            if len(keep) == size:
+                ids.append(range(start, start + size))
+            else:
+                here = [None] * size
+                for i, j in enumerate(keep, start):
+                    here[j] = i
+                ids.append(here)
+            tokens.extend(zip(repeat(sigma), xs))
+            if n and keep:
                 # face 0 moves x along the first arrow g1 before its face
                 sf = strings.faces[n][k]
                 g1 = sigma[0]
-                moved = action[g1].components[n]
-                d0 = value[g.target(g1)].faces[(n, 0)]
-                first = below[sf[0]]
-                rest = [(below[sf[i]], value[y0].faces[(n, i)]) for i in range(1, n + 1)]
-                faces.extend([
-                    (first.get(d0[moved[x]]), *[ids_i.get(di[x]) for ids_i, di in rest])
-                    for x in xs
-                ])
+                moved = moves.get(g1)
+                if moved is None:
+                    moved = moves[g1] = _action_ids(action[g1], n)
+                d0 = first_faces[g.target(g1)].__getitem__
+                first = map(below[sf[0]].__getitem__, map(d0, map(moved.__getitem__, keep)))
+                rest = [map(below[f].__getitem__, col) for f, col in zip(sf[1:], columns[1:])]
+                faces.extend(zip(first, *rest))
         yield tokens, faces
         below = ids
 
@@ -302,61 +336,153 @@ def pb(x: OverNerve) -> GroupoidDiagram:
 
 
 def _pb(x: OverNerve) -> GroupoidDiagram:
+    """pb(x), with each value's two cheap views built directly.
+
+    Degeneracies act on t alone, so (t, gamma) is degenerate exactly when t
+    is.  So a value's normalized table comes from x's table, and its
+    integer level (every simplex with its mask) and the actions' integer
+    levels come from x's integer level, in the order of t, then of gamma in
+    ``hom``.  The cells fill builds every value's simplices; the maps fill
+    builds their faces and degeneracies and the action components.  Each
+    runs on the first read of a field it builds.  The deferred builds hold
+    x's parts, never x, so the memo entry for x is freed with x.
+    """
     g = x.base
-    total = x.total
+    total, structure = x.total, x.structure
     d = total.dim
     comp = g.composition
-    # per degree: each t with its anchor vertex and, in positive degree, the
-    # inverse of its string's first arrow
-    rows = []
-    for n in range(d + 1):
-        over = x.structure.components[n]
-        rows.append([
+    objects = sorted(g.objects)
+    arrows = sorted(g.morphisms)
+    anchors = {(a0, y): g.hom(a0, y) for a0 in g.objects for y in g.objects}
+
+    def rows(n: int, ts) -> list:
+        # each t with its anchor vertex and, in positive degree, the inverse
+        # of its string's first arrow
+        over = structure.components[n]
+        return [
             (t, g.string_vertex(n, over[t]), g.inverse[over[t][0]] if n else None)
-            for t in total.simplices[n]
-        ])
-    total_faces = [[total.faces[(n, i)] for i in range(n + 1)] if n else [] for n in range(d + 1)]
-    total_degens = [[total.degeneracies[(n, i)] for i in range(n + 1)] for n in range(d)] + [[]]
-    value: dict[str, TruncatedSimplicialSet] = {}
-    for y in sorted(g.objects):
-        anchors_at = {a0: g.hom(a0, y) for a0 in g.objects}
-        simplices = []
-        faces = {}
-        degeneracies = {}
-        for n in range(d + 1):
-            level = []
-            fms = [{} for _ in total_faces[n]]
-            dms = [{} for _ in total_degens[n]]
-            for t, a0, inv in rows[n]:
-                anchors = anchors_at[a0]
-                level.extend((t, gamma) for gamma in anchors)
-                if fms:
-                    ft, fm = total_faces[n][0][t], fms[0]
-                    for gamma in anchors:
-                        fm[(t, gamma)] = (ft, comp[(gamma, inv)])
-                    for i in range(1, n + 1):
-                        ft, fm = total_faces[n][i][t], fms[i]
-                        for gamma in anchors:
-                            fm[(t, gamma)] = (ft, gamma)
-                for st_i, dm in zip(total_degens[n], dms):
-                    st = st_i[t]
-                    for gamma in anchors:
-                        dm[(t, gamma)] = (st, gamma)
-            simplices.append(frozenset(level))
-            faces.update(((n, i), fm) for i, fm in enumerate(fms))
-            degeneracies.update(((n, i), dm) for i, dm in enumerate(dms))
-        value[y] = TruncatedSimplicialSet(
-            dim=d, simplices=tuple(simplices), faces=faces, degeneracies=degeneracies
-        )
-    action: dict[str, SimplicialMap] = {}
-    for m, (s, t_) in g.morphisms.items():
-        action[m] = SimplicialMap(
-            domain=value[s],
-            codomain=value[t_],
-            components=tuple(
+            for t in ts
+        ]
+
+    def cells() -> None:
+        per = [rows(n, total.simplices[n]) for n in range(d + 1)]
+        for y in objects:
+            simplices = tuple(
+                frozenset([(t, gamma) for t, a0, _ in level for gamma in anchors[(a0, y)]])
+                for level in per
+            )
+            _filled(value[y], simplices=simplices)
+
+    def maps() -> None:
+        total_faces = [
+            [total.faces[(n, i)] for i in range(n + 1)] if n else [] for n in range(d + 1)
+        ]
+        total_degens = [[total.degeneracies[(n, i)] for i in range(n + 1)] for n in range(d)] + [[]]
+        per = [rows(n, total.simplices[n]) for n in range(d + 1)]
+        for y in objects:
+            faces = {}
+            degeneracies = {}
+            for n in range(d + 1):
+                fms = [{} for _ in total_faces[n]]
+                dms = [{} for _ in total_degens[n]]
+                for t, a0, inv in per[n]:
+                    here = anchors[(a0, y)]
+                    if fms:
+                        ft, fm = total_faces[n][0][t], fms[0]
+                        for gamma in here:
+                            fm[(t, gamma)] = (ft, comp[(gamma, inv)])
+                        for i in range(1, n + 1):
+                            ft, fm = total_faces[n][i][t], fms[i]
+                            for gamma in here:
+                                fm[(t, gamma)] = (ft, gamma)
+                    for st_i, dm in zip(total_degens[n], dms):
+                        st = st_i[t]
+                        for gamma in here:
+                            dm[(t, gamma)] = (st, gamma)
+                faces.update(((n, i), fm) for i, fm in enumerate(fms))
+                degeneracies.update(((n, i), dm) for i, dm in enumerate(dms))
+            _filled(value[y], faces=faces, degeneracies=degeneracies)
+        for m, (s, _t) in g.morphisms.items():
+            _filled(action[m], components=tuple(
                 {(t, gamma): (t, comp[(m, gamma)]) for (t, gamma) in value[s].simplices[n]}
                 for n in range(d + 1)
-            ),
+            ))
+
+    def pulled(level, with_masks: bool):
+        """Per degree: the values' levels by object and the actions' ids by
+        arrow (none without masks), read off x's level at n."""
+        place = {key: {gamma: j for j, gamma in enumerate(hom)} for key, hom in anchors.items()}
+        below: dict = {}
+        for n in range(d + 1):
+            xt, xm, xf = level(n)
+            per = rows(n, xt)
+            levels = {}
+            offsets = {}
+            for y in objects:
+                tokens: list = []
+                masks: list = []
+                faces: list = []
+                starts = offsets[y] = []
+                under = below.get(y)
+                for k, (t, a0, inv) in enumerate(per):
+                    here = anchors[(a0, y)]
+                    starts.append(len(tokens))
+                    tokens.extend([(t, gamma) for gamma in here])
+                    if with_masks:
+                        masks.extend([xm[k]] * len(here))
+                    if n:
+                        # face 0 re-anchors gamma along the inverse of t's
+                        # first arrow; the other faces keep it
+                        f0, *fs = xf[k]
+                        if f0 is None:
+                            zeros = [None] * len(here)
+                        else:
+                            at = place[(g.source(inv), y)]
+                            zeros = [under[f0] + at[comp[(gamma, inv)]] for gamma in here]
+                        rest = [None if f is None else under[f] for f in fs]
+                        faces.extend([
+                            (z, *[None if r is None else r + j for r in rest])
+                            for j, z in enumerate(zeros)
+                        ])
+                levels[y] = (tokens, masks, faces) if with_masks else (tokens, faces)
+            ids = {}
+            if with_masks:
+                for m in arrows:
+                    s, t_ = g.morphisms[m]
+                    starts = offsets[t_]
+                    ids[m] = [
+                        starts[k] + place[(a0, t_)][comp[(m, gamma)]]
+                        for k, (_t, a0, _inv) in enumerate(per)
+                        for gamma in anchors[(a0, s)]
+                    ]
+            yield levels, ids
+            below = offsets
+
+    def table_level(n: int):
+        table = simplex_table(total, n)
+        return table.tokens[n], None, table.faces[n]
+
+    tables = tee(pulled(table_level, False), len(objects))
+    full = tee(pulled(lambda n: _integer_level(total, n), True), len(objects) + len(arrows))
+    value: dict[str, TruncatedSimplicialSet] = {}
+    fills = {"simplices": cells, "faces": maps, "degeneracies": maps}
+    for y, own, ints in zip(objects, tables, full):
+        value[y] = _deferred(
+            TruncatedSimplicialSet,
+            fills,
+            dim=d,
+            _levels=map(itemgetter(y), map(itemgetter(0), own)),
+            _int_levels=map(itemgetter(y), map(itemgetter(0), ints)),
+        )
+    action: dict[str, SimplicialMap] = {}
+    for m, ints in zip(arrows, full[len(objects):]):
+        s, t_ = g.morphisms[m]
+        action[m] = _deferred(
+            SimplicialMap,
+            {"components": maps},
+            domain=value[s],
+            codomain=value[t_],
+            _int_levels=map(itemgetter(m), map(itemgetter(1), ints)),
         )
     return GroupoidDiagram(base=g, value=value, action=action)
 
@@ -405,9 +531,17 @@ def unit_eta(x: OverNerve) -> SimplicialMap:
     return _unit(x, _remembered(pb(x), _hocolim, x.total.dim))
 
 
+def _counit_at(a: GroupoidDiagram) -> dict[str, SimplicialMap]:
+    """The counit at a, built once per diagram: the triangle check and
+    ``counit_epsilon`` share it."""
+    h = _remembered(a, _hocolim, next(iter(a.value.values())).dim)
+    return _counit(a, _remembered(h, _pb))
+
+
 def counit_epsilon(a: GroupoidDiagram) -> dict[str, SimplicialMap]:
     """pb(hocolim(a)) -> a, pushing the carried simplex along the anchor."""
-    return _counit(a, _remembered(hocolim(a, next(iter(a.value.values())).dim), _pb))
+    hocolim(a, next(iter(a.value.values())).dim)
+    return dict(_remembered(a, _counit_at))
 
 
 @dataclass(frozen=True)
@@ -440,7 +574,7 @@ def check_triangles(
         g = a.base
         d = next(iter(a.value.values())).dim
         h = hocolim(a, d)
-        eps = _counit(a, _remembered(h, _pb))
+        eps = _remembered(a, _counit_at)
         for n, eta_n in enumerate(_unit_components(h)):
             eps_n = {y: m.components[n] for y, m in eps.items()}
             for tok in h.total.simplices[n]:

@@ -6,10 +6,12 @@ so simplicial identities are exhaustively checkable.  The two-sided string
 bisimplicial set reuses the nerve's face and degeneracy maps, reindexed by
 bidegree.  Homology and path components read one normalized table per set
 (``simplex_table``): per degree the nondegenerate simplices in a fixed order
-and their face ids, with None for a degenerate face.  A builder that knows
-its nondegenerate simplices (``hocopb``'s hocolim) supplies that table and
-defers its dicts until something reads them; any other set's table is read
-off its dicts.  Homology runs over the normalized integer chain complex
+and their face ids, with None for a degenerate face.  Beside it each set has
+an integer level (``_integer_level``): every simplex with its degeneracy
+mask and integer face ids, and each map an integer action.  A builder that
+knows these views (``hocopb``'s hocolim and pb) supplies them and defers its
+dicts until something reads them; any other set or map has them read off
+its dicts, once.  Homology runs over the normalized integer chain complex
 through the exact Smith-form kernel.
 """
 
@@ -47,10 +49,12 @@ def _tkey(t: Token):
 class _DeferredField:
     """A dataclass field that a builder may fill on first read.
 
-    ``_deferred(cls, fill, **given)`` makes an instance that holds only the
-    given fields.  An instance's own value always wins over this class-level
-    descriptor, so only the first read of a missing field reaches it; that
-    runs fill, which sets the fields of every object it was deferred for.
+    ``_deferred(cls, fills, **given)`` makes an instance that holds only the
+    given fields, and ``fills`` maps each deferred field to the function
+    that builds it.  An instance's own value always wins over this
+    class-level descriptor, so only the first read of a missing field
+    reaches it; that runs the field's fill, which sets the fields it builds
+    on every object it was deferred for, and leaves the other fills alone.
     Equality, repr, pickling and every reader then see the ordinary values.
     A descriptor, unlike ``__getattr__``, leaves the reads of every other
     attribute on the interpreter's fast path.
@@ -62,7 +66,7 @@ class _DeferredField:
     def __get__(self, obj, cls=None):
         if obj is None:
             return self
-        fill = vars(obj).get("_fill")
+        fill = vars(obj).get("_fills", {}).get(self.name)
         if fill is None:
             raise AttributeError(self.name)
         fill()
@@ -70,8 +74,8 @@ class _DeferredField:
 
 
 def _reduce_to_fields(obj):
-    # the fields only: a fill function and a table's level generator cannot
-    # be pickled, and both are rebuilt on demand
+    # the fields only: fill functions and level generators cannot be
+    # pickled, and all of them are rebuilt on demand
     return type(obj), tuple(getattr(obj, f) for f in obj.__dataclass_fields__)
 
 
@@ -87,16 +91,22 @@ def _deferrable(*names):
     return decorate
 
 
-def _deferred(cls, fill, **given):
+def _deferred(cls, fills: dict, **given):
+    """An instance of cls with the given fields; field f is built by fills[f]."""
     obj = object.__new__(cls)
-    vars(obj).update(given, _fill=fill)
+    vars(obj).update(given, _fills=dict(fills))
     return obj
 
 
 def _filled(obj, **fields) -> None:
-    """Set the deferred fields of obj; its fill function is dropped."""
-    vars(obj).update(fields)
-    vars(obj).pop("_fill")
+    """Set deferred fields of obj; their fill functions are dropped."""
+    own = vars(obj)
+    own.update(fields)
+    fills = own["_fills"]
+    for name in fields:
+        del fills[name]
+    if not fills:
+        del own["_fills"]
 
 
 @_deferrable("simplices", "faces", "degeneracies")
@@ -569,16 +579,16 @@ def simplex_table(s: TruncatedSimplicialSet, top: int) -> StringTable:
 
     Per degree: the nondegenerate simplices, and for each its face ids in
     the degree below, None for a degenerate face.  A set built with its own
-    table (``hocopb``'s hocolim) yields that; any other set's table is read
-    off its dicts, nondegenerate simplices in ``repr`` order.  Each degree is
-    built once per set, on first request, and the table returned may run
-    past top.
+    table (``hocopb``'s hocolim and pb values) yields that; any other set's
+    table is read off its integer level (``_integer_level``), keeping the
+    simplices of mask 0 in that level's order.  Each degree is built once
+    per set, on first request, and the table returned may run past top.
     """
     own = vars(s)
     table = own.get("_table")
     if table is None:
         table = own["_table"] = StringTable([], [])
-        own.setdefault("_levels", _levels_from_dicts(s))
+        own.setdefault("_levels", _normalized_levels(s))
     levels = own["_levels"]
     for tokens, faces in islice(levels, max(0, top + 1 - len(table.tokens))):
         table.tokens.append(tokens)
@@ -586,32 +596,85 @@ def simplex_table(s: TruncatedSimplicialSet, top: int) -> StringTable:
     return table
 
 
-def _levels_from_dicts(s: TruncatedSimplicialSet, normalized: bool = True):
-    """The levels of s's table read off its dicts, in ``repr`` order.
+def _cached_levels(obj, top: int, default) -> list:
+    """The integer levels of a set or map through at least degree top.
 
-    Without normalized every simplex is listed and no face id is None.
+    A builder may supply them as the generator ``_int_levels``; otherwise
+    ``default(obj)`` reads them off the dicts.  Each degree is built once.
+    """
+    own = vars(obj)
+    done = own.get("_int")
+    if done is None:
+        done = own["_int"] = []
+        own.setdefault("_int_levels", default(obj))
+    if len(done) <= top:
+        done.extend(islice(own["_int_levels"], top + 1 - len(done)))
+    return done
+
+
+def _integer_level(s: TruncatedSimplicialSet, n: int) -> tuple[list, list, list]:
+    """Degree n of s as (tokens, masks, faces): every simplex, bit i of its
+    mask set when it lies in the image of s_i, and its face ids as positions
+    in degree n-1 of the same view."""
+    return _cached_levels(s, n, _levels_from_dicts)[n]
+
+
+def _action_ids(f: SimplicialMap, n: int) -> list[int]:
+    """Degree n of f as integers: position k of the domain's integer level
+    goes to the position of its image in the codomain's."""
+    return _cached_levels(f, n, _ids_from_dicts)[n]
+
+
+def _levels_from_dicts(s: TruncatedSimplicialSet):
+    """The integer levels of a set given as dicts, simplices in ``repr`` order.
+
+    A face or degeneracy image outside the set (one ``validate_simplicial``
+    reports) gets no id: its face id is None and it sets no mask bit.
     """
     index: dict = {}
     for n in range(s.dim + 1):
-        level = s.simplices[n]
-        if normalized and n:
-            degenerate = s.degenerate(n)
-            level = [x for x in level if x not in degenerate]
-        tokens = sorted(level, key=_tkey)
+        tokens = sorted(s.simplices[n], key=_tkey)
+        here = {x: k for k, x in enumerate(tokens)}
+        masks = [0] * len(tokens)
         faces = []
         if n:
+            for i in range(n):
+                for x in s.degeneracies[(n - 1, i)].values():
+                    k = here.get(x)
+                    if k is not None:
+                        masks[k] |= 1 << i
             maps = [s.faces[(n, i)] for i in range(n + 1)]
             faces = [tuple([index.get(m[x]) for m in maps]) for x in tokens]
-        index = {x: k for k, x in enumerate(tokens)}
-        yield tokens, faces
+        index = here
+        yield tokens, masks, faces
+
+
+def _ids_from_dicts(f: SimplicialMap):
+    """The integer levels of a map given as dicts."""
+    for n in range(f.domain.dim + 1):
+        image = f.components[n]
+        index = {x: k for k, x in enumerate(_integer_level(f.codomain, n)[0])}
+        yield [index[image[x]] for x in _integer_level(f.domain, n)[0]]
+
+
+def _normalized_levels(s: TruncatedSimplicialSet):
+    """The normalized levels of s, read off its integer level."""
+    renumber: dict = {}
+    for n in range(s.dim + 1):
+        tokens, masks, faces = _integer_level(s, n)
+        keep = [k for k, m in enumerate(masks) if not m]
+        # a degenerate face, absent from renumber, gets None
+        kept_faces = [tuple([renumber.get(c) for c in faces[k]]) for k in keep] if n else []
+        yield [tokens[k] for k in keep], kept_faces
+        renumber = {k: j for j, k in enumerate(keep)}
 
 
 def _table(s: TruncatedSimplicialSet, top: int, normalized: bool) -> StringTable:
-    """``simplex_table``, or without normalized every simplex in ``repr`` order."""
+    """``simplex_table``, or without normalized s's integer level."""
     if normalized:
         return simplex_table(s, top)
-    levels = list(islice(_levels_from_dicts(s, False), top + 1))
-    return StringTable([tokens for tokens, _ in levels], [faces for _, faces in levels])
+    levels = _cached_levels(s, top, _levels_from_dicts)[: top + 1]
+    return StringTable([tokens for tokens, _, _ in levels], [faces for _, _, faces in levels])
 
 
 def pi0_sset(s: TruncatedSimplicialSet) -> dict:
@@ -629,8 +692,8 @@ def boundary_entries(
 ) -> tuple[dict[tuple[int, int], int], int, int]:
     """Sparse boundary matrix from degree n to degree n-1 as (entries, rows, cols).
 
-    Rows and columns follow the order of ``simplex_table``, or ``repr``
-    order over every simplex without normalized.
+    Rows and columns follow the order of ``simplex_table``, or without
+    normalized the integer level's (``repr`` order for a set given as dicts).
     """
     entries, ncols, nrows = _coboundary(_table(s, n, normalized), n)
     return {(r, j): v for (j, r), v in entries.items()}, nrows, ncols

@@ -8,6 +8,7 @@ from fibsite.fincat import (
     FiniteCategory,
     Functor,
     SetValuedFunctor,
+    as_covariant,
     automorphism_group,
     build_category,
     codiscrete_groupoid,
@@ -34,6 +35,7 @@ from fibsite.fincat import (
     validate_groupoid,
     validate_set_functor,
 )
+from fibsite.sampling import random_groupoid, random_poset_site, random_presheaf
 
 
 def one_point_diagram(base):
@@ -500,3 +502,93 @@ def test_as_covariant_flips_base(chain2):
     assert validate_set_functor(g) == []
     assert len(colim_set(g).elements) >= 1
     assert as_covariant(g) is g
+
+
+# ---------------------------------------------------------------------------
+# hom from its (source, target) index, and the composition-law check that
+# skips the pairs its identity check has decided
+
+
+def test_hom_matches_a_scan_of_the_arrows_into_its_target():
+    rng = random.Random(3)
+    cats = [poset_chain(["W", "V", "U"]), cyclic_groupoid(3), codiscrete_groupoid(["o1", "o2"])]
+    cats += [random_poset_site(rng, 4) for _ in range(5)]
+    cats += [random_groupoid(rng, max_objects=3) for _ in range(5)]
+    for c in cats:
+        for a in c.objects:
+            for b in c.objects:
+                assert c.hom(a, b) == tuple(m for m in c.into(b) if c.source(m) == a)
+        u = sorted(c.objects)[0]
+        assert c.hom("nowhere", u) == ()
+        with pytest.raises(KeyError):
+            c.hom(u, "nowhere")
+
+
+def every_pair_report(f: SetValuedFunctor) -> list[str]:
+    """``validate_set_functor`` as it was, checking every composable pair."""
+    report: list[str] = []
+    if f.variance not in (COVARIANT, "contravariant"):
+        return [f"unknown variance {f.variance!r}"]
+    for u in f.base.objects:
+        if u not in f.value:
+            report.append(f"no value at {u}")
+    for m in f.base.morphisms:
+        if m not in f.action:
+            report.append(f"no action for {m}")
+    if report:
+        return report
+    for m in f.base.morphisms:
+        src, tgt = _ends(f, m)
+        amap = f.action[m]
+        if set(amap) != set(f.value[src]):
+            report.append(f"action of {m} not defined on exactly the value set")
+            continue
+        if not set(amap.values()) <= set(f.value[tgt]):
+            report.append(f"action of {m} escapes the target value set")
+    if report:
+        return report
+    for u in f.base.objects:
+        i = f.base.identity[u]
+        if any(f.act(i, e) != e for e in f.value[u]):
+            report.append(f"identity action at {u} is not the identity")
+    for (g, h), gh in f.base.composition.items():
+        if f.variance == COVARIANT:
+            lhs = {e: f.act(g, f.act(h, e)) for e in f.action[h]}
+        else:
+            lhs = {e: f.act(h, f.act(g, e)) for e in f.action[g]}
+        if lhs != f.action[gh]:
+            report.append(f"functoriality fails on ({g}, {h})")
+    return report
+
+
+def _ends(f: SetValuedFunctor, m: str) -> tuple[str, str]:
+    """The value sets that m's action maps from and to."""
+    s, t = f.base.morphisms[m]
+    return (s, t) if f.variance == COVARIANT else (t, s)
+
+
+def one_entry_mutants(rng, f: SetValuedFunctor, count: int):
+    """Copies of f with one action entry moved inside its target set."""
+    movable = [
+        (m, e) for m, amap in sorted(f.action.items()) for e in sorted(amap)
+        if len(set(f.value[_ends(f, m)[1]])) > 1
+    ]
+    for m, e in rng.sample(movable, min(count, len(movable))):
+        others = sorted(set(f.value[_ends(f, m)[1]]) - {f.action[m][e]})
+        action = {**f.action, m: {**f.action[m], e: rng.choice(others)}}
+        yield SetValuedFunctor(base=f.base, variance=f.variance, value=f.value, action=action)
+
+
+def test_set_functor_report_matches_the_every_pair_loop():
+    failing = 0
+    for seed in range(60):
+        rng = random.Random(seed)
+        base = random_poset_site(rng, 4) if seed % 2 else random_groupoid(rng, max_objects=3)
+        f = random_presheaf(rng, base, max_parts=3)
+        for g in (f, as_covariant(f)):
+            assert validate_set_functor(g) == every_pair_report(g) == []
+            for mutant in one_entry_mutants(rng, g, 6):
+                report = validate_set_functor(mutant)
+                assert report == every_pair_report(mutant)
+                failing += bool(report)
+    assert failing >= 300  # most mutants break a law

@@ -46,6 +46,8 @@ from fibsite.sampling import (
 )
 from fibsite.sset import (
     SimplicialMap,
+    _action_ids,
+    _integer_level,
     TruncatedSimplicialSet,
     homology,
     identity_simplicial_map,
@@ -260,6 +262,25 @@ def _unbuilt(s) -> bool:
     return not {"simplices", "faces", "degeneracies"} & vars(s).keys()
 
 
+def _maps_unbuilt(s) -> bool:
+    return not {"faces", "degeneracies"} & vars(s).keys()
+
+
+def _integer_levels(s, d) -> list:
+    return [_integer_level(s, n) for n in range(d + 1)]
+
+
+def _by_token(levels) -> list[dict]:
+    """Per degree: each simplex with its mask and its faces as tokens."""
+    out = []
+    below: list = []
+    for tokens, masks, faces in levels:
+        rows = [tuple(below[c] for c in f) for f in faces] if faces else [()] * len(tokens)
+        out.append(dict(zip(tokens, zip(masks, rows))))
+        below = tokens
+    return out
+
+
 @st.composite
 def hocolim_inputs(draw):
     """A random diagram, pb of a random over-nerve, or a section of a random
@@ -275,8 +296,21 @@ def hocolim_inputs(draw):
     return section_diagram(x, rng.choice(sorted(x.base.site.objects))), d
 
 
+@st.composite
+def pb_inputs(draw):
+    """A random over-nerve or the hocolim of a random diagram, with the
+    truncation degree."""
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    d = draw(st.integers(1, 3))
+    g = random_groupoid(rng)
+    if draw(st.booleans()):
+        return random_over_nerve(rng, g, d), d
+    return hocopb._hocolim(random_diagram(rng, g, d), d), d
+
+
 class TestTable:
-    """The hocolim's directly built table against the one its dicts give."""
+    """The views a hocolim or pb value builds directly against those its
+    dicts give, and which dicts the adjunction's readers leave unbuilt."""
 
     @settings(max_examples=100, deadline=None)
     @given(hocolim_inputs())
@@ -296,6 +330,33 @@ class TestTable:
         assert homology(h.total, d - 1) == homology(eager, d - 1)
         assert pi0_sset(h.total) == pi0_sset(eager)
 
+    @settings(max_examples=60, deadline=None)
+    @given(pb_inputs())
+    def test_pb_views_match_the_dicts(self, case):
+        x, d = case
+        p = hocopb._pb(x)
+        views = {y: (simplex_table(v, d), _integer_levels(v, d)) for y, v in p.value.items()}
+        ids = {m: [_action_ids(f, n) for n in range(d + 1)] for m, f in p.action.items()}
+        assert all(_unbuilt(v) for v in p.value.values())
+        assert all("components" not in vars(f) for f in p.action.values())
+        for y, v in p.value.items():
+            # an equal set given as dicts has both views read off them
+            eager = TruncatedSimplicialSet(
+                dim=d, simplices=v.simplices, faces=v.faces, degeneracies=v.degeneracies
+            )
+            direct, levels = views[y]
+            derived = simplex_table(eager, d)
+            for n in range(d + 1):
+                assert _faces_by_token(direct, n) == _faces_by_token(derived, n)
+            assert _by_token(levels) == _by_token(_integer_levels(eager, d))
+            assert homology(v, d - 1) == homology(eager, d - 1)
+            assert pi0_sset(v) == pi0_sset(eager)
+        for m, f in p.action.items():
+            eager = SimplicialMap(domain=f.domain, codomain=f.codomain, components=f.components)
+            for n, image in enumerate(ids[m]):
+                tokens, into = (_integer_level(s, n)[0] for s in (f.domain, f.codomain))
+                assert {t: into[k] for t, k in zip(tokens, image)} == eager.components[n]
+
     def test_unit_evidence_leaves_the_codomain_unbuilt(self, z2):
         x = random_over_nerve(random.Random(6), z2, 4)
         eta = unit_eta(x)
@@ -306,11 +367,33 @@ class TestTable:
         # the first read fills the dicts of the total and of the structure map
         assert validate_simplicial_map(eta) == []
         assert validate_over_nerve(h) == []
-        assert not _unbuilt(eta.codomain) and "_fill" not in vars(h.structure)
+        assert not _unbuilt(eta.codomain) and "_fills" not in vars(h.structure)
 
+    def test_over_checks_leave_the_pullback_maps_unbuilt(self, z2):
+        x = random_over_nerve(random.Random(6), z2, 4)
+        assert check_triangles(x=x).passed
+        assert we_evidence(unit_eta(x), 3).passed
+        p = pb(x)
+        # the triangle check reads the cells; the evidence reads the tables
+        assert all(_maps_unbuilt(v) for v in p.value.values())
+        assert all("components" not in vars(f) for f in p.action.values())
+
+    def test_diagram_checks_leave_the_maps_unbuilt(self, e2, monkeypatch):
+        a = random_diagram(random.Random(3), e2, 4)
+        counits = _recorded(monkeypatch, ("_counit",))
+        assert check_triangles(a=a).passed
+        for m in counit_epsilon(a).values():
+            assert we_evidence(m, 3).passed
+        assert counit_epsilon(a) == counit_epsilon(a)
+        # one counit per diagram, shared by the triangle check and the caller
+        assert [arg for _name, arg in counits] == [a]
+        h = hocolim(a, 4)
+        assert _maps_unbuilt(h.total)
+        assert all(_maps_unbuilt(v) for v in pb(h).value.values())
+        assert all("components" not in vars(f) for f in pb(h).action.values())
 
     def test_a_hocolim_pickles_as_its_dicts(self, z2):
-        # neither the fill function nor the table's level generator pickles;
+        # neither the fill functions nor the table's level generator pickle;
         # a copy carries the fields only, read before or after homology
         h = hocopb._hocolim(random_diagram(random.Random(2), z2, 3), 3)
         before = pickle.loads(pickle.dumps(h))
@@ -318,6 +401,15 @@ class TestTable:
         after = pickle.loads(pickle.dumps(h))
         assert before == after == h
         assert "_table" not in vars(after.total)
+
+    def test_a_pullback_pickles_as_its_dicts(self, z2):
+        p = hocopb._pb(random_over_nerve(random.Random(2), z2, 3))
+        before = pickle.loads(pickle.dumps(p))
+        assert homology(p.value["*"], 2) == homology(before.value["*"], 2)
+        after = pickle.loads(pickle.dumps(p))
+        assert before == after == p
+        assert validate_diagram(after) == []
+        assert not {"_table", "_int", "_fills"} & vars(after.value["*"]).keys()
 
 
 class TestFunctorialityEvidence:
@@ -539,6 +631,21 @@ class TestMemo:
         gc.collect()
         assert key not in hocopb._MEMO
         assert h() is None and p() is None
+
+    def test_pullback_entry_goes_with_its_argument(self, z2):
+        # pb's deferred views and fills hold x's parts, never x: with its
+        # tables read and its cells and maps unbuilt, nothing keeps x alive
+        x = random_over_nerve(random.Random(8), z2, 3)
+        key = id(x)
+        p = weakref.ref(pb(x))
+        assert we_evidence(unit_eta(x), 2).passed
+        assert all(_unbuilt(v) for v in p().value.values())
+        h = weakref.ref(hocopb._remembered(p(), hocopb._hocolim, 3))
+        assert key in hocopb._MEMO and id(p()) in hocopb._MEMO
+        del x
+        gc.collect()
+        assert key not in hocopb._MEMO
+        assert p() is None and h() is None
 
     def test_one_nerve_per_base_groupoid(self, monkeypatch):
         # the over side checks x against the nerve of its base and builds

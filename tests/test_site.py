@@ -6,7 +6,12 @@ import pytest
 
 from fibsite.bundle import parse_bundle
 from fibsite.errors import InputError
-from fibsite.fincat import _least_representatives
+from fibsite.fibred import (
+    constant_presheaf_of_categories,
+    grothendieck_construct,
+    induced_topology,
+)
+from fibsite.fincat import _least_representatives, terminal_category
 from fibsite.sampling import random_poset_site, random_presheaf, random_topology
 from fibsite.site import (
     GrothendieckTopology,
@@ -290,6 +295,24 @@ class TestSheafify:
                     read(t)
         with pytest.raises(InputError, match="W is not an object"):
             trivial_topology(chain2).covering("W")
+
+    @pytest.mark.parametrize("stray", ["zz", "id_V"])
+    def test_least_cover_holding_a_stray_arrow_refused(self, chain2, stray):
+        # every reader refuses a least cover holding an arrow that does not
+        # end at U, unknown or not; the verifier reports it as a non-sieve
+        least = {"U": Sieve("U", frozenset({stray})), "V": maximal_sieve(chain2, "V")}
+        t = GrothendieckTopology(site=chain2, least=least)
+        f = constant_presheaf(chain2, ("a",))
+        fs = grothendieck_construct(constant_presheaf_of_categories(chain2, terminal_category("x")))
+        message = f"least cover of U holds {stray}, which is not an arrow into U"
+        for read in (
+            is_trivial_topology, lambda t: t.covering("U"), lambda t: is_sheaf(f, t),
+            lambda t: plus_construction(f, t), lambda t: sheafify(f, t),
+            lambda t: induced_topology(fs, t),
+        ):
+            with pytest.raises(InputError, match=message):
+                read(t)
+        assert verify_topology(t) == [f"L(U) is not a sieve on U: ['{stray}']"]
 
     def test_cover_not_stable_under_pullback_refused(self, chain3):
         least = {u: maximal_sieve(chain3, u) for u in chain3.objects}
