@@ -7,14 +7,17 @@ mapping cone of the relation inclusion, which is a free complex computing
 the same cohomology; it is cut at degree n_max+1, so with any coefficients
 strings are enumerated in degrees 0..n_max+1 only, and the differential out
 of the top degree, whose rank is all that is read, is reduced in rank-only
-mode.  Every kernel computation runs through the sparse invariant-factor
-routine.  Strings are numbered per degree by
-``fincat.string_table``, and the differentials index cochains by those
-ids.  Consecutive differentials are reduced with clearing: the
-unit-pivot rows of d^n name columns of d^{n+1} that a unimodular change of
-basis sends to zero, so they are left out of the next reduction, which is
-sound because d^{n+1} d^n = 0 exactly.  On a complex that
-``cochain_complex`` builds this holds by construction (the argument is
+mode.  Strings are numbered per degree by ``fincat.string_table``, and the
+differentials index cochains by those ids.
+
+Each differential has a builder that writes its sparse rows straight from
+the face table, and every kernel computation runs through the sparse
+invariant-factor routine.  The differentials are streamed into it in order
+with clearing: a builder runs only after the reduction of the differential
+before it, whose unit-pivot rows name columns of this one that a
+unimodular change of basis sends to zero, and it writes the differential
+without them.  That is sound because d^{n+1} d^n = 0 exactly.  On a complex
+that ``cochain_complex`` builds this holds by construction (the argument is
 written out there), as ``sset.homology`` relies on the simplicial
 identities; ``cohomology_of_complex`` checks it on any other complex.
 
@@ -32,7 +35,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from functools import partial
+from itertools import accumulate
+from typing import Iterable, Sequence
 
 from .errors import InputError, RefusedMode, ValidationFailure, require_valid
 from .fibred import (
@@ -45,8 +50,12 @@ from .fibred import (
 from .fincat import FiniteCategory, Functor, comma_data, identity_functor, string_table
 from .site import GrothendieckTopology, Sieve, is_trivial_topology, validate_sieve
 from .snf import (
+    Builder,
     Matrix,
+    Rows,
     _reduce_with_clearing,
+    _signed_row,
+    _stored,
     identity_matrix,
     kernel_basis,
     matmul,
@@ -220,22 +229,57 @@ def restrict_abelian_along(t: Functor, f: AbelianPresheaf) -> AbelianPresheaf:
 # the cochain complex
 
 
+class _Written(Sequence):
+    """The differentials of a complex ``cochain_complex`` builds.
+
+    Each is written by its builder, ``build(cleared) -> rows``, with
+    nothing cleared, when it is first read here.  The library's own
+    reduction never reads them here: it calls ``builders`` one at a time,
+    each after the reduction before it (``_cohomology``).
+    """
+
+    def __init__(self, builders: Iterable[Builder]):
+        self.builders = tuple(builders)
+        self._rows: list[Rows | None] = [None] * len(self.builders)
+
+    def __len__(self) -> int:
+        return len(self.builders)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self[n] for n in range(len(self))[k])
+        k = range(len(self))[k]
+        rows = self._rows[k]
+        if rows is None:
+            rows = self._rows[k] = self.builders[k](())
+        return rows
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Sequence) and tuple(self) == tuple(other)
+
+    __hash__ = None
+
+
 @dataclass(frozen=True)
 class CochainComplex:
     """A free complex of finite rank with consecutive differentials composing to zero.
 
-    When the coefficients carry torsion the complex stored here is the
-    mapping cone of the relation inclusion (quasi-isomorphic to the complex
-    of presented groups), which starts one slot below the cochains proper;
-    offset records that shift.  Its top slot is C^{n_max+1} alone, without
-    the relations of degree n_max+2: that leaves the kernel of the last
-    differential, and so every group up to degree n_max, unchanged (see
-    ``cochain_complex``).  string_counts is the underlying string
-    enumeration per cochain degree, 0..n_max+1.
+    ``differentials`` lists d^0, d^1, ... as sparse rows ``{row: {col:
+    value}}`` (see ``snf.sparse_invariant_factors``); d^n is ranks[n+1] x
+    ranks[n], with 0 rows past the last rank.  A complex that
+    ``cochain_complex`` builds writes each differential from the face table
+    when it is first read.  When the coefficients carry torsion the complex
+    stored here is the mapping cone of the relation inclusion
+    (quasi-isomorphic to the complex of presented groups), which starts one
+    slot below the cochains proper; offset records that shift.  Its top slot
+    is C^{n_max+1} alone, without the relations of degree n_max+2: that
+    leaves the kernel of the last differential, and so every group up to
+    degree n_max, unchanged (see ``cochain_complex``).  string_counts is
+    the underlying string enumeration per cochain degree, 0..n_max+1.
     """
 
     ranks: tuple[int, ...]
-    differentials: tuple[dict[tuple[int, int], int], ...]
+    differentials: Sequence[Rows]
     string_counts: tuple[int, ...]
     degrees: int
     offset: int = 0
@@ -255,7 +299,10 @@ def cochain_complex(
     arrow's restriction to the zeroth face and alternates signs on the rest.
     The returned complex computes H^0..H^{n_max}.  Strings are enumerated in
     degrees 0..n_max+1 whatever the coefficients, and a degree with more than
-    max_strings strings raises ``CapExceeded``.  f is validated first.
+    max_strings strings raises ``CapExceeded``.  f is validated first.  Each
+    differential is written by its builder, with nothing cleared, on first
+    read of ``differentials``; ``_cohomology`` streams the same builders
+    into the kernel instead.
     """
     if n_max < 0:
         raise InputError(f"cohomology degree bound {n_max} is negative")
@@ -295,8 +342,11 @@ def _cochain_complex(
     #     the cochains vanishing on degenerate strings form a subcomplex,
     #     and the normalized complex, which drops degenerate (None) faces,
     #     is that subcomplex;
-    # (c) ``rel_lift`` divides exactly, so D rho = rho r; then
-    #     rho r r = D D rho = 0 with rho injective gives r r = 0, and the
+    # (c) validation makes every F(m) send relations into relations: a
+    #     free generator's row of D has no entry in a torsion generator's
+    #     column, and D's entry v at torsion row and column, of factors dr
+    #     and d, has dr | d v.  So the relation lift r, with entries
+    #     d v / dr, is exact and D rho = rho r; then rho r r = D D rho = 0 with rho injective gives r r = 0, and the
     #     cone differential (x, s) -> (D x + rho s, -r s) squares to
     #     (D D x + (D rho - rho r) s, r r s) = 0.  The cone is cut at
     #     degree n_max+1: its top slot is C^{n_max+1} alone, and the last
@@ -308,176 +358,191 @@ def _cochain_complex(
     has_torsion = any(f.group[x].torsion for x in c.objects)
     top = n_max + 1
     tokens, faces = string_table(c, top, normalized, max_strings)
+    string_counts = tuple(len(level) for level in tokens)
     ends = c.morphisms
-    vertex = [[t[0] for t in tokens[0]]]
-    vertex += [[ends[t[0]][0] for t in level] for level in tokens[1:]]
-    gens = {x: f.group[x].generator_count for x in c.objects}
-    tors = {x: f.group[x].torsion for x in c.objects}
-    # per arrow m: the nonzero entries (i, j, v) of F(m), which face 0 of a
-    # string starting with m carries, and the identity block range(k) on
-    # the k generators at m's source, which the other faces carry
-    split = {
-        m: (
-            [(i, j, v) for i, row in enumerate(f.restriction[m]) for j, v in enumerate(row) if v],
-            range(gens[a]),
-        )
-        for m, (a, _) in ends.items()
-    }
+    # the signs of faces 0, 1, ... of a string of degree top
+    signs = (1, -1) * (top // 2 + 1)
+    # every F(m) is (1), identities included: then every object has one
+    # generator, and each row is a string's alternating sum of faces
+    untwisted = all(f.restriction[m] == ((1,),) for m in ends)
+    # per object: one factor per generator, the torsion ones first, then 0
+    # for each free one
+    factors = {x: f.group[x].factors for x in c.objects}
+    # per degree: each string's first object, which holds its generators
+    vertex = None
+    if has_torsion or not untwisted:
+        vertex = [[t[0] for t in tokens[0]]]
+        vertex += [[ends[t[0]][0] for t in level] for level in tokens[1:]]
+    if untwisted:
+        gen_ranks = list(string_counts)
+    else:
+        # per arrow m and generator i at its source: the nonzero entries
+        # (j, v) of row i of F(m), which face 0 of a string starting with m
+        # carries; the other faces carry the identity on those generators
+        twists = {
+            m: [[(j, v) for j, v in enumerate(row) if v] for row in f.restriction[m]]
+            for m in ends
+        }
+        # per degree: the offset of each string's generators
+        gen_offsets = [
+            list(accumulate((len(factors[x]) for x in level), initial=0)) for level in vertex
+        ]
+        gen_ranks = [off[-1] for off in gen_offsets]
 
-    # per degree and string id: offset of its generators and of its
-    # relations (the torsion factors come first in a canonical group)
-    gen_offsets: list[list[int]] = []
-    gen_ranks: list[int] = []
-    rel_offsets: list[list[int]] = []
-    rel_ranks: list[int] = []
-    for n in range(top + 1):
-        off: list[int] = []
-        roff: list[int] = []
-        pos = rpos = 0
-        for x in vertex[n]:
-            off.append(pos)
-            roff.append(rpos)
-            pos += gens[x]
-            rpos += len(tors[x])
-        gen_offsets.append(off)
-        gen_ranks.append(pos)
-        rel_offsets.append(roff)
-        rel_ranks.append(rpos)
+    def d_rows(n: int, cleared) -> Rows:
+        """The rows of D^n: strings_n-cochains -> strings_{n+1}-cochains.
 
-    def base_differential(n: int) -> dict[tuple[int, int], int]:
-        """Entries of D^n: strings_n-cochains -> strings_{n+1}-cochains.
-
-        Each contribution is added where it lands, and an entry whose
-        contributions cancel is deleted, so no zero is stored.
+        One row per generator at each string of degree n+1, written from
+        its faces without the columns in ``cleared``.  Contributions to one
+        column are added; an entry whose contributions cancel is dropped,
+        and so is a row left empty.
         """
-        entries: dict[tuple[int, int], int] = {}
-        get = entries.get
+        rows: Rows = {}
+        if untwisted:
+            for r, fs in enumerate(faces[n + 1]):
+                row = _signed_row(fs, signs, cleared)
+                if row:
+                    rows[r] = row
+            return rows
         cols = gen_offsets[n]
-        for tok, tau_faces, rbase in zip(tokens[n + 1], faces[n + 1], gen_offsets[n + 1]):
-            twist, block = split[tok[0]]
+        for tok, fs, rbase in zip(tokens[n + 1], faces[n + 1], gen_offsets[n + 1]):
             # face 0 is twisted by the restriction along the first arrow;
             # a degenerate (None) face vanishes in the normalized complex
-            sigma = tau_faces[0]
-            if sigma is not None:
-                cbase = cols[sigma]
-                for i, j, v in twist:
-                    key = (rbase + i, cbase + j)
-                    s = get(key, 0) + v
-                    if s:
-                        entries[key] = s
-                    else:
-                        del entries[key]
-            sgn = 1
-            for sigma in tau_faces[1:]:
-                sgn = -sgn
-                if sigma is None:
-                    continue
-                cbase = cols[sigma]
-                for i in block:
-                    key = (rbase + i, cbase + i)
-                    s = get(key, 0) + sgn
-                    if s:
-                        entries[key] = s
-                    else:
-                        del entries[key]
-        return entries
-
-    base_diffs = [base_differential(n) for n in range(top)]
-    string_counts = tuple(len(level) for level in vertex)
+            fs = [None if s is None else cols[s] for s in fs]
+            c0 = fs[0]
+            for i, twist in enumerate(twists[tok[0]]):
+                row: dict[int, int] = {}
+                if c0 is not None:
+                    for j, v in twist:
+                        if c0 + j not in cleared:
+                            row[c0 + j] = v
+                for cbase, sgn in zip(fs[1:], signs[1:]):
+                    if cbase is not None and cbase + i not in cleared:
+                        row[cbase + i] = row.get(cbase + i, 0) + sgn
+                if 0 in row.values():
+                    row = {col: v for col, v in row.items() if v}
+                if row:
+                    rows[rbase + i] = row
+        return rows
 
     if not has_torsion:
         return CochainComplex(
             ranks=tuple(gen_ranks),
-            differentials=tuple(base_diffs),
+            differentials=_Written(partial(d_rows, n) for n in range(top)),
             string_counts=string_counts,
             degrees=n_max,
+            offset=0,
         )
 
-    # mapping cone: T^n = C^n (free part) + relations of degree n+1
-    def rel_matrix(n: int) -> dict[tuple[int, int], int]:
-        """rho_n: relation columns into the free cochains of degree n."""
-        entries = {}
-        for t, x in enumerate(vertex[n]):
-            for i, d in enumerate(tors[x]):
-                entries[(gen_offsets[n][t] + i, rel_offsets[n][t] + i)] = d
-        return entries
+    # mapping cone: T^n = C^n (free part) + relations of degree n+1, and
+    # T^{-1} the relations of degree 0.  Per degree, each generator's
+    # torsion factor (0 when free) and relation index (-1 when free)
+    gen_factor = [[d for x in level for d in factors[x]] for level in vertex]
+    gen_rel: list[list[int]] = []
+    rel_ranks: list[int] = []
+    for level in gen_factor:
+        rel, k = [], 0
+        for d in level:
+            rel.append(k if d else -1)
+            k += d != 0
+        gen_rel.append(rel)
+        rel_ranks.append(k)
 
-    def rel_lift(n: int) -> dict[tuple[int, int], int]:
-        """r^n with D^n rho_n = rho_{n+1} r^n (exact division by the factors)."""
-        entries: dict[tuple[int, int], int] = {}
-        by_col: dict[int, list[tuple[int, int]]] = {}
-        for (r, cc), v in base_diffs[n].items():
-            by_col.setdefault(cc, []).append((r, v))
-        # torsion generator row of degree n+1 -> (its relation, the factor)
-        row_rel = {
-            gen_offsets[n + 1][t] + i: (rel_offsets[n + 1][t] + i, d)
-            for t, x in enumerate(vertex[n + 1])
-            for i, d in enumerate(tors[x])
-        }
-        for t, x in enumerate(vertex[n]):
-            for i, d in enumerate(tors[x]):
-                col = rel_offsets[n][t] + i
-                for r, v in by_col.get(gen_offsets[n][t] + i, []):
-                    num = d * v
-                    rel = row_rel.get(r)
-                    if rel is not None:
-                        rrow, dr = rel
-                        if num % dr != 0:
-                            raise ValidationFailure("restriction does not respect relations")
-                        # each entry of column col is written once: the
-                        # rows r of one column of D^n are distinct, and so
-                        # are their relations
-                        q = num // dr
-                        if q:
-                            entries[(rrow, col)] = q
-                    elif num != 0:
-                        raise ValidationFailure("restriction does not respect relations")
-        return entries
+    def cone_rows(n: int, cleared) -> Rows:
+        """The rows of the cone's differential out of T^n, for n = -1..n_max.
 
-    # bottom slot: the degree-0 relations map into T^0 = F^0 (+) R^1; the
-    # top slot is C^{n_max+1} alone (see (c) above)
+        Rows: the generators of degree n+1, each D^n's row plus rho's entry
+        at its relation; then, below n_max, the relations of degree n+2,
+        each -r^{n+1}'s row, with D^{n+1} rho_{n+1} = rho_{n+2} r^{n+1}.
+        Columns: C^n, then the relations of degree n+1 from ``shift`` on.
+        """
+        shift = gen_ranks[n] if n >= 0 else 0
+        rows = d_rows(n, cleared) if n >= 0 else {}
+        factor, rel = gen_factor[n + 1], gen_rel[n + 1]
+        for r, d in enumerate(factor):
+            if d and shift + rel[r] not in cleared:
+                row = rows.get(r)
+                if row is None:
+                    rows[r] = {shift + rel[r]: d}
+                else:
+                    row[shift + rel[r]] = d
+        if n < n_max:
+            lift_factor, lift_rel = gen_factor[n + 2], gen_rel[n + 2]
+            base = gen_ranks[n + 1]
+            for r, drow in d_rows(n + 1, ()).items():
+                dr = lift_factor[r]
+                if dr:
+                    # the block of D^{n+1} at torsion rows and columns,
+                    # scaled by d / dr, which divides exactly by (c)
+                    row = {
+                        shift + rel[col]: -(factor[col] * v // dr)
+                        for col, v in drow.items()
+                        if factor[col] and shift + rel[col] not in cleared
+                    }
+                    if row:
+                        rows[base + lift_rel[r]] = row
+        return rows
+
     ranks = [rel_ranks[0]]
     for n in range(n_max + 1):
         ranks.append(gen_ranks[n] + rel_ranks[n + 1])
     ranks.append(gen_ranks[n_max + 1])
-    diffs = []
-    bottom = rel_matrix(0)
-    for (r, cc), v in rel_lift(0).items():
-        bottom[(gen_ranks[0] + r, cc)] = -v
-    diffs.append(bottom)
-    # D^n becomes the cone's differential in place: rel_lift(n) has read it
-    for n in range(n_max + 1):
-        entries = base_diffs[n]
-        for (r, cc), v in rel_matrix(n + 1).items():
-            entries[(r, gen_ranks[n] + cc)] = v
-        if n < n_max:
-            for (r, cc), v in rel_lift(n + 1).items():
-                entries[(gen_ranks[n + 1] + r, gen_ranks[n] + cc)] = -v
-        diffs.append(entries)
     return CochainComplex(
         ranks=tuple(ranks),
-        differentials=tuple(diffs),
+        differentials=_Written(partial(cone_rows, n) for n in range(-1, n_max + 1)),
         string_counts=string_counts,
         degrees=n_max,
         offset=1,
     )
 
 
-def _check_dd_zero(ranks: tuple[int, ...], diffs: tuple[dict, ...]) -> None:
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_shape(cc: CochainComplex) -> None:
+    """Every entry inside its matrix and a nonzero int, and ranks and
+    differentials reaching degree ``degrees + offset``."""
+    if not (_is_int(cc.degrees) and _is_int(cc.offset)) or cc.degrees < 0 or cc.offset < 0:
+        raise ValidationFailure(
+            f"degrees {cc.degrees!r} and offset {cc.offset!r} must be non-negative ints"
+        )
+    if not all(_is_int(r) and r >= 0 for r in cc.ranks):
+        raise ValidationFailure(f"ranks {cc.ranks!r} must be non-negative ints")
+    need = cc.degrees + cc.offset + 1
+    if len(cc.ranks) < need or len(cc.differentials) < need:
+        raise ValidationFailure(
+            f"H^{cc.degrees} needs {need} ranks and {need} differentials; "
+            f"the complex has {len(cc.ranks)} and {len(cc.differentials)}"
+        )
+    for n, rows in enumerate(cc.differentials):
+        nrows = cc.ranks[n + 1] if n + 1 < len(cc.ranks) else 0
+        ncols = cc.ranks[n] if n < len(cc.ranks) else 0
+        if not isinstance(rows, dict):
+            raise ValidationFailure(f"d^{n} is not a dict of rows")
+        for i, row in rows.items():
+            if not isinstance(row, dict):
+                raise ValidationFailure(f"row {i!r} of d^{n} is not a dict")
+            for j, v in row.items():
+                if not (_is_int(i) and _is_int(j) and 0 <= i < nrows and 0 <= j < ncols):
+                    raise ValidationFailure(
+                        f"d^{n} has an entry at ({i!r}, {j!r}), outside its {nrows} x {ncols} matrix"
+                    )
+                if not _is_int(v) or v == 0:
+                    raise ValidationFailure(
+                        f"d^{n} holds {v!r} at ({i}, {j}); an entry is a nonzero int"
+                    )
+
+
+def _check_dd_zero(ranks: tuple[int, ...], diffs: Sequence[Rows]) -> None:
     """Exact d^{n+1} d^n = 0, one row of the product at a time."""
-    by_row: list[dict[int, list[tuple[int, int]]]] = []
-    for d in diffs:
-        rows: dict[int, list[tuple[int, int]]] = {}
-        for (r, cc), v in d.items():
-            rows.setdefault(r, []).append((cc, v))
-        by_row.append(rows)
     for n in range(len(diffs) - 1):
-        lower = by_row[n]
-        for terms in by_row[n + 1].values():
+        lower = diffs[n]
+        for terms in diffs[n + 1].values():
             acc: dict[int, int] = {}
-            for mid, w in terms:
-                for cc, v in lower.get(mid, ()):
-                    acc[cc] = acc.get(cc, 0) + w * v
+            for mid, w in terms.items():
+                for col, v in lower.get(mid, {}).items():
+                    acc[col] = acc.get(col, 0) + w * v
             if any(acc.values()):
                 raise ValidationFailure(f"differentials do not compose to zero at degree {n}")
 
@@ -487,30 +552,39 @@ def cohomology_of_complex(cc: CochainComplex) -> list[FgAbelianGroup]:
 
     The differentials are reduced in order, d^0 first, each by one
     ``sparse_invariant_factors`` call, through ``snf._reduce_with_clearing``.
-    Each call reports its unit-pivot rows, and the next one skips the
-    columns at those rows (clearing): since d^{n+1} d^n = 0 and the pivot
-    block is unimodular, those columns become zero under a change of basis
-    that leaves every other column alone, so each (rank, factors) is exactly
-    that of the whole matrix.  The complex must therefore compose to zero
-    exactly; cc is a caller's input, so that is checked first, and a
-    complex that fails raises ``ValidationFailure`` naming the degree.
-    Complexes that ``cochain_complex`` builds compose to zero by
-    construction, and the library's own callers skip the check.
+    Each call reports its unit-pivot rows, and the next differential is
+    handed over without the columns at those rows (clearing): since
+    d^{n+1} d^n = 0 and the pivot block is unimodular, those columns become
+    zero under a change of basis that leaves every other column alone, so
+    each (rank, factors) is exactly that of the whole matrix.  cc is a
+    caller's input, so it is checked first: every entry must lie inside its
+    matrix and be a nonzero int, ranks and differentials must reach degree
+    ``degrees + offset``, and the complex must compose to zero exactly; a
+    complex that fails raises ``ValidationFailure``, naming the degree where
+    it does not compose to zero.  Complexes that ``cochain_complex`` builds
+    pass by construction, and the library's own callers skip the checks.
     """
+    _check_shape(cc)
     _check_dd_zero(cc.ranks, cc.differentials)
     return _cohomology(cc)
 
 
 def _cohomology(cc: CochainComplex) -> list[FgAbelianGroup]:
-    """``cohomology_of_complex`` without the d^{n+1} d^n = 0 check.
+    """``cohomology_of_complex`` without the checks.
 
-    Only the rank of the differential out of the top degree is read, so it
-    is reduced in rank-only mode and nothing above it is reduced at all.
+    A complex that ``cochain_complex`` builds is streamed: each builder is
+    called once, after the reduction before it, and writes its differential
+    without the cleared columns.  Any other complex's rows are handed over
+    without them.  Only the rank of the differential out of the top degree
+    is read, so it is reduced in rank-only mode and nothing above it is
+    reduced at all.
     """
     last = cc.degrees + cc.offset
+    diffs = cc.differentials
+    builders = diffs.builders if isinstance(diffs, _Written) else [_stored(d) for d in diffs]
     chain = [
-        (entries, cc.ranks[n + 1] if n + 1 < len(cc.ranks) else 0, cc.ranks[n])
-        for n, entries in enumerate(cc.differentials[: last + 1])
+        (build, cc.ranks[n + 1] if n + 1 < len(cc.ranks) else 0, cc.ranks[n])
+        for n, build in enumerate(builders[: last + 1])
     ]
     # reduced[n + 1] is (rank, factors) of d^n, with d^{-1} = 0
     reduced = [(0, [])] + _reduce_with_clearing(chain, last_rank_only=True)

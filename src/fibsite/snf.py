@@ -1,26 +1,34 @@
 """Exact integer matrix arithmetic: Smith normal form and lattice computations.
 
 Everything here works over arbitrary-precision Python integers; no floats
-anywhere.  Matrices are immutable row-major tuples of tuples.  The sparse
-routine exists because boundary/differential matrices of simplicial objects
-are large but mostly eliminate with unit pivots: a coreduction first takes
-every +-1 entry that is alone in its row or column, with no arithmetic,
-then sweeps the columns shortest first, pivots on the shortest row with a
-+-1 entry, and hands the small leftover to the dense Smith-form diagonal.
-It can report its unit pivot rows and skip given columns as it loads a
-matrix, so ``_reduce_with_clearing`` reduces a chain of differentials in
-order, leaving out of each the columns at the unit-pivot rows of the one
-before it without copying anything; and it has a rank-only mode, for a
-differential whose factors nobody reads, in which the coreduction also takes
-non-unit entries.
+anywhere.  Dense matrices are immutable row-major tuples of tuples.  The
+sparse routine exists because boundary/differential matrices of simplicial
+objects are large but mostly eliminate with unit pivots: a coreduction
+first takes every +-1 entry that is alone in its row or column, with no
+arithmetic, then sweeps the columns shortest first, pivots on the shortest
+row with a +-1 entry, and hands the small leftover to the dense Smith-form
+diagonal.  Its one input format is sparse rows, ``{row: {col: value}}``,
+which it copies row by row and never changes.  It can report its unit pivot
+rows, so ``_reduce_with_clearing`` reduces a chain of differentials in
+order and streams each into it: a differential is written by its builder
+only after the reduction before it has named its unit-pivot rows, and the
+builder leaves the columns at those rows out (clearing), so no matrix ever
+holds a cleared column.  It also has a rank-only mode, for a differential
+whose factors nobody reads, in which the coreduction also takes non-unit
+entries.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Collection, Iterable, Sequence
+from typing import Callable, Collection, Iterable, Sequence
 
 Matrix = tuple[tuple[int, ...], ...]
+# a sparse matrix as {row: {column: value}}; a missing row or entry is zero
+Rows = dict[int, dict[int, int]]
+# writes a matrix's rows, leaving out the columns it is given
+Builder = Callable[[Collection[int]], Rows]
 
 
 def matrix(rows: Iterable[Iterable[int]]) -> Matrix:
@@ -207,7 +215,7 @@ def snf_diagonal(m: Sequence[Sequence[int]]) -> list[int]:
 
 
 def sparse_invariant_factors(
-    entries: dict[tuple[int, int], int],
+    rows: Rows,
     nrows: int,
     ncols: int,
     pivot_rows: list[int] | None = None,
@@ -215,7 +223,10 @@ def sparse_invariant_factors(
     rank_only: bool = False,
     cleared: Collection[int] = (),
 ) -> tuple[int, list[int]]:
-    """(rank, invariant factors) of a sparse integer matrix.
+    """(rank, invariant factors) of a sparse integer matrix given as rows.
+
+    ``rows`` maps a row index to that row's ``{column: value}``; a missing
+    row or column is zero.  The matrix is nrows x ncols.
 
     Strategy: greedy +-1 elimination in two phases.  The first is a
     coreduction (algebraic Morse matching; Mrozek & Batko 2009, Skoeldberg
@@ -250,28 +261,30 @@ def sparse_invariant_factors(
     ``d2`` keeps its rank and factors when the columns at these rows are
     left out ("clearing", Chen & Kerber 2011).
 
-    The entries in the columns named by ``cleared`` are skipped as the rows
-    are loaded, so the answer is that of the matrix with those columns set
-    to zero; ``entries`` itself is never copied or changed.
+    The kernel works on a copy of each row: zeros and the entries in the
+    columns named by ``cleared`` are left out of the copy, so the answer is
+    that of the matrix with those columns set to zero, and ``rows`` itself
+    is never changed.
     """
     if rank_only and pivot_rows is not None:
         raise ValueError("a rank-only reduction reports no pivot rows")
-    rows: dict[int, dict[int, int]] = {}
-    cols: dict[int, set[int]] = {}
-    # each row and column is created at its first entry
-    for (i, j), val in entries.items():
-        if val == 0 or j in cleared:
-            continue
-        row = rows.get(i)
-        if row is None:
-            rows[i] = {j: val}
+    live: dict[int, dict[int, int]] = {}
+    for i, row in rows.items():
+        if cleared:
+            row = {j: v for j, v in row.items() if v and j not in cleared}
+        elif 0 in row.values():
+            row = {j: v for j, v in row.items() if v}
         else:
-            row[j] = val
-        col = cols.get(j)
-        if col is None:
-            cols[j] = {i}
-        else:
-            col.add(i)
+            row = row.copy()
+        if row:
+            live[i] = row
+    rows = live
+    cols: defaultdict[int, set[int]] = defaultdict(set)
+    for i, row in rows.items():
+        for j in row:
+            cols[j].add(i)
+    # from here on a missing column is a bug, not an empty one
+    cols.default_factory = None
 
     # every pivot adds one to the rank; outside rank-only mode each is +-1
     # and so an invariant factor 1
@@ -371,31 +384,70 @@ def sparse_invariant_factors(
     return len(factors), factors
 
 
+def _signed_row(
+    ids: Sequence[int | None], signs: Sequence[int], cleared: Collection[int]
+) -> dict[int, int]:
+    """The row sum_k signs[k] e_{ids[k]}, over the ids that are not None.
+
+    A face list and the alternating signs give a row of a boundary or
+    coboundary.  The columns in ``cleared`` are left out, and so is an
+    entry whose contributions cancel.
+    """
+    row: dict[int, int] = {}
+    for c, sgn in zip(ids, signs):
+        if c is not None and c not in cleared:
+            if c in row:
+                row[c] += sgn
+            else:
+                row[c] = sgn
+    if 0 in row.values():
+        row = {c: v for c, v in row.items() if v}
+    return row
+
+
+def _stored(rows: Rows) -> Builder:
+    """A builder for rows written already: it leaves the cleared columns,
+    and a row left with no entry, out of a copy."""
+
+    def build(cleared: Collection[int]) -> Rows:
+        if not cleared:
+            return rows
+        out = {}
+        for i, row in rows.items():
+            kept = {j: v for j, v in row.items() if j not in cleared}
+            if kept:
+                out[i] = kept
+        return out
+
+    return build
+
+
 def _reduce_with_clearing(
-    chain: Sequence[tuple[dict[tuple[int, int], int], int, int]],
+    chain: Sequence[tuple[Builder, int, int]],
     last_rank_only: bool = False,
 ) -> list[tuple[int, list[int]]]:
     """(rank, invariant factors) of every matrix of a chain, with clearing.
 
-    ``chain`` lists (entries, nrows, ncols) in reduction order; the columns
+    ``chain`` lists (build, nrows, ncols) in reduction order; the columns
     of each matrix are indexed like the rows of the one before it, and each
-    composes to zero with the one before it.  Each reduction reports its
-    unit-pivot rows, and the next one skips the columns at those rows, which
-    keeps its rank and factors (see ``sparse_invariant_factors``).  With
-    ``last_rank_only`` the last matrix is reduced in rank-only mode and its
-    factors list is empty.
+    composes to zero with the one before it.  ``build(cleared)`` writes a
+    matrix's rows with the columns in ``cleared`` left out, and is called
+    once, after the reduction before it has reported its unit-pivot rows:
+    those are the columns it leaves out, which keeps the rank and factors
+    (see ``sparse_invariant_factors``).  So no matrix ever holds a cleared
+    column.  With ``last_rank_only`` the last matrix is reduced in
+    rank-only mode and its factors list is empty.
     """
     out: list[tuple[int, list[int]]] = []
     pivots: list[int] = []
     last = len(chain) - 1
-    for k, (entries, nrows, ncols) in enumerate(chain):
-        cleared = set(pivots)
+    for k, (build, nrows, ncols) in enumerate(chain):
+        rows = build(set(pivots))
         if last_rank_only and k == last:
-            out.append(sparse_invariant_factors(
-                entries, nrows, ncols, rank_only=True, cleared=cleared))
+            out.append(sparse_invariant_factors(rows, nrows, ncols, rank_only=True))
             break
         pivots = []
-        out.append(sparse_invariant_factors(entries, nrows, ncols, pivots, cleared=cleared))
+        out.append(sparse_invariant_factors(rows, nrows, ncols, pivots))
     return out
 
 

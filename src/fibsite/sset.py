@@ -37,7 +37,14 @@ from .fincat import (
 # sparse_invariant_factors stays importable from here, where perfbench's
 # tracer test looks for it, although homology reaches it through
 # _reduce_with_clearing
-from .snf import _reduce_with_clearing, normalize_factors, sparse_invariant_factors  # noqa: F401
+from .snf import (  # noqa: F401
+    Builder,
+    Rows,
+    _reduce_with_clearing,
+    _signed_row,
+    normalize_factors,
+    sparse_invariant_factors,
+)
 
 Token = Hashable
 
@@ -689,32 +696,47 @@ def pi0_sset(s: TruncatedSimplicialSet) -> dict:
 
 def boundary_entries(
     s: TruncatedSimplicialSet, n: int, normalized: bool = True
-) -> tuple[dict[tuple[int, int], int], int, int]:
-    """Sparse boundary matrix from degree n to degree n-1 as (entries, rows, cols).
+) -> tuple[Rows, int, int]:
+    """Sparse boundary matrix from degree n to degree n-1 as (rows, nrows, ncols).
 
-    Rows and columns follow the order of ``simplex_table``, or without
-    normalized the integer level's (``repr`` order for a set given as dicts).
+    ``rows`` is ``{row: {col: value}}`` (see ``snf.sparse_invariant_factors``):
+    row i is simplex i of degree n-1 and column j simplex j of degree n, in
+    the order of ``simplex_table``, or without normalized the integer
+    level's (``repr`` order for a set given as dicts).  It is the transpose
+    of what ``homology``'s builder writes with nothing cleared.
     """
-    entries, ncols, nrows = _coboundary(_table(s, n, normalized), n)
-    return {(r, j): v for (j, r), v in entries.items()}, nrows, ncols
+    table = _table(s, n, normalized)
+    rows: Rows = {}
+    for j, row in _coboundary(table, n)(()).items():
+        for i, v in row.items():
+            out = rows.get(i)
+            if out is None:
+                rows[i] = {j: v}
+            else:
+                out[j] = v
+    return rows, len(table.tokens[n - 1]), len(table.tokens[n])
 
 
-def _coboundary(
-    table: StringTable, n: int
-) -> tuple[dict[tuple[int, int], int], int, int]:
-    """Transposed boundary from degree n to degree n-1 as (entries, rows, cols).
+def _coboundary(table: StringTable, n: int) -> Builder:
+    """The builder of the transposed boundary d_n^T, degree n-1 to degree n.
 
-    Row j is the boundary of simplex j of degree n; a face id of None is a
-    degenerate face, which vanishes in the normalized complex.
+    Row j is the boundary of simplex j of degree n, written straight from
+    its face ids; a face id of None is a degenerate face, which vanishes in
+    the normalized complex.  A row whose faces cancel is left out.
     """
-    entries: dict[tuple[int, int], int] = {}
-    get = entries.get
-    for j, row in enumerate(table.faces[n]):
-        for i, c in enumerate(row):
-            if c is not None:
-                key = (j, c)
-                entries[key] = get(key, 0) + (-1 if i & 1 else 1)
-    return entries, len(table.tokens[n]), len(table.tokens[n - 1])
+    faces = table.faces[n]
+    # the sign of face i, for each of the n + 1 faces
+    signs = (1, -1) * (n // 2 + 1)
+
+    def build(cleared) -> Rows:
+        rows: Rows = {}
+        for j, fs in enumerate(faces):
+            row = _signed_row(fs, signs, cleared)
+            if row:
+                rows[j] = row
+        return rows
+
+    return build
 
 
 def homology(
@@ -726,8 +748,9 @@ def homology(
     available; under that condition the truncated answer agrees with the
     homology of any simplicial set this one truncates.  The transposed
     boundaries d_1^T, d_2^T, ..., d_{top+1}^T are reduced in that order with
-    clearing, the order ``cohom`` uses: the unit-pivot rows of d_n^T are
-    columns that d_{n+1}^T skips, so the largest matrix comes last with the
+    clearing, the order ``cohom`` uses: each is written from the face table
+    only after the one before it is reduced, without the columns at that
+    reduction's unit-pivot rows, so the largest matrix comes last with the
     most columns cleared.  Clearing relies on d d = 0, that is on s
     satisfying the simplicial identities (``validate_simplicial``), and
     transposing changes no rank or invariant factor.  H_0 is free on the
@@ -738,14 +761,15 @@ def homology(
     if top > s.dim - 1:
         raise InputError("truncation too low for the requested degree")
     table = _table(s, top + 1, normalized)
-    chain = [_coboundary(table, n) for n in range(1, top + 2)]
+    size = [len(level) for level in table.tokens]
+    chain = [(_coboundary(table, n), size[n], size[n - 1]) for n in range(1, top + 2)]
     # reduced[n] is (rank, factors) of d_n, with d_0 = 0
     reduced = [(0, [])] + _reduce_with_clearing(chain)
     out = []
     for n in range(top + 1):
-        free = len(table.tokens[n]) - reduced[n][0] - reduced[n + 1][0]
+        free = size[n] - reduced[n][0] - reduced[n + 1][0]
         out.append(normalize_factors(reduced[n + 1][1], free))
-    return HomologyResult(factors=tuple(out), components=len(table.tokens[0]) - reduced[1][0])
+    return HomologyResult(factors=tuple(out), components=size[0] - reduced[1][0])
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,11 @@ kernel matches a brute-force enumeration, the direct face formula and the
 counting recurrence for its cap.
 """
 
+import dataclasses
 import itertools
 import random
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -35,23 +37,30 @@ from fibsite.sset import validate_simplicial
 from fibsite.snf import normalize_factors, sparse_invariant_factors
 
 
+def without(rows, cleared):
+    """rows without the columns in cleared, and without the rows left empty."""
+    out = {i: {j: v for j, v in row.items() if j not in cleared} for i, row in rows.items()}
+    return {i: row for i, row in out.items() if row}
+
+
 def reduce_with_clearing(chain):
-    """chain: (entries, nrows, ncols) in reduction order, each matrix's
+    """chain: (rows, nrows, ncols) in reduction order, each matrix's
     columns indexed like the rows of the one before it."""
     cleared: set[int] = set()
-    for entries, nrows, ncols in chain:
-        kept = {k: v for k, v in entries.items() if k[1] not in cleared}
+    for rows, nrows, ncols in chain:
+        kept = without(rows, cleared)
+        assert snf._stored(rows)(cleared) == kept
         pivots: list[int] = []
-        got = sparse_invariant_factors(entries, nrows, ncols, pivots, cleared=cleared)
-        # skipping the cleared columns is leaving them out of the entries
+        got = sparse_invariant_factors(rows, nrows, ncols, pivots, cleared=cleared)
+        # skipping the cleared columns is leaving them out of the rows
         assert got == sparse_invariant_factors(kept, nrows, ncols)
-        assert got == sparse_invariant_factors(entries, nrows, ncols)
+        assert got == sparse_invariant_factors(rows, nrows, ncols)
         assert len(set(pivots)) == len(pivots)
         assert all(0 <= p < nrows for p in pivots)
         # one row per unit pivot: the pivot rows alone already have every
         # invariant factor 1 (the dense leftover may add further unit factors)
         assert len(pivots) <= got[1].count(1)
-        block = {k: v for k, v in kept.items() if k[0] in set(pivots)}
+        block = {i: row for i, row in kept.items() if i in set(pivots)}
         assert sparse_invariant_factors(block, nrows, ncols) == (
             len(pivots),
             [1] * len(pivots),
@@ -59,21 +68,26 @@ def reduce_with_clearing(chain):
         cleared = set(pivots)
     # the loop that sset.homology and cohom._cohomology share
     uncleared = [sparse_invariant_factors(*m) for m in chain]
-    assert snf._reduce_with_clearing(chain) == uncleared
+    stored = [(snf._stored(rows), nrows, ncols) for rows, nrows, ncols in chain]
+    assert snf._reduce_with_clearing(stored) == uncleared
     if chain:
-        last = snf._reduce_with_clearing(chain, last_rank_only=True)
+        last = snf._reduce_with_clearing(stored, last_rank_only=True)
         assert last == uncleared[:-1] + [(uncleared[-1][0], [])]
 
 
 def transposed(matrix):
-    entries, nrows, ncols = matrix
-    return {(j, i): v for (i, j), v in entries.items()}, ncols, nrows
+    rows, nrows, ncols = matrix
+    out = {}
+    for i, row in rows.items():
+        for j, v in row.items():
+            out.setdefault(j, {})[i] = v
+    return out, ncols, nrows
 
 
 def cochain_chain(cc):
     return [
-        (dict(entries), cc.ranks[n + 1] if n + 1 < len(cc.ranks) else 0, cc.ranks[n])
-        for n, entries in enumerate(cc.differentials)
+        (rows, cc.ranks[n + 1] if n + 1 < len(cc.ranks) else 0, cc.ranks[n])
+        for n, rows in enumerate(cc.differentials)
     ]
 
 
@@ -175,26 +189,33 @@ def test_homology_hands_the_kernel_cleared_coboundaries(monkeypatch):
     # the workload's largest homology: degrees 0..4 hold 9, 45, 171, 558 and
     # 1656 nondegenerate simplices.  Reduced from the top down, d_4 (558 x
     # 1656, 7254 nonzeros) reaches the kernel with nothing cleared; in
-    # coboundary order d_4^T comes last, with the columns at the pivot rows
-    # of d_3^T skipped
+    # coboundary order d_4^T comes last, written without the columns at the
+    # pivot rows of d_3^T
     s = z3_simplex_hocolim(4)
+    full = {n: transposed(sset.boundary_entries(s, n))[0] for n in range(1, 5)}
     calls, dense = [], []
     sparse, diagonal = snf.sparse_invariant_factors, snf.snf_diagonal
 
-    def record(entries, nrows, ncols, pivot_rows=None, *, rank_only=False, cleared=()):
-        out = sparse(entries, nrows, ncols, pivot_rows, rank_only=rank_only, cleared=cleared)
-        calls.append((nrows, ncols, len(entries), set(cleared), list(pivot_rows)))
+    def record(rows, nrows, ncols, pivot_rows=None, *, rank_only=False, cleared=()):
+        nnz = sum(len(row) for row in rows.values())
+        out = sparse(rows, nrows, ncols, pivot_rows, rank_only=rank_only, cleared=cleared)
+        calls.append((nrows, ncols, nnz, set(cleared), list(pivot_rows), rows))
         return out
 
     monkeypatch.setattr(snf, "sparse_invariant_factors", record)
     monkeypatch.setattr(snf, "snf_diagonal", lambda m: dense.append(m) or diagonal(m))
     assert sset.homology(s, 3).factors == ((0,), (), (), ())
+    assert [sum(len(row) for row in full[n].values()) for n in full] == [90, 495, 2052, 7254]
     assert [c[:3] for c in calls] == [
-        (45, 9, 90), (171, 45, 495), (558, 171, 2052), (1656, 558, 7254)
+        (45, 9, 90), (171, 45, 407), (558, 171, 1608), (1656, 558, 5512)
     ]
-    assert calls[0][3] == set()
-    for before, after in zip(calls, calls[1:]):
-        assert after[3] == set(before[4])
+    # the builder, not the kernel, leaves the cleared columns out: each
+    # matrix is the full coboundary without the columns at the pivot rows
+    # of the one before it, and without the rows that leaves empty
+    assert all(c[3] == set() for c in calls)
+    assert calls[0][5] == full[1]
+    for n, (before, after) in enumerate(zip(calls, calls[1:]), start=2):
+        assert after[5] == without(full[n], set(before[4]))
     # unit pivots take every rank, so d_4^T skips rank d_3 = 134 columns,
     # and nothing reaches the dense Smith routine
     assert [len(c[4]) for c in calls] == [8, 37, 134, 424]
@@ -204,11 +225,11 @@ def test_homology_hands_the_kernel_cleared_coboundaries(monkeypatch):
 def test_pivot_rows_leave_the_dense_leftover_out():
     # no +-1 entry: the only unit factor comes from the dense routine
     pivots: list[int] = []
-    assert sparse_invariant_factors({(0, 0): 2, (0, 1): 3}, 1, 2, pivots) == (1, [1])
+    assert sparse_invariant_factors({0: {0: 2, 1: 3}}, 1, 2, pivots) == (1, [1])
     assert pivots == []
     pivots = []
-    entries = {(0, 0): 1, (1, 0): 1, (1, 1): 2, (2, 1): -1}
-    assert sparse_invariant_factors(entries, 3, 2, pivots) == (2, [1, 1])
+    rows = {0: {0: 1}, 1: {0: 1, 1: 2}, 2: {1: -1}}
+    assert sparse_invariant_factors(rows, 3, 2, pivots) == (2, [1, 1])
     assert len(pivots) == 2 and len(set(pivots)) == 2
 
 
@@ -445,13 +466,16 @@ def test_built_differentials_match_the_textbook_formula(normalized):
         ]
         for n in range(n_max + 1):
             want = textbook_differential(c, f, n, normalized)
+            rows = cc.differentials[n + cc.offset]
             built = {
                 (r, col): v
-                for (r, col), v in cc.differentials[n + cc.offset].items()
+                for r, row in rows.items()
+                for col, v in row.items()
                 if r < gens[n + 1] and col < gens[n]
             }
             assert built == want
-            assert 0 not in cc.differentials[n + cc.offset].values()
+            # no zero entry and no empty row
+            assert all(row and 0 not in row.values() for row in rows.values())
 
 
 object_names = st.lists(st.sampled_from("UVWXY"), min_size=1, max_size=3, unique=True)
@@ -480,3 +504,120 @@ def test_string_kernel_matches_brute_force(c, top, normalized, cap):
     else:
         with pytest.raises(CapExceeded, match=rf"^more than {cap} strings in degree {degree}$"):
             string_table(c, top, normalized, cap)
+
+
+# ---------------------------------------------------------------------------
+# the streamed reduction against an uncleared one of the fully built matrices
+
+
+def streamed(run):
+    """run(), with every kernel call recorded as (rows, shape, cleared,
+    pivot_rows, rank_only)."""
+    calls = []
+    kernel = snf.sparse_invariant_factors
+
+    def record(rows, nrows, ncols, pivot_rows=None, *, rank_only=False, cleared=()):
+        out = kernel(rows, nrows, ncols, pivot_rows, rank_only=rank_only, cleared=cleared)
+        calls.append((rows, (nrows, ncols), set(cleared), pivot_rows, rank_only))
+        return out
+
+    with mock.patch.object(snf, "sparse_invariant_factors", record):
+        result = run()
+    return result, calls
+
+
+def assert_streamed_as_full_without_pivot_columns(calls, full):
+    """full: (rows, nrows, ncols) of every matrix, built with nothing
+    cleared, in reduction order.  Each streamed matrix must be its full
+    matrix without the columns at the unit-pivot rows of the one before it
+    (and without the rows that leaves empty), and the kernel is asked to
+    skip nothing itself."""
+    assert len(calls) == len(full)
+    cleared: set[int] = set()
+    for (rows, shape, skip, pivots, rank_only), (want, nrows, ncols) in zip(calls, full):
+        assert shape == (nrows, ncols)
+        assert skip == set()
+        assert rows == without(want, cleared)
+        assert all(row and 0 not in row.values() for row in rows.values())
+        cleared = set(pivots) if not rank_only else set()
+
+
+def uncleared_cohomology(cc):
+    """H^0..H^degrees from one full, uncleared reduction of each fully
+    built differential."""
+    rank, factors = [0], [[]]
+    for n, rows in enumerate(cc.differentials):
+        nrows = cc.ranks[n + 1] if n + 1 < len(cc.ranks) else 0
+        r, fs = sparse_invariant_factors(rows, nrows, cc.ranks[n])
+        rank.append(r)
+        factors.append(fs)
+    return [
+        cohom.FgAbelianGroup(
+            factors=normalize_factors(factors[i], cc.ranks[i] - rank[i] - rank[i + 1])
+        )
+        for i in range(cc.offset, cc.offset + cc.degrees + 1)
+    ]
+
+
+def assert_streamed_cohomology(c, f, n_max, normalized):
+    cc = cohom.cochain_complex(c, f, n_max, normalized=normalized)
+    got, calls = streamed(lambda: cohom._cohomology(cc))
+    full = [
+        (rows, cc.ranks[n + 1] if n + 1 < len(cc.ranks) else 0, cc.ranks[n])
+        for n, rows in enumerate(cc.differentials)
+    ]
+    assert_streamed_as_full_without_pivot_columns(calls, full)
+    want = uncleared_cohomology(cc)
+    assert got == want
+    # a caller's complex, given as rows, is handed over the same way
+    given_rows = dataclasses.replace(cc, differentials=tuple(cc.differentials))
+    got, calls = streamed(lambda: cohom.cohomology_of_complex(given_rows))
+    assert_streamed_as_full_without_pivot_columns(calls, full)
+    assert got == want
+
+
+def assert_streamed_homology(s, top, normalized):
+    got, calls = streamed(lambda: sset.homology(s, top, normalized))
+    full = [transposed(sset.boundary_entries(s, n, normalized)) for n in range(1, top + 2)]
+    assert_streamed_as_full_without_pivot_columns(calls, full)
+    assert got.factors == uncleared_homology(s, top, normalized)
+
+
+@pytest.mark.parametrize("normalized", [True, False])
+def test_streamed_cohomology_matches_uncleared_reduction_on_cochain_inputs(normalized):
+    # constants, pullbacks along induced functors and the sign twist; the
+    # unnormalized complexes are cut lower, to keep the full reductions small
+    for c, f in cochain_inputs():
+        assert_streamed_cohomology(c, f, 2 if normalized else 1, normalized)
+
+
+STREAMED_COEFFICIENTS = COEFFICIENTS + (cohom.zmod(3), cohom.FgAbelianGroup(factors=(2, 4, 0)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**16), st.sampled_from(STREAMED_COEFFICIENTS), st.integers(1, 3), st.booleans())
+def test_streamed_cohomology_matches_uncleared_reduction(seed, coeff, n_max, normalized):
+    c = sampled_category(seed)
+    while n_max > 1 and len(c.morphisms) ** (n_max + 1) > 5_000:
+        n_max -= 1
+    assert_streamed_cohomology(c, cohom.constant_abelian_presheaf(c, coeff), n_max, normalized)
+
+
+def sampled_space(seed):
+    """(space, top): the nerve of a sampled category or groupoid, or the
+    hocolim of a sampled diagram over a sampled groupoid."""
+    rng = random.Random(seed)
+    kind = rng.randrange(3)
+    if kind == 0:
+        return sset.nerve(sampled_category(seed), 4), 3
+    g = sampling.random_groupoid(rng)
+    if kind == 1:
+        return sset.nerve(g, 4), 3
+    return hocopb.hocolim(sampling.random_diagram(rng, opposite(g), 3), 3).total, 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**16), st.booleans())
+def test_streamed_homology_matches_uncleared_reduction(seed, normalized):
+    s, top = sampled_space(seed)
+    assert_streamed_homology(s, top if normalized else min(top, 2), normalized)

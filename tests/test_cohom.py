@@ -18,6 +18,7 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 from fibsite import cohom, fibred
 from fibsite.cohom import (
     AbelianPresheaf,
+    CochainComplex,
     FgAbelianGroup,
     TRIVIAL_GROUP,
     ZZ,
@@ -153,6 +154,19 @@ class TestFgAbelianGroup:
         assert str(TRIVIAL_GROUP) == "0"
 
 
+def corrupted_differentials(cc, n):
+    """cc's differentials, with 1 added to d^{n+1} at a column where d^n has
+    a nonzero row: that row turns up in d^{n+1} d^n, and no lower degree
+    changes.  An entry that falls to 0 is left out, as rows store no zero."""
+    diffs = [{r: dict(row) for r, row in d.items()} for d in cc.differentials]
+    mid = min(diffs[n])
+    row = diffs[n + 1].setdefault(0, {})
+    row[mid] = row.get(mid, 0) + 1
+    if not row[mid]:
+        del row[mid]
+    return tuple(diffs)
+
+
 class TestCochainComplex:
     def test_point_with_z(self, pt):
         cc = cochain_complex(pt, constant_abelian_presheaf(pt, ZZ), 3)
@@ -199,13 +213,9 @@ class TestCochainComplex:
             cc = cochain_complex(e2, constant_abelian_presheaf(e2, ZZ), 3)
         assert cc.offset == (1 if torsion else 0)
         for n in range(len(cc.differentials) - 1):
-            diffs = [dict(d) for d in cc.differentials]
-            # add 1 to d^{n+1} at a column where d^n has a nonzero row: that
-            # row turns up in d^{n+1} d^n, and no lower degree changes
-            mid = min(r for r, _ in diffs[n])
-            diffs[n + 1][(0, mid)] = diffs[n + 1].get((0, mid), 0) + 1
+            diffs = corrupted_differentials(cc, n)
             with pytest.raises(ValidationFailure, match=rf"at degree {n}$"):
-                _check_dd_zero(cc.ranks, tuple(diffs))
+                _check_dd_zero(cc.ranks, diffs)
 
     @pytest.mark.parametrize("torsion", [False, True], ids=["free", "torsion-cone"])
     def test_public_entry_rejects_a_corrupted_complex(self, z2, torsion):
@@ -218,12 +228,45 @@ class TestCochainComplex:
             cc = cochain_complex(e2, constant_abelian_presheaf(e2, ZZ), 3)
         assert len(cohomology_of_complex(cc)) == 4
         for n in range(len(cc.differentials) - 1):
-            diffs = [dict(d) for d in cc.differentials]
-            mid = min(r for r, _ in diffs[n])
-            diffs[n + 1][(0, mid)] = diffs[n + 1].get((0, mid), 0) + 1
-            corrupted = dataclasses.replace(cc, differentials=tuple(diffs))
+            corrupted = dataclasses.replace(cc, differentials=corrupted_differentials(cc, n))
             with pytest.raises(ValidationFailure, match=rf"at degree {n}$"):
                 cohomology_of_complex(corrupted)
+
+    def test_entry_outside_its_matrix_is_refused(self):
+        # d^0 of Z -> Z is 1 x 1, so an entry at (5, 7) is no entry of it
+        cc = CochainComplex(
+            ranks=(1, 1), differentials=({5: {7: 1}},), string_counts=(1, 1), degrees=0
+        )
+        with pytest.raises(ValidationFailure, match=r"\(5, 7\), outside its 1 x 1 matrix"):
+            cohomology_of_complex(cc)
+        ok = dataclasses.replace(cc, differentials=({0: {0: 1}},))
+        assert cohomology_of_complex(ok) == [TRIVIAL_GROUP]
+
+    @pytest.mark.parametrize("value", [0, 2.0, True, "1"])
+    def test_entry_that_is_not_a_nonzero_int_is_refused(self, value):
+        cc = CochainComplex(
+            ranks=(1, 1), differentials=({0: {0: value}},), string_counts=(1, 1), degrees=0
+        )
+        with pytest.raises(ValidationFailure, match="an entry is a nonzero int"):
+            cohomology_of_complex(cc)
+
+    def test_missing_differential_is_refused(self):
+        # H^0 reads the rank of d^0, which the complex does not have
+        cc = CochainComplex(ranks=(1,), differentials=(), string_counts=(1,), degrees=0)
+        with pytest.raises(ValidationFailure, match="needs 1 ranks and 1 differentials"):
+            cohomology_of_complex(cc)
+        ok = dataclasses.replace(cc, differentials=({},))
+        assert cohomology_of_complex(ok) == [ZZ]
+
+    def test_ranks_short_of_the_degrees_are_refused(self):
+        # H^3 reads ranks[3], which the complex does not have
+        cc = CochainComplex(
+            ranks=(1, 1), differentials=({}, {}, {}, {}), string_counts=(1, 1), degrees=3
+        )
+        with pytest.raises(ValidationFailure, match="needs 4 ranks and 4 differentials"):
+            cohomology_of_complex(cc)
+        ok = dataclasses.replace(cc, ranks=(1, 1, 1, 1))
+        assert cohomology_of_complex(ok) == [ZZ] * 4
 
     def test_string_cap(self, z2):
         with pytest.raises(CapExceeded):

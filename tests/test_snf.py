@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -164,22 +165,31 @@ def test_quotient_by_a_non_sublattice_raises():
             quotient_invariants(num, den)
 
 
+def as_rows(entries):
+    """{(i, j): v} as the kernel's sparse rows {i: {j: v}}."""
+    rows = {}
+    for (i, j), v in entries.items():
+        rows.setdefault(i, {})[j] = v
+    return rows
+
+
+def as_dense(rows, nrows, ncols):
+    return [[rows.get(i, {}).get(j, 0) for j in range(ncols)] for i in range(nrows)]
+
+
 @settings(max_examples=100, deadline=None)
 @given(matrices)
 def test_sparse_matches_dense(m):
-    entries = {
-        (i, j): v for i, row in enumerate(m) for j, v in enumerate(row) if v
-    }
-    rank, factors = sparse_invariant_factors(entries, len(m), len(m[0]))
+    rows = {i: {j: v for j, v in enumerate(row) if v} for i, row in enumerate(m)}
+    rank, factors = sparse_invariant_factors(rows, len(m), len(m[0]))
     dense = snf_diagonal(m)
     assert rank == len(dense)
     assert factors == dense
 
 
-def assert_sparse_matches_dense(entries, nrows, ncols):
-    m = [[entries.get((i, j), 0) for j in range(ncols)] for i in range(nrows)]
-    dense = snf_diagonal(m)
-    assert sparse_invariant_factors(entries, nrows, ncols) == (len(dense), dense)
+def assert_sparse_matches_dense(rows, nrows, ncols):
+    dense = snf_diagonal(as_dense(rows, nrows, ncols))
+    assert sparse_invariant_factors(rows, nrows, ncols) == (len(dense), dense)
 
 
 # Boundary-shaped: sparse, mostly +-1 (long unit-pivot cascades), with empty
@@ -202,7 +212,8 @@ boundary_shaped = st.integers(1, 40).flatmap(
 @settings(max_examples=150, deadline=None)
 @given(boundary_shaped)
 def test_sparse_matches_dense_on_boundary_shaped(case):
-    assert_sparse_matches_dense(*case)
+    entries, nrows, ncols = case
+    assert_sparse_matches_dense(as_rows(entries), nrows, ncols)
 
 
 def test_sparse_matches_dense_on_cochain_differentials():
@@ -216,9 +227,9 @@ def test_sparse_matches_dense_on_cochain_differentials():
         cochain_complex(chain, constant_abelian_presheaf(chain, ZZ), 3, normalized=False),
     ]
     for cc in complexes:
-        for n, entries in enumerate(cc.differentials):
+        for n, rows in enumerate(cc.differentials):
             nrows = cc.ranks[n + 1] if n + 1 < len(cc.ranks) else 0
-            assert_sparse_matches_dense(dict(entries), nrows, cc.ranks[n])
+            assert_sparse_matches_dense(rows, nrows, cc.ranks[n])
 
 
 # A random sparse block, then singleton columns and rows planted beside it,
@@ -249,11 +260,12 @@ def planted_singletons(draw):
 @given(planted_singletons())
 def test_coreduction_keeps_factors_rank_and_pivot_rows(case):
     entries, nrows, ncols = case
-    m = [[entries.get((i, j), 0) for j in range(ncols)] for i in range(nrows)]
+    rows = as_rows(entries)
+    m = as_dense(rows, nrows, ncols)
     dense = snf_diagonal(m)
     pivots: list[int] = []
-    assert sparse_invariant_factors(entries, nrows, ncols, pivots) == (len(dense), dense)
-    assert sparse_invariant_factors(entries, nrows, ncols, rank_only=True) == (len(dense), [])
+    assert sparse_invariant_factors(rows, nrows, ncols, pivots) == (len(dense), dense)
+    assert sparse_invariant_factors(rows, nrows, ncols, rank_only=True) == (len(dense), [])
     # distinct rows, each with a +-1 at its pivot: then the pivot rows alone
     # span a saturated lattice of full rank
     assert len(set(pivots)) == len(pivots)
@@ -277,13 +289,14 @@ def zeros_and_cleared(draw):
 @given(zeros_and_cleared())
 def test_kernel_load_skips_zeros_and_cleared_columns_and_never_changes_entries(case):
     entries, nrows, ncols, cleared = case
-    before = list(entries.items())
-    kept = {(i, j): v for (i, j), v in entries.items() if v and j not in cleared}
-    m = [[kept.get((i, j), 0) for j in range(ncols)] for i in range(nrows)]
-    dense = snf_diagonal(m)
+    rows = as_rows(entries)
+    before = copy.deepcopy(rows)
+    kept = {i: {j: v for j, v in row.items() if v and j not in cleared} for i, row in rows.items()}
+    kept = {i: row for i, row in kept.items() if row}
+    dense = snf_diagonal(as_dense(kept, nrows, ncols))
     pivots: list[int] = []
     kept_pivots: list[int] = []
-    assert sparse_invariant_factors(entries, nrows, ncols, pivots, cleared=cleared) == (
+    assert sparse_invariant_factors(rows, nrows, ncols, pivots, cleared=cleared) == (
         len(dense),
         dense,
     )
@@ -291,19 +304,40 @@ def test_kernel_load_skips_zeros_and_cleared_columns_and_never_changes_entries(c
     # the load drops zeros and cleared entries before building anything, so
     # the reduction of the rest runs exactly as on the matrix without them
     assert pivots == kept_pivots
-    assert sparse_invariant_factors(entries, nrows, ncols, rank_only=True, cleared=cleared) == (
+    assert sparse_invariant_factors(rows, nrows, ncols, rank_only=True, cleared=cleared) == (
         len(dense),
         [],
     )
-    assert list(entries.items()) == before
+    assert rows == before
+
+
+@settings(max_examples=100, deadline=None)
+@given(zeros_and_cleared())
+def test_kernel_never_changes_its_input(case):
+    # the kernel copies each row as it loads it: two calls on the same rows,
+    # in every mode, give the same answer and leave the rows as they were
+    entries, nrows, ncols, cleared = case
+    rows = as_rows(entries)
+    before = copy.deepcopy(rows)
+    for skip in ((), cleared):
+        for rank_only in (False, True):
+            answers = []
+            for _ in range(2):
+                pivots = None if rank_only else []
+                got = sparse_invariant_factors(
+                    rows, nrows, ncols, pivots, rank_only=rank_only, cleared=skip
+                )
+                answers.append((got, pivots))
+                assert rows == before
+            assert answers[0] == answers[1]
 
 
 def test_rank_only_peels_non_unit_singletons_and_reports_no_pivots():
-    entries = {(0, 0): 4, (1, 1): -6, (1, 2): 2, (2, 2): 3}
-    assert sparse_invariant_factors(entries, 3, 3) == (3, [1, 2, 36])
-    assert sparse_invariant_factors(entries, 3, 3, rank_only=True) == (3, [])
+    rows = {0: {0: 4}, 1: {1: -6, 2: 2}, 2: {2: 3}}
+    assert sparse_invariant_factors(rows, 3, 3) == (3, [1, 2, 36])
+    assert sparse_invariant_factors(rows, 3, 3, rank_only=True) == (3, [])
     with pytest.raises(ValueError, match="rank-only"):
-        sparse_invariant_factors(entries, 3, 3, [], rank_only=True)
+        sparse_invariant_factors(rows, 3, 3, [], rank_only=True)
 
 
 def test_cut_cone_sends_no_dense_leftover_from_its_last_differential(monkeypatch):
@@ -316,10 +350,10 @@ def test_cut_cone_sends_no_dense_leftover_from_its_last_differential(monkeypatch
     sparse = snf.sparse_invariant_factors
     last: list[tuple] = []
 
-    def record(entries, nrows, ncols, pivot_rows=None, *, rank_only=False, cleared=()):
+    def record(rows, nrows, ncols, pivot_rows=None, *, rank_only=False, cleared=()):
         if rank_only:
-            last.append(((entries, nrows, ncols), cleared))
-        return sparse(entries, nrows, ncols, pivot_rows, rank_only=rank_only, cleared=cleared)
+            last.append(((rows, nrows, ncols), cleared))
+        return sparse(rows, nrows, ncols, pivot_rows, rank_only=rank_only, cleared=cleared)
 
     monkeypatch.setattr(snf, "sparse_invariant_factors", record)
     for normalized, full_leftover in ((True, 32), (False, 182)):
