@@ -235,7 +235,8 @@ class _Written(Sequence):
     Each is written by its builder, ``build(cleared) -> rows``, with
     nothing cleared, when it is first read here.  The library's own
     reduction never reads them here: it calls ``builders`` one at a time,
-    each after the reduction before it (``_cohomology``).
+    each after the reduction before it (``_cohomology``), unless this has
+    written it already.
     """
 
     def __init__(self, builders: Iterable[Builder]):
@@ -574,14 +575,22 @@ def _cohomology(cc: CochainComplex) -> list[FgAbelianGroup]:
 
     A complex that ``cochain_complex`` builds is streamed: each builder is
     called once, after the reduction before it, and writes its differential
-    without the cleared columns.  Any other complex's rows are handed over
-    without them.  Only the rank of the differential out of the top degree
-    is read, so it is reduced in rank-only mode and nothing above it is
-    reduced at all.
+    without the cleared columns.  Any other complex's rows, and a built
+    complex's differentials written already (by the checks of
+    ``cohomology_of_complex``), are handed over without them, so no
+    differential is written twice.  Only the rank of the differential out
+    of the top degree is read, so it is reduced in rank-only mode and
+    nothing above it is reduced at all.
     """
     last = cc.degrees + cc.offset
     diffs = cc.differentials
-    builders = diffs.builders if isinstance(diffs, _Written) else [_stored(d) for d in diffs]
+    if isinstance(diffs, _Written):
+        builders = [
+            build if rows is None else _stored(rows)
+            for build, rows in zip(diffs.builders, diffs._rows)
+        ]
+    else:
+        builders = [_stored(d) for d in diffs]
     chain = [
         (build, cc.ranks[n + 1] if n + 1 < len(cc.ranks) else 0, cc.ranks[n])
         for n, build in enumerate(builders[: last + 1])

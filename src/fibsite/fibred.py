@@ -618,11 +618,13 @@ class MorphismOfPresheavesOfCategories:
 
 def validate_morphism_of_presheaves(m: MorphismOfPresheavesOfCategories) -> list[str]:
     """The laws of m, whose endpoints must be valid presheaves of categories
-    (``parse_bundle`` and ``total_functor`` check them first)."""
+    (``parse_bundle`` and ``_require_valid_morphism`` check them first)."""
     report: list[str] = []
     if m.domain.site != m.codomain.site:
         return ["domain and codomain live on different sites"]
     c = m.domain.site
+    # one report per distinct component object, however many site objects share it
+    functor_laws: dict[int, list[str]] = {}
     for u in c.objects:
         comp = m.components.get(u)
         if comp is None:
@@ -631,7 +633,9 @@ def validate_morphism_of_presheaves(m: MorphismOfPresheavesOfCategories) -> list
         if comp.domain != m.domain.value[u] or comp.codomain != m.codomain.value[u]:
             report.append(f"component at {u} has wrong endpoints")
             continue
-        report.extend(f"component at {u}: {b}" for b in validate_functor(comp))
+        if id(comp) not in functor_laws:
+            functor_laws[id(comp)] = validate_functor(comp)
+        report.extend(f"component at {u}: {b}" for b in functor_laws[id(comp)])
     if report:
         return report
     for alpha, (v, u) in c.morphisms.items():
@@ -683,12 +687,19 @@ def _require_kan_inputs(
     base: PresheafOfCategories,
     side: str,
 ) -> None:
-    """Validate m, then x, a diagram on base; m's endpoints must be valid
-    presheaves of categories (see ``validate_morphism_of_presheaves``)."""
-    require_valid(validate_morphism_of_presheaves(m))
+    """Validate m with its endpoints, then x, a diagram on base."""
+    _require_valid_morphism(m)
     if x.base != base:
         raise InputError(f"diagram does not live on the {side}")
     require_valid(validate_enriched(x))
+
+
+def _require_valid_morphism(m: MorphismOfPresheavesOfCategories) -> None:
+    """Validate m's domain, then its codomain, then m itself, so that
+    ``validate_morphism_of_presheaves`` reads only valid endpoints."""
+    require_valid(validate_presheaf_of_categories(m.domain))
+    require_valid(validate_presheaf_of_categories(m.codomain))
+    require_valid(validate_morphism_of_presheaves(m))
 
 
 def _kan_cocones(
@@ -820,9 +831,7 @@ def kan_counit(
 
 def total_functor(m: MorphismOfPresheavesOfCategories) -> Functor:
     """The induced functor between the total categories of the construction."""
-    require_valid(validate_presheaf_of_categories(m.domain))
-    require_valid(validate_presheaf_of_categories(m.codomain))
-    require_valid(validate_morphism_of_presheaves(m))
+    _require_valid_morphism(m)
     fs_a = _grothendieck_construct(m.domain)
     fs_b = _grothendieck_construct(m.codomain)
     c = m.domain.site

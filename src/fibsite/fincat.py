@@ -215,18 +215,19 @@ def _table_report(c: FiniteCategory) -> list[str]:
         elif c.morphisms[i] != (u, u):
             report.append(f"identity of {u} is not an endomorphism of {u}")
     # totality and typing of the composition table
-    for g, f in itertools.product(c.morphisms, repeat=2):
-        composable = c.target(f) == c.source(g)
-        present = (g, f) in c.composition
+    ends, comp = c.morphisms, c.composition
+    for (g, (gs, gt)), (f, (fs, ft)) in itertools.product(ends.items(), repeat=2):
+        composable = ft == gs
+        present = (g, f) in comp
         if composable and not present:
             report.append(f"missing composite {g}.{f}")
         elif not composable and present:
             report.append(f"spurious composite {g}.{f}")
         elif present:
-            h = c.composition[(g, f)]
-            if h not in c.morphisms:
+            h = comp[(g, f)]
+            if h not in ends:
                 report.append(f"composite {g}.{f} is not a morphism")
-            elif c.morphisms[h] != (c.source(f), c.target(g)):
+            elif ends[h] != (fs, gt):
                 report.append(f"composite {g}.{f} has wrong endpoints")
     return report
 
@@ -234,19 +235,25 @@ def _table_report(c: FiniteCategory) -> list[str]:
 def _law_report(c: FiniteCategory) -> list[str]:
     """Unit and associativity laws, read off a table ``_table_report`` passed."""
     report: list[str] = []
+    ends, comp, identity, out_of = c.morphisms, c.composition, c.identity, c._out_of
     # unit laws
-    for m, (s, t) in c.morphisms.items():
-        if c.compose(m, c.identity[s]) != m:
+    for m, (s, t) in ends.items():
+        if comp[(m, identity[s])] != m:
             report.append(f"right unit law fails for {m}")
-        if c.compose(c.identity[t], m) != m:
+        if comp[(identity[t], m)] != m:
             report.append(f"left unit law fails for {m}")
-    # associativity on every composable triple
-    for f in c.morphisms:
-        for g in c.out_of(c.target(f)):
-            gf = c.compose(g, f)
-            for h in c.out_of(c.target(g)):
-                if c.compose(h, gf) != c.compose(c.compose(h, g), f):
-                    report.append(f"associativity fails on ({h}, {g}, {f})")
+    # associativity on every composable triple: after[k] lists h k for the
+    # h leaving k's target, so (h g) f = h (g f) for every h says that
+    # precomposing after[g] with f gives after[g f]
+    after = {k: [comp[(h, k)] for h in out_of[t]] for k, (_, t) in ends.items()}
+    for f, (_, b) in ends.items():
+        with_f = dict(zip(out_of[b], after[f])).__getitem__
+        for g in out_of[b]:
+            gf = comp[(g, f)]
+            if list(map(with_f, after[g])) != after[gf]:
+                for h, hg, h_gf in zip(out_of[ends[g][1]], after[g], after[gf]):
+                    if with_f(hg) != h_gf:
+                        report.append(f"associativity fails on ({h}, {g}, {f})")
     return report
 
 
@@ -304,23 +311,26 @@ class Functor:
 def validate_functor(f: Functor) -> list[str]:
     report: list[str] = []
     dom, cod = f.domain, f.codomain
+    omap, mmap = f.object_map, f.morphism_map
+    objects = set(cod.objects)
     for x in dom.objects:
-        if f.object_map.get(x) not in set(cod.objects):
+        if omap.get(x) not in objects:
             report.append(f"object {x} not mapped into codomain")
     for m, (s, t) in dom.morphisms.items():
-        fm = f.morphism_map.get(m)
+        fm = mmap.get(m)
         if fm is None or fm not in cod.morphisms:
             report.append(f"morphism {m} not mapped into codomain")
             continue
-        if cod.morphisms[fm] != (f.object_map.get(s), f.object_map.get(t)):
+        if cod.morphisms[fm] != (omap.get(s), omap.get(t)):
             report.append(f"image of {m} has wrong endpoints")
     if report:
         return report
     for x in dom.objects:
-        if f.on_morphism(dom.identity[x]) != cod.identity[f.on_object(x)]:
+        if mmap[dom.identity[x]] != cod.identity[omap[x]]:
             report.append(f"identity of {x} not preserved")
+    comp = cod.composition
     for (g, h), gh in dom.composition.items():
-        if cod.compose(f.on_morphism(g), f.on_morphism(h)) != f.on_morphism(gh):
+        if comp[(mmap[g], mmap[h])] != mmap[gh]:
             report.append(f"composition not preserved on ({g}, {h})")
     return report
 
@@ -420,10 +430,12 @@ def comma_data(f: Functor, y: str) -> CommaCategory:
     mor_of: dict[tuple[str, str, str], str] = {}
     # the arrows into each comma object, in construction order
     into: dict[str, list[str]] = {}
-    for (x, h), a in sorted(obj_of.items()):
-        for (x2, h2), b in sorted(obj_of.items()):
-            for m in dom.hom(x, x2):
-                if cod.compose(h2, f.on_morphism(m)) == h:
+    pairs = sorted(obj_of.items())
+    comp, fm, hom = cod.composition, f.morphism_map, dom._hom
+    for (x, h), a in pairs:
+        for (x2, h2), b in pairs:
+            for m in hom.get((x, x2), ()):
+                if comp[(h2, fm[m])] == h:
                     name = f"({m}|{h}>{h2})"
                     if name in morphisms:
                         raise clash("arrows", name)
@@ -550,11 +562,11 @@ def validate_set_functor(f: SetValuedFunctor) -> list[str]:
             report.append(f"action of {m} escapes the target value set")
     if report:
         return report
-    ends = f.base.morphisms
+    ends, action = f.base.morphisms, f.action
     loop_at: dict[str, str] = {}  # identity -> its object, for loops acting as one
     for u in f.base.objects:
         i = f.base.identity[u]
-        if any(f.act(i, e) != e for e in f.value[u]):
+        if any(action[i][e] != e for e in f.value[u]):
             report.append(f"identity action at {u} is not the identity")
         elif ends.get(i) == (u, u):
             loop_at[i] = u
@@ -567,10 +579,10 @@ def validate_set_functor(f: SetValuedFunctor) -> list[str]:
         if gh == h and g in loop_at and ends.get(h, (None, None))[1] == loop_at[g]:
             continue
         if f.variance == COVARIANT:
-            lhs = {e: f.act(g, f.act(h, e)) for e in f.action[h]}
+            lhs = {e: action[g][x] for e, x in action[h].items()}
         else:
-            lhs = {e: f.act(h, f.act(g, e)) for e in f.action[g]}
-        if lhs != f.action[gh]:
+            lhs = {e: action[h][x] for e, x in action[g].items()}
+        if lhs != action[gh]:
             report.append(f"functoriality fails on ({g}, {h})")
     return report
 

@@ -16,16 +16,18 @@ caller asks for the map itself.
 
 Both builders are deferred.  A hocolim or pb value builds its normalized
 table (``sset.simplex_table``), which homology and path components read,
-and its integer level (``sset._integer_level``), which a hocolim of it
-reads, directly: a hocolim from its values' integer levels, a pb value
-from x's table and x's integer level.  Its dicts have two fills, each run
-on the first read of a field it builds: the cells (the simplices, and a
-hocolim's structure map), which the triangle checks and the counit read,
-and the maps (faces and degeneracies, and pb's action components), which
-only equality, pickling, the validators and the maps of a hocolim over it
-read.  So the triangle checks and ``we_evidence`` on the unit and on each
-counit build no face or degeneracy dict.  The counit is remembered per
-diagram, so ``check_triangles(a=...)`` and ``counit_epsilon`` share one.
+and its integer level (``sset._integer_level``) directly: a hocolim from
+the nerve's and its values' integer levels, a pb value from x's table and
+x's integer level.  ``sset`` writes every dict from the integer levels on
+first read, in two parts: the cells (the simplices, and a map's
+components), which the triangle checks and the counit read, and the maps
+(faces and degeneracies), which only equality, pickling and the validators
+read.  A hocolim builds its integer level only when that level or a dict
+is read, and its table without it.  So the triangle checks and
+``we_evidence`` on the unit and on each counit write no face or degeneracy
+dict, and pb(hocolim(a)) reads hocolim(a)'s integer level, not its dicts.
+The counit is remembered per diagram, so ``check_triangles(a=...)`` and
+``counit_epsilon`` share one.
 
 Inputs are validated once, at the public boundary: ``hocolim``, ``pb``,
 ``enriched_hocolim`` and ``enriched_pb`` validate a caller's argument before
@@ -33,7 +35,8 @@ their first build from it, and ``presheaf_hocolim_pb`` validates its enriched
 input.  What the library feeds back in (``pb`` of a hocolim it built, the
 sections of its own sectionwise results) goes to the unchecked builders
 directly; the property test in ``tests/test_builders.py`` runs the validators
-on every builder's output instead.  Every result is remembered for as long as
+on every builder's output instead, and compares its dicts with hand-written
+reference builders.  Every result is remembered for as long as
 its argument object is alive, and the checked and unchecked paths share that
 one entry, so the triangle checks, the unit, the counit and the sectionwise
 run share one build of each intermediate.  Library values are immutable:
@@ -45,19 +48,20 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from functools import partial
 from itertools import repeat, tee
 from operator import itemgetter
 
 from .errors import InputError
 from .fibred import PresheafOfGroupoids
-from .fincat import Groupoid, opposite, opposite_functor, string_table, validate_groupoid
+from .fincat import Groupoid, opposite, opposite_functor, validate_groupoid
 from .sset import (
     SimplicialMap,
     TruncatedSimplicialSet,
     _action_ids,
     _deferred,
-    _filled,
     _integer_level,
+    _level_cells,
     compose_simplicial_maps,
     identity_simplicial_map,
     nerve,
@@ -180,110 +184,73 @@ def hocolim(a: GroupoidDiagram, d: int) -> OverNerve:
 
 
 def _hocolim(a: GroupoidDiagram, d: int) -> OverNerve:
-    """The hocolim, with its normalized table, cells and maps each deferred.
+    """The hocolim, with its normalized table, integer level and dicts deferred.
 
-    The cells (the total's simplices and the structure map's components) are
-    filled on the first read of either, and the maps (the total's faces and
-    degeneracies) on the first read of either; the table comes from
-    ``_hocolim_levels``.  The deferred builds hold a's parts but not a
-    itself, so the memo entry for a is freed with a.
+    ``_hocolim_levels`` gives the normalized table directly and, in its full
+    mode, the integer level of the total and of the structure map, from
+    which ``sset`` writes their dicts.  The full mode runs only when
+    something reads that level or those dicts.  The deferred builds hold
+    a's parts but not a itself, so the memo entry for a is freed with a.
     """
     g = a.base
     if any(a.value[y].dim < d for y in g.objects):
         raise InputError("diagram values truncated below the requested degree")
     ng = _remembered(g, nerve, d)
-    value, action = a.value, a.action
-
-    def cells() -> None:
-        simplices = []
-        over_sigma = []
-        for n in range(d + 1):
-            over = {}
-            for sigma in ng.simplices[n]:
-                xs = _integer_level(value[g.string_vertex(n, sigma)], n)[0]
-                over.update(dict.fromkeys([(sigma, x) for x in xs], sigma))
-            simplices.append(frozenset(over))
-            over_sigma.append(over)
-        _filled(total, simplices=tuple(simplices))
-        _filled(structure, components=tuple(over_sigma))
-
-    def maps() -> None:
-        faces = {}
-        degeneracies = {}
-        for n in range(d + 1):
-            fms = [{} for _ in range(n + 1)] if n else []
-            dms = [{} for _ in range(n + 1)] if n < d else []
-            nerve_faces = [ng.faces[(n, i)] for i in range(len(fms))]
-            nerve_degens = [ng.degeneracies[(n, i)] for i in range(len(dms))]
-            for sigma in ng.simplices[n]:
-                val = value[g.string_vertex(n, sigma)]
-                xs = val.simplices[n]
-                keys = [(sigma, x) for x in xs]
-                if fms:
-                    # the 0-th face moves x along the first arrow g1 first
-                    g1 = sigma[0]
-                    moved = action[g1].components[n]
-                    d0 = value[g.target(g1)].faces[(n, 0)]
-                    tau = nerve_faces[0][sigma]
-                    fms[0].update(zip(keys, [(tau, d0[moved[x]]) for x in xs]))
-                    for i in range(1, n + 1):
-                        tau, di = nerve_faces[i][sigma], val.faces[(n, i)]
-                        fms[i].update(zip(keys, [(tau, di[x]) for x in xs]))
-                for i, dm in enumerate(dms):
-                    s_sigma, si = nerve_degens[i][sigma], val.degeneracies[(n, i)]
-                    dm.update(zip(keys, [(s_sigma, si[x]) for x in xs]))
-            faces.update(((n, i), fm) for i, fm in enumerate(fms))
-            degeneracies.update(((n, i), dm) for i, dm in enumerate(dms))
-        _filled(total, faces=faces, degeneracies=degeneracies)
-
+    parts = (g, ng, a.value, a.action, d)
+    full = tee(_hocolim_levels(*parts, full=True), 2)
     total = _deferred(
         TruncatedSimplicialSet,
-        {"simplices": cells, "faces": maps, "degeneracies": maps},
         dim=d,
-        _levels=_hocolim_levels(g, value, action, d),
+        _levels=_hocolim_levels(*parts),
+        _int_levels=map(itemgetter(0), full[0]),
     )
-    structure = _deferred(SimplicialMap, {"components": cells}, domain=total, codomain=ng)
+    structure = _deferred(
+        SimplicialMap, domain=total, codomain=ng, _int_levels=map(itemgetter(1), full[1])
+    )
     return OverNerve(base=g, total=total, structure=structure)
 
 
-def _hocolim_levels(g: Groupoid, value: dict, action: dict, d: int):
-    """The hocolim's normalized table, one degree at a time.
+def _hocolim_levels(
+    g: Groupoid, ng: TruncatedSimplicialSet, value: dict, action: dict, d: int, full=False
+):
+    """The hocolim's normalized table, or in full mode its integer level,
+    one degree at a time.
 
-    Degeneracies act on both parts of (sigma, x) at once, so (sigma, x) is
-    degenerate iff, for some i, arrow i of sigma is an identity and x lies
-    in the image of s_i in the value at sigma's first vertex, that is bit i
-    of x's mask.  Every value is read as its integer level and every action
-    as its integer one (``sset._integer_level``, ``sset._action_ids``), so
-    simplices are ordered by sigma's string-table order, then by x's place
-    in that level, and face ids are looked up by position: no token is
-    hashed.
+    Degeneracies act on both parts of (sigma, x) at once, so (sigma, x) lies
+    in the image of s_i iff arrow i of sigma is an identity and x lies in
+    the image of s_i in the value at sigma's first vertex: its mask is
+    sigma's mask in the nerve AND x's.  The table keeps the simplices of
+    mask 0; the full mode keeps every one, and yields each degree as
+    (tokens, masks, faces) with the structure map's action, the place of
+    each simplex's sigma in the nerve.  Its faces are left to
+    ``_hocolim_faces`` until they are read.  The nerve and every value are
+    read as their integer levels and every action as its integer one
+    (``sset._integer_level``, ``sset._action_ids``), so simplices are
+    ordered by sigma's string-table order, then by x's place in that level,
+    and face ids are looked up by position: no token is hashed.
     """
-    strings = _remembered(g, string_table, d)
-    identities = g._identity_set
     # per string of degree n-1: place of x -> id of (string, x), or None
     below: list = []
     for n in range(d + 1):
+        strings, string_masks, string_faces = _integer_level(ng, n)
         tokens: list = []
-        faces: list = []
+        masks: list = []
+        over: list = []
         ids: list = []
-        levels = {y: _integer_level(value[y], n) for y in g.objects}
-        # (y, bits of sigma's identity arrows) -> the places of the x that
-        # pair with such a sigma into a nondegenerate simplex, those x, and
-        # their faces as one column per face map
+        placed: list = []  # (k, sigma, key into kept, kept places) per string
+        levels = {y: _level_cells(value[y], n) for y in g.objects}
+        # (y, mask of sigma) -> the places of the x that pair with such a
+        # sigma into a kept simplex, those x, all x's masks AND sigma's, and
+        # the size of the value's level
         kept: dict = {}
-        moves: dict = {}  # arrow -> its action's integer level n
-        # y -> face 0 of each n-simplex of the value at y
-        first_faces = {y: [f[0] for f in level[2]] for y, level in levels.items()}
-        for k, sigma in enumerate(strings.tokens[n]):
-            y0 = g.string_vertex(n, sigma)
-            bits = sum(1 << i for i, m in enumerate(sigma) if m in identities) if n else 0
-            entry = kept.get((y0, bits))
+        for k, sigma in enumerate(strings):
+            key = (g.string_vertex(n, sigma), string_masks[k])
+            entry = kept.get(key)
             if entry is None:
-                xt, masks, xf = levels[y0]
-                keep = [j for j, b in enumerate(masks) if not b & bits]
-                columns = list(zip(*[xf[j] for j in keep])) if n else []
-                entry = kept[(y0, bits)] = (keep, [xt[j] for j in keep], columns, len(xt))
-            keep, xs, columns, size = entry
+                xt, xm = levels[key[0]]
+                keep = [j for j, b in enumerate(xm) if full or not b & key[1]]
+                entry = kept[key] = (keep, [xt[j] for j in keep], [b & key[1] for b in xm], len(xt))
+            keep, xs, kept_masks, size = entry
             start = len(tokens)
             if len(keep) == size:
                 ids.append(range(start, start + size))
@@ -293,19 +260,44 @@ def _hocolim_levels(g: Groupoid, value: dict, action: dict, d: int):
                     here[j] = i
                 ids.append(here)
             tokens.extend(zip(repeat(sigma), xs))
+            if full:
+                masks.extend(kept_masks)
+                over.extend(repeat(k, size))
             if n and keep:
-                # face 0 moves x along the first arrow g1 before its face
-                sf = strings.faces[n][k]
-                g1 = sigma[0]
-                moved = moves.get(g1)
-                if moved is None:
-                    moved = moves[g1] = _action_ids(action[g1], n)
-                d0 = first_faces[g.target(g1)].__getitem__
-                first = map(below[sf[0]].__getitem__, map(d0, map(moved.__getitem__, keep)))
-                rest = [map(below[f].__getitem__, col) for f, col in zip(sf[1:], columns[1:])]
-                faces.extend(zip(first, *rest))
-        yield tokens, faces
+                placed.append((k, sigma, key, keep))
+        faces = partial(_hocolim_faces, g, n, placed, string_faces, below, value, action)
+        yield ((tokens, masks, faces), over) if full else (tokens, faces())
         below = ids
+
+
+def _hocolim_faces(
+    g: Groupoid, n: int, placed: list, string_faces: list, below: list, value: dict, action: dict
+) -> list:
+    """The face ids of the simplices ``_hocolim_levels`` placed in degree n.
+
+    Face 0 of (sigma, x) moves x along sigma's first arrow g1 before taking
+    its face; face i > 0 takes face i of both parts.
+    """
+    faces: list = []
+    columns: dict = {}  # (y, mask of sigma) -> the kept x's faces, a column per face map
+    moves: dict = {}  # arrow -> its action's integer level n
+    # y -> face 0 of each n-simplex of the value at y
+    first = {y: [f[0] for f in _integer_level(value[y], n)[2]] for y in g.objects}
+    for k, sigma, key, keep in placed:
+        cols = columns.get(key)
+        if cols is None:
+            xf = _integer_level(value[key[0]], n)[2]
+            cols = columns[key] = list(zip(*[xf[j] for j in keep]))
+        g1 = sigma[0]
+        moved = moves.get(g1)
+        if moved is None:
+            moved = moves[g1] = _action_ids(action[g1], n)
+        sf = string_faces[k]
+        d0 = first[g.target(g1)].__getitem__
+        zeros = map(below[sf[0]].__getitem__, map(d0, map(moved.__getitem__, keep)))
+        rest = [map(below[f].__getitem__, col) for f, col in zip(sf[1:], cols[1:])]
+        faces.extend(zip(zeros, *rest))
+    return faces
 
 
 def anchor_from_last(g: Groupoid, sigma, alpha: str) -> str:
@@ -336,16 +328,15 @@ def pb(x: OverNerve) -> GroupoidDiagram:
 
 
 def _pb(x: OverNerve) -> GroupoidDiagram:
-    """pb(x), with each value's two cheap views built directly.
+    """pb(x), with each value's normalized table and integer level built directly.
 
     Degeneracies act on t alone, so (t, gamma) is degenerate exactly when t
-    is.  So a value's normalized table comes from x's table, and its
-    integer level (every simplex with its mask) and the actions' integer
-    levels come from x's integer level, in the order of t, then of gamma in
-    ``hom``.  The cells fill builds every value's simplices; the maps fill
-    builds their faces and degeneracies and the action components.  Each
-    runs on the first read of a field it builds.  The deferred builds hold
-    x's parts, never x, so the memo entry for x is freed with x.
+    is, and its mask is t's.  So a value's normalized table comes from x's
+    table, and its integer level (every simplex with its mask) and the
+    actions' integer levels come from x's integer level, in the order of t,
+    then of gamma in ``hom``.  ``sset`` writes the dicts from the integer
+    levels on first read.  The deferred builds hold x's parts, never x, so
+    the memo entry for x is freed with x.
     """
     g = x.base
     total, structure = x.total, x.structure
@@ -354,6 +345,7 @@ def _pb(x: OverNerve) -> GroupoidDiagram:
     objects = sorted(g.objects)
     arrows = sorted(g.morphisms)
     anchors = {(a0, y): g.hom(a0, y) for a0 in g.objects for y in g.objects}
+    place = {key: {gamma: j for j, gamma in enumerate(hom)} for key, hom in anchors.items()}
 
     def rows(n: int, ts) -> list:
         # each t with its anchor vertex and, in positive degree, the inverse
@@ -364,112 +356,71 @@ def _pb(x: OverNerve) -> GroupoidDiagram:
             for t in ts
         ]
 
-    def cells() -> None:
-        per = [rows(n, total.simplices[n]) for n in range(d + 1)]
-        for y in objects:
-            simplices = tuple(
-                frozenset([(t, gamma) for t, a0, _ in level for gamma in anchors[(a0, y)]])
-                for level in per
-            )
-            _filled(value[y], simplices=simplices)
-
-    def maps() -> None:
-        total_faces = [
-            [total.faces[(n, i)] for i in range(n + 1)] if n else [] for n in range(d + 1)
-        ]
-        total_degens = [[total.degeneracies[(n, i)] for i in range(n + 1)] for n in range(d)] + [[]]
-        per = [rows(n, total.simplices[n]) for n in range(d + 1)]
-        for y in objects:
-            faces = {}
-            degeneracies = {}
-            for n in range(d + 1):
-                fms = [{} for _ in total_faces[n]]
-                dms = [{} for _ in total_degens[n]]
-                for t, a0, inv in per[n]:
-                    here = anchors[(a0, y)]
-                    if fms:
-                        ft, fm = total_faces[n][0][t], fms[0]
-                        for gamma in here:
-                            fm[(t, gamma)] = (ft, comp[(gamma, inv)])
-                        for i in range(1, n + 1):
-                            ft, fm = total_faces[n][i][t], fms[i]
-                            for gamma in here:
-                                fm[(t, gamma)] = (ft, gamma)
-                    for st_i, dm in zip(total_degens[n], dms):
-                        st = st_i[t]
-                        for gamma in here:
-                            dm[(t, gamma)] = (st, gamma)
-                faces.update(((n, i), fm) for i, fm in enumerate(fms))
-                degeneracies.update(((n, i), dm) for i, dm in enumerate(dms))
-            _filled(value[y], faces=faces, degeneracies=degeneracies)
-        for m, (s, _t) in g.morphisms.items():
-            _filled(action[m], components=tuple(
-                {(t, gamma): (t, comp[(m, gamma)]) for (t, gamma) in value[s].simplices[n]}
-                for n in range(d + 1)
-            ))
-
-    def pulled(level, with_masks: bool):
-        """Per degree: the values' levels by object and the actions' ids by
-        arrow (none without masks), read off x's level at n."""
-        place = {key: {gamma: j for j, gamma in enumerate(hom)} for key, hom in anchors.items()}
+    def pulled(full: bool):
+        """Per degree: the values' tables by object, or in full mode their
+        integer levels by object and the actions' ids by arrow, read off
+        x's view at n.  Full levels leave their faces and ids to
+        ``pb_faces`` and ``action_ids`` until they are read."""
         below: dict = {}
         for n in range(d + 1):
-            xt, xm, xf = level(n)
+            if full:
+                xt, xm = _level_cells(total, n)
+            else:
+                xt, xm = simplex_table(total, n).tokens[n], None
             per = rows(n, xt)
             levels = {}
             offsets = {}
             for y in objects:
                 tokens: list = []
                 masks: list = []
-                faces: list = []
                 starts = offsets[y] = []
-                under = below.get(y)
-                for k, (t, a0, inv) in enumerate(per):
+                for k, (t, a0, _inv) in enumerate(per):
                     here = anchors[(a0, y)]
                     starts.append(len(tokens))
-                    tokens.extend([(t, gamma) for gamma in here])
-                    if with_masks:
-                        masks.extend([xm[k]] * len(here))
-                    if n:
-                        # face 0 re-anchors gamma along the inverse of t's
-                        # first arrow; the other faces keep it
-                        f0, *fs = xf[k]
-                        if f0 is None:
-                            zeros = [None] * len(here)
-                        else:
-                            at = place[(g.source(inv), y)]
-                            zeros = [under[f0] + at[comp[(gamma, inv)]] for gamma in here]
-                        rest = [None if f is None else under[f] for f in fs]
-                        faces.extend([
-                            (z, *[None if r is None else r + j for r in rest])
-                            for j, z in enumerate(zeros)
-                        ])
-                levels[y] = (tokens, masks, faces) if with_masks else (tokens, faces)
-            ids = {}
-            if with_masks:
-                for m in arrows:
-                    s, t_ = g.morphisms[m]
-                    starts = offsets[t_]
-                    ids[m] = [
-                        starts[k] + place[(a0, t_)][comp[(m, gamma)]]
-                        for k, (_t, a0, _inv) in enumerate(per)
-                        for gamma in anchors[(a0, s)]
-                    ]
+                    tokens.extend(zip(repeat(t), here))
+                    if full:
+                        masks.extend(repeat(xm[k], len(here)))
+                faces = partial(pb_faces, n, y, per, full, below.get(y))
+                levels[y] = (tokens, masks, faces) if full else (tokens, faces())
+            ids = {m: partial(action_ids, m, per, offsets) for m in arrows} if full else {}
             yield levels, ids
             below = offsets
 
-    def table_level(n: int):
-        table = simplex_table(total, n)
-        return table.tokens[n], None, table.faces[n]
+    def pb_faces(n: int, y, per: list, full: bool, under: list) -> list:
+        # face 0 re-anchors gamma along the inverse of t's first arrow; the
+        # other faces keep it
+        if not n:
+            return []
+        xf = _integer_level(total, n)[2] if full else simplex_table(total, n).faces[n]
+        faces: list = []
+        for k, (_t, a0, inv) in enumerate(per):
+            here = anchors[(a0, y)]
+            size = len(here)
+            f0, *fs = xf[k]
+            if f0 is None:
+                zeros = repeat(None, size)
+            else:
+                at = place[(g.source(inv), y)]
+                zeros = [under[f0] + at[comp[(gamma, inv)]] for gamma in here]
+            rest = [repeat(None) if f is None else range(under[f], under[f] + size) for f in fs]
+            faces.extend(zip(zeros, *rest))
+        return faces
 
-    tables = tee(pulled(table_level, False), len(objects))
-    full = tee(pulled(lambda n: _integer_level(total, n), True), len(objects) + len(arrows))
+    def action_ids(m: str, per: list, offsets: dict) -> list:
+        s, t_ = g.morphisms[m]
+        starts = offsets[t_]
+        return [
+            starts[k] + place[(a0, t_)][comp[(m, gamma)]]
+            for k, (_t, a0, _inv) in enumerate(per)
+            for gamma in anchors[(a0, s)]
+        ]
+
+    tables = tee(pulled(False), len(objects))
+    full = tee(pulled(True), len(objects) + len(arrows))
     value: dict[str, TruncatedSimplicialSet] = {}
-    fills = {"simplices": cells, "faces": maps, "degeneracies": maps}
     for y, own, ints in zip(objects, tables, full):
         value[y] = _deferred(
             TruncatedSimplicialSet,
-            fills,
             dim=d,
             _levels=map(itemgetter(y), map(itemgetter(0), own)),
             _int_levels=map(itemgetter(y), map(itemgetter(0), ints)),
@@ -479,7 +430,6 @@ def _pb(x: OverNerve) -> GroupoidDiagram:
         s, t_ = g.morphisms[m]
         action[m] = _deferred(
             SimplicialMap,
-            {"components": maps},
             domain=value[s],
             codomain=value[t_],
             _int_levels=map(itemgetter(m), map(itemgetter(1), ints)),

@@ -4,21 +4,25 @@ Simplices are hashable tokens (strings, or tuples for structured carriers
 like nerve strings); all face and degeneracy maps are explicit dictionaries,
 so simplicial identities are exhaustively checkable.  The two-sided string
 bisimplicial set reuses the nerve's face and degeneracy maps, reindexed by
-bidegree.  Homology and path components read one normalized table per set
-(``simplex_table``): per degree the nondegenerate simplices in a fixed order
-and their face ids, with None for a degenerate face.  Beside it each set has
-an integer level (``_integer_level``): every simplex with its degeneracy
-mask and integer face ids, and each map an integer action.  A builder that
-knows these views (``hocopb``'s hocolim and pb) supplies them and defers its
-dicts until something reads them; any other set or map has them read off
-its dicts, once.  Homology runs over the normalized integer chain complex
-through the exact Smith-form kernel.
+bidegree.  Each set has an integer level (``_integer_level``): every simplex
+with its degeneracy mask and integer face ids; each map has an integer
+action (``_action_ids``).  For every set and map the library builds (nerves,
+and ``hocopb``'s hocolim and pb values with their maps) the builder supplies
+that level, and it is the one source of truth: one generic fill per field
+(``_fill_simplices``, ``_fill_maps``, ``_fill_components``) writes the
+public dicts from it on first read.  A set or map that a caller passes in as
+dicts has its level read off them, once (``_levels_from_dicts``).  Homology
+and path components read one normalized table per set (``simplex_table``):
+per degree the nondegenerate simplices in a fixed order and their face ids,
+with None for a degenerate face.  It is the level's simplices of mask 0
+unless the builder supplies it directly.  Homology runs over the normalized
+integer chain complex through the exact Smith-form kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import compress, islice
 from operator import itemgetter
 from typing import Hashable
 
@@ -54,69 +58,92 @@ def _tkey(t: Token):
 
 
 class _DeferredField:
-    """A dataclass field that a builder may fill on first read.
+    """A dataclass field that a library builder leaves to be written on first read.
 
-    ``_deferred(cls, fills, **given)`` makes an instance that holds only the
-    given fields, and ``fills`` maps each deferred field to the function
-    that builds it.  An instance's own value always wins over this
-    class-level descriptor, so only the first read of a missing field
-    reaches it; that runs the field's fill, which sets the fields it builds
-    on every object it was deferred for, and leaves the other fills alone.
-    Equality, repr, pickling and every reader then see the ordinary values.
-    A descriptor, unlike ``__getattr__``, leaves the reads of every other
-    attribute on the interpreter's fast path.
+    ``_deferred(cls, **given)`` makes an instance that holds only the given
+    fields and its integer level (``_integer_level``, ``_action_ids``),
+    from which ``fill(obj)`` writes the missing fields.  An instance's own
+    value always wins over this class-level descriptor, so only the first
+    read of a missing field reaches it; that runs its fill, which sets the
+    fields it writes and leaves the others missing.  Equality, repr,
+    pickling and every reader then see the ordinary values.  A descriptor,
+    unlike ``__getattr__``, leaves the reads of every other attribute on the
+    interpreter's fast path.
     """
 
-    def __init__(self, name: str):
+    def __init__(self, name: str, fill):
         self.name = name
+        self.fill = fill
 
     def __get__(self, obj, cls=None):
         if obj is None:
             return self
-        fill = vars(obj).get("_fills", {}).get(self.name)
-        if fill is None:
-            raise AttributeError(self.name)
-        fill()
+        self.fill(obj)
         return vars(obj)[self.name]
 
 
 def _reduce_to_fields(obj):
-    # the fields only: fill functions and level generators cannot be
-    # pickled, and all of them are rebuilt on demand
+    # the fields only: level generators cannot be pickled, and all of them
+    # are rebuilt on demand
     return type(obj), tuple(getattr(obj, f) for f in obj.__dataclass_fields__)
 
 
-def _deferrable(*names):
-    """Class decorator: the dataclass fields ``names`` may be deferred."""
+def _deferrable(**fills):
+    """Class decorator: dataclass field f may be deferred, written by fills[f]."""
 
     def decorate(cls):
-        for name in names:
-            setattr(cls, name, _DeferredField(name))
+        for name, fill in fills.items():
+            setattr(cls, name, _DeferredField(name, fill))
         cls.__reduce__ = _reduce_to_fields
         return cls
 
     return decorate
 
 
-def _deferred(cls, fills: dict, **given):
-    """An instance of cls with the given fields; field f is built by fills[f]."""
+def _deferred(cls, **given):
+    """An instance of cls holding the given fields and private views only."""
     obj = object.__new__(cls)
-    vars(obj).update(given, _fills=dict(fills))
+    vars(obj).update(given)
     return obj
 
 
-def _filled(obj, **fields) -> None:
-    """Set deferred fields of obj; their fill functions are dropped."""
-    own = vars(obj)
-    own.update(fields)
-    fills = own["_fills"]
-    for name in fields:
-        del fills[name]
-    if not fills:
-        del own["_fills"]
+def _fill_simplices(s: TruncatedSimplicialSet) -> None:
+    """Write s's simplices from its integer level."""
+    vars(s)["simplices"] = tuple(frozenset(_level_cells(s, n)[0]) for n in range(s.dim + 1))
 
 
-@_deferrable("simplices", "faces", "degeneracies")
+def _fill_maps(s: TruncatedSimplicialSet) -> None:
+    """Write s's faces and degeneracies from its integer level.
+
+    Faces come from the face ids.  A simplex y with bit i of its mask set
+    is s_i(d_i y), and d_i s_i = id makes s_i injective (Goerss & Jardine,
+    §I.1), so those y give s_i out of the degree below, entry by entry.
+    """
+    faces: dict[tuple[int, int], dict] = {}
+    degeneracies: dict[tuple[int, int], dict] = {}
+    for n in range(1, s.dim + 1):
+        below = _level_cells(s, n - 1)[0].__getitem__
+        tokens, masks, ids = _integer_level(s, n)
+        for i in range(n + 1):
+            faces[(n, i)] = dict(zip(tokens, map(below, map(itemgetter(i), ids))))
+        for i in range(n):
+            image = [m >> i & 1 for m in masks]
+            degeneracies[(n - 1, i)] = dict(
+                zip(map(below, map(itemgetter(i), compress(ids, image))), compress(tokens, image))
+            )
+    vars(s).update(faces=faces, degeneracies=degeneracies)
+
+
+def _fill_components(f: SimplicialMap) -> None:
+    """Write f's components from its integer action."""
+    comps = []
+    for n in range(f.domain.dim + 1):
+        into = _level_cells(f.codomain, n)[0].__getitem__
+        comps.append(dict(zip(_level_cells(f.domain, n)[0], map(into, _action_ids(f, n)))))
+    vars(f)["components"] = tuple(comps)
+
+
+@_deferrable(simplices=_fill_simplices, faces=_fill_maps, degeneracies=_fill_maps)
 @dataclass(frozen=True)
 class TruncatedSimplicialSet:
     """Simplicial set truncated at dimension ``dim``.
@@ -213,7 +240,7 @@ def validate_simplicial(s: TruncatedSimplicialSet) -> list[str]:
     return report
 
 
-@_deferrable("components")
+@_deferrable(components=_fill_components)
 @dataclass(frozen=True)
 class SimplicialMap:
     domain: TruncatedSimplicialSet
@@ -240,28 +267,26 @@ def validate_simplicial_map(f: SimplicialMap) -> list[str]:
     if report:
         return report
     dom, cod, comps = f.domain, f.codomain, f.components
-    # an empty level reads no tables, so a domain that lacks them there
-    # (one validate_simplicial has already reported) raises nothing
-    for n in range(1, d + 1):
-        if not dom.simplices[n]:
-            continue
-        here, below = comps[n], comps[n - 1]
-        pairs = [(dom.faces[(n, i)], cod.faces[(n, i)]) for i in range(n + 1)]
-        for x in dom.simplices[n]:
-            fx = here[x]
-            for i, (df, cf) in enumerate(pairs):
-                if below[df[x]] != cf[fx]:
-                    report.append(f"face {i} not preserved in degree {n}")
-    for n in range(d):
-        if not dom.simplices[n]:
-            continue
-        here, above = comps[n], comps[n + 1]
-        pairs = [(dom.degeneracies[(n, i)], cod.degeneracies[(n, i)]) for i in range(n + 1)]
-        for x in dom.simplices[n]:
-            fx = here[x]
-            for i, (ds, cs) in enumerate(pairs):
-                if above[ds[x]] != cs[fx]:
-                    report.append(f"degeneracy {i} not preserved in degree {n}")
+    # face i out of degree n lands in degree n-1, and degeneracy i in n+1;
+    # an empty level reads no tables, and a table that lacks an entry (one
+    # validate_simplicial reports) is reported, at no cost on valid tables
+    for name, dom_maps, cod_maps, step, degrees in (
+        ("face", dom.faces, cod.faces, -1, range(1, d + 1)),
+        ("degeneracy", dom.degeneracies, cod.degeneracies, 1, range(d)),
+    ):
+        for n in degrees:
+            if not dom.simplices[n]:
+                continue
+            here, there = comps[n], comps[n + step]
+            try:
+                pairs = [(dom_maps[(n, i)], cod_maps[(n, i)]) for i in range(n + 1)]
+                for x in dom.simplices[n]:
+                    fx = here[x]
+                    for i, (dm, cm) in enumerate(pairs):
+                        if there[dm[x]] != cm[fx]:
+                            report.append(f"{name} {i} not preserved in degree {n}")
+            except KeyError as missing:
+                report.append(f"an endpoint's {name} maps in degree {n} lack {missing.args[0]!r}")
     return report
 
 
@@ -292,38 +317,33 @@ def nerve(c: FiniteCategory, d: int) -> TruncatedSimplicialSet:
     """Composable strings of morphisms, truncated at degree d.
 
     Degree-0 simplices are (object,) tuples; a degree-n simplex is the tuple
-    of its n arrows read source to target.  Simplices and faces come from
-    ``string_table``; degeneracies insert identities.
+    of its n arrows read source to target.  ``string_table`` is the nerve's
+    integer level, and its dicts are written from it (see ``_nerve``).
     """
     return _nerve(c, string_table(c, d))
 
 
 def _nerve(c: FiniteCategory, table: StringTable) -> TruncatedSimplicialSet:
-    """The nerve of c truncated at the top degree of its string table."""
+    """The nerve of c truncated at the top degree of its string table.
+
+    The table is the nerve's integer level, with bit i of a string's mask
+    set when its arrow i is an identity (s_i inserts that identity); the
+    dicts are written from it on first read.  The last face of a string is
+    its parent, so each mask is its parent's plus the last arrow's bit.
+    """
     d = len(table.tokens) - 1
     if d < 1:
         raise InputError("truncation degree must be at least 1")
-    tokens = table.tokens
-    simplices = [frozenset(level) for level in tokens]
-    faces: dict[tuple[int, int], dict] = {}
+    identities = c._identity_set
+    masks = [[0] * len(table.tokens[0])]
     for n in range(1, d + 1):
-        below = tokens[n - 1].__getitem__
-        for i in range(n + 1):
-            ids = map(itemgetter(i), table.faces[n])
-            faces[(n, i)] = dict(zip(tokens[n], map(below, ids)))
-    # s_i inserts the identity of vertex i: the source of the first arrow
-    # or the target of arrow i-1
-    at_source = {m: c.identity[s] for m, (s, _) in c.morphisms.items()}
-    at_target = {m: c.identity[t] for m, (_, t) in c.morphisms.items()}
-    degeneracies = {(0, 0): {t: (c.identity[t[0]],) for t in tokens[0]}}
-    for n in range(1, d):
-        degeneracies[(n, 0)] = {t: (at_source[t[0]],) + t for t in tokens[n]}
-        for i in range(1, n + 1):
-            degeneracies[(n, i)] = {
-                t: t[:i] + (at_target[t[i - 1]],) + t[i:] for t in tokens[n]
-            }
-    return TruncatedSimplicialSet(
-        dim=d, simplices=tuple(simplices), faces=faces, degeneracies=degeneracies
+        parent, last = masks[-1], 1 << (n - 1)
+        masks.append([
+            parent[f[-1]] | (last if t[-1] in identities else 0)
+            for t, f in zip(table.tokens[n], table.faces[n])
+        ])
+    return _deferred(
+        TruncatedSimplicialSet, dim=d, _int=list(zip(table.tokens, masks, table.faces))
     )
 
 
@@ -606,8 +626,11 @@ def simplex_table(s: TruncatedSimplicialSet, top: int) -> StringTable:
 def _cached_levels(obj, top: int, default) -> list:
     """The integer levels of a set or map through at least degree top.
 
-    A builder may supply them as the generator ``_int_levels``; otherwise
-    ``default(obj)`` reads them off the dicts.  Each degree is built once.
+    A library builder supplies them, as the list ``_int`` or the generator
+    ``_int_levels``, and may leave a degree's faces, or a map's ids, to a
+    function of no arguments, which ``_integer_level`` or ``_action_ids``
+    calls on first read.  For a set or map given as dicts, ``default(obj)``
+    reads them off the dicts.  Each degree is built once.
     """
     own = vars(obj)
     done = own.get("_int")
@@ -623,17 +646,30 @@ def _integer_level(s: TruncatedSimplicialSet, n: int) -> tuple[list, list, list]
     """Degree n of s as (tokens, masks, faces): every simplex, bit i of its
     mask set when it lies in the image of s_i, and its face ids as positions
     in degree n-1 of the same view."""
-    return _cached_levels(s, n, _levels_from_dicts)[n]
+    levels = _cached_levels(s, n, _levels_from_dicts)
+    tokens, masks, faces = levels[n]
+    if callable(faces):
+        levels[n] = (tokens, masks, faces())
+    return levels[n]
+
+
+def _level_cells(s: TruncatedSimplicialSet, n: int) -> tuple[list, list]:
+    """Degree n of s's integer level without its faces: (tokens, masks)."""
+    return _cached_levels(s, n, _levels_from_dicts)[n][:2]
 
 
 def _action_ids(f: SimplicialMap, n: int) -> list[int]:
     """Degree n of f as integers: position k of the domain's integer level
     goes to the position of its image in the codomain's."""
-    return _cached_levels(f, n, _ids_from_dicts)[n]
+    levels = _cached_levels(f, n, _ids_from_dicts)
+    if callable(levels[n]):
+        levels[n] = levels[n]()
+    return levels[n]
 
 
 def _levels_from_dicts(s: TruncatedSimplicialSet):
-    """The integer levels of a set given as dicts, simplices in ``repr`` order.
+    """The integer levels of a caller's set, given as dicts, simplices in
+    ``repr`` order.
 
     A face or degeneracy image outside the set (one ``validate_simplicial``
     reports) gets no id: its face id is None and it sets no mask bit.
@@ -660,8 +696,8 @@ def _ids_from_dicts(f: SimplicialMap):
     """The integer levels of a map given as dicts."""
     for n in range(f.domain.dim + 1):
         image = f.components[n]
-        index = {x: k for k, x in enumerate(_integer_level(f.codomain, n)[0])}
-        yield [index[image[x]] for x in _integer_level(f.domain, n)[0]]
+        index = {x: k for k, x in enumerate(_level_cells(f.codomain, n)[0])}
+        yield [index[image[x]] for x in _level_cells(f.domain, n)[0]]
 
 
 def _normalized_levels(s: TruncatedSimplicialSet):
@@ -680,7 +716,7 @@ def _table(s: TruncatedSimplicialSet, top: int, normalized: bool) -> StringTable
     """``simplex_table``, or without normalized s's integer level."""
     if normalized:
         return simplex_table(s, top)
-    levels = _cached_levels(s, top, _levels_from_dicts)[: top + 1]
+    levels = [_integer_level(s, n) for n in range(top + 1)]
     return StringTable([tokens for tokens, _, _ in levels], [faces for _, _, faces in levels])
 
 
@@ -702,8 +738,9 @@ def boundary_entries(
     ``rows`` is ``{row: {col: value}}`` (see ``snf.sparse_invariant_factors``):
     row i is simplex i of degree n-1 and column j simplex j of degree n, in
     the order of ``simplex_table``, or without normalized the integer
-    level's (``repr`` order for a set given as dicts).  It is the transpose
-    of what ``homology``'s builder writes with nothing cleared.
+    level's (string-table order for a nerve, ``repr`` order for a set given
+    as dicts).  It is the transpose of what ``homology``'s builder writes
+    with nothing cleared.
     """
     table = _table(s, n, normalized)
     rows: Rows = {}

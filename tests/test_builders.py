@@ -6,14 +6,19 @@ builders without another validation.  This property test is what covers the
 builders instead: on sampled diagrams, over-objects and enriched inputs over
 several groupoids it runs the validators on every builder output, the unit
 and counit included, and a builder corrupted in one face or action entry
-must be reported.
+must be reported.  The dicts of every set and map they build are written
+from its integer level; ``reference_builders`` holds the hand-written
+constructions those dicts must equal.
 """
 
 import random
+from pathlib import Path
 
 import pytest
+from reference_builders import reference_hocolim, reference_nerve, reference_pb
 
 from fibsite import hocopb
+from fibsite.bundle import parse_bundle
 from fibsite.fincat import codiscrete_groupoid, cyclic_groupoid, poset_chain
 from fibsite.hocopb import (
     validate_diagram,
@@ -29,7 +34,7 @@ from fibsite.sampling import (
     random_over_nerve,
     random_poset_site,
 )
-from fibsite.sset import SimplicialMap, TruncatedSimplicialSet, validate_simplicial_map
+from fibsite.sset import SimplicialMap, TruncatedSimplicialSet, nerve, validate_simplicial_map
 
 D = 3
 
@@ -110,6 +115,38 @@ def test_enriched_builder_outputs_pass_the_validators(seed):
     Y = random_enriched_over_nerve(rng, poset_chain(["V", "U"]), D)
     assert validate_enriched_diagram(X) == [] and validate_enriched_over_nerve(Y) == []
     assert enriched_reports(X=X, Y=Y) == []
+
+
+# ---------------------------------------------------------------------------
+# the dicts written from the integer levels equal the hand-written ones
+
+
+@pytest.mark.parametrize("name", sorted(GROUPOIDS))
+def test_dicts_match_the_reference_builders(name):
+    g = GROUPOIDS[name]
+    rng = random.Random(name)
+    a = random_diagram(rng, g, D)
+    x = random_over_nerve(rng, g, D)
+    assert nerve(g, D) == reference_nerve(g, D)
+    h, ref_h = hocopb._hocolim(a, D), reference_hocolim(a, D)
+    px, ref_px = hocopb._pb(x), reference_pb(x)
+    # equality reads every field, so every dict is written and compared
+    assert h == ref_h and px == ref_px
+    assert hocopb._pb(h) == reference_pb(ref_h)
+    assert hocopb._hocolim(px, D) == reference_hocolim(ref_px, D)
+
+
+BUNDLES = Path(__file__).resolve().parents[1] / "bundles"
+SHIPPED = [p for p in sorted(BUNDLES.glob("*.bundle")) if not p.name.startswith("bad_")]
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
+def test_bundle_nerves_match_the_reference(path):
+    categories = parse_bundle([str(path)]).categories
+    assert categories
+    for c in categories.values():
+        for d in (1, 3):
+            assert nerve(c, d) == reference_nerve(c, d)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ package's string enumeration and sparse kernel.
 """
 
 import dataclasses
+import io
 import random
+from pathlib import Path
 
 import pytest
 import sympy
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from fibsite import cohom, fibred
+from fibsite.cli import run
 from fibsite.cohom import (
     AbelianPresheaf,
     CochainComplex,
@@ -64,6 +67,8 @@ from fibsite.site import (
     sieve_from_generators,
     trivial_topology,
 )
+
+BUNDLES = Path(__file__).resolve().parents[1] / "bundles"
 
 
 def bar_cohomology_oracle(k: int, n_max: int) -> list[tuple[int, ...]]:
@@ -492,6 +497,27 @@ class TestCech:
         f = constant_abelian_presheaf(chain2, TRIVIAL_GROUP)
         out = cech_cohomology(t, "U", s, f, 2)
         assert all(x.is_trivial() for x in out)
+
+    def test_cech_writes_each_differential_once(self, monkeypatch):
+        # the public entry's checks write every differential; the reduction
+        # reads those rows instead of calling the builders again
+        calls = []
+        init = cohom._Written.__init__
+
+        def counted(k, build):
+            def write(cleared):
+                calls.append(k)
+                return build(cleared)
+            return write
+
+        monkeypatch.setattr(
+            cohom._Written, "__init__",
+            lambda self, builders: init(self, [counted(k, b) for k, b in enumerate(builders)]),
+        )
+        argv = ["cech", str(BUNDLES / "chain_cover.bundle"), "--coeffs", "FZ",
+                "--object", "U", "--cover", "a", "--nmax", "2"]
+        assert run(argv, stdout=io.StringIO()) == 0
+        assert sorted(calls) == [0, 1, 2]
 
     def test_noncovering_rejected(self, chain2):
         t, s = self.covered(chain2)

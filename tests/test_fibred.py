@@ -447,6 +447,19 @@ class TestRestrictionKan:
         ):
             with pytest.raises(ValidationFailure, match=f"no component at {dropped}"):
                 call(broken, arg)
+        # so is one whose domain lacks a restriction, which the morphism's
+        # naturality check would read; total_functor refuses it the same way
+        *kept, gone = m.domain.restriction
+        domain = dataclasses.replace(
+            m.domain, restriction={a: m.domain.restriction[a] for a in kept}
+        )
+        broken = dataclasses.replace(m, domain=domain)
+        for call, args in (
+            (left_kan_along, (y,)), (kan_unit, (y,)), (restrict_along, (x,)),
+            (kan_counit, (x,)), (total_functor, ()),
+        ):
+            with pytest.raises(ValidationFailure, match=f"no restriction functor for {gone}"):
+                call(broken, *args)
 
     def test_restrict_along_identity(self, chain2, z2):
         a = constant_presheaf_of_categories(chain2, z2)

@@ -367,7 +367,7 @@ class TestTable:
         # the first read fills the dicts of the total and of the structure map
         assert validate_simplicial_map(eta) == []
         assert validate_over_nerve(h) == []
-        assert not _unbuilt(eta.codomain) and "_fills" not in vars(h.structure)
+        assert not _unbuilt(eta.codomain) and "components" in vars(h.structure)
 
     def test_over_checks_leave_the_pullback_maps_unbuilt(self, z2):
         x = random_over_nerve(random.Random(6), z2, 4)
@@ -392,6 +392,16 @@ class TestTable:
         assert all(_maps_unbuilt(v) for v in pb(h).value.values())
         assert all("components" not in vars(f) for f in pb(h).action.values())
 
+    def test_a_hocolim_of_a_pullback_of_a_hocolim_writes_no_dict(self, z2):
+        # a hocolim has an integer level of its own, so pb(h) reads that
+        # level, and hocolim(pb(h)) reads pb(h)'s, without h's dicts
+        h = hocopb._hocolim(random_diagram(random.Random(4), z2, 3), 3)
+        hp = hocopb._hocolim(hocopb._pb(h), 3)
+        simplex_table(hp.total, 3)
+        assert _integer_levels(hp.total, 3)
+        assert "faces" not in vars(h.total)
+        assert _maps_unbuilt(h.total) and _unbuilt(hp.total)
+
     def test_a_hocolim_pickles_as_its_dicts(self, z2):
         # neither the fill functions nor the table's level generator pickle;
         # a copy carries the fields only, read before or after homology
@@ -409,7 +419,7 @@ class TestTable:
         after = pickle.loads(pickle.dumps(p))
         assert before == after == p
         assert validate_diagram(after) == []
-        assert not {"_table", "_int", "_fills"} & vars(after.value["*"]).keys()
+        assert not {"_table", "_int", "_int_levels"} & vars(after.value["*"]).keys()
 
 
 class TestFunctorialityEvidence:

@@ -7,11 +7,13 @@ duplicating or swapping lines or tokens, then runs each of the ten commands
 on it in-process, with names drawn from what the mutant declares.  Every
 file in ``bundles/`` seeds the mutants, the refused ones too, and an
 example may leave its seed unchanged.  A crash is mended where it arises,
-never by a catch-all in ``run``.
+never by a catch-all in ``run``.  The public builders are held to the same
+rule: a malformed input raises ``InputError``, never ``KeyError``.
 """
 
 import contextlib
 import io
+import random
 import re
 from pathlib import Path
 
@@ -19,7 +21,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fibsite import hocopb
 from fibsite.cli import COMMANDS, run
+from fibsite.errors import InputError
+from fibsite.fincat import cyclic_groupoid
+from fibsite.sampling import random_diagram, random_over_nerve
 
 BUNDLES = Path(__file__).resolve().parents[1] / "bundles"
 TEXTS = [path.read_text() for path in sorted(BUNDLES.glob("*.bundle"))]
@@ -113,3 +119,26 @@ def test_every_command_exits_with_a_documented_code(bundle_path, text, data):
         with contextlib.redirect_stderr(io.StringIO()):
             code = run([*argv, "--max-strings", "5000"], stdout=io.StringIO())
         assert code in range(6), (argv, code)
+
+
+# ---------------------------------------------------------------------------
+# malformed input to the public builders
+
+
+def _drop_one_entry(table: dict) -> None:
+    del table[min(table, key=repr)]
+
+
+def test_hocolim_reports_a_value_missing_a_degeneracy_entry():
+    a = random_diagram(random.Random(1), cyclic_groupoid(2), 3)
+    # in place, so the actions still start at the broken value
+    _drop_one_entry(a.value[min(a.value)].degeneracies[(1, 0)])
+    with pytest.raises(InputError, match="degeneracy maps in degree 1 lack"):
+        hocopb.hocolim(a, 3)
+
+
+def test_pb_reports_a_total_missing_a_degeneracy_entry():
+    x = random_over_nerve(random.Random(2), cyclic_groupoid(2), 3)
+    _drop_one_entry(x.total.degeneracies[(1, 0)])
+    with pytest.raises(InputError, match="degeneracy maps in degree 1 lack"):
+        hocopb.pb(x)

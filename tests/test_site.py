@@ -11,7 +11,7 @@ from fibsite.fibred import (
     grothendieck_construct,
     induced_topology,
 )
-from fibsite.fincat import _least_representatives, terminal_category
+from fibsite.fincat import _least_representatives, poset_chain, terminal_category
 from fibsite.sampling import random_poset_site, random_presheaf, random_topology
 from fibsite.site import (
     GrothendieckTopology,
@@ -254,6 +254,21 @@ class TestSheafify:
         twice = sheafify(once, t)
         assert is_sheaf(once, t).ok
         assert presheaves_isomorphic(once, twice)
+
+    def test_an_identity_and_a_constant_restriction_are_not_isomorphic(self):
+        # equal section counts everywhere, but no bijections commute with
+        # the arrow a -> b, so the search must try them all before it says no
+        c = poset_chain(["a", "b"])
+        ident = {"0": "0", "1": "1"}
+        sections = {"a": ("0", "1"), "b": ("0", "1")}
+        f = make_presheaf(c, value=sections, action={"id_a": ident, "id_b": ident, "a_a_b": ident})
+        g = make_presheaf(
+            c,
+            value=sections,
+            action={"id_a": ident, "id_b": ident, "a_a_b": {"0": "0", "1": "0"}},
+        )
+        assert not presheaves_isomorphic(f, g)
+        assert presheaves_isomorphic(f, f) and presheaves_isomorphic(g, g)
 
     def test_cech_h0_matches_matching_families(self, covered_chain):
         # |matching families| equals the sheafified section count over U here
