@@ -49,8 +49,8 @@ from .fibred import (
 )
 from .fincat import FiniteCategory, Functor, comma_data, identity_functor, string_table
 from .site import GrothendieckTopology, Sieve, is_trivial_topology, validate_sieve
+from .sset import _deferrable, _deferred
 from .snf import (
-    Builder,
     Matrix,
     Rows,
     _reduce_with_clearing,
@@ -111,9 +111,6 @@ class FgAbelianGroup:
     @property
     def generator_count(self) -> int:
         return len(self.factors)
-
-    def is_trivial(self) -> bool:
-        return not self.factors
 
     def __str__(self) -> str:
         if not self.factors:
@@ -229,38 +226,12 @@ def restrict_abelian_along(t: Functor, f: AbelianPresheaf) -> AbelianPresheaf:
 # the cochain complex
 
 
-class _Written(Sequence):
-    """The differentials of a complex ``cochain_complex`` builds.
-
-    Each is written by its builder, ``build(cleared) -> rows``, with
-    nothing cleared, when it is first read here.  The library's own
-    reduction never reads them here: it calls ``builders`` one at a time,
-    each after the reduction before it (``_cohomology``), unless this has
-    written it already.
-    """
-
-    def __init__(self, builders: Iterable[Builder]):
-        self.builders = tuple(builders)
-        self._rows: list[Rows | None] = [None] * len(self.builders)
-
-    def __len__(self) -> int:
-        return len(self.builders)
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return tuple(self[n] for n in range(len(self))[k])
-        k = range(len(self))[k]
-        rows = self._rows[k]
-        if rows is None:
-            rows = self._rows[k] = self.builders[k](())
-        return rows
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Sequence) and tuple(self) == tuple(other)
-
-    __hash__ = None
+def _fill_differentials(cc: CochainComplex) -> None:
+    """Write every differential of a built complex, with nothing cleared."""
+    vars(cc)["differentials"] = tuple(build(()) for build in cc._builders)
 
 
+@_deferrable(differentials=_fill_differentials)
 @dataclass(frozen=True)
 class CochainComplex:
     """A free complex of finite rank with consecutive differentials composing to zero.
@@ -268,12 +239,14 @@ class CochainComplex:
     ``differentials`` lists d^0, d^1, ... as sparse rows ``{row: {col:
     value}}`` (see ``snf.sparse_invariant_factors``); d^n is ranks[n+1] x
     ranks[n], with 0 rows past the last rank.  A complex that
-    ``cochain_complex`` builds writes each differential from the face table
-    when it is first read.  When the coefficients carry torsion the complex
-    stored here is the mapping cone of the relation inclusion
-    (quasi-isomorphic to the complex of presented groups), which starts one
-    slot below the cochains proper; offset records that shift.  Its top slot
-    is C^{n_max+1} alone, without the relations of degree n_max+2: that
+    ``cochain_complex`` builds holds one builder per differential
+    (``_builders``) instead, and ``sset``'s deferred-field mechanism writes
+    them all from the face table, with nothing cleared, on the first read
+    of ``differentials``; it pickles as its fields.  When the coefficients
+    carry torsion the complex stored here is the mapping cone of the
+    relation inclusion (quasi-isomorphic to the complex of presented
+    groups), which starts one slot below the cochains proper; offset records
+    that shift.  Its top slot is C^{n_max+1} alone, without the relations of degree n_max+2: that
     leaves the kernel of the last differential, and so every group up to
     degree n_max, unchanged (see ``cochain_complex``).  string_counts is
     the underlying string enumeration per cochain degree, 0..n_max+1.
@@ -300,10 +273,10 @@ def cochain_complex(
     arrow's restriction to the zeroth face and alternates signs on the rest.
     The returned complex computes H^0..H^{n_max}.  Strings are enumerated in
     degrees 0..n_max+1 whatever the coefficients, and a degree with more than
-    max_strings strings raises ``CapExceeded``.  f is validated first.  Each
-    differential is written by its builder, with nothing cleared, on first
-    read of ``differentials``; ``_cohomology`` streams the same builders
-    into the kernel instead.
+    max_strings strings raises ``CapExceeded``.  f is validated first.  The
+    differentials are written by their builders, with nothing cleared, on
+    the first read of ``differentials``; ``_cohomology`` streams the same
+    builders into the kernel instead.
     """
     if n_max < 0:
         raise InputError(f"cohomology degree bound {n_max} is negative")
@@ -427,12 +400,13 @@ def _cochain_complex(
         return rows
 
     if not has_torsion:
-        return CochainComplex(
+        return _deferred(
+            CochainComplex,
             ranks=tuple(gen_ranks),
-            differentials=_Written(partial(d_rows, n) for n in range(top)),
             string_counts=string_counts,
             degrees=n_max,
             offset=0,
+            _builders=[partial(d_rows, n) for n in range(top)],
         )
 
     # mapping cone: T^n = C^n (free part) + relations of degree n+1, and
@@ -488,12 +462,13 @@ def _cochain_complex(
     for n in range(n_max + 1):
         ranks.append(gen_ranks[n] + rel_ranks[n + 1])
     ranks.append(gen_ranks[n_max + 1])
-    return CochainComplex(
+    return _deferred(
+        CochainComplex,
         ranks=tuple(ranks),
-        differentials=_Written(partial(cone_rows, n) for n in range(-1, n_max + 1)),
         string_counts=string_counts,
         degrees=n_max,
         offset=1,
+        _builders=[partial(cone_rows, n) for n in range(-1, n_max + 1)],
     )
 
 
@@ -573,24 +548,21 @@ def cohomology_of_complex(cc: CochainComplex) -> list[FgAbelianGroup]:
 def _cohomology(cc: CochainComplex) -> list[FgAbelianGroup]:
     """``cohomology_of_complex`` without the checks.
 
-    A complex that ``cochain_complex`` builds is streamed: each builder is
+    A complex that ``cochain_complex`` builds is streamed, unless its
+    ``differentials`` have been read already: each of its ``_builders`` is
     called once, after the reduction before it, and writes its differential
     without the cleared columns.  Any other complex's rows, and a built
     complex's differentials written already (by the checks of
-    ``cohomology_of_complex``), are handed over without them, so no
-    differential is written twice.  Only the rank of the differential out
-    of the top degree is read, so it is reduced in rank-only mode and
-    nothing above it is reduced at all.
+    ``cohomology_of_complex``), are handed over without them through
+    ``snf._stored``, so no differential is written twice.  Only the rank of
+    the differential out of the top degree is read, so it is reduced in
+    rank-only mode and nothing above it is reduced at all.
     """
     last = cc.degrees + cc.offset
-    diffs = cc.differentials
-    if isinstance(diffs, _Written):
-        builders = [
-            build if rows is None else _stored(rows)
-            for build, rows in zip(diffs.builders, diffs._rows)
-        ]
+    if "differentials" in vars(cc):
+        builders = [_stored(d) for d in cc.differentials]
     else:
-        builders = [_stored(d) for d in diffs]
+        builders = cc._builders
     chain = [
         (build, cc.ranks[n + 1] if n + 1 < len(cc.ranks) else 0, cc.ranks[n])
         for n, build in enumerate(builders[: last + 1])
@@ -616,12 +588,10 @@ def compatible_family_group(c: FiniteCategory, f: AbelianPresheaf) -> FgAbelianG
         raise InputError("coefficients do not live on the category")
     require_valid(validate_abelian_presheaf(f))
     objs = sorted(c.objects)
-    offset = {}
-    pos = 0
-    for x in objs:
-        offset[x] = pos
-        pos += f.group[x].generator_count
-    total = pos
+    *starts, total = accumulate((f.group[x].generator_count for x in objs), initial=0)
+    if total == 0:
+        return TRIVIAL_GROUP
+    offset = dict(zip(objs, starts))
     # rows: one block per non-identity morphism (constraint F(m) a_tgt = a_src)
     rows: list[list[int]] = []
     row_mods: list[int] = []
@@ -639,21 +609,12 @@ def compatible_family_group(c: FiniteCategory, f: AbelianPresheaf) -> FgAbelianG
             row_mods.append(f.group[a].factors[i])
     # kernel of [A | R] where R carries the relation moduli of each constraint row
     rel_cols = [k for k, d in enumerate(row_mods) if d != 0]
-    ncols = total + len(rel_cols)
-    block = []
-    for k, row in enumerate(rows):
-        ext = list(row) + [0] * len(rel_cols)
-        block.append(ext)
+    block = [row + [0] * len(rel_cols) for row in rows]
     for pos_idx, k in enumerate(rel_cols):
         block[k][total + pos_idx] = row_mods[k]
-    if not rows:
-        block = []
-    ker = kernel_basis(matrix(block)) if block else tuple(
-        tuple(1 if i == j else 0 for i in range(total)) for j in range(total)
-    )
-    # project kernel vectors to the section coordinates
-    num_cols = [tuple(v[:total]) for v in ker]
-    num = tuple(tuple(col[i] for col in num_cols) for i in range(total)) if num_cols else tuple(() for _ in range(total))
+    ker = kernel_basis(matrix(block)) if block else identity_matrix(total)
+    # the kernel vectors projected to the section coordinates, as columns
+    num = tuple(zip(*(v[:total] for v in ker))) or ((),) * total
     # denominator: the relation lattice of the degree-0 groups
     den_cols = []
     for x in objs:
@@ -661,10 +622,8 @@ def compatible_family_group(c: FiniteCategory, f: AbelianPresheaf) -> FgAbelianG
             if d != 0:
                 col = [0] * total
                 col[offset[x] + i] = d
-                den_cols.append(tuple(col))
-    den = tuple(tuple(col[i] for col in den_cols) for i in range(total)) if den_cols else tuple(() for _ in range(total))
-    if total == 0:
-        return TRIVIAL_GROUP
+                den_cols.append(col)
+    den = tuple(zip(*den_cols)) or ((),) * total
     return FgAbelianGroup(factors=quotient_invariants(num, den))
 
 

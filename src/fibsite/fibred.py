@@ -430,15 +430,6 @@ def enriched_to_presheaf(fs: FibredSite, x: EnrichedSetDiagram) -> Presheaf:
     return make_presheaf(fs.total, value, action)
 
 
-def presheaf_enriched_roundtrip(
-    fs: FibredSite, x: Presheaf | EnrichedSetDiagram
-) -> Presheaf | EnrichedSetDiagram:
-    """Convert between the two representations (each inverse to the other)."""
-    if isinstance(x, EnrichedSetDiagram):
-        return enriched_to_presheaf(fs, x)
-    return presheaf_to_enriched(fs, x)
-
-
 def constant_enriched_diagram(
     a: PresheafOfCategories, elems: tuple[str, ...] = ("*",)
 ) -> EnrichedSetDiagram:
@@ -499,9 +490,11 @@ def object_restriction(x: EnrichedSetDiagram) -> OverPresheaf:
 
     The result is the over-object form: sections at U are the disjoint union
     of the value sets over the objects of the fibre at U, mapping down to the
-    presheaf of fibre objects.
+    presheaf of fibre objects.  x's base, then x, is validated first.
     """
     a = x.base
+    require_valid(validate_presheaf_of_categories(a))
+    require_valid(validate_enriched(x))
     c = a.site
     base = object_presheaf(a)
     value = {
@@ -537,8 +530,11 @@ def free_enrichment(a: PresheafOfCategories, x0: OverPresheaf) -> EnrichedSetDia
     out of y and e an element of x0 sitting over the target of f; fibre
     morphisms act by precomposition, site restrictions componentwise.  The
     underlying object-presheaf is the pullback of sections against fibre
-    morphisms, placed over the source object.
+    morphisms, placed over the source object.  a, then x0, is validated
+    first.
     """
+    require_valid(validate_presheaf_of_categories(a))
+    require_valid(validate_over_presheaf(x0))
     c = a.site
     if x0.base.value != object_presheaf(a).value:
         raise InputError("over-presheaf does not sit over the fibre objects")
@@ -575,34 +571,6 @@ def free_enrichment(a: PresheafOfCategories, x0: OverPresheaf) -> EnrichedSetDia
     return EnrichedSetDiagram(
         base=a, value=value, cat_action=cat_action, site_action=site_action
     )
-
-
-def enrichment_unit(a: PresheafOfCategories, x0: OverPresheaf) -> dict[str, dict[str, str]]:
-    """Unit x0 -> object_restriction(free_enrichment(x0)), per site object."""
-    out: dict[str, dict[str, str]] = {}
-    for u in a.site.objects:
-        fib = a.value[u]
-        out[u] = {
-            e: pair_name(x0.over[u][e], pair_name(e, fib.identity[x0.over[u][e]]))
-            for e in x0.total.value[u]
-        }
-    return out
-
-
-def enrichment_counit(x: EnrichedSetDiagram) -> dict[tuple[str, str], dict[str, str]]:
-    """Counit free_enrichment(object_restriction(x)) -> x, per (U, y)."""
-    a = x.base
-    out: dict[tuple[str, str], dict[str, str]] = {}
-    for u in a.site.objects:
-        fib = a.value[u]
-        for y in fib.objects:
-            amap = {}
-            for f in fib.out_of(y):
-                tgt = fib.target(f)
-                for e in x.value[(u, tgt)]:
-                    amap[pair_name(pair_name(tgt, e), f)] = x.cat_action[(u, f)][e]
-            out[(u, y)] = amap
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -644,14 +612,6 @@ def validate_morphism_of_presheaves(m: MorphismOfPresheavesOfCategories) -> list
         if lhs.object_map != rhs.object_map or lhs.morphism_map != rhs.morphism_map:
             report.append(f"naturality square fails along {alpha}")
     return report
-
-
-def identity_morphism_of_presheaves(a: PresheafOfCategories) -> MorphismOfPresheavesOfCategories:
-    return MorphismOfPresheavesOfCategories(
-        domain=a,
-        codomain=a,
-        components={u: identity_functor(a.value[u]) for u in a.site.objects},
-    )
 
 
 def restrict_along(

@@ -587,22 +587,6 @@ def validate_set_functor(f: SetValuedFunctor) -> list[str]:
     return report
 
 
-def as_covariant(f: SetValuedFunctor) -> SetValuedFunctor:
-    """View a contravariant diagram as a covariant one on the opposite base.
-
-    The value and action dictionaries carry over unchanged; only the base
-    flips, so colimit and Kan extension code exists once.
-    """
-    if f.variance == COVARIANT:
-        return f
-    return SetValuedFunctor(
-        base=opposite(f.base),
-        variance=COVARIANT,
-        value=dict(f.value),
-        action=dict(f.action),
-    )
-
-
 @dataclass(frozen=True)
 class ColimitCocone:
     """Colimit set of a covariant diagram with its cocone legs."""

@@ -300,19 +300,6 @@ def _hocolim_faces(
     return faces
 
 
-def anchor_from_last(g: Groupoid, sigma, alpha: str) -> str:
-    """Rewrite an anchor at the string's last vertex to one at its first.
-
-    Input anchors alpha: a_n -> y are accepted and normalized to the stored
-    form gamma: a_0 -> y by composing with the inverted string.
-    """
-    gamma = alpha
-    if len(sigma) >= 1 and sigma[0] not in set(g.objects):
-        for arrow in reversed(sigma):
-            gamma = g.compose(gamma, arrow)
-    return gamma
-
-
 def pb(x: OverNerve) -> GroupoidDiagram:
     """Pull a simplicial set over the nerve back to a diagram on the groupoid.
 

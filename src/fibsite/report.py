@@ -86,17 +86,3 @@ def emit_report(r: Report, format: str = "json") -> str:
             lines.append(f"- {key}: {json.dumps(r.payload[key], sort_keys=True)}")
         return "\n".join(lines).rstrip() + "\n"
     raise InputError(f"unknown report format {format!r}")
-
-
-def report_from_json(text: str) -> Report:
-    doc = json.loads(text)
-    if doc.get("schema") != SCHEMA:
-        raise InputError(f"unsupported report schema {doc.get('schema')!r}")
-    return Report(
-        command=doc["command"],
-        inputs=doc["inputs"],
-        options=doc["options"],
-        verdicts=doc["verdicts"],
-        payload=doc["payload"],
-        timings=doc["timings"],
-    )

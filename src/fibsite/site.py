@@ -10,7 +10,6 @@ a fixpoint, and the sheaf condition and the plus construction read L(u).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import CapExceeded, InputError
@@ -393,33 +392,3 @@ def sheafify(f: Presheaf, t: GrothendieckTopology) -> Presheaf:
     if bad:
         raise InputError("presheaf invalid: " + "; ".join(bad))
     return plus_construction(plus_construction(f, t), t)
-
-
-def presheaves_isomorphic(f: Presheaf, g: Presheaf) -> bool:
-    """Sectionwise-bijective natural isomorphism test by backtracking search."""
-    if f.base != g.base:
-        return False
-    c = f.base
-    if any(len(f.value[u]) != len(g.value[u]) for u in c.objects):
-        return False
-    objs = sorted(c.objects)
-
-    def extend(i: int, maps: dict[str, dict[str, str]]) -> bool:
-        if i == len(objs):  # the last assignment checked every arrow
-            return True
-        u = objs[i]
-        fe = sorted(f.value[u])
-        for perm in itertools.permutations(sorted(g.value[u])):
-            maps[u] = dict(zip(fe, perm))
-            natural = all(
-                maps[v][f.act(m, e)] == g.act(m, maps[w][e])
-                for m, (v, w) in c.morphisms.items()
-                if v in maps and w in maps
-                for e in f.value[w]
-            )
-            if natural and extend(i + 1, maps):
-                return True
-            del maps[u]
-        return False
-
-    return extend(0, {})

@@ -13,9 +13,10 @@ rows, so ``_reduce_with_clearing`` reduces a chain of differentials in
 order and streams each into it: a differential is written by its builder
 only after the reduction before it has named its unit-pivot rows, and the
 builder leaves the columns at those rows out (clearing), so no matrix ever
-holds a cleared column.  It also has a rank-only mode, for a differential
-whose factors nobody reads, in which the coreduction also takes non-unit
-entries.
+holds a cleared column.  The kernel itself filters no column: a builder
+does, and ``_stored`` is the builder for rows written already.  It also has
+a rank-only mode, for a differential whose factors nobody reads, in which
+the coreduction also takes non-unit entries.
 """
 
 from __future__ import annotations
@@ -49,33 +50,6 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(
         tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
     )
-
-
-def determinant(a: Matrix) -> int:
-    """Fraction-free Bareiss determinant of a square integer matrix."""
-    n = len(a)
-    if n == 0:
-        return 1
-    if any(len(r) != n for r in a):
-        raise ValueError("determinant of non-square matrix")
-    m = [list(r) for r in a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
 
 
 @dataclass(frozen=True)
@@ -221,7 +195,6 @@ def sparse_invariant_factors(
     pivot_rows: list[int] | None = None,
     *,
     rank_only: bool = False,
-    cleared: Collection[int] = (),
 ) -> tuple[int, list[int]]:
     """(rank, invariant factors) of a sparse integer matrix given as rows.
 
@@ -261,18 +234,16 @@ def sparse_invariant_factors(
     ``d2`` keeps its rank and factors when the columns at these rows are
     left out ("clearing", Chen & Kerber 2011).
 
-    The kernel works on a copy of each row: zeros and the entries in the
-    columns named by ``cleared`` are left out of the copy, so the answer is
-    that of the matrix with those columns set to zero, and ``rows`` itself
-    is never changed.
+    The kernel works on a copy of each row, with its zeros left out, so
+    ``rows`` itself is never changed.  It reduces every column it is given:
+    a caller that clears columns leaves them out of ``rows`` (``_stored``
+    does that for rows written already).
     """
     if rank_only and pivot_rows is not None:
         raise ValueError("a rank-only reduction reports no pivot rows")
     live: dict[int, dict[int, int]] = {}
     for i, row in rows.items():
-        if cleared:
-            row = {j: v for j, v in row.items() if v and j not in cleared}
-        elif 0 in row.values():
+        if 0 in row.values():
             row = {j: v for j, v in row.items() if v}
         else:
             row = row.copy()
@@ -406,8 +377,11 @@ def _signed_row(
 
 
 def _stored(rows: Rows) -> Builder:
-    """A builder for rows written already: it leaves the cleared columns,
-    and a row left with no entry, out of a copy."""
+    """A builder for rows written already, and the one column filter.
+
+    It leaves the cleared columns, and a row left with no entry, out of a
+    copy; with nothing cleared it returns ``rows`` itself.
+    """
 
     def build(cleared: Collection[int]) -> Rows:
         if not cleared:

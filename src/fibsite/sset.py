@@ -61,8 +61,9 @@ class _DeferredField:
     """A dataclass field that a library builder leaves to be written on first read.
 
     ``_deferred(cls, **given)`` makes an instance that holds only the given
-    fields and its integer level (``_integer_level``, ``_action_ids``),
-    from which ``fill(obj)`` writes the missing fields.  An instance's own
+    fields and the private views ``fill(obj)`` writes the missing fields
+    from: a set's or map's integer level (``_integer_level``,
+    ``_action_ids``), or a cochain complex's builders (``cohom``).  An instance's own
     value always wins over this class-level descriptor, so only the first
     read of a missing field reaches it; that runs its fill, which sets the
     fields it writes and leaves the others missing.  Equality, repr,
@@ -83,8 +84,8 @@ class _DeferredField:
 
 
 def _reduce_to_fields(obj):
-    # the fields only: level generators cannot be pickled, and all of them
-    # are rebuilt on demand
+    # the fields only: level generators and builders cannot be pickled, and
+    # all of them are rebuilt on demand
     return type(obj), tuple(getattr(obj, f) for f in obj.__dataclass_fields__)
 
 
@@ -163,15 +164,6 @@ class TruncatedSimplicialSet:
 
     def degeneracy(self, n: int, i: int, x: Token) -> Token:
         return self.degeneracies[(n, i)][x]
-
-    def degenerate(self, n: int) -> frozenset:
-        """Simplices of degree n in the image of some degeneracy."""
-        if n == 0:
-            return frozenset()
-        out = set()
-        for i in range(n):
-            out.update(self.degeneracies[(n - 1, i)].values())
-        return frozenset(out)
 
     def nondegenerate(self, n: int) -> tuple:
         """Degree-n simplices outside every degeneracy image, in table order."""

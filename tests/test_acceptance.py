@@ -78,8 +78,9 @@ from fibsite.site import (
     sheafify,
     verify_topology,
 )
-from fibsite.snf import determinant, identity_matrix, matmul, matrix, smith_normal_form
+from fibsite.snf import identity_matrix, matmul, matrix, smith_normal_form
 from fibsite.sset import interchange_comparison, standard_simplex, we_evidence
+from helpers import determinant
 
 BUNDLES = Path(__file__).resolve().parents[1] / "bundles"
 SHIPPED = ["pt_z2.bundle", "chain_cover.bundle", "e2_collapse.bundle", "product_cj.bundle"]

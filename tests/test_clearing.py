@@ -51,7 +51,7 @@ def reduce_with_clearing(chain):
         kept = without(rows, cleared)
         assert snf._stored(rows)(cleared) == kept
         pivots: list[int] = []
-        got = sparse_invariant_factors(rows, nrows, ncols, pivots, cleared=cleared)
+        got = sparse_invariant_factors(snf._stored(rows)(cleared), nrows, ncols, pivots)
         # skipping the cleared columns is leaving them out of the rows
         assert got == sparse_invariant_factors(kept, nrows, ncols)
         assert got == sparse_invariant_factors(rows, nrows, ncols)
@@ -196,10 +196,10 @@ def test_homology_hands_the_kernel_cleared_coboundaries(monkeypatch):
     calls, dense = [], []
     sparse, diagonal = snf.sparse_invariant_factors, snf.snf_diagonal
 
-    def record(rows, nrows, ncols, pivot_rows=None, *, rank_only=False, cleared=()):
+    def record(rows, nrows, ncols, pivot_rows=None, *, rank_only=False):
         nnz = sum(len(row) for row in rows.values())
-        out = sparse(rows, nrows, ncols, pivot_rows, rank_only=rank_only, cleared=cleared)
-        calls.append((nrows, ncols, nnz, set(cleared), list(pivot_rows), rows))
+        out = sparse(rows, nrows, ncols, pivot_rows, rank_only=rank_only)
+        calls.append((nrows, ncols, nnz, list(pivot_rows), rows))
         return out
 
     monkeypatch.setattr(snf, "sparse_invariant_factors", record)
@@ -209,16 +209,16 @@ def test_homology_hands_the_kernel_cleared_coboundaries(monkeypatch):
     assert [c[:3] for c in calls] == [
         (45, 9, 90), (171, 45, 407), (558, 171, 1608), (1656, 558, 5512)
     ]
-    # the builder, not the kernel, leaves the cleared columns out: each
-    # matrix is the full coboundary without the columns at the pivot rows
-    # of the one before it, and without the rows that leaves empty
-    assert all(c[3] == set() for c in calls)
-    assert calls[0][5] == full[1]
+    # the builder leaves the cleared columns out (the kernel takes no
+    # column filter): each matrix is the full coboundary without the
+    # columns at the pivot rows of the one before it, and without the rows
+    # that leaves empty
+    assert calls[0][4] == full[1]
     for n, (before, after) in enumerate(zip(calls, calls[1:]), start=2):
-        assert after[5] == without(full[n], set(before[4]))
+        assert after[4] == without(full[n], set(before[3]))
     # unit pivots take every rank, so d_4^T skips rank d_3 = 134 columns,
     # and nothing reaches the dense Smith routine
-    assert [len(c[4]) for c in calls] == [8, 37, 134, 424]
+    assert [len(c[3]) for c in calls] == [8, 37, 134, 424]
     assert dense == []
 
 
@@ -511,14 +511,14 @@ def test_string_kernel_matches_brute_force(c, top, normalized, cap):
 
 
 def streamed(run):
-    """run(), with every kernel call recorded as (rows, shape, cleared,
-    pivot_rows, rank_only)."""
+    """run(), with every kernel call recorded as (rows, shape, pivot_rows,
+    rank_only)."""
     calls = []
     kernel = snf.sparse_invariant_factors
 
-    def record(rows, nrows, ncols, pivot_rows=None, *, rank_only=False, cleared=()):
-        out = kernel(rows, nrows, ncols, pivot_rows, rank_only=rank_only, cleared=cleared)
-        calls.append((rows, (nrows, ncols), set(cleared), pivot_rows, rank_only))
+    def record(rows, nrows, ncols, pivot_rows=None, *, rank_only=False):
+        out = kernel(rows, nrows, ncols, pivot_rows, rank_only=rank_only)
+        calls.append((rows, (nrows, ncols), pivot_rows, rank_only))
         return out
 
     with mock.patch.object(snf, "sparse_invariant_factors", record):
@@ -530,13 +530,12 @@ def assert_streamed_as_full_without_pivot_columns(calls, full):
     """full: (rows, nrows, ncols) of every matrix, built with nothing
     cleared, in reduction order.  Each streamed matrix must be its full
     matrix without the columns at the unit-pivot rows of the one before it
-    (and without the rows that leaves empty), and the kernel is asked to
-    skip nothing itself."""
+    (and without the rows that leaves empty); the kernel takes no column
+    filter of its own."""
     assert len(calls) == len(full)
     cleared: set[int] = set()
-    for (rows, shape, skip, pivots, rank_only), (want, nrows, ncols) in zip(calls, full):
+    for (rows, shape, pivots, rank_only), (want, nrows, ncols) in zip(calls, full):
         assert shape == (nrows, ncols)
-        assert skip == set()
         assert rows == without(want, cleared)
         assert all(row and 0 not in row.values() for row in rows.values())
         cleared = set(pivots) if not rank_only else set()

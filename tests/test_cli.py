@@ -18,11 +18,25 @@ from fibsite.bundle import (
 )
 from fibsite import cli
 from fibsite.cli import run
-from fibsite.report import Report, emit_report, report_from_json
+from fibsite.report import SCHEMA, Report, emit_report
 from fibsite.sampling import random_poset_site, random_topology
 from fibsite.site import maximal_sieve
 
 BUNDLES = Path(__file__).resolve().parents[1] / "bundles"
+
+
+def report_from_json(text: str) -> Report:
+    """The report a JSON document holds, read back for the round-trip test."""
+    doc = json.loads(text)
+    assert doc["schema"] == SCHEMA
+    return Report(
+        command=doc["command"],
+        inputs=doc["inputs"],
+        options=doc["options"],
+        verdicts=doc["verdicts"],
+        payload=doc["payload"],
+        timings=doc["timings"],
+    )
 SHIPPED = [
     "pt_z2.bundle",
     "chain_cover.bundle",

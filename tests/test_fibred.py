@@ -9,7 +9,6 @@ from fibsite.fincat import (
     COVARIANT,
     Functor,
     SetValuedFunctor,
-    as_covariant,
     codiscrete_groupoid,
     colim_set,
     comma_data,
@@ -36,8 +35,6 @@ from fibsite.fibred import (
     constant_enriched_diagram,
     constant_presheaf_of_categories,
     enriched_to_presheaf,
-    enrichment_counit,
-    enrichment_unit,
     free_enrichment,
     grothendieck_construct,
     induced_topology,
@@ -76,6 +73,35 @@ from fibsite.site import (
     trivial_topology,
     verify_topology,
 )
+from helpers import as_covariant, identity_morphism_of_presheaves
+
+
+def enrichment_unit(a, x0):
+    """Unit x0 -> object_restriction(free_enrichment(x0)), per site object."""
+    out = {}
+    for u in a.site.objects:
+        fib = a.value[u]
+        out[u] = {
+            e: pair_name(x0.over[u][e], pair_name(e, fib.identity[x0.over[u][e]]))
+            for e in x0.total.value[u]
+        }
+    return out
+
+
+def enrichment_counit(x):
+    """Counit free_enrichment(object_restriction(x)) -> x, per (U, y)."""
+    a = x.base
+    out = {}
+    for u in a.site.objects:
+        fib = a.value[u]
+        for y in fib.objects:
+            amap = {}
+            for f in fib.out_of(y):
+                tgt = fib.target(f)
+                for e in x.value[(u, tgt)]:
+                    amap[pair_name(pair_name(tgt, e), f)] = x.cat_action[(u, f)][e]
+            out[(u, y)] = amap
+    return out
 
 
 class TestConstruction:
@@ -463,8 +489,6 @@ class TestRestrictionKan:
 
     def test_restrict_along_identity(self, chain2, z2):
         a = constant_presheaf_of_categories(chain2, z2)
-        from fibsite.fibred import identity_morphism_of_presheaves
-
         x = constant_enriched_diagram(a, ("0", "1"))
         assert restrict_along(identity_morphism_of_presheaves(a), x) == x
 
@@ -677,8 +701,6 @@ class TestSpecEdgeExamples:
             )
 
     def test_left_kan_along_identity_is_isomorphism(self, chain2, z2):
-        from fibsite.fibred import identity_morphism_of_presheaves
-
         a = constant_presheaf_of_categories(chain2, z2)
         y = constant_enriched_diagram(a, ("p", "q"))
         m = identity_morphism_of_presheaves(a)
@@ -693,7 +715,7 @@ class TestSpecEdgeExamples:
 def test_roundtrip_on_ambiguous_identifier_construction(chain2, e2, pt):
     # restrictions not injective on objects force the three-component
     # morphism ids; the equivalence must still round-trip exactly
-    from fibsite.fibred import PresheafOfCategories, presheaf_enriched_roundtrip
+    from fibsite.fibred import PresheafOfCategories
     from fibsite.site import coproduct_presheaf, representable_presheaf, constant_presheaf
 
     collapse = Functor(
@@ -718,7 +740,7 @@ def test_roundtrip_on_ambiguous_identifier_construction(chain2, e2, pt):
         ],
         ["y", "k"],
     )
-    enr = presheaf_enriched_roundtrip(fs, f)
+    enr = presheaf_to_enriched(fs, f)
     assert validate_enriched(enr) == []
-    back = presheaf_enriched_roundtrip(fs, enr)
+    back = enriched_to_presheaf(fs, enr)
     assert back == f

@@ -8,7 +8,6 @@ from fibsite.fincat import (
     FiniteCategory,
     Functor,
     SetValuedFunctor,
-    as_covariant,
     automorphism_group,
     build_category,
     codiscrete_groupoid,
@@ -36,6 +35,7 @@ from fibsite.fincat import (
     validate_set_functor,
 )
 from fibsite.sampling import random_groupoid, random_poset_site, random_presheaf
+from helpers import as_covariant
 
 
 def one_point_diagram(base):
@@ -492,7 +492,6 @@ def test_string_vertex_follows_the_degree(chain3):
 
 
 def test_as_covariant_flips_base(chain2):
-    from fibsite.fincat import as_covariant
     from fibsite.site import representable_presheaf
 
     f = representable_presheaf(chain2, "U")

@@ -15,7 +15,6 @@ from fibsite.fincat import cyclic_groupoid, opposite, poset_chain
 from fibsite.hocopb import (
     GroupoidDiagram,
     OverNerve,
-    anchor_from_last,
     check_triangles,
     counit_epsilon,
     enriched_counit,
@@ -111,15 +110,6 @@ class TestPb:
         p = pb(x)
         for n in range(4):
             assert len(p.value["*"].simplices[n]) == len(x.total.simplices[n])
-
-    def test_anchor_normalization(self, z2):
-        nz = nerve(z2, 3)
-        sigma = ("r1", "r1")
-        # anchor at the last vertex rewrites to the first by inverting arrows
-        assert anchor_from_last(z2, sigma, "id_*") == "id_*"
-        assert anchor_from_last(z2, sigma, "r1") == "r1"
-        sigma1 = ("r1",)
-        assert anchor_from_last(z2, sigma1, "id_*") == "r1"
 
 
 class TestUnitCounit:

@@ -12,6 +12,7 @@ rule: a malformed input raises ``InputError``, never ``KeyError``.
 """
 
 import contextlib
+import dataclasses
 import io
 import random
 import re
@@ -23,8 +24,14 @@ from hypothesis import strategies as st
 
 from fibsite import hocopb
 from fibsite.cli import COMMANDS, run
-from fibsite.errors import InputError
-from fibsite.fincat import cyclic_groupoid
+from fibsite.errors import InputError, ValidationFailure
+from fibsite.fibred import (
+    constant_enriched_diagram,
+    constant_presheaf_of_categories,
+    free_enrichment,
+    object_restriction,
+)
+from fibsite.fincat import cyclic_groupoid, poset_chain, terminal_category
 from fibsite.sampling import random_diagram, random_over_nerve
 
 BUNDLES = Path(__file__).resolve().parents[1] / "bundles"
@@ -142,3 +149,27 @@ def test_pb_reports_a_total_missing_a_degeneracy_entry():
     _drop_one_entry(x.total.degeneracies[(1, 0)])
     with pytest.raises(InputError, match="degeneracy maps in degree 1 lack"):
         hocopb.pb(x)
+
+
+@pytest.mark.parametrize("over", ["outside", "empty"])
+def test_free_enrichment_refuses_a_structure_map_off_the_base(over):
+    # every element over a fibre object the base does not hold, or over
+    # nothing at all: the first once gave all-empty values, the second a
+    # KeyError
+    a = constant_presheaf_of_categories(terminal_category(), cyclic_groupoid(2))
+    x0 = object_restriction(constant_enriched_diagram(a, ("0", "1")))
+    broken = {
+        u: {e: "zz" for e in fib} if over == "outside" else {} for u, fib in x0.over.items()
+    }
+    with pytest.raises(ValidationFailure, match="structure map at"):
+        free_enrichment(a, dataclasses.replace(x0, over=broken))
+
+
+def test_object_restriction_refuses_a_site_action_off_its_values():
+    # the site action along U0 -> U1 sends e to an element U0 does not hold;
+    # unchecked, the over-presheaf's action escaped its value set
+    a = constant_presheaf_of_categories(poset_chain(["U0", "U1"]), terminal_category())
+    x = constant_enriched_diagram(a, ("e",))
+    site_action = {**x.site_action, ("a_U0_U1", "*"): {"e": "zz"}}
+    with pytest.raises(ValidationFailure, match="wrong codomain"):
+        object_restriction(dataclasses.replace(x, site_action=site_action))

@@ -25,7 +25,6 @@ from fibsite.site import (
     matching_families,
     maximal_sieve,
     plus_construction,
-    presheaves_isomorphic,
     pullback_sieve,
     representable_presheaf,
     restrict_family,
@@ -36,6 +35,7 @@ from fibsite.site import (
     validate_sieve,
     verify_topology,
 )
+from topology_oracles import presheaves_isomorphic
 
 
 BUNDLES = Path(__file__).resolve().parents[1] / "bundles"

@@ -18,7 +18,6 @@ from fibsite.cohom import (
 )
 from fibsite.fincat import codiscrete_groupoid, cyclic_groupoid, poset_chain
 from fibsite.snf import (
-    determinant,
     identity_matrix,
     kernel_basis,
     lattice_basis,
@@ -31,6 +30,7 @@ from fibsite.snf import (
     solve_in_lattice,
     sparse_invariant_factors,
 )
+from helpers import determinant
 
 matrices = st.integers(1, 6).flatmap(
     lambda nr: st.integers(1, 6).flatmap(
@@ -296,7 +296,8 @@ def test_kernel_load_skips_zeros_and_cleared_columns_and_never_changes_entries(c
     dense = snf_diagonal(as_dense(kept, nrows, ncols))
     pivots: list[int] = []
     kept_pivots: list[int] = []
-    assert sparse_invariant_factors(rows, nrows, ncols, pivots, cleared=cleared) == (
+    stored = snf._stored(rows)(cleared)
+    assert sparse_invariant_factors(stored, nrows, ncols, pivots) == (
         len(dense),
         dense,
     )
@@ -304,7 +305,7 @@ def test_kernel_load_skips_zeros_and_cleared_columns_and_never_changes_entries(c
     # the load drops zeros and cleared entries before building anything, so
     # the reduction of the rest runs exactly as on the matrix without them
     assert pivots == kept_pivots
-    assert sparse_invariant_factors(rows, nrows, ncols, rank_only=True, cleared=cleared) == (
+    assert sparse_invariant_factors(stored, nrows, ncols, rank_only=True) == (
         len(dense),
         [],
     )
@@ -325,7 +326,7 @@ def test_kernel_never_changes_its_input(case):
             for _ in range(2):
                 pivots = None if rank_only else []
                 got = sparse_invariant_factors(
-                    rows, nrows, ncols, pivots, rank_only=rank_only, cleared=skip
+                    snf._stored(rows)(skip), nrows, ncols, pivots, rank_only=rank_only
                 )
                 answers.append((got, pivots))
                 assert rows == before
@@ -350,24 +351,24 @@ def test_cut_cone_sends_no_dense_leftover_from_its_last_differential(monkeypatch
     sparse = snf.sparse_invariant_factors
     last: list[tuple] = []
 
-    def record(rows, nrows, ncols, pivot_rows=None, *, rank_only=False, cleared=()):
+    def record(rows, nrows, ncols, pivot_rows=None, *, rank_only=False):
         if rank_only:
-            last.append(((rows, nrows, ncols), cleared))
-        return sparse(rows, nrows, ncols, pivot_rows, rank_only=rank_only, cleared=cleared)
+            last.append((rows, nrows, ncols))
+        return sparse(rows, nrows, ncols, pivot_rows, rank_only=rank_only)
 
     monkeypatch.setattr(snf, "sparse_invariant_factors", record)
     for normalized, full_leftover in ((True, 32), (False, 182)):
         last.clear()
         h = cohom._cohomology(cochain_complex(e3, f, 3, normalized))
         assert [x.factors for x in h] == [(4, 0), (), (), ()]
-        ((top, cleared),) = last
+        (top,) = last
         # the same matrix in both modes, counting the rows that reach the
         # dense routine without reducing them
         leftover: list[int] = []
         with monkeypatch.context() as mp:
             mp.setattr(snf, "snf_diagonal", lambda m: leftover.append(len(m)) or [])
-            sparse(*top, rank_only=True, cleared=cleared)
-            sparse(*top, cleared=cleared)
+            sparse(*top, rank_only=True)
+            sparse(*top)
         assert leftover == [full_leftover]
 
 

@@ -5,7 +5,11 @@ topology as its least covers: each works on an explicit set of covering
 sieves per object, and lists every sieve on every object, so they cost time
 exponential in the site.  The tests compare the library against them on
 small sites, passing ``listed(t)`` for a library topology t.
+``presheaves_isomorphic`` is the sheafification tests' oracle: a search for
+a natural isomorphism, section by section.
 """
+
+import itertools
 
 from fibsite.errors import InputError
 from fibsite.fibred import preimage_sieve
@@ -131,3 +135,33 @@ def oracle_is_sheaf(f, covers):
                     detail=f"matching family {sorted(missing)[0]} has no amalgamation",
                 )
     return SheafVerdict(ok=True)
+
+
+def presheaves_isomorphic(f, g) -> bool:
+    """Sectionwise-bijective natural isomorphism test by backtracking search."""
+    if f.base != g.base:
+        return False
+    c = f.base
+    if any(len(f.value[u]) != len(g.value[u]) for u in c.objects):
+        return False
+    objs = sorted(c.objects)
+
+    def extend(i: int, maps: dict[str, dict[str, str]]) -> bool:
+        if i == len(objs):  # the last assignment checked every arrow
+            return True
+        u = objs[i]
+        fe = sorted(f.value[u])
+        for perm in itertools.permutations(sorted(g.value[u])):
+            maps[u] = dict(zip(fe, perm))
+            natural = all(
+                maps[v][f.act(m, e)] == g.act(m, maps[w][e])
+                for m, (v, w) in c.morphisms.items()
+                if v in maps and w in maps
+                for e in f.value[w]
+            )
+            if natural and extend(i + 1, maps):
+                return True
+            del maps[u]
+        return False
+
+    return extend(0, {})
