@@ -510,7 +510,7 @@ def _check_shape(cc: CochainComplex) -> None:
                     )
 
 
-def _check_dd_zero(ranks: tuple[int, ...], diffs: Sequence[Rows]) -> None:
+def _check_dd_zero(diffs: Sequence[Rows]) -> None:
     """Exact d^{n+1} d^n = 0, one row of the product at a time."""
     for n in range(len(diffs) - 1):
         lower = diffs[n]
@@ -541,7 +541,7 @@ def cohomology_of_complex(cc: CochainComplex) -> list[FgAbelianGroup]:
     pass by construction, and the library's own callers skip the checks.
     """
     _check_shape(cc)
-    _check_dd_zero(cc.ranks, cc.differentials)
+    _check_dd_zero(cc.differentials)
     return _cohomology(cc)
 
 

@@ -805,10 +805,12 @@ def enriched_unit(y: EnrichedOverNerve) -> dict[str, SimplicialMap]:
 def enriched_counit(
     x: EnrichedGroupoidDiagram, d: int
 ) -> dict[tuple[str, str], SimplicialMap]:
-    """Per-section counits, indexed by (U, fibre object).
-
-    Each section is validated by ``hocolim`` before the first build from it.
+    """Per-section counits, indexed by (U, fibre object), at the truncation
+    of x's values, which d must equal.  Each section is validated by
+    ``hocolim`` before the first build from it.
     """
+    if any(v.dim != d for v in x.value.values()):
+        raise InputError(f"the counit is computed at the values' truncation, not at {d}")
     out: dict[tuple[str, str], SimplicialMap] = {}
     for u in x.base.site.objects:
         eps = counit_epsilon(section_diagram(x, u))

@@ -5,12 +5,14 @@ fixed instance.  Groupoids are disjoint unions of connected blocks with
 cyclic automorphism groups; sites are saturated poset topologies; presheaves
 of categories come from constant fibres or translation categories of
 diagrams of presheaves, which are functorial by construction; over-objects
-are unions of standard simplices attached to nerve strings.
+are unions of standard simplices attached to nerve strings.  Diagrams are
+built on integer levels (see ``sset``), so a draw writes no dict until read.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import accumulate
 
 from .fibred import (
     MorphismOfPresheavesOfCategories,
@@ -24,10 +26,13 @@ from .fincat import (
     FiniteCategory,
     Functor,
     Groupoid,
+    build_category,
     codiscrete_groupoid,
     cyclic_groupoid,
+    discrete_category,
     disjoint_union_groupoid,
     identity_functor,
+    opposite,
     pair_name,
     poset_chain,
     product_category,
@@ -47,6 +52,9 @@ from .site import (
 from .sset import (
     SimplicialMap,
     TruncatedSimplicialSet,
+    _action_ids,
+    _deferred,
+    _level_cells,
     disjoint_union_ssets,
     identity_simplicial_map,
     nerve,
@@ -64,8 +72,6 @@ def small_category(name: str) -> FiniteCategory:
     if name == "chain3":
         return poset_chain(["x", "y", "z"])
     if name == "disc2":
-        from .fincat import discrete_category
-
         return discrete_category(["x", "y"])
     if name == "z2":
         return cyclic_groupoid(2)
@@ -107,8 +113,6 @@ def random_poset_site(rng: random.Random, max_objects: int = 3) -> FiniteCategor
         for v in below[u]:
             for w in below[v]:
                 compose[(arrow(v, w), arrow(u, v))] = arrow(u, w)
-    from .fincat import build_category
-
     return build_category(names, arrows, compose)
 
 
@@ -272,32 +276,37 @@ def _product_groupoid(a: Groupoid, b: Groupoid) -> Groupoid:
 
 
 def orbit_diagram(g: Groupoid, y0: str, k: TruncatedSimplicialSet) -> GroupoidDiagram:
-    """The free diagram on one value: copies of k indexed by arrows out of y0."""
+    """The free diagram on one value: copies of k indexed by arrows out of y0.
+
+    The value at y unions the copies tagged by hom(y0, y), and m sends the
+    copy at h to the copy at m h."""
     d = k.dim
     value: dict[str, TruncatedSimplicialSet] = {}
     for y in sorted(g.objects):
-        pieces = [k for _ in g.hom(y0, y)]
         tags = list(g.hom(y0, y))
-        if pieces:
-            value[y], _ = disjoint_union_ssets(pieces, tags)
-        else:
-            value[y] = TruncatedSimplicialSet(
-                dim=d,
-                simplices=tuple(frozenset() for _ in range(d + 1)),
-                faces={(n, i): {} for n in range(1, d + 1) for i in range(n + 1)},
-                degeneracies={(n, i): {} for n in range(d) for i in range(n + 1)},
-            )
+        value[y] = disjoint_union_ssets([k] * len(tags), tags)[0] if tags else _deferred(
+            TruncatedSimplicialSet, dim=d, _int=[([], [], []) for _ in range(d + 1)]
+        )
     action = {}
     for m, (s, t) in g.morphisms.items():
-        action[m] = SimplicialMap(
-            domain=value[s],
-            codomain=value[t],
-            components=tuple(
-                {(h, x): (g.compose(m, h), x) for (h, x) in value[s].simplices[n]}
-                for n in range(d + 1)
-            ),
-        )
+        place = {h: j for j, h in enumerate(g.hom(y0, t))}
+        moves = [(None, place[g.compose(m, h)]) for h in g.hom(y0, s)]
+        ids = _block_ids([k] * len(place), moves, d)
+        action[m] = _deferred(SimplicialMap, domain=value[s], codomain=value[t], _int_levels=ids)
     return GroupoidDiagram(base=g, value=value, action=action)
+
+
+def _block_ids(targets: list[TruncatedSimplicialSet], moves: list[tuple], d: int):
+    """Per degree, the integer action of a map of disjoint unions: block i
+    goes into block j of the union of targets by f, where (f, j) = moves[i]
+    and f = None is the identity."""
+    for n in range(d + 1):
+        starts = list(accumulate((len(_level_cells(t, n)[0]) for t in targets), initial=0))
+        ids: list[int] = []
+        for f, j in moves:
+            own = range(starts[j + 1] - starts[j]) if f is None else _action_ids(f, n)
+            ids.extend([starts[j] + i for i in own])
+        yield ids
 
 
 def constant_diagram(g: Groupoid, k: TruncatedSimplicialSet) -> GroupoidDiagram:
@@ -311,21 +320,15 @@ def constant_diagram(g: Groupoid, k: TruncatedSimplicialSet) -> GroupoidDiagram:
 def disjoint_union_diagrams(
     parts: list[GroupoidDiagram], tags: list[str]
 ) -> GroupoidDiagram:
+    """The valuewise union; each part acts on its own block."""
     g = parts[0].base
     d = next(iter(parts[0].value.values())).dim
-    value = {}
-    for y in g.objects:
-        value[y], _ = disjoint_union_ssets([p.value[y] for p in parts], tags)
+    value = {y: disjoint_union_ssets([p.value[y] for p in parts], tags)[0] for y in g.objects}
     action = {}
     for m, (s, t) in g.morphisms.items():
-        comps = []
-        for n in range(d + 1):
-            cm = {}
-            for tag, p in zip(tags, parts):
-                for x in p.value[s].simplices[n]:
-                    cm[(tag, x)] = (tag, p.action[m].apply(n, x))
-            comps.append(cm)
-        action[m] = SimplicialMap(domain=value[s], codomain=value[t], components=tuple(comps))
+        moves = [(p.action[m], j) for j, p in enumerate(parts)]
+        ids = _block_ids([p.value[t] for p in parts], moves, d)
+        action[m] = _deferred(SimplicialMap, domain=value[s], codomain=value[t], _int_levels=ids)
     return GroupoidDiagram(base=g, value=value, action=action)
 
 
@@ -446,8 +449,6 @@ def random_enriched_diagram(
     rng: random.Random, site: FiniteCategory, d: int, max_group: int = 3
 ) -> EnrichedGroupoidDiagram:
     """A seeded enriched diagram over a constant presheaf of groupoids."""
-    from .fincat import opposite
-
     base_groupoid = random_groupoid(rng, max_objects=2, max_group=max_group)
     g = constant_presheaf_of_categories(site, base_groupoid)
     diag = random_diagram(rng, opposite(base_groupoid), d)
@@ -458,8 +459,6 @@ def random_enriched_over_nerve(
     rng: random.Random, site: FiniteCategory, d: int, max_group: int = 3
 ) -> EnrichedOverNerve:
     """A seeded enriched over-object with constant site actions."""
-    from .fincat import opposite
-
     base_groupoid = random_groupoid(rng, max_objects=2, max_group=max_group)
     g = constant_presheaf_of_categories(site, base_groupoid)
     x = random_over_nerve(rng, opposite(base_groupoid), d)

@@ -7,26 +7,29 @@ bisimplicial set reuses the nerve's face and degeneracy maps, reindexed by
 bidegree.  Each set has an integer level (``_integer_level``): every simplex
 with its degeneracy mask and integer face ids; each map has an integer
 action (``_action_ids``).  For every set and map the library builds (nerves,
-and ``hocopb``'s hocolim and pb values with their maps) the builder supplies
-that level, and it is the one source of truth: one generic fill per field
+standard simplices, disjoint unions and their injections, ``hocopb``'s
+hocolim and pb values, ``sampling``'s diagrams) the builder supplies that
+level, and it is the one source of truth: one generic fill per field
 (``_fill_simplices``, ``_fill_maps``, ``_fill_components``) writes the
-public dicts from it on first read.  A set or map that a caller passes in as
-dicts has its level read off them, once (``_levels_from_dicts``).  Homology
-and path components read one normalized table per set (``simplex_table``):
-per degree the nondegenerate simplices in a fixed order and their face ids,
-with None for a degenerate face.  It is the level's simplices of mask 0
-unless the builder supplies it directly.  Homology runs over the normalized
-integer chain complex through the exact Smith-form kernel.
+public dicts from it on first read, so a set nobody reads writes none.  A
+set or map a caller passes in as dicts has its level read off them, once
+(``_levels_from_dicts``).  Homology and path components read one
+normalized table per set (``simplex_table``): per degree the nondegenerate
+simplices in a fixed order and their face ids, with None for a degenerate
+face.  It is the level's simplices of mask 0 unless the builder supplies it
+directly.  Homology runs over the normalized integer chain complex through
+the exact Smith-form kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, islice
+from functools import lru_cache, partial
+from itertools import combinations_with_replacement, compress, islice, repeat
 from operator import itemgetter
 from typing import Hashable
 
-from .errors import InputError
+from .errors import InputError, require_valid
 from .fincat import (
     FiniteCategory,
     Functor,
@@ -158,12 +161,6 @@ class TruncatedSimplicialSet:
     simplices: tuple[frozenset, ...]
     faces: dict[tuple[int, int], dict]
     degeneracies: dict[tuple[int, int], dict]
-
-    def face(self, n: int, i: int, x: Token) -> Token:
-        return self.faces[(n, i)][x]
-
-    def degeneracy(self, n: int, i: int, x: Token) -> Token:
-        return self.degeneracies[(n, i)][x]
 
     def nondegenerate(self, n: int) -> tuple:
         """Degree-n simplices outside every degeneracy image, in table order."""
@@ -354,70 +351,70 @@ def nerve_map(f: Functor, d: int) -> SimplicialMap:
     return SimplicialMap(domain=dom, codomain=cod, components=tuple(comps))
 
 
-def standard_simplex(k: int, d: int) -> TruncatedSimplicialSet:
-    """The k-simplex, truncated at d; tokens are monotone vertex tuples."""
-    import itertools
-
-    simplices = []
+@lru_cache(maxsize=64)
+def _simplex_level(k: int, d: int) -> tuple:
+    """The integer level of the k-simplex truncated at d, shared read-only."""
+    levels, index = [], {}
     for n in range(d + 1):
-        simplices.append(
-            frozenset(
-                tuple(t)
-                for t in itertools.combinations_with_replacement(range(k + 1), n + 1)
-            )
-        )
-    faces = {}
-    for n in range(1, d + 1):
-        for i in range(n + 1):
-            faces[(n, i)] = {t: t[:i] + t[i + 1 :] for t in simplices[n]}
-    degeneracies = {}
-    for n in range(0, d):
-        for i in range(n + 1):
-            degeneracies[(n, i)] = {t: t[: i + 1] + t[i:] for t in simplices[n]}
-    return TruncatedSimplicialSet(
-        dim=d, simplices=tuple(simplices), faces=faces, degeneracies=degeneracies
-    )
+        tokens = list(combinations_with_replacement(range(k + 1), n + 1))
+        masks = [sum(1 << i for i in range(n) if t[i] == t[i + 1]) for t in tokens]
+        # face i drops vertex i; degree 0 has no faces
+        faces = [tuple([index[t[:i] + t[i + 1 :]] for i in range(n + 1)]) for t in tokens if n]
+        levels.append((tokens, masks, faces))
+        index = {t: j for j, t in enumerate(tokens)}
+    return tuple(levels)
+
+
+def standard_simplex(k: int, d: int) -> TruncatedSimplicialSet:
+    """The k-simplex, truncated at d; tokens are monotone vertex tuples.
+
+    Its integer level lists them in lexicographic order, and a tuple lies in
+    the image of s_i when its vertices i and i+1 agree.  The level is built
+    once per (k, d), and each instance gets a fresh list of it.
+    """
+    return _deferred(TruncatedSimplicialSet, dim=d, _int=list(_simplex_level(k, d)))
 
 
 def disjoint_union_ssets(
     pieces: list[TruncatedSimplicialSet], tags: list[str]
 ) -> tuple[TruncatedSimplicialSet, list[SimplicialMap]]:
-    """Coproduct with tagged tokens, plus the injection maps."""
+    """Coproduct with tagged tokens, plus the injection maps.
+
+    The union's integer level is its pieces' in order: (tag, x) for each x,
+    with x's mask and x's face ids shifted by its piece's start, and an
+    injection's ids are a range.  A piece holding dicts (a caller's) is
+    validated first, raising ``ValidationFailure``; a library one is trusted.
+    """
     d = pieces[0].dim
     if any(p.dim != d for p in pieces):
         raise InputError("pieces have different truncations")
-    simplices = tuple(
-        frozenset((tag, x) for p, tag in zip(pieces, tags) for x in p.simplices[n])
-        for n in range(d + 1)
-    )
-    faces = {}
-    for n in range(1, d + 1):
-        for i in range(n + 1):
-            faces[(n, i)] = {
-                (tag, x): (tag, p.face(n, i, x))
-                for p, tag in zip(pieces, tags)
-                for x in p.simplices[n]
-            }
-    degeneracies = {}
-    for n in range(0, d):
-        for i in range(n + 1):
-            degeneracies[(n, i)] = {
-                (tag, x): (tag, p.degeneracy(n, i, x))
-                for p, tag in zip(pieces, tags)
-                for x in p.simplices[n]
-            }
-    total = TruncatedSimplicialSet(
-        dim=d, simplices=simplices, faces=faces, degeneracies=degeneracies
-    )
+    if len(set(tags)) != len(tags):
+        raise InputError("disjoint union tags repeat")
+    parts = list(zip(pieces, tags))
+    for p, tag in parts:
+        if "faces" in vars(p):
+            require_valid([f"piece {tag}: {r}" for r in validate_simplicial(p)])
+    levels, ids = [], [[] for _ in parts]
+    for n in range(d + 1):
+        tokens, masks, shifts = [], [], []
+        for (p, tag), own in zip(parts, ids):
+            pt, pm = _level_cells(p, n)
+            shifts.append((p, own[-1].start if n else 0))  # its start in degree n - 1
+            own.append(range(len(tokens), len(tokens) + len(pt)))
+            tokens.extend(zip(repeat(tag), pt))
+            masks.extend(pm)
+        levels.append((tokens, masks, partial(_shifted_faces, shifts, n)))
+    total = _deferred(TruncatedSimplicialSet, dim=d, _int=levels)
     injections = [
-        SimplicialMap(
-            domain=p,
-            codomain=total,
-            components=tuple({x: (tag, x) for x in p.simplices[n]} for n in range(d + 1)),
-        )
-        for p, tag in zip(pieces, tags)
+        _deferred(SimplicialMap, domain=p, codomain=total, _int=own)
+        for (p, _tag), own in zip(parts, ids)
     ]
     return total, injections
+
+
+def _shifted_faces(shifts: list, n: int) -> list:
+    """A union's face ids in degree n: each piece's, shifted by its start."""
+    return [tuple([f + k for f in fs]) for p, k in shifts for fs in _integer_level(p, n)[2]]
 
 
 # ---------------------------------------------------------------------------

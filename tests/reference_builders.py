@@ -1,12 +1,15 @@
-"""Hand-written dict builders for nerves, hocolims and pullbacks.
+"""Hand-written dict builders for the sets, maps and diagrams the library builds.
 
-The library writes every dict of a nerve, a hocolim or a pb value, and every
-component of their maps, from the set's or map's integer level (see
-``sset._DeferredField``).  These are the constructions it used before that:
-each reads only its inputs' dicts and writes faces, degeneracies and
-components by hand.  ``test_builders.py`` compares the library's dicts with
-them.
+The library writes every dict of a nerve, a hocolim, a pb value, a
+standard simplex or a disjoint union, every component of their maps, and
+every action of a sampled orbit or union diagram, from the set's or map's
+integer level (see ``sset._DeferredField``).  These are the constructions
+it used before that: each reads only its inputs' dicts and writes faces,
+degeneracies and components by hand.  ``test_builders.py`` compares the
+library's dicts with them.
 """
+
+import itertools
 
 from fibsite.fincat import string_table
 from fibsite.hocopb import GroupoidDiagram, OverNerve
@@ -112,4 +115,106 @@ def reference_pb(x: OverNerve) -> GroupoidDiagram:
                 for n in range(d + 1)
             ),
         )
+    return GroupoidDiagram(base=g, value=value, action=action)
+
+
+def reference_standard_simplex(k: int, d: int) -> TruncatedSimplicialSet:
+    """Monotone vertex tuples; d_i drops vertex i and s_i repeats it."""
+    simplices = [
+        frozenset(itertools.combinations_with_replacement(range(k + 1), n + 1))
+        for n in range(d + 1)
+    ]
+    faces = {
+        (n, i): {t: t[:i] + t[i + 1 :] for t in simplices[n]}
+        for n in range(1, d + 1)
+        for i in range(n + 1)
+    }
+    degeneracies = {
+        (n, i): {t: t[: i + 1] + t[i:] for t in simplices[n]}
+        for n in range(d)
+        for i in range(n + 1)
+    }
+    return TruncatedSimplicialSet(
+        dim=d, simplices=tuple(simplices), faces=faces, degeneracies=degeneracies
+    )
+
+
+def reference_disjoint_union(pieces, tags):
+    """(tag, x) with every face and degeneracy acting on x, and the injections."""
+    d = pieces[0].dim
+    parts = list(zip(pieces, tags))
+    simplices = tuple(
+        frozenset((tag, x) for p, tag in parts for x in p.simplices[n]) for n in range(d + 1)
+    )
+    faces = {
+        (n, i): {(tag, x): (tag, y) for p, tag in parts for x, y in p.faces[(n, i)].items()}
+        for n in range(1, d + 1)
+        for i in range(n + 1)
+    }
+    degeneracies = {
+        (n, i): {(tag, x): (tag, y) for p, tag in parts for x, y in p.degeneracies[(n, i)].items()}
+        for n in range(d)
+        for i in range(n + 1)
+    }
+    total = TruncatedSimplicialSet(
+        dim=d, simplices=simplices, faces=faces, degeneracies=degeneracies
+    )
+    injections = [
+        SimplicialMap(
+            domain=p,
+            codomain=total,
+            components=tuple({x: (tag, x) for x in p.simplices[n]} for n in range(d + 1)),
+        )
+        for p, tag in parts
+    ]
+    return total, injections
+
+
+def reference_orbit_diagram(g, y0: str, k: TruncatedSimplicialSet) -> GroupoidDiagram:
+    """Copies of k tagged by the arrows h out of y0; m sends (h, x) to (m h, x)."""
+    d = k.dim
+    value = {}
+    for y in sorted(g.objects):
+        tags = list(g.hom(y0, y))
+        if tags:
+            value[y], _ = reference_disjoint_union([k] * len(tags), tags)
+        else:
+            value[y] = TruncatedSimplicialSet(
+                dim=d,
+                simplices=tuple(frozenset() for _ in range(d + 1)),
+                faces={(n, i): {} for n in range(1, d + 1) for i in range(n + 1)},
+                degeneracies={(n, i): {} for n in range(d) for i in range(n + 1)},
+            )
+    action = {
+        m: SimplicialMap(
+            domain=value[s],
+            codomain=value[t],
+            components=tuple(
+                {(h, x): (g.compose(m, h), x) for (h, x) in value[s].simplices[n]}
+                for n in range(d + 1)
+            ),
+        )
+        for m, (s, t) in g.morphisms.items()
+    }
+    return GroupoidDiagram(base=g, value=value, action=action)
+
+
+def reference_union_diagram(parts, tags) -> GroupoidDiagram:
+    """The valuewise union; m acts on (tag, x) by the action of its part."""
+    g = parts[0].base
+    d = next(iter(parts[0].value.values())).dim
+    value = {
+        y: reference_disjoint_union([p.value[y] for p in parts], tags)[0] for y in g.objects
+    }
+    action = {}
+    for m, (s, t) in g.morphisms.items():
+        comps = tuple(
+            {
+                (tag, x): (tag, p.action[m].components[n][x])
+                for tag, p in zip(tags, parts)
+                for x in p.value[s].simplices[n]
+            }
+            for n in range(d + 1)
+        )
+        action[m] = SimplicialMap(domain=value[s], codomain=value[t], components=comps)
     return GroupoidDiagram(base=g, value=value, action=action)

@@ -6,16 +6,28 @@ builders without another validation.  This property test is what covers the
 builders instead: on sampled diagrams, over-objects and enriched inputs over
 several groupoids it runs the validators on every builder output, the unit
 and counit included, and a builder corrupted in one face or action entry
-must be reported.  The dicts of every set and map they build are written
-from its integer level; ``reference_builders`` holds the hand-written
-constructions those dicts must equal.
+must be reported.  The dicts of every set and map they build, and of the
+standard simplices, disjoint unions and sampled diagrams they start from,
+are written from its integer level; ``reference_builders`` holds the
+hand-written constructions those dicts must equal.
 """
 
+import pickle
 import random
 from pathlib import Path
 
 import pytest
-from reference_builders import reference_hocolim, reference_nerve, reference_pb
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference_builders import (
+    reference_disjoint_union,
+    reference_hocolim,
+    reference_nerve,
+    reference_orbit_diagram,
+    reference_pb,
+    reference_standard_simplex,
+    reference_union_diagram,
+)
 
 from fibsite import hocopb
 from fibsite.bundle import parse_bundle
@@ -27,6 +39,9 @@ from fibsite.hocopb import (
     validate_over_nerve,
 )
 from fibsite.sampling import (
+    constant_diagram,
+    disjoint_union_diagrams,
+    orbit_diagram,
     random_diagram,
     random_enriched_diagram,
     random_enriched_over_nerve,
@@ -34,7 +49,14 @@ from fibsite.sampling import (
     random_over_nerve,
     random_poset_site,
 )
-from fibsite.sset import SimplicialMap, TruncatedSimplicialSet, nerve, validate_simplicial_map
+from fibsite.sset import (
+    SimplicialMap,
+    TruncatedSimplicialSet,
+    disjoint_union_ssets,
+    nerve,
+    standard_simplex,
+    validate_simplicial_map,
+)
 
 D = 3
 
@@ -134,6 +156,53 @@ def test_dicts_match_the_reference_builders(name):
     assert h == ref_h and px == ref_px
     assert hocopb._pb(h) == reference_pb(ref_h)
     assert hocopb._hocolim(px, D) == reference_hocolim(ref_px, D)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**16), st.integers(0, 2), st.integers(0, 2), st.integers(0, 4))
+def test_sampled_builders_match_the_reference_builders(seed, k, k2, d):
+    # standard simplices, unions (a library piece, a caller's dict piece and
+    # a nerve) with their injections, orbit diagrams and unions of diagrams
+    rng = random.Random(seed)
+    g = random_groupoid(rng, max_objects=2, max_group=3)
+    y0 = rng.choice(sorted(g.objects))
+    ref_k, ref_k2 = reference_standard_simplex(k, d), reference_standard_simplex(k2, d)
+    assert standard_simplex(k, d) == ref_k
+    pieces, tags = [standard_simplex(k, d), ref_k2], ["a", "b"]
+    if d:
+        pieces.append(nerve(g, d))
+        tags.append("n")
+    assert disjoint_union_ssets(pieces, tags) == reference_disjoint_union(
+        [ref_k, *pieces[1:]], tags
+    )
+    orbit = orbit_diagram(g, y0, standard_simplex(k, d))
+    assert orbit == reference_orbit_diagram(g, y0, ref_k)
+    parts = [orbit, constant_diagram(g, standard_simplex(k2, d))]
+    ref_parts = [reference_orbit_diagram(g, y0, ref_k), constant_diagram(g, ref_k2)]
+    assert disjoint_union_diagrams(parts, ["t0", "t1"]) == reference_union_diagram(
+        ref_parts, ["t0", "t1"]
+    )
+
+
+# seeds whose diagram is an orbit diagram or a union, not a bare constant one
+UNBUILT_SEEDS = [0, 2, 3, 7]
+
+
+@pytest.mark.parametrize("seed", UNBUILT_SEEDS)
+def test_a_sampled_diagram_writes_no_dict_until_read(seed):
+    a = random_diagram(random.Random(seed), cyclic_groupoid(2), D)
+    values, actions = list(a.value.values()), list(a.action.values())
+    # what a size signature reads: the simplices only
+    assert [len(v.simplices[n]) for v in values for n in range(D + 1)]
+    assert not any({"faces", "degeneracies"} & vars(v).keys() for v in values)
+    assert not any("components" in vars(f) for f in actions)
+    copy = pickle.loads(pickle.dumps(a))
+    # pickling writes every dict, and the copy carries the fields only
+    fields = set(TruncatedSimplicialSet.__dataclass_fields__)
+    assert all(vars(v).keys() == fields for v in copy.value.values())
+    fields = set(SimplicialMap.__dataclass_fields__)
+    assert all(vars(f).keys() == fields for f in copy.action.values())
+    assert copy == a and validate_diagram(copy) == []
 
 
 BUNDLES = Path(__file__).resolve().parents[1] / "bundles"

@@ -207,7 +207,7 @@ class TestCochainComplex:
         # construction multiplies nothing out; check the stored entries
         from fibsite.cohom import _check_dd_zero
 
-        _check_dd_zero(cc.ranks, cc.differentials)
+        _check_dd_zero(cc.differentials)
 
     @pytest.mark.parametrize("torsion", [False, True], ids=["free", "torsion-cone"])
     def test_dd_zero_guard_names_the_corrupted_degree(self, z2, torsion):
@@ -222,7 +222,7 @@ class TestCochainComplex:
         for n in range(len(cc.differentials) - 1):
             diffs = corrupted_differentials(cc, n)
             with pytest.raises(ValidationFailure, match=rf"at degree {n}$"):
-                _check_dd_zero(cc.ranks, diffs)
+                _check_dd_zero(diffs)
 
     @pytest.mark.parametrize("torsion", [False, True], ids=["free", "torsion-cone"])
     def test_public_entry_rejects_a_corrupted_complex(self, z2, torsion):

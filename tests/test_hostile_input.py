@@ -8,7 +8,8 @@ on it in-process, with names drawn from what the mutant declares.  Every
 file in ``bundles/`` seeds the mutants, the refused ones too, and an
 example may leave its seed unchanged.  A crash is mended where it arises,
 never by a catch-all in ``run``.  The public builders are held to the same
-rule: a malformed input raises ``InputError``, never ``KeyError``.
+rule: a malformed input raises ``InputError`` or ``ValidationFailure``,
+never ``KeyError``.
 """
 
 import contextlib
@@ -22,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibsite import hocopb
+from fibsite import hocopb, sset
 from fibsite.cli import COMMANDS, run
 from fibsite.errors import InputError, ValidationFailure
 from fibsite.fibred import (
@@ -32,7 +33,14 @@ from fibsite.fibred import (
     object_restriction,
 )
 from fibsite.fincat import cyclic_groupoid, poset_chain, terminal_category
-from fibsite.sampling import random_diagram, random_over_nerve
+from fibsite.sampling import random_diagram, random_enriched_diagram, random_over_nerve
+from fibsite.sset import (
+    TruncatedSimplicialSet,
+    disjoint_union_ssets,
+    nerve,
+    standard_simplex,
+    validate_simplicial,
+)
 
 BUNDLES = Path(__file__).resolve().parents[1] / "bundles"
 TEXTS = [path.read_text() for path in sorted(BUNDLES.glob("*.bundle"))]
@@ -173,3 +181,60 @@ def test_object_restriction_refuses_a_site_action_off_its_values():
     site_action = {**x.site_action, ("a_U0_U1", "*"): {"e": "zz"}}
     with pytest.raises(ValidationFailure, match="wrong codomain"):
         object_restriction(dataclasses.replace(x, site_action=site_action))
+
+
+def _simplex_with(change: str) -> TruncatedSimplicialSet:
+    """The 1-simplex at truncation 2, as a caller's dicts, with one entry broken."""
+    good = standard_simplex(1, 2)
+    faces = {key: dict(m) for key, m in good.faces.items()}
+    degeneracies = {key: dict(m) for key, m in good.degeneracies.items()}
+    if change == "face escapes":
+        faces[(1, 0)][(0, 1)] = ("stray",)
+    elif change == "degeneracy escapes":
+        degeneracies[(0, 0)][(0,)] = ("stray",)
+    else:
+        del faces[(1, 0)][(0, 1)]
+    return TruncatedSimplicialSet(
+        dim=2, simplices=good.simplices, faces=faces, degeneracies=degeneracies
+    )
+
+
+@pytest.mark.parametrize("change,report", [
+    ("face escapes", r"piece b: face \(1,0\) escapes degree 0"),
+    ("degeneracy escapes", r"piece b: degeneracy \(0,0\) escapes degree 1"),
+    ("face entry missing", r"piece b: face \(1,0\) missing or wrongly indexed"),
+])
+def test_disjoint_union_refuses_a_bad_caller_piece(change, report):
+    # the union's level is read off a caller's dicts, so a bad piece is
+    # refused before it is read; unchecked, an escaping face once rode into
+    # the union and a missing entry raised KeyError
+    with pytest.raises(ValidationFailure, match=report):
+        disjoint_union_ssets([standard_simplex(0, 2), _simplex_with(change)], ["a", "b"])
+
+
+def test_disjoint_union_trusts_library_pieces_and_validates_a_callers(monkeypatch):
+    validated = []
+
+    def recording(s):
+        validated.append(s)
+        return validate_simplicial(s)
+
+    monkeypatch.setattr(sset, "validate_simplicial", recording)
+    inner, _ = disjoint_union_ssets([standard_simplex(1, 2)], ["i"])
+    library = [standard_simplex(2, 2), nerve(cyclic_groupoid(2), 2), inner]
+    disjoint_union_ssets(library, ["s", "n", "u"])
+    assert validated == []
+    caller = dataclasses.replace(standard_simplex(1, 2))
+    disjoint_union_ssets([*library, caller], ["s", "n", "u", "c"])
+    assert validated == [caller]
+    with pytest.raises(InputError, match="tags repeat"):
+        disjoint_union_ssets(library[:2], ["s", "s"])
+
+
+def test_enriched_counit_refuses_a_truncation_other_than_its_values():
+    # the counit is built at the values' truncation; a lower d once
+    # returned it at the full one
+    x = random_enriched_diagram(random.Random(1), poset_chain(["V", "U"]), 4)
+    with pytest.raises(InputError, match="values' truncation, not at 2"):
+        hocopb.enriched_counit(x, 2)
+    assert {m.domain.dim for m in hocopb.enriched_counit(x, 4).values()} == {4}

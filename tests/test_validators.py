@@ -34,7 +34,15 @@ from fibsite.sset import (
 )
 
 # ---------------------------------------------------------------------------
-# reference validators: one method call per face, degeneracy and component
+# reference validators: one lookup per face, degeneracy and component
+
+
+def face(s: TruncatedSimplicialSet, n: int, i: int, x):
+    return s.faces[(n, i)][x]
+
+
+def degeneracy(s: TruncatedSimplicialSet, n: int, i: int, x):
+    return s.degeneracies[(n, i)][x]
 
 
 def slow_validate_simplicial(s: TruncatedSimplicialSet) -> list[str]:
@@ -61,29 +69,26 @@ def slow_validate_simplicial(s: TruncatedSimplicialSet) -> list[str]:
         for x in s.simplices[n]:
             for j in range(1, n + 1):
                 for i in range(j):
-                    if s.face(n - 1, i, s.face(n, j, x)) != s.face(
-                        n - 1, j - 1, s.face(n, i, x)
-                    ):
+                    if face(s, n - 1, i, face(s, n, j, x)) != face(s, n - 1, j - 1, face(s, n, i, x)):
                         report.append(f"d{i} d{j} fails in degree {n}")
     for n in range(0, s.dim - 1):
         for x in s.simplices[n]:
             for j in range(n + 1):
                 for i in range(j + 1):
-                    if s.degeneracy(n + 1, i, s.degeneracy(n, j, x)) != s.degeneracy(
-                        n + 1, j + 1, s.degeneracy(n, i, x)
-                    ):
+                    lhs = degeneracy(s, n + 1, i, degeneracy(s, n, j, x))
+                    if lhs != degeneracy(s, n + 1, j + 1, degeneracy(s, n, i, x)):
                         report.append(f"s{i} s{j} fails in degree {n}")
     for n in range(1, s.dim):
         for x in s.simplices[n]:
             for j in range(n + 1):
                 for i in range(n + 2):
-                    lhs = s.face(n + 1, i, s.degeneracy(n, j, x))
+                    lhs = face(s, n + 1, i, degeneracy(s, n, j, x))
                     if i < j:
-                        rhs = s.degeneracy(n - 1, j - 1, s.face(n, i, x))
+                        rhs = degeneracy(s, n - 1, j - 1, face(s, n, i, x))
                     elif i in (j, j + 1):
                         rhs = x
                     else:
-                        rhs = s.degeneracy(n - 1, j, s.face(n, i - 1, x))
+                        rhs = degeneracy(s, n - 1, j, face(s, n, i - 1, x))
                     if lhs != rhs:
                         report.append(f"d{i} s{j} fails in degree {n}")
     return report
@@ -107,16 +112,13 @@ def slow_validate_simplicial_map(f: SimplicialMap) -> list[str]:
     for n in range(1, d + 1):
         for x in f.domain.simplices[n]:
             for i in range(n + 1):
-                if f.apply(n - 1, f.domain.face(n, i, x)) != f.codomain.face(
-                    n, i, f.apply(n, x)
-                ):
+                if f.apply(n - 1, face(f.domain, n, i, x)) != face(f.codomain, n, i, f.apply(n, x)):
                     report.append(f"face {i} not preserved in degree {n}")
     for n in range(d):
         for x in f.domain.simplices[n]:
             for i in range(n + 1):
-                if f.apply(n + 1, f.domain.degeneracy(n, i, x)) != f.codomain.degeneracy(
-                    n, i, f.apply(n, x)
-                ):
+                lhs = f.apply(n + 1, degeneracy(f.domain, n, i, x))
+                if lhs != degeneracy(f.codomain, n, i, f.apply(n, x)):
                     report.append(f"degeneracy {i} not preserved in degree {n}")
     return report
 
