@@ -18,8 +18,7 @@ from .bundle import (
     BundleNameError,
     BundleSyntaxError,
     BundleValidationError,
-    _category_name,
-    _psheaf_name,
+    _KINDS,
     parse_bundle,
 )
 from .errors import CapExceeded, InputError, RefusedMode, ValidationFailure
@@ -65,7 +64,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def command(name: str, help: str) -> argparse.ArgumentParser:
+        """A subcommand, with the options every subcommand takes."""
+        sp = sub.add_parser(name, help=help)
         sp.add_argument("files", nargs="+", help="bundle files")
         sp.add_argument("--format", choices=("json", "markdown"), default="json")
         sp.add_argument("--out", default=None, help="write the report here instead of stdout")
@@ -75,48 +76,39 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--max-strings", type=int, default=200_000)
         sp.add_argument("--timings", action="store_true",
                         help="include wall-clock timings (breaks byte-determinism)")
+        return sp
 
-    sp = sub.add_parser("validate", help="run every validator in the bundle")
-    common(sp)
-    sp = sub.add_parser("fibred-build", help="build the total site of a presheaf of categories")
-    common(sp)
+    command("validate", "run every validator in the bundle")
+    sp = command("fibred-build", "build the total site of a presheaf of categories")
     sp.add_argument("--psheaf", required=True)
-    sp = sub.add_parser("topology-check", help="verify the topology axioms")
-    common(sp)
+    sp = command("topology-check", "verify the topology axioms")
     sp.add_argument("--psheaf", default=None,
                     help="check the induced topology on this construction instead of the base")
     sp.add_argument("--category", default=None, help="base category (default: the only one)")
-    sp = sub.add_parser("sheaf-check", help="sheaf condition for a set presheaf")
-    common(sp)
+    sp = command("sheaf-check", "sheaf condition for a set presheaf")
     sp.add_argument("--presheaf", required=True)
     sp.add_argument("--sheafify", action="store_true", help="also sheafify and re-check")
-    sp = sub.add_parser("cohomology", help="exact stack cohomology (trivial topology)")
-    common(sp)
+    sp = command("cohomology", "exact stack cohomology (trivial topology)")
     sp.add_argument("--psheaf", required=True)
     sp.add_argument("--coeffs", required=True)
-    sp = sub.add_parser("cech", help="cohomology of a covering sieve's slice")
-    common(sp)
+    sp = command("cech", "cohomology of a covering sieve's slice")
     sp.add_argument("--coeffs", required=True)
     sp.add_argument("--object", required=True)
     sp.add_argument("--cover", default="",
                     help="comma-separated sieve generators (empty: maximal sieve)")
     sp.add_argument("--psheaf", default=None,
                     help="work on the induced topology of this construction")
-    sp = sub.add_parser("adjunction-check", help="triangle identities and evidence on seeded instances")
-    common(sp)
+    sp = command("adjunction-check", "triangle identities and evidence on seeded instances")
     sp.add_argument("--psheaf", required=True)
     sp.add_argument("--count", type=_instance_count, default=3)
-    sp = sub.add_parser("invariance-check", help="cohomology comparison across an equivalence")
-    common(sp)
+    sp = command("invariance-check", "cohomology comparison across an equivalence")
     sp.add_argument("--mor", required=True)
     sp.add_argument("--coeffs", default=None,
                     help="abelian presheaf on the codomain total (default: constant Z)")
-    sp = sub.add_parser("homology", help="nerve homology of a category")
-    common(sp)
+    sp = command("homology", "nerve homology of a category")
     sp.add_argument("--category", required=True)
     sp.add_argument("--top", type=int, default=3)
-    sp = sub.add_parser("nerve-export", help="export a nerve as JSON")
-    common(sp)
+    sp = command("nerve-export", "export a nerve as JSON")
     sp.add_argument("--category", required=True)
     return p
 
@@ -136,9 +128,7 @@ def _base_report(args, bundle: Bundle) -> Report:
 
 def _the_category(bundle: Bundle, name: str | None):
     if name is not None:
-        if name not in bundle.categories:
-            raise InputError(f"no category named {name} in the bundle")
-        return name, bundle.categories[name]
+        return name, bundle.named("category", name)
     if len(bundle.categories) != 1:
         raise InputError("bundle has several categories; pass --category")
     ((name, cat),) = bundle.categories.items()
@@ -152,34 +142,24 @@ def cmd_validate(args, bundle: Bundle, rep: Report) -> None:
     failure, so those verdicts are recorded as passed; the saturated
     topologies are verified here, since parsing never checks them.
     """
-    for name in sorted(bundle.categories):
-        rep.add_verdict(f"category {name}", True, "")
-    for name, topo in sorted(bundle.topologies.items()):
-        bad = site.verify_topology(topo)
-        rep.add_verdict(f"topology on {name}", not bad, "; ".join(bad))
-    for kind, named in (
-        ("spresheaf", bundle.set_presheaves),
-        ("psheaf-cat", bundle.presheaves_of_categories),
-        ("psheaf-mor", bundle.psheaf_morphisms),
-        ("abpresheaf", bundle.abelian_presheaves),
-    ):
-        for name in sorted(named):
+    for kind, (table, _) in _KINDS.items():
+        for name in sorted(getattr(bundle, table)):
             rep.add_verdict(f"{kind} {name}", True, "")
-    rep.payload["counts"] = {
-        "categories": len(bundle.categories),
-        "set_presheaves": len(bundle.set_presheaves),
-        "presheaves_of_categories": len(bundle.presheaves_of_categories),
-        "psheaf_morphisms": len(bundle.psheaf_morphisms),
-        "abelian_presheaves": len(bundle.abelian_presheaves),
-    }
+        if kind == "category":
+            for name, topo in sorted(bundle.topologies.items()):
+                bad = site.verify_topology(topo)
+                rep.add_verdict(f"topology on {name}", not bad, "; ".join(bad))
+    rep.payload["counts"] = {table: len(getattr(bundle, table)) for table, _ in _KINDS.values()}
 
 
 def _construction(bundle: Bundle, name: str):
-    if name not in bundle.presheaves_of_categories:
-        raise InputError(f"no psheaf-cat named {name} in the bundle")
-    pc = bundle.presheaves_of_categories[name]
+    pc = bundle.named("psheaf-cat", name)
     fs = bundle.fibred_site(name)
-    return pc, fs, bundle.topologies[_category_name(bundle, pc.site)]
+    return pc, fs, bundle.topologies[bundle.name_of("category", pc.site)]
+
+
+def _cover_counts(topo: site.GrothendieckTopology) -> dict[str, int]:
+    return {u: len(topo.covering(u)) for u in sorted(topo.site.objects)}
 
 
 def cmd_fibred_build(args, bundle: Bundle, rep: Report) -> None:
@@ -192,9 +172,7 @@ def cmd_fibred_build(args, bundle: Bundle, rep: Report) -> None:
     rep.payload["objects"] = sorted(fs.total.objects)
     rep.payload["morphisms"] = sorted(fs.total.morphisms)
     rep.payload["morphism_count"] = len(fs.total.morphisms)
-    rep.payload["cover_counts"] = {
-        u: len(induced.covering(u)) for u in sorted(fs.total.objects)
-    }
+    rep.payload["cover_counts"] = _cover_counts(induced)
 
 
 def cmd_topology_check(args, bundle: Bundle, rep: Report) -> None:
@@ -203,24 +181,18 @@ def cmd_topology_check(args, bundle: Bundle, rep: Report) -> None:
         induced = fibred.induced_topology(fs, topo)
         bad = site.verify_topology(induced)
         rep.add_verdict(f"induced topology on C/{args.psheaf}", not bad, "; ".join(bad))
-        rep.payload["cover_counts"] = {
-            u: len(induced.covering(u)) for u in sorted(fs.total.objects)
-        }
+        rep.payload["cover_counts"] = _cover_counts(induced)
     else:
         name, _cat = _the_category(bundle, args.category)
         topo = bundle.topologies[name]
         bad = site.verify_topology(topo)
         rep.add_verdict(f"topology on {name}", not bad, "; ".join(bad))
-        rep.payload["cover_counts"] = {
-            u: len(topo.covering(u)) for u in sorted(topo.site.objects)
-        }
+        rep.payload["cover_counts"] = _cover_counts(topo)
 
 
 def cmd_sheaf_check(args, bundle: Bundle, rep: Report) -> None:
-    if args.presheaf not in bundle.set_presheaves:
-        raise InputError(f"no spresheaf named {args.presheaf} in the bundle")
-    pre = bundle.set_presheaves[args.presheaf]
-    topo = bundle.topologies[_category_name(bundle, pre.base)]
+    pre = bundle.named("spresheaf", args.presheaf)
+    topo = bundle.topologies[bundle.name_of("category", pre.base)]
     verdict = site.is_sheaf(pre, topo)
     detail = ""
     if not verdict.ok:
@@ -237,9 +209,7 @@ def cmd_sheaf_check(args, bundle: Bundle, rep: Report) -> None:
 
 def cmd_cohomology(args, bundle: Bundle, rep: Report) -> None:
     pc, fs, topo = _construction(bundle, args.psheaf)
-    if args.coeffs not in bundle.abelian_presheaves:
-        raise InputError(f"no abpresheaf named {args.coeffs} in the bundle")
-    f = bundle.abelian_presheaves[args.coeffs]
+    f = bundle.named("abpresheaf", args.coeffs)
     if not isinstance(pc, fibred.PresheafOfGroupoids):
         raise RefusedMode("stack cohomology needs a presheaf of groupoids")
     groups = cohom.stack_cohomology(
@@ -253,9 +223,7 @@ def cmd_cohomology(args, bundle: Bundle, rep: Report) -> None:
 
 
 def cmd_cech(args, bundle: Bundle, rep: Report) -> None:
-    if args.coeffs not in bundle.abelian_presheaves:
-        raise InputError(f"no abpresheaf named {args.coeffs} in the bundle")
-    f = bundle.abelian_presheaves[args.coeffs]
+    f = bundle.named("abpresheaf", args.coeffs)
     if args.psheaf:
         _pc, fs, base_topo = _construction(bundle, args.psheaf)
         topo = fibred.induced_topology(fs, base_topo)
@@ -288,9 +256,7 @@ def cmd_cech(args, bundle: Bundle, rep: Report) -> None:
 
 
 def cmd_adjunction_check(args, bundle: Bundle, rep: Report) -> None:
-    if args.psheaf not in bundle.presheaves_of_categories:
-        raise InputError(f"no psheaf-cat named {args.psheaf} in the bundle")
-    pc = bundle.presheaves_of_categories[args.psheaf]
+    pc = bundle.named("psheaf-cat", args.psheaf)
     if not isinstance(pc, fibred.PresheafOfGroupoids):
         raise RefusedMode("the adjunction needs groupoid fibres")
     # the instances are sampled over the fibre at the first site object, and
@@ -348,20 +314,16 @@ def cmd_adjunction_check(args, bundle: Bundle, rep: Report) -> None:
 
 
 def cmd_invariance_check(args, bundle: Bundle, rep: Report) -> None:
-    if args.mor not in bundle.psheaf_morphisms:
-        raise InputError(f"no psheaf-mor named {args.mor} in the bundle")
-    mor = bundle.psheaf_morphisms[args.mor]
+    mor = bundle.named("psheaf-mor", args.mor)
     if not isinstance(mor.codomain, fibred.PresheafOfGroupoids) or not isinstance(
         mor.domain, fibred.PresheafOfGroupoids
     ):
         raise RefusedMode("invariance comparison needs presheaves of groupoids")
     if args.coeffs is not None:
-        if args.coeffs not in bundle.abelian_presheaves:
-            raise InputError(f"no abpresheaf named {args.coeffs} in the bundle")
-        f = bundle.abelian_presheaves[args.coeffs]
+        f = bundle.named("abpresheaf", args.coeffs)
     else:
         # parse_bundle validated the codomain; its total is built unchecked
-        total = bundle.fibred_site(_psheaf_name(bundle, mor.codomain)).total
+        total = bundle.fibred_site(bundle.name_of("psheaf-cat", mor.codomain)).total
         f = cohom.constant_abelian_presheaf(total, cohom.ZZ)
     n_max = min(args.nmax, 3)
     result = cohom.invariance_report(mor, f, n_max, max_strings=args.max_strings)
@@ -432,6 +394,20 @@ HANDLERS = {
 }
 
 
+# the exit code of each error a run reports; an OSError is a bundle that
+# cannot be read or an --out that cannot be written
+EXIT_CODES = {
+    BundleSyntaxError: EXIT_PARSE,
+    BundleNameError: EXIT_PARSE,
+    OSError: EXIT_PARSE,
+    BundleValidationError: EXIT_VALIDATION,
+    ValidationFailure: EXIT_VALIDATION,
+    InputError: EXIT_VALIDATION,
+    RefusedMode: EXIT_REFUSED,
+    CapExceeded: EXIT_CAP,
+}
+
+
 def run(argv: list[str] | None = None, stdout=None) -> int:
     out = stdout if stdout is not None else sys.stdout
     try:
@@ -441,41 +417,18 @@ def run(argv: list[str] | None = None, stdout=None) -> int:
     t0 = time.monotonic()
     try:
         bundle = parse_bundle(args.files)
-    except (BundleSyntaxError, BundleNameError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    except BundleValidationError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    rep = _base_report(args, bundle)
-    try:
+        rep = _base_report(args, bundle)
         HANDLERS[args.command](args, bundle, rep)
-    except (BundleValidationError, ValidationFailure) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except RefusedMode as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_REFUSED
-    except CapExceeded as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CAP
-    except InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
-    if args.timings:
-        rep.timings = {"wall_seconds": round(time.monotonic() - t0, 6)}
-    text = emit_report(rep, args.format)
-    if args.out:
-        try:
+        if args.timings:
+            rep.timings = {"wall_seconds": round(time.monotonic() - t0, 6)}
+        text = emit_report(rep, args.format)
+        if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
-        except OSError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return EXIT_PARSE
-    else:
+    except tuple(EXIT_CODES) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return next(code for kind, code in EXIT_CODES.items() if isinstance(e, kind))
+    if not args.out:
         out.write(text)
     return EXIT_OK if rep.ok else EXIT_CHECK_FAILED
 

@@ -544,9 +544,17 @@ def validate_set_functor(f: SetValuedFunctor) -> list[str]:
     report: list[str] = []
     if f.variance not in (COVARIANT, CONTRAVARIANT):
         return [f"unknown variance {f.variance!r}"]
+    value_sets: dict[str, set[str]] = {}
     for u in f.base.objects:
-        if u not in f.value:
+        values = f.value.get(u)
+        if values is None:
             report.append(f"no value at {u}")
+            continue
+        value_sets[u] = set(values)
+        if len(value_sets[u]) < len(values):
+            # a repeated element would count as two sections
+            twice = next(e for i, e in enumerate(values) if e in values[:i])
+            report.append(f"value at {u} repeats {twice}")
     for m in f.base.morphisms:
         if m not in f.action:
             report.append(f"no action for {m}")
@@ -555,10 +563,10 @@ def validate_set_functor(f: SetValuedFunctor) -> list[str]:
     for m in f.base.morphisms:
         src, tgt = _action_endpoints(f, m)
         amap = f.action[m]
-        if set(amap) != set(f.value[src]):
+        if amap.keys() != value_sets[src]:
             report.append(f"action of {m} not defined on exactly the value set")
             continue
-        if not set(amap.values()) <= set(f.value[tgt]):
+        if not value_sets[tgt].issuperset(amap.values()):
             report.append(f"action of {m} escapes the target value set")
     if report:
         return report

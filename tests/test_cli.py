@@ -458,6 +458,14 @@ class TestExitCodes:
             "error: category C: morphism 'p>q' contains '>', which comma arrow names reserve\n"
         )
 
+    @pytest.mark.parametrize("argv", [["validate"], ["sheaf-check", "--presheaf", "P"]])
+    def test_repeated_set_element_is_3(self, argv, capsys):
+        # the site has no cover lines, so every presheaf on it is a sheaf;
+        # the two copies of s failed uniqueness there with exit 1
+        code, out = go([argv[0], str(BUNDLES / "bad_repeated_element.bundle"), *argv[1:]])
+        assert (code, out) == (3, "")
+        assert capsys.readouterr().err == "error: spresheaf P: value at U repeats s\n"
+
     def test_adjunction_check_on_an_empty_site_is_3(self, capsys):
         bundle = str(BUNDLES / "empty_site.bundle")
         assert go(["validate", bundle])[0] == 0

@@ -503,6 +503,25 @@ def test_as_covariant_flips_base(chain2):
     assert as_covariant(g) is g
 
 
+def test_a_value_that_repeats_an_element_is_refused():
+    # read as two sections, the copies agreed on every cover and failed
+    # uniqueness on the trivial topology, where every presheaf is a sheaf
+    from fibsite.site import is_sheaf, make_presheaf, trivial_topology
+
+    c = poset_chain(["V", "U"])
+    arrow = next(m for m in c.morphisms if not c.is_identity(m))
+    value = {"U": ("s", "t", "s"), "V": ("r",)}
+    action = {"id_U": {"s": "s", "t": "t"}, "id_V": {"r": "r"}, arrow: {"s": "r", "t": "r"}}
+    assert validate_set_functor(make_presheaf(c, value, action)) == ["value at U repeats s"]
+    for variance in (COVARIANT, "contravariant"):
+        f = SetValuedFunctor(base=c, variance=variance, value=value, action=action)
+        assert "value at U repeats s" in validate_set_functor(f)
+    value["U"] = ("s", "t")
+    p = make_presheaf(c, value, action)
+    assert validate_set_functor(p) == []
+    assert is_sheaf(p, trivial_topology(c)).ok
+
+
 # ---------------------------------------------------------------------------
 # hom from its (source, target) index, and the composition-law check that
 # skips the pairs its identity check has decided

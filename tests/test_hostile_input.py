@@ -24,6 +24,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fibsite import hocopb, sset
+from fibsite.bundle import (
+    _LINES,
+    BundleNameError,
+    BundleSyntaxError,
+    BundleValidationError,
+    parse_bundle,
+)
 from fibsite.cli import COMMANDS, run
 from fibsite.errors import InputError, ValidationFailure
 from fibsite.fibred import (
@@ -134,6 +141,85 @@ def test_every_command_exits_with_a_documented_code(bundle_path, text, data):
         with contextlib.redirect_stderr(io.StringIO()):
             code = run([*argv, "--max-strings", "5000"], stdout=io.StringIO())
         assert code in range(6), (argv, code)
+
+
+# ---------------------------------------------------------------------------
+# bundles written line by line from the grammar table, with hostile names
+
+# each bundle draws its names from a few plain ones and one hostile name,
+# which holds a character of pair or comma-arrow names, is not ASCII, or
+# spells an identity or a composite; a name may name an object and an arrow
+PLAIN = ("U", "V", "W", "a", "b", "s", "t", "C", "D")
+HOSTILE = ("a|b", "(U|V)", "(a|a)", "(U", "V)", "s>a", "é", "λ", "Ω", "id_U", "id_V", "a.a")
+FACTORS = st.sampled_from(("Z", "Z/2", "Z/3", "Z/4"))
+MATRICES = st.sampled_from(("[[1]]", "[[0]]", "[[-1]]", "[]", "[[1,0],[0,1]]", "[[1],[0]]", "[[2,1]]"))
+
+
+def _line(draw, keyword: str, line, names: tuple[str, ...], seen: list[str]) -> str:
+    """A line of this kind, its shape's slots (see ``bundle._REST``) drawn.
+
+    The names a header or objects line declares are new, and an arrow's
+    name is any of the bundle's; every other name repeats one already
+    written half of the time, so that lines refer to what others declare.
+    """
+
+    def name() -> str:
+        fresh = [w for w in names if w not in seen]
+        if fresh and (keyword == "objects" or line.opens and len(words) == 1):
+            word = draw(st.sampled_from(fresh))
+        elif keyword == "mor" and len(words) == 1:
+            word = draw(st.sampled_from(names))
+        else:
+            word = draw(st.sampled_from(seen if seen and draw(st.booleans()) else names))
+        seen.append(word)
+        return word
+
+    words = [keyword]
+    for slot in line.shape:
+        if slot == "NAME":
+            words.append(name())
+        elif slot == "PAIR":
+            words.append(f"{name()}.{name()}")
+        elif slot == "NAMES":
+            words += [name() for _ in range(draw(st.integers(0, 3)))]
+        elif slot == "FACTORS":
+            words += draw(st.lists(FACTORS, max_size=2))
+        elif slot == "MATRIX":
+            words.append(draw(MATRICES))
+        else:
+            words.append(draw(st.sampled_from(slot.split("|"))))
+    return " ".join(words)
+
+
+@st.composite
+def grammar_bundles(draw) -> str:
+    """Blocks of each kind in turn, categories first; every line well formed."""
+    hostile = draw(st.sampled_from(HOSTILE))
+    names = (*PLAIN, hostile, hostile, hostile)  # a quarter of the draws
+    lines: list[str] = []
+    seen: list[str] = []
+    for (keyword, kind), header in _LINES.items():
+        if kind is not None:
+            continue
+        body = [(kw, line) for (kw, k), line in _LINES.items() if k == header.opens]
+        for _ in range(draw(st.integers(1 if keyword == "category" else 0, 2))):
+            lines.append(_line(draw, keyword, header, names, seen))
+            for _ in range(draw(st.integers(0, 6))):
+                lines.append(_line(draw, *draw(st.sampled_from(body)), names, seen))
+    return "".join(line + "\n" for line in lines)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(text=grammar_bundles())
+def test_grammar_built_bundles_are_parsed_or_refused(bundle_path, text):
+    bundle_path.write_text(text, encoding="utf-8")
+    with contextlib.suppress(BundleSyntaxError, BundleNameError, BundleValidationError):
+        parse_bundle([str(bundle_path)])
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run(["validate", str(bundle_path)], stdout=io.StringIO())
+    assert code in (0, 2, 3), (text, code)
+    assert "Traceback" not in err.getvalue()
 
 
 # ---------------------------------------------------------------------------
