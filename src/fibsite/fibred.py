@@ -9,7 +9,9 @@ and no name is ever parsed back into its parts.  Covering sieves of the
 fibred site are the sieves containing a preimage of a base cover.  Presheaves
 on the total category are equivalent to enriched diagrams, and this module
 implements both directions of that equivalence together with the
-restriction / left Kan adjunctions between diagram categories.  The left
+restriction / left Kan adjunctions between diagram categories.
+``fincat.validate_set_functor`` checks the laws of every set-valued
+diagram here, and ``validate_enriched`` those of the site actions.  The left
 Kan extension, its unit and its counit take their comma categories and
 colimits from ``fincat._comma_cocones``, the one routine that builds them.
 
@@ -345,8 +347,14 @@ def validate_enriched(x: EnrichedSetDiagram) -> list[str]:
                 continue
             if not set(amap.values()) <= set(x.value[(v, r.on_object(ob))]):
                 report.append(f"site action for ({alpha}, {ob}) has wrong codomain")
-    if report:
-        return report
+    return report or _site_laws(x)
+
+
+def _site_laws(x: EnrichedSetDiagram) -> list[str]:
+    """The laws of x's site actions, on an x that passes the rest of ``validate_enriched``."""
+    a = x.base
+    c = a.site
+    report: list[str] = []
     # strict functoriality of the site actions
     for u in c.objects:
         for ob in a.value[u].objects:
@@ -842,20 +850,18 @@ def validate_presheaf_diagram(d: PresheafDiagram) -> list[str]:
         if p.base != base:
             return [f"presheaf at {i} lives on a different site"]
         report.extend(f"presheaf at {i}: {b}" for b in validate_set_functor(p))
+    report.extend(f"no component for {theta}" for theta in d.index.morphisms if theta not in d.map)
     if report:
         return report
-    for theta, (i, j) in d.index.morphisms.items():
-        comp = d.map.get(theta)
-        if comp is None:
-            report.append(f"no component for {theta}")
-            continue
-        for u in base.objects:
-            fn = comp.get(u)
-            if fn is None or set(fn) != set(d.value[i].value[u]):
-                report.append(f"component of {theta} at {u} has wrong domain")
-                continue
-            if not set(fn.values()) <= set(d.value[j].value[u]):
-                report.append(f"component of {theta} at {u} has wrong codomain")
+    # at each site object the components form a covariant set functor on the index
+    for u in base.objects:
+        at_u = SetValuedFunctor(
+            base=d.index,
+            variance=COVARIANT,
+            value={i: p.value[u] for i, p in d.value.items()},
+            action={theta: comp[u] for theta, comp in d.map.items() if u in comp},
+        )
+        report.extend(f"at {u}: {b}" for b in validate_set_functor(at_u))
     if report:
         return report
     for theta, (i, j) in d.index.morphisms.items():
@@ -865,17 +871,6 @@ def validate_presheaf_diagram(d: PresheafDiagram) -> list[str]:
                     alpha, d.map[theta][u][e]
                 ):
                     report.append(f"naturality of {theta} fails along {alpha}")
-    for i in d.index.objects:
-        ident = d.index.identity[i]
-        for u in base.objects:
-            if any(d.map[ident][u][e] != e for e in d.value[i].value[u]):
-                report.append(f"identity component of {ident} is not the identity")
-    for (g, f), gf in d.index.composition.items():
-        for u in base.objects:
-            src = d.index.source(f)
-            for e in d.value[src].value[u]:
-                if d.map[gf][u][e] != d.map[g][u][d.map[f][u][e]]:
-                    report.append(f"diagram functoriality fails on ({g}, {f})")
     return report
 
 

@@ -229,6 +229,8 @@ def _table_report(c: FiniteCategory) -> list[str]:
                 report.append(f"composite {g}.{f} is not a morphism")
             elif ends[h] != (fs, gt):
                 report.append(f"composite {g}.{f} has wrong endpoints")
+    # a pair with a factor that is no morphism is never composable
+    report.extend(f"spurious composite {g}.{f}" for g, f in comp if g not in ends or f not in ends)
     return report
 
 

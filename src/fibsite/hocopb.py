@@ -42,6 +42,13 @@ one entry, so the triangle checks, the unit, the counit and the sectionwise
 run share one build of each intermediate.  Library values are immutable:
 mutating a diagram or an over-object after passing it in is unsupported,
 since a later call would return the result remembered for it.
+
+Functor laws are checked degree by degree: a simplicial map is its
+components, so an equation between composites of simplicial maps holds
+exactly when it holds on the n-simplices for every n (Goerss & Jardine,
+§I.1).  The validators check each degree's diagram of sets with
+``fincat.validate_set_functor`` and ``fibred``'s enriched-diagram laws,
+and keep no law loop of their own.
 """
 
 from __future__ import annotations
@@ -53,17 +60,26 @@ from itertools import repeat, tee
 from operator import itemgetter
 
 from .errors import InputError
-from .fibred import PresheafOfGroupoids
-from .fincat import Groupoid, opposite, opposite_functor, validate_groupoid
+from .fibred import EnrichedSetDiagram, PresheafOfGroupoids, _site_laws
+from .fincat import (
+    CONTRAVARIANT,
+    COVARIANT,
+    Groupoid,
+    SetValuedFunctor,
+    opposite,
+    opposite_functor,
+    validate_groupoid,
+    validate_set_functor,
+)
 from .sset import (
     SimplicialMap,
     TruncatedSimplicialSet,
     _action_ids,
     _deferred,
+    _equals_level_of,
     _integer_level,
     _level_cells,
     compose_simplicial_maps,
-    identity_simplicial_map,
     nerve,
     nerve_map,
     simplex_table,
@@ -103,17 +119,28 @@ def validate_diagram(a: GroupoidDiagram) -> list[str]:
             report.append(f"action of {m} has wrong endpoints")
             continue
         report.extend(f"action of {m}: {r}" for r in validate_simplicial_map(am))
-    if report:
-        return report
-    for y in g.objects:
-        i = g.identity[y]
-        if a.action[i].components != identity_simplicial_map(a.value[y]).components:
-            report.append(f"identity action at {y} is not the identity")
-    for (m2, m1), m in g.composition.items():
-        lhs = compose_simplicial_maps(a.action[m2], a.action[m1])
-        if lhs.components != a.action[m].components:
-            report.append(f"action functoriality fails on ({m2}, {m1})")
-    return report
+    return report or _lowest_failing_degree(
+        lambda value, action: validate_set_functor(
+            SetValuedFunctor(base=g, variance=COVARIANT, value=value, action=action)
+        ),
+        {y: a.value[y].simplices for y in g.objects},
+        {m: a.action[m].components for m in g.morphisms},
+    )
+
+
+def _lowest_failing_degree(report_at, simplices: dict, *components: dict) -> list[str]:
+    """report_at on the sets' n-simplices and the maps' components in degree
+    n, for n = 0, 1, ... in turn: the first nonempty report, each line
+    prefixed with its degree.  Above its truncation a set or map is empty."""
+
+    def degree(n: int, levels: dict) -> dict:
+        return {k: level[n] if n < len(level) else {} for k, level in levels.items()}
+
+    for n in range(max(map(len, simplices.values()), default=0)):
+        report = report_at(degree(n, simplices), *(degree(n, c) for c in components))
+        if report:
+            return [f"degree {n}: {r}" for r in report]
+    return []
 
 
 @dataclass(frozen=True)
@@ -132,7 +159,7 @@ def validate_over_nerve(x: OverNerve) -> list[str]:
     report.extend(validate_simplicial(x.total))
     if x.structure.domain != x.total:
         report.append("structure map does not start at the total object")
-    if x.structure.codomain != _remembered(x.base, nerve, x.total.dim):
+    if not _equals_level_of(x.structure.codomain, _remembered(x.base, nerve, x.total.dim)):
         report.append("structure map does not land in the base nerve")
     report.extend(validate_simplicial_map(x.structure))
     return report
@@ -618,36 +645,15 @@ def validate_enriched_diagram(x: EnrichedGroupoidDiagram) -> list[str]:
                 f"site action for ({alpha}, {ob}): {b}"
                 for b in validate_simplicial_map(sm)
             )
-    if report:
-        return report
-    for u in c.objects:
-        for ob in a.value[u].objects:
-            ident = x.site_action[(c.identity[u], ob)]
-            if ident.components != identity_simplicial_map(x.value[(u, ob)]).components:
-                report.append(f"identity site action at ({u}, {ob}) not the identity")
-    for (g2, g1), g12 in c.composition.items():
-        u = c.target(g2)
-        rg = a.restriction[g2]
-        for ob in a.value[u].objects:
-            one = x.site_action[(g12, ob)]
-            two = compose_simplicial_maps(
-                x.site_action[(g1, rg.on_object(ob))], x.site_action[(g2, ob)]
-            )
-            if one.components != two.components:
-                report.append(f"site functoriality fails on ({g2}, {g1}) at {ob}")
-    # enriched commuting squares, degreewise
-    for alpha, (v, u) in c.morphisms.items():
-        r = a.restriction[alpha]
-        for gamma, (xx, yy) in a.value[u].morphisms.items():
-            lhs = compose_simplicial_maps(
-                x.site_action[(alpha, xx)], x.cat_action[(u, gamma)]
-            )
-            rhs = compose_simplicial_maps(
-                x.cat_action[(v, r.on_morphism(gamma))], x.site_action[(alpha, yy)]
-            )
-            if lhs.components != rhs.components:
-                report.append(f"enriched square fails for {alpha} and {gamma}")
-    return report
+    # the sections' laws are checked above, so only the site actions' remain
+    return report or _lowest_failing_degree(
+        lambda value, cat_action, site_action: _site_laws(
+            EnrichedSetDiagram(base=a, value=value, cat_action=cat_action, site_action=site_action)
+        ),
+        {k: s.simplices for k, s in x.value.items()},
+        {k: f.components for k, f in x.cat_action.items()},
+        {k: f.components for k, f in x.site_action.items()},
+    )
 
 
 @dataclass(frozen=True)
@@ -696,16 +702,13 @@ def validate_enriched_over_nerve(y: EnrichedOverNerve) -> list[str]:
         rhs = compose_simplicial_maps(opr, y.sections[u].structure)
         if lhs.components != rhs.components:
             report.append(f"site action along {alpha} does not cover the nerve restriction")
-    for u in c.objects:
-        ident = y.site_action[c.identity[u]]
-        if ident.components != identity_simplicial_map(y.sections[u].total).components:
-            report.append(f"identity site action at {u} not the identity")
-    for (g2, g1), g12 in c.composition.items():
-        one = y.site_action[g12]
-        two = compose_simplicial_maps(y.site_action[g1], y.site_action[g2])
-        if one.components != two.components:
-            report.append(f"site functoriality fails on ({g2}, {g1})")
-    return report
+    return report or _lowest_failing_degree(
+        lambda value, action: validate_set_functor(
+            SetValuedFunctor(base=c, variance=CONTRAVARIANT, value=value, action=action)
+        ),
+        {u: y.sections[u].total.simplices for u in c.objects},
+        {alpha: f.components for alpha, f in y.site_action.items()},
+    )
 
 
 def enriched_hocolim(x: EnrichedGroupoidDiagram, d: int) -> EnrichedOverNerve:
@@ -842,64 +845,46 @@ def presheaf_hocolim_pb(
     what is built from it is not validated again, and the unit, counit and
     triangle checks find every section's hocolim and pb already built.
     """
-    if isinstance(obj, EnrichedGroupoidDiagram):
+    a = obj.base
+    on_diagram = isinstance(obj, EnrichedGroupoidDiagram)
+    if on_diagram:
         h = enriched_hocolim(obj, d)
         p = _remembered(h, _enriched_pb)
+        diagram, over = obj, h
         eps = enriched_counit(obj, d)
-        counit_natural = True
-        a = obj.base
-        for alpha, (v, u) in a.site.morphisms.items():
-            r = a.restriction[alpha]
-            for ob in a.value[u].objects:
-                lhs = compose_simplicial_maps(
-                    obj.site_action[(alpha, ob)], eps[(u, ob)]
-                )
-                rhs = compose_simplicial_maps(
-                    eps[(v, r.on_object(ob))], p.site_action[(alpha, ob)]
-                )
-                if lhs.components != rhs.components:
-                    counit_natural = False
-        tri_ok = TriangleReport(
-            hocolim_side=all(
-                check_triangles(a=section_diagram(obj, u)).hocolim_side
-                for u in a.site.objects
-            ),
-            pb_side=all(
-                check_triangles(x=h.sections[u]).pb_side for u in a.site.objects
-            ),
-        )
-        return EnrichedAdjunctionRun(
-            kind="diagram",
-            triangles=tri_ok,
-            unit_natural=True,
-            counit_natural=counit_natural,
-            hocolim_object=h,
-            pb_object=p,
-        )
-    p = enriched_pb(obj)
-    h = _remembered(p, _enriched_hocolim, d)
-    eta = enriched_unit(obj)
-    unit_natural = True
-    a = obj.base
-    for alpha, (v, u) in a.site.morphisms.items():
-        lhs = compose_simplicial_maps(h.site_action[alpha], eta[u])
-        rhs = compose_simplicial_maps(eta[v], obj.site_action[alpha])
-        if lhs.components != rhs.components:
-            unit_natural = False
-    tri = TriangleReport(
-        hocolim_side=all(
-            check_triangles(a=section_diagram(p, u)).hocolim_side
-            for u in a.site.objects
-        ),
-        pb_side=all(
-            check_triangles(x=obj.sections[u]).pb_side for u in a.site.objects
-        ),
+        # the counit's naturality squares: obj's site action after eps, and eps
+        # after the site action of pb(hocolim(obj))
+        squares = [
+            (obj.site_action[(alpha, ob)], eps[(u, ob)],
+             eps[(v, a.restriction[alpha].on_object(ob))], p.site_action[(alpha, ob)])
+            for alpha, (v, u) in a.site.morphisms.items()
+            for ob in a.value[u].objects
+        ]
+    else:
+        p = enriched_pb(obj)
+        h = _remembered(p, _enriched_hocolim, d)
+        diagram, over = p, obj
+        eta = enriched_unit(obj)
+        # the unit's naturality squares: the site action of hocolim(pb(obj))
+        # after eta, and eta after obj's site action
+        squares = [
+            (h.site_action[alpha], eta[u], eta[v], obj.site_action[alpha])
+            for alpha, (v, u) in a.site.morphisms.items()
+        ]
+    natural = all(
+        compose_simplicial_maps(g1, f1).components == compose_simplicial_maps(g2, f2).components
+        for g1, f1, g2, f2 in squares
     )
     return EnrichedAdjunctionRun(
-        kind="over",
-        triangles=tri,
-        unit_natural=unit_natural,
-        counit_natural=True,
+        kind="diagram" if on_diagram else "over",
+        triangles=TriangleReport(
+            hocolim_side=all(
+                check_triangles(a=section_diagram(diagram, u)).hocolim_side for u in a.site.objects
+            ),
+            pb_side=all(check_triangles(x=over.sections[u]).pb_side for u in a.site.objects),
+        ),
+        unit_natural=on_diagram or natural,
+        counit_natural=natural or not on_diagram,
         hocolim_object=h,
         pb_object=p,
     )

@@ -135,6 +135,9 @@ REFUSALS = [
      BundleValidationError, None, None, "category G: no inverse recorded for t"),
     ("category-laws", C1 + "mor a : U -> U\n",
      BundleValidationError, None, None, "category C: missing composite a.a"),
+    # id_V names no morphism of C, whose only object is U
+    ("compose-identity-of-no-object", C1 + "compose id_V.id_V = id_V\n",
+     BundleValidationError, None, None, "category C: spurious composite id_V.id_V"),
     ("cover-on-unknown-object", C2 + "cover W = { a }\n",
      BundleNameError, 1, None, "cover on unknown object W"),
     ("cover-generator-unknown", C2 + "cover U = { b }\n",
@@ -181,6 +184,13 @@ REFUSALS = [
      "at V obj x = y\nat V obj y = y\nat V mor f = f\n",
      BundleValidationError, None, None,
      "psheaf-mor m: component at V: image of f has wrong endpoints"),
+    ("psheaf-mor-naturality", C2 + "category D\nobjects x y\n"
+     "psheaf-cat A over C\nat U category D\nat V category D\n"
+     "restrict a obj x = x\nrestrict a obj y = y\n"
+     "psheaf-cat B over C\nat U category D\nat V category D\n"
+     "restrict a obj x = y\nrestrict a obj y = x\n"
+     "psheaf-mor m : A -> B\nat U obj x = x\nat U obj y = y\nat V obj x = x\nat V obj y = y\n",
+     BundleValidationError, None, None, "psheaf-mor m: naturality square fails along a"),
     # abelian presheaves
     ("abpresheaf-over-unknown", C1 + "abpresheaf F over D\n",
      BundleNameError, 3, None, "abpresheaf F over unknown base D"),

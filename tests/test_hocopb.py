@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibsite import hocopb
+from fibsite import hocopb, sset
 from fibsite.errors import InputError
 from fibsite.fibred import constant_presheaf_of_categories
-from fibsite.fincat import cyclic_groupoid, opposite, poset_chain
+from fibsite.fincat import codiscrete_groupoid, cyclic_groupoid, opposite, poset_chain
 from fibsite.hocopb import (
     GroupoidDiagram,
     OverNerve,
@@ -691,3 +691,92 @@ class TestMemo:
             ("validate_over_nerve", id(stray)): 2,
         })
         assert _per_argument(builds) == Counter({("_hocolim", id(a)): 2})
+
+
+# ---------------------------------------------------------------------------
+# validate_over_nerve compares the codomain with the remembered nerve's
+# integer level, and writes none of that nerve's dicts
+
+
+def _as_dicts(s: TruncatedSimplicialSet) -> TruncatedSimplicialSet:
+    return TruncatedSimplicialSet(
+        dim=s.dim,
+        simplices=tuple(s.simplices),
+        faces={k: dict(m) for k, m in s.faces.items()},
+        degeneracies={k: dict(m) for k, m in s.degeneracies.items()},
+    )
+
+
+PERTURBATIONS = (
+    "none", "drop simplex", "stray simplex", "move face", "drop face entry", "stray face entry",
+    "drop face map", "stray face map", "move degeneracy", "drop degeneracy entry", "stray degeneracy entry",
+    "raise dim", "simplices as list", "library nerve",
+)
+
+
+@st.composite
+def perturbed_nerves(draw):
+    """A groupoid, a truncation, and a dict copy of its nerve with at most
+    one simplex, face or degeneracy changed, or the library's own nerve."""
+    g = draw(st.sampled_from((cyclic_groupoid(2), cyclic_groupoid(3), codiscrete_groupoid(["o1", "o2"]))))
+    d = draw(st.integers(1, 3))
+    s = _as_dicts(nerve(g, d))
+    kind = draw(st.sampled_from(PERTURBATIONS))
+    n = draw(st.integers(1, d))
+    i = draw(st.integers(0, n))
+    level = sorted(s.simplices[n], key=repr)
+    below = sorted(s.simplices[n - 1], key=repr)
+    x = draw(st.sampled_from(level))
+    simplices = list(s.simplices)
+    if kind == "drop simplex":
+        simplices[n] = s.simplices[n] - {x}
+    elif kind == "stray simplex":
+        simplices[n] = s.simplices[n] | {("stray",) * n}
+    elif kind == "move face":
+        face = s.faces[(n, i)]
+        face[x] = draw(st.sampled_from([y for y in below if y != face[x]] or below))
+    elif kind == "drop face entry":
+        del s.faces[(n, i)][x]
+    elif kind == "stray face entry":
+        s.faces[(n, i)][("stray",) * n] = below[0]
+    elif kind == "drop face map":
+        del s.faces[(n, i)]
+    elif kind == "stray face map":
+        s.faces[(d + 1, 0)] = {}
+    elif kind == "move degeneracy" and i < n:
+        degeneracy, y = s.degeneracies[(n - 1, i)], draw(st.sampled_from(below))
+        degeneracy[y] = draw(st.sampled_from([z for z in level if z != degeneracy[y]] or level))
+    elif kind == "drop degeneracy entry" and i < n:
+        del s.degeneracies[(n - 1, i)][draw(st.sampled_from(below))]
+    elif kind == "stray degeneracy entry" and i < n:
+        s.degeneracies[(n - 1, i)][("stray",) * n] = x
+    if kind == "simplices as list":
+        simplices = list(simplices)
+    else:
+        simplices = tuple(simplices)
+    if kind == "library nerve":
+        return g, d, nerve(g, d)
+    dim = d + 1 if kind == "raise dim" else d
+    return g, d, TruncatedSimplicialSet(dim, simplices, s.faces, s.degeneracies)
+
+
+@settings(max_examples=120, deadline=None)
+@given(perturbed_nerves())
+def test_level_comparison_agrees_with_equality(case):
+    g, d, s = case
+    remembered = nerve(g, d)
+    assert sset._equals_level_of(s, remembered) == (s == nerve(g, d))
+    assert "faces" not in vars(remembered) and "degeneracies" not in vars(remembered)
+    # a set given as dicts is compared as dicts: its level would drop a stray entry
+    copy = _as_dicts(s)
+    assert sset._equals_level_of(s, copy) == (s == copy)
+
+
+def test_pb_writes_no_dict_of_the_remembered_nerve():
+    for seed in range(6):
+        g = cyclic_groupoid(2)
+        x = random_over_nerve(random.Random(seed), g, 3)
+        pb(x)
+        ng = hocopb._remembered(g, nerve, 3)
+        assert ng is not x.structure.codomain
+        assert "faces" not in vars(ng) and "degeneracies" not in vars(ng)
