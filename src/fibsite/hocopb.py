@@ -684,6 +684,9 @@ def validate_enriched_over_nerve(y: EnrichedOverNerve) -> list[str]:
         report.extend(f"section at {u}: {r}" for r in checked[id(sec)])
     if report:
         return report
+    dims = {y.sections[u].total.dim for u in c.objects}
+    if len(dims) > 1:
+        return ["sections have mixed truncations"]
     d = y.sections[next(iter(c.objects))].total.dim
     for alpha, (v, u) in c.morphisms.items():
         sm = y.site_action.get(alpha)

@@ -6,6 +6,44 @@ The covers of u are the sieves containing L(u) (Johnstone, *Elephant*
 C2.1); ``covering`` lists them only for reports that count them.  The
 verifier checks the axioms as two conditions on L, saturation shrinks L to
 a fixpoint, and the sheaf condition and the plus construction read L(u).
+
+Sheafification is two plus constructions, F++.  F+(u) is the set of
+matching families of F on L(u).  F+ is separated for every F, and P+ is a
+sheaf for every separated P (Mac Lane and Moerdijk, *Sheaves in Geometry
+and Logic*, III.5), so F++ is the associated sheaf aF.  One pass is not
+enough, not even on a finite poset.
+
+Call d *irreducible* when L(d) is maximal, let D be the irreducibles, and
+S_D(u) the sieve generated by the arrows from D into u.  J is *rigid* when
+L(u) <= S_D(u) for every u.
+
+1. S_D(v) <= L(v) always: for g: d -> v with d in D, stability gives
+   L(d) <= g*L(v), and L(d) holds id_d, so g is in L(v).  So L(u) = S_D(u)
+   on a rigid topology.
+2. Every finite topology is rigid once idempotents are split.  Local
+   character, L(u) <= L.L(u), applied n times writes c in L(u) as
+   h1...hn.ln with ln in L(dom hn).  Every li leaves dom c, so li = lj for
+   some i < j, and l = g.l with g = h(i+1)...hj an endomorphism of
+   w = cod l.  g lies in L(w), since h(i+1) does and L(w) is a sieve, and
+   so does the idempotent power e of g, with e.l = l.  In Kar(C) the
+   splitting W of e is irreducible: a cover of W pulls back along the
+   retraction w -> W to a cover of w, which holds e, so it holds id_W.
+   And c = (h1...hi.e).l factors through W.  Psh(C) and Psh(Kar C) are
+   equivalent and carry covers, matching families and sheaves across.
+3. So by the comparison lemma (SGA 4, Exp. III, 4.1; Johnstone,
+   *Elephant*, C2.2), restriction to D in Kar(C) is an equivalence
+   Sh(C, J) = Psh(D), and aF(u) is the limit of F over D/u.
+4. On a rigid topology F+(u) = Match(F, S_D(u)), but that is in general a
+   proper subset of the limit over D/u: a family on S_D(u) must also agree
+   where arrows from two irreducibles restrict to one arrow from outside
+   D, and F need not be separated there.  Take the poset w < d, d' < u
+   with L(w) empty and L(u) generated by d and d'; its topology is rigid,
+   with D = {d, d'}.  Let F(u) = {s}, F(d) = F(d') = {0, 1} and
+   F(w) = {a, b}, with both restrictions to w sending 0 to a and 1 to b,
+   and both restrictions from u sending s to 0.  F+(u) holds the two
+   families with x_d = x_d', but F+(w) is a point, so F+ has four matching
+   families on L(u): F+ is not a sheaf, and aF(u) = F(d) x F(d') has four
+   sections.
 """
 
 from __future__ import annotations
@@ -300,12 +338,6 @@ def matching_families(f: Presheaf, s: Sieve) -> tuple[Family, ...]:
     return tuple(sorted(set(families)))
 
 
-def restrict_family(c: FiniteCategory, fam: Family, p: Sieve, alpha: str) -> Family:
-    """Pull a matching family on s back to one on p = pullback_sieve(c, s, alpha)."""
-    lut = dict(fam)
-    return tuple(sorted((g, lut[c.compose(alpha, g)]) for g in p.members))
-
-
 def family_of_section(f: Presheaf, s: Sieve, x: str) -> Family:
     return tuple(sorted((m, f.act(m, x)) for m in s.members))
 
@@ -362,8 +394,8 @@ def plus_construction(f: Presheaf, t: GrothendieckTopology) -> Presheaf:
     of the matching-family sets.  The least cover L(u) is the terminal
     object of that order, and a colimit over a category with a terminal
     object is the value there.  So F+(u) is the set of matching families on
-    L(u).  An arrow alpha: v -> u restricts a family along alpha to the
-    cover alpha*L(u) of v, then cuts it down to L(v).
+    L(u).  An arrow alpha: v -> u sends a family x to the family on L(v)
+    whose value at g is x at alpha.g, which lies in L(u) by stability.
     """
     _same_site(f, t)
     c, least = f.base, t.checked_least()
@@ -371,23 +403,26 @@ def plus_construction(f: Presheaf, t: GrothendieckTopology) -> Presheaf:
     label = {u: {fam: f"p{i}" for i, fam in enumerate(fams[u])} for u in c.objects}
     action: dict[str, dict[str, str]] = {}
     for alpha, (v, u) in c.morphisms.items():
-        pulled = pullback_sieve(c, least[u], alpha)
-        keep = least[v].members
-        if not keep <= pulled.members:
+        along = [(g, c.compose(alpha, g)) for g in sorted(least[v].members)]
+        if any(ag not in least[u].members for _g, ag in along):
             raise InputError(
                 "covers are not stable under pullback; verify the topology first"
             )
         amap: dict[str, str] = {}
         for fam in fams[u]:
-            sub = restrict_family(c, fam, pulled, alpha)
-            amap[label[u][fam]] = label[v][tuple(p for p in sub if p[0] in keep)]
+            lut = dict(fam)
+            amap[label[u][fam]] = label[v][tuple((g, lut[ag]) for g, ag in along)]
         action[alpha] = amap
     value = {u: tuple(label[u].values()) for u in c.objects}
     return make_presheaf(c, value, action)
 
 
 def sheafify(f: Presheaf, t: GrothendieckTopology) -> Presheaf:
-    """The associated sheaf, by applying the plus construction twice."""
+    """The associated sheaf F++, by applying the plus construction twice.
+
+    One pass is not enough, even on a finite poset; the module docstring
+    gives the proof and a counterexample.
+    """
     bad = validate_set_functor(f)
     if bad:
         raise InputError("presheaf invalid: " + "; ".join(bad))

@@ -2,12 +2,13 @@
 
 The library itself never calls these, so they live with the tests: a
 determinant to certify unimodular Smith transforms, the covariant view of a
-contravariant diagram, and the identity morphism of a presheaf of
-categories.
+contravariant diagram, the identity morphism of a presheaf of categories,
+and random seed sieves for ``saturate_topology``.
 """
 
 from fibsite.fibred import MorphismOfPresheavesOfCategories
 from fibsite.fincat import COVARIANT, SetValuedFunctor, identity_functor, opposite
+from fibsite.site import sieve_from_generators
 
 
 def determinant(a) -> int:
@@ -59,3 +60,13 @@ def identity_morphism_of_presheaves(a) -> MorphismOfPresheavesOfCategories:
         codomain=a,
         components={u: identity_functor(a.value[u]) for u in a.site.objects},
     )
+
+
+def random_seeds(rng, site):
+    """Up to two objects, each seeded with a sieve of up to two generators."""
+    seeds = {}
+    for u in rng.sample(sorted(site.objects), rng.randint(0, min(2, len(site.objects)))):
+        arrows = sorted(site.into(u))
+        gens = set(rng.sample(arrows, rng.randint(0, min(2, len(arrows)))))
+        seeds.setdefault(u, set()).add(sieve_from_generators(site, u, gens))
+    return seeds

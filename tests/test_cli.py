@@ -44,6 +44,7 @@ SHIPPED = [
     "product_cj.bundle",
     "pt_z2_twisted.bundle",
     "twin_sites.bundle",
+    "idempotent_cover.bundle",
 ]
 
 
@@ -206,6 +207,26 @@ class TestCommands:
         assert doc["verdicts"][1]["pass"] is True
         code, out = go(["sheaf-check", str(BUNDLES / "chain_cover.bundle"), "--presheaf", "Q"])
         assert code == 0
+
+    def test_sheaf_check_on_a_topology_that_is_not_rigid(self):
+        # L(u) = {e} for an idempotent e: no object is irreducible, and a
+        # matching family on {e} is a section that e fixes
+        bundle = str(BUNDLES / "idempotent_cover.bundle")
+        code, out = go(["sheaf-check", bundle, "--presheaf", "P", "--sheafify"])
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["verdicts"] == [
+            {
+                "check": "P is a sheaf",
+                "pass": False,
+                "detail": "uniqueness fails at u: sections 0 and 1 agree on the cover",
+            },
+            {"check": "sheafification is a sheaf", "pass": True, "detail": ""},
+        ]
+        assert doc["payload"] == {"sheafified_sizes": {"u": 2}}
+        code, out = go(["sheaf-check", bundle, "--presheaf", "Q", "--sheafify"])
+        assert code == 0
+        assert json.loads(out)["payload"] == {"sheafified_sizes": {"u": 2}}
 
     def test_cohomology_flagship(self):
         code, out = go([

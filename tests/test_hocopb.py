@@ -11,8 +11,15 @@ from hypothesis import strategies as st
 from fibsite import hocopb, sset
 from fibsite.errors import InputError
 from fibsite.fibred import constant_presheaf_of_categories
-from fibsite.fincat import codiscrete_groupoid, cyclic_groupoid, opposite, poset_chain
+from fibsite.fincat import (
+    codiscrete_groupoid,
+    cyclic_groupoid,
+    discrete_category,
+    opposite,
+    poset_chain,
+)
 from fibsite.hocopb import (
+    EnrichedOverNerve,
     GroupoidDiagram,
     OverNerve,
     check_triangles,
@@ -497,6 +504,33 @@ class TestEnriched:
         eta = enriched_unit(run.hocolim_object)
         for u, m in eta.items():
             assert we_evidence(m, 2).passed
+
+    def test_sections_of_mixed_truncations_are_refused(self):
+        # point sections over the trivial groupoid, one truncated at 2 and
+        # one at 3, on the discrete site {U, V} with identity site actions
+        site = discrete_category(["U", "V"])
+        fibre = cyclic_groupoid(1)
+
+        def point_over_nerve(d):
+            s, ns = standard_simplex(0, d), nerve(opposite(fibre), d)
+            structure = SimplicialMap(
+                domain=s,
+                codomain=ns,
+                components=tuple(
+                    {x: min(ns.simplices[n]) for x in s.simplices[n]} for n in range(d + 1)
+                ),
+            )
+            return OverNerve(base=opposite(fibre), total=s, structure=structure)
+
+        sections = {"U": point_over_nerve(2), "V": point_over_nerve(3)}
+        y = EnrichedOverNerve(
+            base=constant_presheaf_of_categories(site, fibre),
+            sections=sections,
+            site_action={f"id_{u}": identity_simplicial_map(x.total) for u, x in sections.items()},
+        )
+        assert validate_enriched_over_nerve(y) == ["sections have mixed truncations"]
+        with pytest.raises(InputError, match="mixed truncations"):
+            enriched_pb(y)
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from fibsite.site import (
     validate_sieve,
     verify_topology,
 )
+from helpers import random_seeds
 from topology_oracles import (
     listed,
     oracle_induced_topology,
@@ -37,16 +38,6 @@ from topology_oracles import (
     oracle_saturate_topology,
     oracle_verify_topology,
 )
-
-
-def random_seeds(rng, site):
-    """Up to two objects, each seeded with a sieve of up to two generators."""
-    seeds = {}
-    for u in rng.sample(sorted(site.objects), rng.randint(0, min(2, len(site.objects)))):
-        arrows = sorted(site.into(u))
-        gens = set(rng.sample(arrows, rng.randint(0, min(2, len(arrows)))))
-        seeds.setdefault(u, set()).add(sieve_from_generators(site, u, gens))
-    return seeds
 
 
 def one_object_mutants(rng, t):

@@ -11,7 +11,14 @@ from fibsite.fibred import (
     grothendieck_construct,
     induced_topology,
 )
-from fibsite.fincat import _least_representatives, poset_chain, terminal_category
+from fibsite.fincat import (
+    _least_representatives,
+    build_category,
+    poset_chain,
+    terminal_category,
+    validate_category,
+    validate_set_functor,
+)
 from fibsite.sampling import random_poset_site, random_presheaf, random_topology
 from fibsite.site import (
     GrothendieckTopology,
@@ -19,6 +26,7 @@ from fibsite.site import (
     all_sieves,
     constant_presheaf,
     coproduct_presheaf,
+    family_of_section,
     is_sheaf,
     is_trivial_topology,
     make_presheaf,
@@ -27,7 +35,6 @@ from fibsite.site import (
     plus_construction,
     pullback_sieve,
     representable_presheaf,
-    restrict_family,
     saturate_topology,
     sheafify,
     sieve_from_generators,
@@ -35,6 +42,7 @@ from fibsite.site import (
     validate_sieve,
     verify_topology,
 )
+from helpers import random_seeds
 from topology_oracles import presheaves_isomorphic
 
 
@@ -45,6 +53,33 @@ BUNDLES = Path(__file__).resolve().parents[1] / "bundles"
 def covered_chain(chain2):
     s = sieve_from_generators(chain2, "U", {"a_V_U"})
     return chain2, saturate_topology(chain2, {"U": {s}}), s
+
+
+def diamond():
+    """The poset w < d, e < u, with L(w) empty and L(u) generated by
+    g: d -> u and h: e -> u, and a presheaf F that is not separated at w.
+
+    d and e are the irreducibles, and L(u) is the sieve they generate, so
+    the topology is rigid.  F(u) = {s} restricts to 0 at d and at e, and
+    F(d) = F(e) = {0, 1} both restrict to w by 0 -> a and 1 -> b.  The
+    arrows are named so that g sorts before its restriction m = g.k.
+    """
+    c = build_category(
+        ["u", "d", "e", "w"],
+        {"g": ("d", "u"), "h": ("e", "u"), "k": ("w", "d"), "l": ("w", "e"), "m": ("w", "u")},
+        {("g", "k"): "m", ("h", "l"): "m"},
+    )
+    seeds = {"u": {sieve_from_generators(c, "u", {"g", "h"})}, "w": {Sieve("w", frozenset())}}
+    bit, to_w = {"0": "0", "1": "1"}, {"0": "a", "1": "b"}
+    f = make_presheaf(
+        c,
+        value={"u": ("s",), "d": ("0", "1"), "e": ("0", "1"), "w": ("a", "b")},
+        action={
+            "id_u": {"s": "s"}, "id_d": bit, "id_e": bit, "id_w": {"a": "a", "b": "b"},
+            "g": {"s": "0"}, "h": {"s": "0"}, "k": to_w, "l": to_w, "m": {"s": "a"},
+        },
+    )
+    return c, saturate_topology(c, seeds), f
 
 
 class TestSieves:
@@ -150,6 +185,15 @@ class TestMatchingFamilies:
         for u in site.objects:
             for s in all_sieves(site, u):
                 assert matching_families(f, s) == self.every_family(f, s)
+
+    def test_member_assigned_before_its_turn(self):
+        # g sorts before its restriction m = g.k, so a value at g assigns m
+        # ahead of m's own turn, and the search must step on past m
+        c, t, f = diamond()
+        s = t.least["u"]
+        assert sorted(s.members) == ["g", "h", "m"]
+        assert matching_families(f, s) == self.every_family(f, s)
+        assert len(matching_families(f, s)) == 2
 
 
 class TestSheafCondition:
@@ -286,6 +330,16 @@ class TestSheafify:
         plus = sheafify(f, t)
         assert len(plus.value["U"]) == len(fams)
 
+    def test_invalid_presheaf_refused(self, covered_chain):
+        chain2, t, _s = covered_chain
+        f = make_presheaf(
+            chain2,
+            value={"U": ("s",), "V": ("0",)},
+            action={"id_U": {"s": "s"}, "id_V": {"0": "0"}, "a_V_U": {"s": "1"}},
+        )
+        with pytest.raises(InputError, match="presheaf invalid"):
+            sheafify(f, t)
+
     def test_topology_from_another_site_refused(self, chain2, pt):
         # the point's covers say nothing about U and V: no verdict may pass
         f = constant_presheaf(chain2, ("a", "b"))
@@ -364,7 +418,8 @@ def _plus_oracle(f, t):
         for (i, fam), cls in rep[u].items():
             pulled = pullback_sieve(c, covers[u][i], alpha)
             j = covers[v].index(pulled)
-            sub = restrict_family(c, fam, pulled, alpha)
+            lut = dict(fam)
+            sub = tuple(sorted((g, lut[c.compose(alpha, g)]) for g in pulled.members))
             image.setdefault(cls, set()).add(rep[v][(j, sub)])
         assert all(len(img) == 1 for img in image.values())
         restrict[alpha] = {cls: img.pop() for cls, img in image.items()}
@@ -406,3 +461,151 @@ class TestPlusConstructionOracle:
         for f in b.set_presheaves.values():
             _assert_plus_matches_oracle(f, t)
             _assert_plus_matches_oracle(plus_construction(f, t), t)
+
+
+# ---------------------------------------------------------------------------
+# sheafification is F++ on every finite site, and F+ is not enough
+
+
+class TestOnePlusConstructionIsNotEnough:
+    def test_the_diamond_is_a_rigid_site(self):
+        c, t, f = diamond()
+        assert verify_topology(t) == [] and validate_set_functor(f) == []
+        assert {u: sorted(t.least[u].members) for u in c.objects} == {
+            "u": ["g", "h", "m"], "d": ["id_d", "k"], "e": ["id_e", "l"], "w": [],
+        }
+        assert is_rigid(t)
+
+    def test_plus_is_not_a_sheaf(self):
+        # F+(u) holds the families with x_g = x_h, since both restrict to
+        # x_m; but F+(w) is a point, so F+ has families with x_g != x_h
+        c, t, f = diamond()
+        plus = plus_construction(f, t)
+        assert {u: len(plus.value[u]) for u in c.objects} == {"u": 2, "d": 2, "e": 2, "w": 1}
+        verdict = is_sheaf(plus, t)
+        assert (verdict.ok, verdict.object, verdict.kind) == (False, "u", "existence")
+
+    def test_sheafify_is_the_limit_over_the_irreducibles(self):
+        # aF(u) = F(d) x F(e), the limit of F over the arrows g and h
+        c, t, f = diamond()
+        a = sheafify(f, t)
+        assert {u: len(a.value[u]) for u in c.objects} == {"u": 4, "d": 2, "e": 2, "w": 1}
+        assert is_sheaf(a, t).ok
+
+
+def function_category(rng):
+    """A category of finite sets and functions, closed under composition.
+
+    One to three sets of one to three points, a non-identity idempotent on
+    one of them, so that the category is not EI, and up to two random maps.
+    An arrow from set i to set j is named fij_ followed by its values.
+    None when the closure has more than 14 arrows.
+    """
+    sizes = [rng.randint(1, 3) for _ in range(rng.randint(1, 3))]
+    x = rng.randrange(len(sizes))
+    sizes[x] = max(sizes[x], 2)
+    keep = rng.sample(range(sizes[x]), rng.randint(1, sizes[x] - 1))
+    gens = {(x, x, tuple(i if i in keep else rng.choice(keep) for i in range(sizes[x])))}
+    for _ in range(rng.randint(0, 2)):
+        i, j = rng.randrange(len(sizes)), rng.randrange(len(sizes))
+        gens.add((i, j, tuple(rng.randrange(sizes[j]) for _ in range(sizes[i]))))
+    ids = {(i, i, tuple(range(n))) for i, n in enumerate(sizes)}
+
+    def then(a, b):
+        return (a[0], b[1], tuple(b[2][p] for p in a[2]))
+
+    arrows, new = set(), gens | ids
+    while new and len(arrows) <= 14:
+        arrows |= new
+        new = {then(a, b) for a in arrows for b in arrows if a[1] == b[0]} - arrows
+    if len(arrows) > 14:
+        return None
+
+    def name(a):
+        return f"id_x{a[0]}" if a in ids else f"f{a[0]}{a[1]}_" + "".join(map(str, a[2]))
+
+    plain = arrows - ids
+    return build_category(
+        [f"x{i}" for i in range(len(sizes))],
+        {name(a): (f"x{a[0]}", f"x{a[1]}") for a in plain},
+        {(name(b), name(a)): name(then(a, b)) for a in plain for b in plain if a[1] == b[0]},
+    )
+
+
+def identify_two_sections(rng, f):
+    """The quotient of f that identifies two sections at one object, and
+    with them every pair of their restrictions; often not separated."""
+    c = f.base
+    crowded = [u for u in sorted(c.objects) if len(f.value[u]) >= 2]
+    if not crowded:
+        return f
+    u = rng.choice(crowded)
+    todo, links = [tuple((u, x) for x in rng.sample(f.value[u], 2))], set()
+    while todo:
+        pair = todo.pop()
+        (v, x), (_v, y) = pair
+        if x != y and pair not in links:
+            links.add(pair)
+            todo += [((c.source(m), f.act(m, x)), (c.source(m), f.act(m, y))) for m in c.into(v)]
+    rep = _least_representatives([(v, z) for v in c.objects for z in f.value[v]], links)
+    return make_presheaf(
+        c,
+        value={v: tuple(sorted({rep[(v, z)][1] for z in f.value[v]})) for v in c.objects},
+        action={
+            m: {rep[(w, z)][1]: rep[(v, f.act(m, z))][1] for z in f.value[w]}
+            for m, (v, w) in c.morphisms.items()
+        },
+    )
+
+
+def is_separated(f, t):
+    least = t.checked_least()
+    return all(
+        len({family_of_section(f, least[u], x) for x in f.value[u]}) == len(f.value[u])
+        for u in f.base.objects
+    )
+
+
+def is_rigid(t):
+    """Whether each L(u) lies in the sieve of arrows that factor through an
+    irreducible, an object whose least cover is maximal."""
+    c, least = t.site, t.checked_least()
+    irreducible = {d for d in c.objects if least[d] == maximal_sieve(c, d)}
+    return all(
+        least[u].members
+        <= {c.compose(a, b) for a in c.into(u) if c.source(a) in irreducible for b in c.into(c.source(a))}
+        for u in c.objects
+    )
+
+
+def test_sheafify_on_finite_categories_that_are_not_ei():
+    # F+ is separated and F++ is a sheaf with F+++ = F++, on 400 categories
+    # of finite sets under saturated random seed sieves, many of them not
+    # rigid, and on presheaves that are often not separated.  The
+    # isomorphism search is factorial in the section counts, so it runs
+    # where no value of F++ has more than six sections.
+    rng = random.Random(31)
+    seen = {"categories": 0, "not rigid": 0, "not separated": 0, "compared": 0}
+    while seen["categories"] < 400:
+        c = function_category(rng)
+        if c is None:
+            continue
+        assert validate_category(c) == []
+        t = saturate_topology(c, random_seeds(rng, c))
+        f = random_presheaf(rng, c)
+        if rng.random() < 0.7:
+            f = identify_two_sections(rng, f)
+        assert validate_set_functor(f) == []
+        seen["categories"] += 1
+        seen["not rigid"] += not is_rigid(t)
+        seen["not separated"] += not is_separated(f, t)
+        assert is_separated(plus_construction(f, t), t)
+        a = sheafify(f, t)
+        assert is_sheaf(a, t).ok
+        again = plus_construction(a, t)
+        assert all(len(again.value[u]) == len(a.value[u]) for u in c.objects)
+        if max(len(a.value[u]) for u in c.objects) <= 6:
+            seen["compared"] += 1
+            assert presheaves_isomorphic(a, again)
+    assert seen["not rigid"] >= 20 and seen["not separated"] >= 20, seen
+    assert seen["compared"] >= 350, seen

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -127,6 +128,20 @@ class TestInterchange:
             assert validate_bisimplicial(big) == [], c
             assert validate_simplicial_map(left) == []
             assert validate_simplicial_map(right) == []
+
+    def test_a_moved_face_in_the_last_column_is_reported(self, chain2):
+        # every one of the d + 1 vertical columns is checked, the last too
+        d = 2
+        big, _left, _right = interchange_comparison(chain2, d)
+        key = (d, 1, 0)
+        face = dict(big.v_faces[key])
+        x = min(face)
+        face[x] = min(s for s in big.simplices[(d, 0)] if s != face[x])
+        moved = dataclasses.replace(big, v_faces={**big.v_faces, key: face})
+        assert validate_bisimplicial(moved) == [
+            "vertical at h=2: d0 d2 fails in degree 2",
+            "vertical at h=2: d0 s1 fails in degree 1",
+        ]
 
     def test_point_isomorphism(self, pt):
         big, left, right = interchange_comparison(pt, 3)
