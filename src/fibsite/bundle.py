@@ -65,6 +65,7 @@ from .fincat import (
     Functor,
     Groupoid,
     SetValuedFunctor,
+    _remembered,
     build_category,
     identity_functor,
     validate_category,
@@ -129,21 +130,14 @@ class Bundle:
     abelian_base: dict[str, str] = field(default_factory=dict)
     paths: tuple[str, ...] = field(default=(), compare=False)
     content_hash: str = field(default="", compare=False)
-    # total site of each psheaf-cat, built on first use by fibred_site
-    fibred_sites: dict[str, FibredSite] = field(
-        default_factory=dict, compare=False, repr=False
-    )
 
     def fibred_site(self, name: str) -> FibredSite:
-        """The total site of the psheaf-cat `name`, built once per bundle.
+        """The total site of the psheaf-cat `name`, built once and remembered
+        on the psheaf-cat (``fincat._remembered``).
 
         parse_bundle has validated the psheaf-cat, so it is not checked again.
         """
-        fs = self.fibred_sites.get(name)
-        if fs is None:
-            fs = _grothendieck_construct(self.presheaves_of_categories[name])
-            self.fibred_sites[name] = fs
-        return fs
+        return _remembered(self.presheaves_of_categories[name], _grothendieck_construct)
 
     def named(self, kind: str, name: str):
         """The block of this kind (a ``_KINDS`` key) called `name`."""

@@ -845,6 +845,8 @@ def validate_presheaf_diagram(d: PresheafDiagram) -> list[str]:
     report = validate_category(d.index)
     if report:
         return [f"index: {b}" for b in report]
+    if not d.value:
+        return ["no presheaves, so the diagram has no site"]
     base = next(iter(d.value.values())).base
     for i, p in d.value.items():
         if p.base != base:

@@ -97,6 +97,34 @@ class FiniteCategory:
         return self.morphisms[t[i - 1]][1]
 
 
+def _remembered(arg, build, *args, check=None):
+    """build(arg, *args), built once and kept on arg itself.
+
+    The results live in ``vars(arg)["_memo"]``, keyed by (build, *args), as
+    a FiniteCategory keeps its cached tables, so they die with arg even when
+    they refer to it.  With a validator check, a caller's argument is
+    validated before the first build from it; a nonempty report raises
+    InputError, and an error is never stored.  The library calls without
+    check on what it built itself, and both share one entry.
+
+    A pickle of arg carries its memo, as a FiniteCategory's carries its
+    cached tables; perfbench pickles every instance before any check, so no
+    check inherits a memo.  ``copy.copy`` shares the memo, which is safe:
+    the copy has the same fields, so the same results.
+    ``dataclasses.replace`` starts a fresh memo.
+    """
+    memo = vars(arg).setdefault("_memo", {})
+    key = (build, *args)
+    out = memo.get(key)
+    if out is None:
+        if check is not None:
+            bad = check(arg)
+            if bad:
+                raise InputError("; ".join(bad))
+        out = memo[key] = build(arg, *args)
+    return out
+
+
 class StringTable(NamedTuple):
     """Simplices per degree, numbered from 0 in each degree.
 

@@ -36,10 +36,11 @@ input.  What the library feeds back in (``pb`` of a hocolim it built, the
 sections of its own sectionwise results) goes to the unchecked builders
 directly; the property test in ``tests/test_builders.py`` runs the validators
 on every builder's output instead, and compares its dicts with hand-written
-reference builders.  Every result is remembered for as long as
-its argument object is alive, and the checked and unchecked paths share that
-one entry, so the triangle checks, the unit, the counit and the sectionwise
-run share one build of each intermediate.  Library values are immutable:
+reference builders.  Every result is remembered on its argument object
+itself, in ``vars(arg)["_memo"]`` (``fincat._remembered``), so it lives as
+long as that object.  The checked and unchecked paths share that one entry,
+so the triangle checks, the unit, the counit and the sectionwise run share
+one build of each intermediate.  Library values are immutable:
 mutating a diagram or an over-object after passing it in is unsupported,
 since a later call would return the result remembered for it.
 
@@ -53,7 +54,6 @@ and keep no law loop of their own.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from functools import partial
 from itertools import repeat, tee
@@ -66,6 +66,7 @@ from .fincat import (
     COVARIANT,
     Groupoid,
     SetValuedFunctor,
+    _remembered,
     opposite,
     opposite_functor,
     validate_groupoid,
@@ -76,7 +77,6 @@ from .sset import (
     TruncatedSimplicialSet,
     _action_ids,
     _deferred,
-    _equals_level_of,
     _integer_level,
     _level_cells,
     compose_simplicial_maps,
@@ -159,43 +159,10 @@ def validate_over_nerve(x: OverNerve) -> list[str]:
     report.extend(validate_simplicial(x.total))
     if x.structure.domain != x.total:
         report.append("structure map does not start at the total object")
-    if not _equals_level_of(x.structure.codomain, _remembered(x.base, nerve, x.total.dim)):
+    if x.structure.codomain != _remembered(x.base, nerve, x.total.dim):
         report.append("structure map does not land in the base nerve")
     report.extend(validate_simplicial_map(x.structure))
     return report
-
-
-# Results per argument object: id(argument) -> {(builder, *args): result}.
-# The entry is dropped when its argument is collected, so an id is never
-# reused while its entry exists.  A raised error is never stored.
-_MEMO: dict[int, dict] = {}
-
-
-def _entries(arg) -> dict:
-    entries = _MEMO.get(id(arg))
-    if entries is None:
-        entries = _MEMO[id(arg)] = {}
-        weakref.finalize(arg, _MEMO.pop, id(arg), None)
-    return entries
-
-
-def _remembered(arg, build, *args, check=None):
-    """build(arg, *args), built once for as long as arg is alive.
-
-    With a validator check, a caller's argument is validated before the first
-    build from it; a nonempty report raises InputError.  The library calls
-    without check on what it built itself, and both share one entry.
-    """
-    entries = _entries(arg)
-    key = (build, *args)
-    out = entries.get(key)
-    if out is None:
-        if check is not None:
-            bad = check(arg)
-            if bad:
-                raise InputError("; ".join(bad))
-        out = entries[key] = build(arg, *args)
-    return out
 
 
 def hocolim(a: GroupoidDiagram, d: int) -> OverNerve:
@@ -217,7 +184,7 @@ def _hocolim(a: GroupoidDiagram, d: int) -> OverNerve:
     mode, the integer level of the total and of the structure map, from
     which ``sset`` writes their dicts.  The full mode runs only when
     something reads that level or those dicts.  The deferred builds hold
-    a's parts but not a itself, so the memo entry for a is freed with a.
+    a's parts but not a itself, so no reference cycle runs through a's memo.
     """
     g = a.base
     if any(a.value[y].dim < d for y in g.objects):
@@ -350,7 +317,7 @@ def _pb(x: OverNerve) -> GroupoidDiagram:
     actions' integer levels come from x's integer level, in the order of t,
     then of gamma in ``hom``.  ``sset`` writes the dicts from the integer
     levels on first read.  The deferred builds hold x's parts, never x, so
-    the memo entry for x is freed with x.
+    no reference cycle runs through x's memo.
     """
     g = x.base
     total, structure = x.total, x.structure
@@ -476,11 +443,10 @@ def _unit(x: OverNerve, target: OverNerve) -> SimplicialMap:
 
 def _counit(a: GroupoidDiagram, p: GroupoidDiagram) -> dict[str, SimplicialMap]:
     """p = pb(hocolim(a)) -> a, pushing the carried simplex along the anchor."""
-    d = next(iter(a.value.values())).dim
     out: dict[str, SimplicialMap] = {}
     for y in a.base.objects:
         comps = []
-        for n in range(d + 1):
+        for n in range(p.value[y].dim + 1):
             cm = {}
             for tok in p.value[y].simplices[n]:
                 (_sigma, x), gamma = tok
@@ -495,17 +461,25 @@ def unit_eta(x: OverNerve) -> SimplicialMap:
     return _unit(x, _remembered(pb(x), _hocolim, x.total.dim))
 
 
-def _counit_at(a: GroupoidDiagram) -> dict[str, SimplicialMap]:
+def _counit_at(a: GroupoidDiagram, d: int) -> dict[str, SimplicialMap]:
     """The counit at a, built once per diagram: the triangle check and
     ``counit_epsilon`` share it."""
-    h = _remembered(a, _hocolim, next(iter(a.value.values())).dim)
-    return _counit(a, _remembered(h, _pb))
+    return _counit(a, _remembered(_remembered(a, _hocolim, d), _pb))
+
+
+def _truncation(a: GroupoidDiagram) -> int:
+    """The truncation of a's values.  A diagram with none raises InputError:
+    a computation on it would pass without doing anything."""
+    if not a.value:
+        raise InputError("the diagram has no values")
+    return next(iter(a.value.values())).dim
 
 
 def counit_epsilon(a: GroupoidDiagram) -> dict[str, SimplicialMap]:
     """pb(hocolim(a)) -> a, pushing the carried simplex along the anchor."""
-    hocolim(a, next(iter(a.value.values())).dim)
-    return dict(_remembered(a, _counit_at))
+    d = _truncation(a)
+    hocolim(a, d)
+    return dict(_remembered(a, _counit_at, d))
 
 
 @dataclass(frozen=True)
@@ -536,9 +510,9 @@ def check_triangles(
     pb_side = True
     if a is not None:
         g = a.base
-        d = next(iter(a.value.values())).dim
+        d = _truncation(a)
         h = hocolim(a, d)
-        eps = _remembered(a, _counit_at)
+        eps = _remembered(a, _counit_at, d)
         for n, eta_n in enumerate(_unit_components(h)):
             eps_n = {y: m.components[n] for y, m in eps.items()}
             for tok in h.total.simplices[n]:
@@ -687,7 +661,6 @@ def validate_enriched_over_nerve(y: EnrichedOverNerve) -> list[str]:
     dims = {y.sections[u].total.dim for u in c.objects}
     if len(dims) > 1:
         return ["sections have mixed truncations"]
-    d = y.sections[next(iter(c.objects))].total.dim
     for alpha, (v, u) in c.morphisms.items():
         sm = y.site_action.get(alpha)
         if sm is None:
@@ -700,7 +673,7 @@ def validate_enriched_over_nerve(y: EnrichedOverNerve) -> list[str]:
             f"site action along {alpha}: {b}" for b in validate_simplicial_map(sm)
         )
         # compatibility with the structure maps over the op-nerve restriction
-        opr = nerve_map(opposite_functor(a.restriction[alpha]), d)
+        opr = nerve_map(opposite_functor(a.restriction[alpha]), y.sections[u].total.dim)
         lhs = compose_simplicial_maps(y.sections[v].structure, sm)
         rhs = compose_simplicial_maps(opr, y.sections[u].structure)
         if lhs.components != rhs.components:
@@ -763,7 +736,8 @@ def enriched_pb(y: EnrichedOverNerve) -> EnrichedGroupoidDiagram:
 def _enriched_pb(y: EnrichedOverNerve) -> EnrichedGroupoidDiagram:
     a = y.base
     c = a.site
-    d = y.sections[next(iter(c.objects))].total.dim
+    if not c.objects:
+        raise InputError("the over-object has no sections: its site has no objects")
     per_section = {u: _remembered(y.sections[u], _pb) for u in c.objects}
     value = {
         (u, ob): per_section[u].value[ob]
@@ -780,7 +754,7 @@ def _enriched_pb(y: EnrichedOverNerve) -> EnrichedGroupoidDiagram:
         r = a.restriction[alpha]
         for ob in a.value[u].objects:
             comps = []
-            for n in range(d + 1):
+            for n in range(y.sections[u].total.dim + 1):
                 cm = {}
                 for (t, gamma) in per_section[u].value[ob].simplices[n]:
                     cm[(t, gamma)] = (
@@ -796,7 +770,7 @@ def _enriched_pb(y: EnrichedOverNerve) -> EnrichedGroupoidDiagram:
     p = EnrichedGroupoidDiagram(
         base=a, value=value, cat_action=cat_action, site_action=site_action
     )
-    _entries(p).update(((_section_diagram, u), s) for u, s in per_section.items())
+    vars(p)["_memo"] = {(_section_diagram, u): s for u, s in per_section.items()}
     return p
 
 

@@ -428,7 +428,6 @@ def constant_enriched_diagram_from(
 ) -> EnrichedGroupoidDiagram:
     """Spread a section-level diagram (over the opposed fibre) constantly."""
     site = g.site
-    d = next(iter(diag.value.values())).dim
     value = {
         (u, y): diag.value[y] for u in site.objects for y in diag.base.objects
     }

@@ -116,32 +116,26 @@ def _fill_simplices(s: TruncatedSimplicialSet) -> None:
     vars(s)["simplices"] = tuple(frozenset(_level_cells(s, n)[0]) for n in range(s.dim + 1))
 
 
-def _map_entries(s: TruncatedSimplicialSet):
-    """Each face and degeneracy of s read off its integer level, as
-    (0 for a face or 1, its key, its arguments as a list, an iterator of
-    their values in the same order).
+def _fill_maps(s: TruncatedSimplicialSet) -> None:
+    """Write s's faces and degeneracies from its integer level.
 
     Faces come from the face ids.  A simplex y with bit i of its mask set
     is s_i(d_i y), and d_i s_i = id makes s_i injective (Goerss & Jardine,
     §I.1), so those y give s_i out of the degree below, entry by entry.
     """
+    faces: dict[tuple[int, int], dict] = {}
+    degeneracies: dict[tuple[int, int], dict] = {}
     for n in range(1, s.dim + 1):
         below = _level_cells(s, n - 1)[0].__getitem__
         tokens, masks, ids = _integer_level(s, n)
         for i in range(n + 1):
-            yield 0, (n, i), tokens, map(below, map(itemgetter(i), ids))
+            faces[(n, i)] = dict(zip(tokens, map(below, map(itemgetter(i), ids))))
         for i in range(n):
             image = [m >> i & 1 for m in masks]
-            args = list(map(below, map(itemgetter(i), compress(ids, image))))
-            yield 1, (n - 1, i), args, compress(tokens, image)
-
-
-def _fill_maps(s: TruncatedSimplicialSet) -> None:
-    """Write s's faces and degeneracies from its integer level."""
-    tables: tuple[dict, dict] = ({}, {})
-    for kind, key, args, values in _map_entries(s):
-        tables[kind][key] = dict(zip(args, values))
-    vars(s).update(faces=tables[0], degeneracies=tables[1])
+            degeneracies[(n - 1, i)] = dict(
+                zip(map(below, map(itemgetter(i), compress(ids, image))), compress(tokens, image))
+            )
+    vars(s).update(faces=faces, degeneracies=degeneracies)
 
 
 def _fill_components(f: SimplicialMap) -> None:
@@ -151,31 +145,6 @@ def _fill_components(f: SimplicialMap) -> None:
         into = _level_cells(f.codomain, n)[0].__getitem__
         comps.append(dict(zip(_level_cells(f.domain, n)[0], map(into, _action_ids(f, n)))))
     vars(f)["components"] = tuple(comps)
-
-
-def _equals_level_of(s: TruncatedSimplicialSet, t: TruncatedSimplicialSet) -> bool:
-    """s == t, reading t's faces and degeneracies off its integer level
-    (``_map_entries``), so no dict of t is written.  A t that already holds
-    its dicts is compared by equality."""
-    if s is t or "faces" in vars(t):
-        return s == t
-    if type(s) is not type(t) or s.dim != t.dim or s.simplices != t.simplices:
-        return False
-    d, tables = t.dim, (s.faces, s.degeneracies)
-    if not all(isinstance(m, dict) for m in tables):
-        return False
-    if [len(m) for m in tables] != [d * (d + 3) // 2, d * (d + 1) // 2]:
-        return False
-    for kind, key, args, values in _map_entries(t):
-        m = tables[kind].get(key)
-        if not isinstance(m, dict) or len(m) != len(args):
-            return False
-        if list(map(m.get, args, repeat(_ABSENT))) != list(values):
-            return False
-    return True
-
-
-_ABSENT = object()  # no simplex: the value of an argument a table lacks
 
 
 @_deferrable(simplices=_fill_simplices, faces=_fill_maps, degeneracies=_fill_maps)

@@ -105,7 +105,7 @@ class TestParsing:
         monkeypatch.setattr(bundle, "validate_presheaf_of_categories", counting)
         b = parse_bundle([str(BUNDLES / name)])
         for pname in b.presheaves_of_categories:
-            b.fibred_site(pname)
+            assert b.fibred_site(pname) is b.fibred_site(pname)
         assert len(seen) == len(b.presheaves_of_categories)
         seen.clear()
         assert go(["validate", str(BUNDLES / name)])[0] == 0
@@ -279,12 +279,12 @@ class TestCommands:
         assert doc["payload"]["cohomology"] == doc["payload"]["pulled_back"]
 
     def test_invariance_check_builds_totals_unchecked(self, monkeypatch):
-        # parse validated the bundle's presheaves; neither the default
-        # coefficients nor total_functor may validate them again
+        # parse validated the bundle's presheaves, and no total is built
+        # through the public grothendieck_construct, which validates first
         from fibsite import fibred
 
         def refuse(a):
-            raise AssertionError("a parsed presheaf of categories was validated again")
+            raise AssertionError("a total was built through grothendieck_construct")
 
         monkeypatch.setattr(fibred, "grothendieck_construct", refuse)
         code, _ = go(["invariance-check", str(BUNDLES / "e2_collapse.bundle"), "--mor", "m"])

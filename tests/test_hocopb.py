@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibsite import hocopb, sset
+from fibsite import fibred, hocopb
 from fibsite.errors import InputError
 from fibsite.fibred import constant_presheaf_of_categories
 from fibsite.fincat import (
-    codiscrete_groupoid,
+    _remembered,
     cyclic_groupoid,
     discrete_category,
     opposite,
@@ -49,6 +49,7 @@ from fibsite.sampling import (
     random_groupoid,
     random_over_nerve,
     random_poset_site,
+    random_presheaf_of_categories,
 )
 from fibsite.sset import (
     SimplicialMap,
@@ -358,7 +359,7 @@ class TestTable:
         x = random_over_nerve(random.Random(6), z2, 4)
         eta = unit_eta(x)
         assert we_evidence(eta, 3).passed
-        h = hocopb._remembered(pb(x), hocopb._hocolim, 4)
+        h = _remembered(pb(x), hocopb._hocolim, 4)
         assert h.total is eta.codomain
         assert _unbuilt(eta.codomain) and "components" not in vars(h.structure)
         # the first read fills the dicts of the total and of the structure map
@@ -657,28 +658,26 @@ class TestMemo:
 
     def test_entry_goes_with_its_argument(self, z2):
         a = random_diagram(random.Random(8), z2, 3)
-        key = id(a)
         h = weakref.ref(hocolim(a, 3))
         p = weakref.ref(pb(h()))
-        assert key in hocopb._MEMO
+        assert vars(a)["_memo"] == {(hocopb._hocolim, 3): h()}
+        assert vars(h())["_memo"] == {(hocopb._pb,): p()}
         del a
         gc.collect()
-        assert key not in hocopb._MEMO
         assert h() is None and p() is None
 
     def test_pullback_entry_goes_with_its_argument(self, z2):
         # pb's deferred views and fills hold x's parts, never x: with its
         # tables read and its cells and maps unbuilt, nothing keeps x alive
         x = random_over_nerve(random.Random(8), z2, 3)
-        key = id(x)
         p = weakref.ref(pb(x))
         assert we_evidence(unit_eta(x), 2).passed
         assert all(_unbuilt(v) for v in p().value.values())
-        h = weakref.ref(hocopb._remembered(p(), hocopb._hocolim, 3))
-        assert key in hocopb._MEMO and id(p()) in hocopb._MEMO
+        h = weakref.ref(_remembered(p(), hocopb._hocolim, 3))
+        assert vars(x)["_memo"] == {(hocopb._pb,): p()}
+        assert vars(p())["_memo"] == {(hocopb._hocolim, 3): h()}
         del x
         gc.collect()
-        assert key not in hocopb._MEMO
         assert p() is None and h() is None
 
     def test_one_nerve_per_base_groupoid(self, monkeypatch):
@@ -694,15 +693,25 @@ class TestMemo:
 
     def test_nerve_entry_goes_with_its_groupoid(self):
         g = cyclic_groupoid(3)
-        key = id(g)
         h = hocolim(random_diagram(random.Random(8), g, 3), 3)
         ng = weakref.ref(h.structure.codomain)
         # the nerve refers to no groupoid, so nothing but g keeps the entry
-        assert hocopb._MEMO[key] == {(nerve, 3): ng()}
+        assert vars(g)["_memo"] == {(nerve, 3): ng()}
         del h, g
         gc.collect()
-        assert key not in hocopb._MEMO
         assert ng() is None
+
+    def test_a_result_that_refers_to_its_argument_goes_with_it(self):
+        # a total site holds its presheaf of categories, so only a memo
+        # kept on the argument itself can free it
+        rng = random.Random(3)
+        a = random_presheaf_of_categories(rng, random_poset_site(rng, 2))
+        fs = weakref.ref(_remembered(a, fibred._grothendieck_construct))
+        assert fs().base is a
+        assert _remembered(a, fibred._grothendieck_construct) is fs()
+        del a
+        gc.collect()
+        assert fs() is None
 
     def test_invalid_input_raises_on_every_call(self, z2, builds, validated):
         rng = random.Random(9)
@@ -728,89 +737,23 @@ class TestMemo:
 
 
 # ---------------------------------------------------------------------------
-# validate_over_nerve compares the codomain with the remembered nerve's
-# integer level, and writes none of that nerve's dicts
+# validate_over_nerve compares the structure map's codomain with the
+# remembered nerve of the base
 
 
-def _as_dicts(s: TruncatedSimplicialSet) -> TruncatedSimplicialSet:
-    return TruncatedSimplicialSet(
-        dim=s.dim,
-        simplices=tuple(s.simplices),
-        faces={k: dict(m) for k, m in s.faces.items()},
-        degeneracies={k: dict(m) for k, m in s.degeneracies.items()},
+def test_a_structure_map_into_a_moved_nerve_is_refused():
+    g = cyclic_groupoid(2)
+    x = random_over_nerve(random.Random(2), g, 3)
+    ng = nerve(g, 3)
+    faces = {k: dict(m) for k, m in ng.faces.items()}
+    face = faces[(2, 0)]
+    moved = sorted(face, key=repr)[0]
+    face[moved] = next(y for y in sorted(ng.simplices[1], key=repr) if y != face[moved])
+    codomain = TruncatedSimplicialSet(3, ng.simplices, faces, ng.degeneracies)
+    bad = OverNerve(
+        base=g,
+        total=x.total,
+        structure=SimplicialMap(domain=x.total, codomain=codomain, components=x.structure.components),
     )
-
-
-PERTURBATIONS = (
-    "none", "drop simplex", "stray simplex", "move face", "drop face entry", "stray face entry",
-    "drop face map", "stray face map", "move degeneracy", "drop degeneracy entry", "stray degeneracy entry",
-    "raise dim", "simplices as list", "library nerve",
-)
-
-
-@st.composite
-def perturbed_nerves(draw):
-    """A groupoid, a truncation, and a dict copy of its nerve with at most
-    one simplex, face or degeneracy changed, or the library's own nerve."""
-    g = draw(st.sampled_from((cyclic_groupoid(2), cyclic_groupoid(3), codiscrete_groupoid(["o1", "o2"]))))
-    d = draw(st.integers(1, 3))
-    s = _as_dicts(nerve(g, d))
-    kind = draw(st.sampled_from(PERTURBATIONS))
-    n = draw(st.integers(1, d))
-    i = draw(st.integers(0, n))
-    level = sorted(s.simplices[n], key=repr)
-    below = sorted(s.simplices[n - 1], key=repr)
-    x = draw(st.sampled_from(level))
-    simplices = list(s.simplices)
-    if kind == "drop simplex":
-        simplices[n] = s.simplices[n] - {x}
-    elif kind == "stray simplex":
-        simplices[n] = s.simplices[n] | {("stray",) * n}
-    elif kind == "move face":
-        face = s.faces[(n, i)]
-        face[x] = draw(st.sampled_from([y for y in below if y != face[x]] or below))
-    elif kind == "drop face entry":
-        del s.faces[(n, i)][x]
-    elif kind == "stray face entry":
-        s.faces[(n, i)][("stray",) * n] = below[0]
-    elif kind == "drop face map":
-        del s.faces[(n, i)]
-    elif kind == "stray face map":
-        s.faces[(d + 1, 0)] = {}
-    elif kind == "move degeneracy" and i < n:
-        degeneracy, y = s.degeneracies[(n - 1, i)], draw(st.sampled_from(below))
-        degeneracy[y] = draw(st.sampled_from([z for z in level if z != degeneracy[y]] or level))
-    elif kind == "drop degeneracy entry" and i < n:
-        del s.degeneracies[(n - 1, i)][draw(st.sampled_from(below))]
-    elif kind == "stray degeneracy entry" and i < n:
-        s.degeneracies[(n - 1, i)][("stray",) * n] = x
-    if kind == "simplices as list":
-        simplices = list(simplices)
-    else:
-        simplices = tuple(simplices)
-    if kind == "library nerve":
-        return g, d, nerve(g, d)
-    dim = d + 1 if kind == "raise dim" else d
-    return g, d, TruncatedSimplicialSet(dim, simplices, s.faces, s.degeneracies)
-
-
-@settings(max_examples=120, deadline=None)
-@given(perturbed_nerves())
-def test_level_comparison_agrees_with_equality(case):
-    g, d, s = case
-    remembered = nerve(g, d)
-    assert sset._equals_level_of(s, remembered) == (s == nerve(g, d))
-    assert "faces" not in vars(remembered) and "degeneracies" not in vars(remembered)
-    # a set given as dicts is compared as dicts: its level would drop a stray entry
-    copy = _as_dicts(s)
-    assert sset._equals_level_of(s, copy) == (s == copy)
-
-
-def test_pb_writes_no_dict_of_the_remembered_nerve():
-    for seed in range(6):
-        g = cyclic_groupoid(2)
-        x = random_over_nerve(random.Random(seed), g, 3)
-        pb(x)
-        ng = hocopb._remembered(g, nerve, 3)
-        assert ng is not x.structure.codomain
-        assert "faces" not in vars(ng) and "degeneracies" not in vars(ng)
+    assert validate_over_nerve(x) == []
+    assert "structure map does not land in the base nerve" in validate_over_nerve(bad)

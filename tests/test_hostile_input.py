@@ -36,14 +36,25 @@ from fibsite.errors import InputError, ValidationFailure
 from fibsite.cohom import ZZ, constant_abelian_presheaf, invariance_report
 from fibsite.fibred import (
     MorphismOfPresheavesOfCategories,
+    PresheafDiagram,
     constant_enriched_diagram,
     constant_presheaf_of_categories,
     free_enrichment,
     grothendieck_construct,
+    make_translation_presheaf,
     object_restriction,
+    validate_presheaf_diagram,
 )
-from fibsite.fincat import Functor, Groupoid, cyclic_groupoid, poset_chain, terminal_category
+from fibsite.fincat import (
+    Functor,
+    Groupoid,
+    cyclic_groupoid,
+    discrete_category,
+    poset_chain,
+    terminal_category,
+)
 from fibsite.sampling import (
+    constant_enriched_diagram_from,
     random_diagram,
     random_enriched_diagram,
     random_groupoid,
@@ -431,6 +442,63 @@ def test_enriched_counit_refuses_a_truncation_other_than_its_values():
     with pytest.raises(InputError, match="values' truncation, not at 2"):
         hocopb.enriched_counit(x, 2)
     assert {m.domain.dim for m in hocopb.enriched_counit(x, 4).values()} == {4}
+
+
+# ---------------------------------------------------------------------------
+# empty inputs: a validator returns a report and a computation raises
+# InputError, never StopIteration
+
+EMPTY_GROUPOID = Groupoid(objects=(), morphisms={}, identity={}, composition={})
+
+
+def _diagram_with_no_values() -> hocopb.GroupoidDiagram:
+    a = hocopb.GroupoidDiagram(base=EMPTY_GROUPOID, value={}, action={})
+    assert hocopb.validate_diagram(a) == []
+    return a
+
+
+def test_counit_of_a_diagram_with_no_values_is_refused():
+    with pytest.raises(InputError, match="the diagram has no values"):
+        hocopb.counit_epsilon(_diagram_with_no_values())
+
+
+def test_triangles_of_a_diagram_with_no_values_are_refused():
+    with pytest.raises(InputError, match="the diagram has no values"):
+        hocopb.check_triangles(a=_diagram_with_no_values())
+
+
+def _diagram_on_an_empty_index() -> PresheafDiagram:
+    return PresheafDiagram(index=discrete_category([]), value={}, map={})
+
+
+def test_a_presheaf_diagram_on_an_empty_index_is_reported():
+    report = validate_presheaf_diagram(_diagram_on_an_empty_index())
+    assert report == ["no presheaves, so the diagram has no site"]
+
+
+def test_a_translation_presheaf_on_an_empty_index_is_refused():
+    with pytest.raises(ValidationFailure, match="no presheaves"):
+        make_translation_presheaf(_diagram_on_an_empty_index())
+
+
+def _over_an_empty_site() -> hocopb.EnrichedOverNerve:
+    base = constant_presheaf_of_categories(discrete_category([]), cyclic_groupoid(2))
+    return hocopb.EnrichedOverNerve(base=base, sections={}, site_action={})
+
+
+def test_an_over_object_on_an_empty_site_is_vacuously_valid():
+    assert hocopb.validate_enriched_over_nerve(_over_an_empty_site()) == []
+
+
+def test_a_pullback_over_an_empty_site_is_refused():
+    with pytest.raises(InputError, match="no sections: its site has no objects"):
+        hocopb.enriched_pb(_over_an_empty_site())
+
+
+def test_spreading_a_diagram_with_no_values_gives_no_values():
+    g = constant_presheaf_of_categories(poset_chain(["V", "U"]), EMPTY_GROUPOID)
+    x = constant_enriched_diagram_from(g, _diagram_with_no_values())
+    assert x.value == {} and x.cat_action == {} and x.site_action == {}
 
 
 # ---------------------------------------------------------------------------

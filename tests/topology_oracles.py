@@ -9,8 +9,6 @@ small sites, passing ``listed(t)`` for a library topology t.
 a natural isomorphism, section by section.
 """
 
-import itertools
-
 from fibsite.errors import InputError
 from fibsite.fibred import preimage_sieve
 from fibsite.site import (
@@ -138,30 +136,46 @@ def oracle_is_sheaf(f, covers):
 
 
 def presheaves_isomorphic(f, g) -> bool:
-    """Sectionwise-bijective natural isomorphism test by backtracking search."""
+    """Whether some natural isomorphism f -> g exists, by backtracking search.
+
+    Sections are assigned one at a time, and each assignment is checked
+    against every arrow among the sections assigned so far, so a wrong
+    choice is dropped as soon as an arrow refutes it.  No section's name is
+    read.
+    """
     if f.base != g.base:
         return False
     c = f.base
     if any(len(f.value[u]) != len(g.value[u]) for u in c.objects):
         return False
-    objs = sorted(c.objects)
+    order = [(u, e) for u in sorted(c.objects) for e in sorted(f.value[u])]
+    maps: dict[str, dict[str, str]] = {u: {} for u in c.objects}
 
-    def extend(i: int, maps: dict[str, dict[str, str]]) -> bool:
-        if i == len(objs):  # the last assignment checked every arrow
+    def natural(u: str, e: str, y: str) -> bool:
+        # the arrows m: v -> u that restrict e, and m: u -> w that restrict
+        # an assigned section of w to e
+        return all(
+            f.act(m, e) not in maps[c.source(m)] or maps[c.source(m)][f.act(m, e)] == g.act(m, y)
+            for m in c.into(u)
+        ) and all(
+            g.act(m, y2) == y
+            for m in c.out_of(u)
+            for e2, y2 in maps[c.target(m)].items()
+            if f.act(m, e2) == e
+        )
+
+    def extend(k: int) -> bool:
+        if k == len(order):
             return True
-        u = objs[i]
-        fe = sorted(f.value[u])
-        for perm in itertools.permutations(sorted(g.value[u])):
-            maps[u] = dict(zip(fe, perm))
-            natural = all(
-                maps[v][f.act(m, e)] == g.act(m, maps[w][e])
-                for m, (v, w) in c.morphisms.items()
-                if v in maps and w in maps
-                for e in f.value[w]
-            )
-            if natural and extend(i + 1, maps):
+        u, e = order[k]
+        used = set(maps[u].values())
+        for y in sorted(g.value[u]):
+            if y in used:
+                continue
+            maps[u][e] = y
+            if natural(u, e, y) and extend(k + 1):
                 return True
-            del maps[u]
+            del maps[u][e]
         return False
 
-    return extend(0, {})
+    return extend(0)
