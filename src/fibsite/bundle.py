@@ -38,9 +38,9 @@ Identity morphisms are created automatically and named ``id_<object>``; the
 parser rejects attempts to redefine them.  Declared object and morphism
 names may not contain ``|``, ``(`` or ``)``, which the pair names of total
 objects and arrows use, nor ``>``, which comma arrow names use.  Every block
-is validated after
-parsing; validation failures surface as BundleValidationError with the
-structure's own report attached.
+is validated after parsing, through ``fincat._verdict``, so each block keeps
+its passing verdict and no command validates it again; validation failures
+surface as BundleValidationError with the structure's own report attached.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from .fibred import (
     MorphismOfPresheavesOfCategories,
     PresheafOfCategories,
     PresheafOfGroupoids,
-    _grothendieck_construct,
+    grothendieck_construct,
     validate_morphism_of_presheaves,
     validate_presheaf_of_categories,
 )
@@ -65,7 +65,7 @@ from .fincat import (
     Functor,
     Groupoid,
     SetValuedFunctor,
-    _remembered,
+    _verdict,
     build_category,
     identity_functor,
     validate_category,
@@ -132,12 +132,10 @@ class Bundle:
     content_hash: str = field(default="", compare=False)
 
     def fibred_site(self, name: str) -> FibredSite:
-        """The total site of the psheaf-cat `name`, built once and remembered
-        on the psheaf-cat (``fincat._remembered``).
-
-        parse_bundle has validated the psheaf-cat, so it is not checked again.
-        """
-        return _remembered(self.presheaves_of_categories[name], _grothendieck_construct)
+        """The total site of the psheaf-cat `name`: ``grothendieck_construct``,
+        which remembers it on the psheaf-cat, as the psheaf-cat keeps the
+        verdict parse_bundle left on it."""
+        return grothendieck_construct(self.presheaves_of_categories[name])
 
     def named(self, kind: str, name: str):
         """The block of this kind (a ``_KINDS`` key) called `name`."""
@@ -425,9 +423,9 @@ def _category(bundle: Bundle, b: _Block) -> FiniteCategory:
             composition=cat.composition,
             inverse=inv,
         )
-        b.refuse(validate_groupoid(cat))
+        b.refuse(_verdict(cat, validate_groupoid))
     else:
-        b.refuse(validate_category(cat))
+        b.refuse(_verdict(cat, validate_category))
     seeds: dict[str, set[Sieve]] = {}
     for u, gen_lists in b.covers.items():
         if u not in cat.objects:
@@ -458,7 +456,7 @@ def _set_presheaf(bundle: Bundle, b: _Block) -> SetValuedFunctor:
         else:
             action[m] = dict(b.required(b.maps, ("elem", m), f"action for {m}"))
     pre = make_presheaf(base, value, action)
-    b.refuse(validate_set_functor(pre))
+    b.refuse(_verdict(pre, validate_set_functor))
     return pre
 
 
@@ -479,7 +477,7 @@ def _psheaf_cat(bundle: Bundle, b: _Block) -> PresheafOfCategories:
     all_groupoids = all(isinstance(f, Groupoid) for f in value.values())
     cls = PresheafOfGroupoids if all_groupoids else PresheafOfCategories
     pc = cls(site=base, value=value, restriction=restriction)
-    b.refuse(validate_presheaf_of_categories(pc))
+    b.refuse(_verdict(pc, validate_presheaf_of_categories))
     return pc
 
 
@@ -497,7 +495,7 @@ def _psheaf_mor(bundle: Bundle, b: _Block) -> MorphismOfPresheavesOfCategories:
         for u in dom.site.objects
     }
     mor = MorphismOfPresheavesOfCategories(domain=dom, codomain=cod, components=components)
-    b.refuse(validate_morphism_of_presheaves(mor))
+    b.refuse(_verdict(mor, validate_morphism_of_presheaves))
     return mor
 
 
@@ -528,7 +526,7 @@ def _abelian_presheaf(bundle: Bundle, b: _Block) -> AbelianPresheaf:
             mat = b.required(b.matrices, m, f"matrix for {m}")
             restriction[m] = tuple(tuple(r) for r in mat)
     ab = AbelianPresheaf(base=base, group=group, restriction=restriction)
-    b.refuse(validate_abelian_presheaf(ab))
+    b.refuse(_verdict(ab, validate_abelian_presheaf))
     bundle.abelian_base[b.name] = over
     return ab
 

@@ -21,7 +21,7 @@ from .bundle import (
     _KINDS,
     parse_bundle,
 )
-from .errors import CapExceeded, InputError, RefusedMode, ValidationFailure
+from .errors import CapExceeded, InputError, RefusedMode
 from .fincat import opposite, string_table, validate_category, validate_functor
 from .report import Report, emit_report, factors_to_payload
 
@@ -31,20 +31,6 @@ EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_REFUSED = 4
 EXIT_CAP = 5
-
-COMMANDS = (
-    "validate",
-    "fibred-build",
-    "topology-check",
-    "sheaf-check",
-    "cohomology",
-    "cech",
-    "adjunction-check",
-    "invariance-check",
-    "homology",
-    "nerve-export",
-)
-
 
 def _instance_count(text: str) -> int:
     """Parse --count; fewer than one instance would check nothing."""
@@ -322,7 +308,6 @@ def cmd_invariance_check(args, bundle: Bundle, rep: Report) -> None:
     if args.coeffs is not None:
         f = bundle.named("abpresheaf", args.coeffs)
     else:
-        # parse_bundle validated the codomain; its total is built unchecked
         total = bundle.fibred_site(bundle.name_of("psheaf-cat", mor.codomain)).total
         f = cohom.constant_abelian_presheaf(total, cohom.ZZ)
     n_max = min(args.nmax, 3)
@@ -392,6 +377,7 @@ HANDLERS = {
     "homology": cmd_homology,
     "nerve-export": cmd_nerve_export,
 }
+COMMANDS = tuple(HANDLERS)
 
 
 # the exit code of each error a run reports; an OSError is a bundle that
@@ -401,7 +387,6 @@ EXIT_CODES = {
     BundleNameError: EXIT_PARSE,
     OSError: EXIT_PARSE,
     BundleValidationError: EXIT_VALIDATION,
-    ValidationFailure: EXIT_VALIDATION,
     InputError: EXIT_VALIDATION,
     RefusedMode: EXIT_REFUSED,
     CapExceeded: EXIT_CAP,

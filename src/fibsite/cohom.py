@@ -26,9 +26,9 @@ category of its construction, which for the trivial topology is the derived
 limit the site theory asks for; nontrivial topologies are refused in exact
 mode and served by the Cech approximation.
 
-Inputs are validated once, at the public boundary, and coefficients the
-library builds itself, such as a pullback along an induced functor, go to
-the unchecked ``_cochain_complex``.
+Coefficients are validated through ``fincat._verified``, at most once while
+they pass, and coefficients the library builds itself, such as a pullback
+along an induced functor, go to the unchecked ``_cochain_complex``.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from functools import partial
 from itertools import accumulate
 from typing import Iterable, Sequence
 
-from .errors import InputError, RefusedMode, ValidationFailure, require_valid
+from .errors import InputError, RefusedMode, ValidationFailure
 from .fibred import (
     MorphismOfPresheavesOfCategories,
     PresheafOfGroupoids,
@@ -47,7 +47,7 @@ from .fibred import (
     is_sectionwise_equivalence,
     total_functor,
 )
-from .fincat import FiniteCategory, Functor, comma_data, identity_functor, string_table
+from .fincat import FiniteCategory, Functor, _verified, comma_data, identity_functor, string_table
 from .site import GrothendieckTopology, Sieve, is_trivial_topology, validate_sieve
 from .sset import _deferrable, _deferred
 from .snf import (
@@ -282,7 +282,7 @@ def cochain_complex(
         raise InputError(f"cohomology degree bound {n_max} is negative")
     if f.base != c:
         raise InputError("coefficients do not live on the category")
-    require_valid(validate_abelian_presheaf(f))
+    _verified(f, validate_abelian_presheaf)
     # the mapping-cone route needs the matrices to compose strictly, not just
     # modulo relations; every presheaf built here (constants, pullbacks,
     # slice restrictions) is strict, and a strict model can be demanded of
@@ -586,7 +586,7 @@ def compatible_family_group(c: FiniteCategory, f: AbelianPresheaf) -> FgAbelianG
     """
     if f.base != c:
         raise InputError("coefficients do not live on the category")
-    require_valid(validate_abelian_presheaf(f))
+    _verified(f, validate_abelian_presheaf)
     objs = sorted(c.objects)
     *starts, total = accumulate((f.group[x].generator_count for x in objs), initial=0)
     if total == 0:
@@ -732,8 +732,8 @@ def invariance_report(
     Computes the cohomology of the codomain's total category with the given
     coefficients and of the domain's with coefficients pulled back along the
     induced functor; a pass is equality of invariant factors in every degree
-    up to n_max.  m is validated first (``total_functor``), and each total
-    category is built once.  f is validated once, by ``cochain_complex``.
+    up to n_max.  Each total category is built once and remembered on its
+    presheaf.
     """
     t = total_functor(m)
     if not is_sectionwise_equivalence(m):

@@ -13,14 +13,8 @@ class InputError(FibsiteError):
     """A caller handed in data violating an operation's precondition."""
 
 
-class ValidationFailure(FibsiteError):
+class ValidationFailure(InputError):
     """A structure failed its validator where a valid one was required."""
-
-
-def require_valid(report: list[str]) -> None:
-    """Raise ``ValidationFailure`` with a validator's report, if it has one."""
-    if report:
-        raise ValidationFailure("; ".join(report))
 
 
 class RefusedMode(FibsiteError):

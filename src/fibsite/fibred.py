@@ -15,18 +15,15 @@ diagram here, and ``validate_enriched`` those of the site actions.  The left
 Kan extension, its unit and its counit take their comma categories and
 colimits from ``fincat._comma_cocones``, the one routine that builds them.
 
-Inputs are validated once, at the public boundary, and what the library
-built itself goes to the unchecked ``_grothendieck_construct``.
-``total_functor`` checks the morphism's domain, then its codomain, then the
-morphism, before any lookup; restriction and the Kan functions check the
-diagram they are given, once, before any lookup.
+Arguments are checked by the one rule of ``fincat._verdict``, before any
+lookup, and the total site of a presheaf of categories is remembered on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InputError, ValidationFailure, require_valid
+from .errors import InputError, ValidationFailure
 from .fincat import (
     CONTRAVARIANT,
     COVARIANT,
@@ -37,7 +34,9 @@ from .fincat import (
     CommaCategory,
     SetValuedFunctor,
     _comma_cocones,
-    _inverse_laws,
+    _remembered,
+    _verdict,
+    _verified,
     compose_functors,
     identity_functor,
     is_fully_faithful,
@@ -46,6 +45,7 @@ from .fincat import (
     pair_name,
     validate_category,
     validate_functor,
+    validate_groupoid,
     validate_set_functor,
 )
 from .site import (
@@ -83,20 +83,14 @@ class PresheafOfGroupoids(PresheafOfCategories):
 def validate_presheaf_of_categories(a: PresheafOfCategories) -> list[str]:
     report: list[str] = []
     c = a.site
-    bad = validate_category(c)
+    bad = _verdict(c, validate_category)
     if bad:
         return [f"site: {b}" for b in bad]
-    # one report per distinct fibre object, however many site objects share
-    # it; a fibre that is the site itself passed just above
-    category_laws: dict[int, list[str]] = {id(c): []}
     for u in c.objects:
         if u not in a.value:
             report.append(f"no fibre category at {u}")
             continue
-        fib = a.value[u]
-        if id(fib) not in category_laws:
-            category_laws[id(fib)] = validate_category(fib)
-        report.extend(f"fibre at {u}: {b}" for b in category_laws[id(fib)])
+        report.extend(f"fibre at {u}: {b}" for b in _verdict(a.value[u], validate_category))
     for alpha, (v, u) in c.morphisms.items():
         r = a.restriction.get(alpha)
         if r is None:
@@ -105,7 +99,7 @@ def validate_presheaf_of_categories(a: PresheafOfCategories) -> list[str]:
         if r.domain != a.value[u] or r.codomain != a.value[v]:
             report.append(f"restriction along {alpha} has wrong endpoints")
             continue
-        report.extend(f"restriction along {alpha}: {b}" for b in validate_functor(r))
+        report.extend(f"restriction along {alpha}: {b}" for b in _verdict(r, validate_functor))
     if report:
         return report
     for u in c.objects:
@@ -121,17 +115,14 @@ def validate_presheaf_of_categories(a: PresheafOfCategories) -> list[str]:
         if lhs.object_map != r.object_map or lhs.morphism_map != r.morphism_map:
             report.append(f"restriction functoriality fails on ({g}, {f})")
     if isinstance(a, PresheafOfGroupoids):
-        # every fibre passed its category laws above, so only the inverse
-        # laws of validate_groupoid remain
-        inverse_laws: dict[int, list[str]] = {}
+        # every fibre passed its category laws above, so validate_groupoid
+        # reports only its inverse laws
         for u in c.objects:
             fib = a.value[u]
             if not isinstance(fib, Groupoid):
                 report.append(f"fibre at {u} carries no groupoid structure")
                 continue
-            if id(fib) not in inverse_laws:
-                inverse_laws[id(fib)] = _inverse_laws(fib)
-            report.extend(f"fibre at {u}: {b}" for b in inverse_laws[id(fib)])
+            report.extend(f"fibre at {u}: {b}" for b in _verdict(fib, validate_groupoid))
     return report
 
 
@@ -190,10 +181,10 @@ def grothendieck_construct(a: PresheafOfCategories) -> FibredSite:
     pairs (alpha|f) when those determine the morphism, and carry the target
     fibre object as a third component otherwise (restrictions that are not
     injective on objects make the bare pair ambiguous).  a is validated
-    first; ``_grothendieck_construct`` builds without that check.
+    first, and the result is remembered on a.
     """
-    require_valid(validate_presheaf_of_categories(a))
-    return _grothendieck_construct(a)
+    _verified(a, validate_presheaf_of_categories)
+    return _remembered(a, _grothendieck_construct)
 
 
 def _grothendieck_construct(a: PresheafOfCategories) -> FibredSite:
@@ -312,8 +303,10 @@ class EnrichedSetDiagram:
 
 def validate_enriched(x: EnrichedSetDiagram) -> list[str]:
     a = x.base
+    report = _verdict(a, validate_presheaf_of_categories)
+    if report:
+        return report
     c = a.site
-    report: list[str] = []
     for u in c.objects:
         fib = a.value[u]
         for ob in fib.objects:
@@ -399,7 +392,7 @@ def presheaf_to_enriched(fs: FibredSite, f: Presheaf) -> EnrichedSetDiagram:
     """
     if f.base != fs.total:
         raise InputError("presheaf does not live on the total category")
-    require_valid(validate_set_functor(f))
+    _verified(f, validate_set_functor)
     a = fs.base
     c = a.site
     value = {
@@ -426,7 +419,7 @@ def enriched_to_presheaf(fs: FibredSite, x: EnrichedSetDiagram) -> Presheaf:
     """Reassemble the presheaf; (alpha|gamma) acts as (1|gamma) after (alpha|1)."""
     if x.base != fs.base:
         raise InputError("diagram does not live over the construction's base")
-    require_valid(validate_enriched(x))
+    _verified(x, validate_enriched)
     c = fs.base.site
     value = {n: tuple(x.value[fs.object_pair[n]]) for n in fs.total.objects}
     action: dict[str, dict[str, str]] = {}
@@ -470,8 +463,7 @@ class OverPresheaf:
 
 
 def validate_over_presheaf(p: OverPresheaf) -> list[str]:
-    report = validate_set_functor(p.total)
-    report += validate_set_functor(p.base)
+    report = _verdict(p.total, validate_set_functor) + _verdict(p.base, validate_set_functor)
     if report:
         return report
     c = p.total.base
@@ -498,11 +490,10 @@ def object_restriction(x: EnrichedSetDiagram) -> OverPresheaf:
 
     The result is the over-object form: sections at U are the disjoint union
     of the value sets over the objects of the fibre at U, mapping down to the
-    presheaf of fibre objects.  x's base, then x, is validated first.
+    presheaf of fibre objects.  x, with its base, is validated first.
     """
+    _verified(x, validate_enriched)
     a = x.base
-    require_valid(validate_presheaf_of_categories(a))
-    require_valid(validate_enriched(x))
     c = a.site
     base = object_presheaf(a)
     value = {
@@ -541,8 +532,8 @@ def free_enrichment(a: PresheafOfCategories, x0: OverPresheaf) -> EnrichedSetDia
     morphisms, placed over the source object.  a, then x0, is validated
     first.
     """
-    require_valid(validate_presheaf_of_categories(a))
-    require_valid(validate_over_presheaf(x0))
+    _verified(a, validate_presheaf_of_categories)
+    _verified(x0, validate_over_presheaf)
     c = a.site
     if x0.base.value != object_presheaf(a).value:
         raise InputError("over-presheaf does not sit over the fibre objects")
@@ -593,14 +584,16 @@ class MorphismOfPresheavesOfCategories:
 
 
 def validate_morphism_of_presheaves(m: MorphismOfPresheavesOfCategories) -> list[str]:
-    """The laws of m, whose endpoints must be valid presheaves of categories
-    (``parse_bundle`` and ``_require_valid_morphism`` check them first)."""
-    report: list[str] = []
+    """The laws of m, read after its domain's report, then its codomain's:
+    the naturality squares compose the endpoints' restrictions."""
+    report = _verdict(m.domain, validate_presheaf_of_categories) or _verdict(
+        m.codomain, validate_presheaf_of_categories
+    )
+    if report:
+        return report
     if m.domain.site != m.codomain.site:
         return ["domain and codomain live on different sites"]
     c = m.domain.site
-    # one report per distinct component object, however many site objects share it
-    functor_laws: dict[int, list[str]] = {}
     for u in c.objects:
         comp = m.components.get(u)
         if comp is None:
@@ -609,9 +602,7 @@ def validate_morphism_of_presheaves(m: MorphismOfPresheavesOfCategories) -> list
         if comp.domain != m.domain.value[u] or comp.codomain != m.codomain.value[u]:
             report.append(f"component at {u} has wrong endpoints")
             continue
-        if id(comp) not in functor_laws:
-            functor_laws[id(comp)] = validate_functor(comp)
-        report.extend(f"component at {u}: {b}" for b in functor_laws[id(comp)])
+        report.extend(f"component at {u}: {b}" for b in _verdict(comp, validate_functor))
     if report:
         return report
     for alpha, (v, u) in c.morphisms.items():
@@ -626,7 +617,10 @@ def restrict_along(
     m: MorphismOfPresheavesOfCategories, x: EnrichedSetDiagram
 ) -> EnrichedSetDiagram:
     """Pull an enriched diagram on the codomain back along the morphism."""
-    _require_kan_inputs(m, x, m.codomain, "codomain")
+    _verified(m, validate_morphism_of_presheaves)
+    if x.base != m.codomain:
+        raise InputError("diagram does not live on the codomain")
+    _verified(x, validate_enriched)
     a = m.domain
     c = a.site
     value = {
@@ -647,27 +641,6 @@ def restrict_along(
     return EnrichedSetDiagram(
         base=a, value=value, cat_action=cat_action, site_action=site_action
     )
-
-
-def _require_kan_inputs(
-    m: MorphismOfPresheavesOfCategories,
-    x: EnrichedSetDiagram,
-    base: PresheafOfCategories,
-    side: str,
-) -> None:
-    """Validate m with its endpoints, then x, a diagram on base."""
-    _require_valid_morphism(m)
-    if x.base != base:
-        raise InputError(f"diagram does not live on the {side}")
-    require_valid(validate_enriched(x))
-
-
-def _require_valid_morphism(m: MorphismOfPresheavesOfCategories) -> None:
-    """Validate m's domain, then its codomain, then m itself, so that
-    ``validate_morphism_of_presheaves`` reads only valid endpoints."""
-    require_valid(validate_presheaf_of_categories(m.domain))
-    require_valid(validate_presheaf_of_categories(m.codomain))
-    require_valid(validate_morphism_of_presheaves(m))
 
 
 def _kan_cocones(
@@ -697,7 +670,10 @@ def left_kan_along(
     the comma category of the opposed sectionwise functor at b.  Site actions
     carry colimit classes along the restrictions.
     """
-    _require_kan_inputs(m, y, m.domain, "domain")
+    _verified(m, validate_morphism_of_presheaves)
+    if y.base != m.domain:
+        raise InputError("diagram does not live on the domain")
+    _verified(y, validate_enriched)
     a, b = m.domain, m.codomain
     c = a.site
     cocones = _kan_cocones(m, y)
@@ -759,7 +735,10 @@ def kan_unit(
     m: MorphismOfPresheavesOfCategories, y: EnrichedSetDiagram
 ) -> dict[tuple[str, str], dict[str, str]]:
     """Unit y -> restrict_along(m, left_kan_along(m, y))."""
-    _require_kan_inputs(m, y, m.domain, "domain")
+    _verified(m, validate_morphism_of_presheaves)
+    if y.base != m.domain:
+        raise InputError("diagram does not live on the domain")
+    _verified(y, validate_enriched)
     a, b = m.domain, m.codomain
     cocones = _kan_cocones(m, y)
     out: dict[tuple[str, str], dict[str, str]] = {}
@@ -798,10 +777,11 @@ def kan_counit(
 
 
 def total_functor(m: MorphismOfPresheavesOfCategories) -> Functor:
-    """The induced functor between the total categories of the construction."""
-    _require_valid_morphism(m)
-    fs_a = _grothendieck_construct(m.domain)
-    fs_b = _grothendieck_construct(m.codomain)
+    """The induced functor between the total categories of the construction,
+    each built once and remembered on its presheaf."""
+    _verified(m, validate_morphism_of_presheaves)
+    fs_a = _remembered(m.domain, _grothendieck_construct)
+    fs_b = _remembered(m.codomain, _grothendieck_construct)
     c = m.domain.site
     object_map = {}
     for n, (u, x) in fs_a.object_pair.items():
@@ -842,7 +822,7 @@ class PresheafDiagram:
 
 
 def validate_presheaf_diagram(d: PresheafDiagram) -> list[str]:
-    report = validate_category(d.index)
+    report = _verdict(d.index, validate_category)
     if report:
         return [f"index: {b}" for b in report]
     if not d.value:
@@ -851,7 +831,7 @@ def validate_presheaf_diagram(d: PresheafDiagram) -> list[str]:
     for i, p in d.value.items():
         if p.base != base:
             return [f"presheaf at {i} lives on a different site"]
-        report.extend(f"presheaf at {i}: {b}" for b in validate_set_functor(p))
+        report.extend(f"presheaf at {i}: {b}" for b in _verdict(p, validate_set_functor))
     report.extend(f"no component for {theta}" for theta in d.index.morphisms if theta not in d.map)
     if report:
         return report
@@ -883,7 +863,7 @@ def make_translation_presheaf(d: PresheafDiagram) -> PresheafOfCategories:
     presheaf; a morphism (theta|x): (i|x) -> (j|x') exists when the diagram
     map carries x to x'.
     """
-    require_valid(validate_presheaf_diagram(d))
+    _verified(d, validate_presheaf_diagram)
     base = next(iter(d.value.values())).base
     idx = d.index
     fibres: dict[str, FiniteCategory] = {}

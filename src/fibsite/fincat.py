@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
-from .errors import CapExceeded, InputError
+from .errors import CapExceeded, InputError, ValidationFailure
 
 
 @dataclass(frozen=True)
@@ -97,31 +97,64 @@ class FiniteCategory:
         return self.morphisms[t[i - 1]][1]
 
 
-def _remembered(arg, build, *args, check=None):
-    """build(arg, *args), built once and kept on arg itself.
+class _Memo(dict):
+    """An object's memo: results built from it, keyed by (build, *args), and
+    its passing verdicts, keyed by (validator,).  A pickle or a deep copy of
+    the object starts with an empty one, so a copy changed after its
+    original passed is validated afresh; ``copy.copy`` shares it, and
+    ``dataclasses.replace`` starts a fresh one."""
 
-    The results live in ``vars(arg)["_memo"]``, keyed by (build, *args), as
-    a FiniteCategory keeps its cached tables, so they die with arg even when
-    they refer to it.  With a validator check, a caller's argument is
-    validated before the first build from it; a nonempty report raises
-    InputError, and an error is never stored.  The library calls without
-    check on what it built itself, and both share one entry.
+    def __reduce__(self):
+        return _Memo, ()
 
-    A pickle of arg carries its memo, as a FiniteCategory's carries its
-    cached tables; perfbench pickles every instance before any check, so no
-    check inherits a memo.  ``copy.copy`` shares the memo, which is safe:
-    the copy has the same fields, so the same results.
-    ``dataclasses.replace`` starts a fresh memo.
-    """
-    memo = vars(arg).setdefault("_memo", {})
+    def __deepcopy__(self, memo):
+        return _Memo()
+
+
+def _memo_of(arg) -> _Memo:
+    return vars(arg).setdefault("_memo", _Memo())
+
+
+def _remembered(arg, build, *args):
+    """build(arg, *args), built once and kept in arg's memo, as a
+    FiniteCategory keeps its cached tables, so it dies with arg even when it
+    refers to arg.  arg is not validated here (see ``_verified``)."""
+    memo = _memo_of(arg)
     key = (build, *args)
     out = memo.get(key)
     if out is None:
-        if check is not None:
-            bad = check(arg)
-            if bad:
-                raise InputError("; ".join(bad))
         out = memo[key] = build(arg, *args)
+    return out
+
+
+def _verdict(arg, validate) -> list[str]:
+    """validate(arg), run at most once while arg lives and passes: the one
+    validation rule.  A passing (empty) report is kept in arg's memo, where
+    every later caller finds it, a validator reading its parts' reports
+    included; a failing report is not kept, so every call recomputes it.
+    Library values are immutable, so a kept verdict stays true."""
+    memo = _memo_of(arg)
+    key = (validate,)
+    if key not in memo:
+        report = validate(arg)
+        if report:
+            return report
+        memo[key] = report
+    return []
+
+
+def _verified(arg, validate, what: str = "") -> None:
+    """Raise ValidationFailure with what and arg's report, unless arg passes
+    validate (``_verdict``)."""
+    report = _verdict(arg, validate)
+    if report:
+        raise ValidationFailure(what + "; ".join(report))
+
+
+def _born_valid(out, validate):
+    """out, with validate's passing verdict kept: for what the library
+    builds, which tests check against validate."""
+    _memo_of(out)[(validate,)] = []
     return out
 
 
@@ -296,7 +329,8 @@ class Groupoid(FiniteCategory):
 
 def validate_groupoid(g: Groupoid) -> list[str]:
     # the inverse laws compose, so they wait for a total, well-typed table
-    return _table_report(g) or _law_report(g) + _inverse_laws(g)
+    report = _verdict(g, validate_category)
+    return report if report and _table_report(g) else report + _inverse_laws(g)
 
 
 def _inverse_laws(g: Groupoid) -> list[str]:

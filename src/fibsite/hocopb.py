@@ -29,20 +29,14 @@ dict, and pb(hocolim(a)) reads hocolim(a)'s integer level, not its dicts.
 The counit is remembered per diagram, so ``check_triangles(a=...)`` and
 ``counit_epsilon`` share one.
 
-Inputs are validated once, at the public boundary: ``hocolim``, ``pb``,
-``enriched_hocolim`` and ``enriched_pb`` validate a caller's argument before
-their first build from it, and ``presheaf_hocolim_pb`` validates its enriched
-input.  What the library feeds back in (``pb`` of a hocolim it built, the
-sections of its own sectionwise results) goes to the unchecked builders
-directly; the property test in ``tests/test_builders.py`` runs the validators
-on every builder's output instead, and compares its dicts with hand-written
-reference builders.  Every result is remembered on its argument object
-itself, in ``vars(arg)["_memo"]`` (``fincat._remembered``), so it lives as
-long as that object.  The checked and unchecked paths share that one entry,
-so the triangle checks, the unit, the counit and the sectionwise run share
-one build of each intermediate.  Library values are immutable:
-mutating a diagram or an over-object after passing it in is unsupported,
-since a later call would return the result remembered for it.
+Arguments are checked by the one rule of ``fincat._verdict``.  What the
+builders return is born with its passing verdict, so a hocolim or a pb the
+library built is not validated when it comes back in; the property test in
+``tests/test_builders.py`` runs the validators on every builder's output
+instead, and compares its dicts with hand-written reference builders.
+Every result is remembered in its argument's memo (``fincat._remembered``),
+so it lives as long as that object, and the triangle checks, the unit, the
+counit and the sectionwise run share one build of each intermediate.
 
 Functor laws are checked degree by degree: a simplicial map is its
 components, so an equation between composites of simplicial maps holds
@@ -66,7 +60,11 @@ from .fincat import (
     COVARIANT,
     Groupoid,
     SetValuedFunctor,
+    _born_valid,
+    _memo_of,
     _remembered,
+    _verdict,
+    _verified,
     opposite,
     opposite_functor,
     validate_groupoid,
@@ -98,7 +96,7 @@ class GroupoidDiagram:
 
 
 def validate_diagram(a: GroupoidDiagram) -> list[str]:
-    report = validate_groupoid(a.base)
+    report = _verdict(a.base, validate_groupoid)
     if report:
         return [f"base: {r}" for r in report]
     g = a.base
@@ -107,7 +105,7 @@ def validate_diagram(a: GroupoidDiagram) -> list[str]:
         if y not in a.value:
             report.append(f"no value at {y}")
             continue
-        report.extend(f"value at {y}: {r}" for r in validate_simplicial(a.value[y]))
+        report.extend(f"value at {y}: {r}" for r in _verdict(a.value[y], validate_simplicial))
     if len(dims) > 1:
         report.append("values have mixed truncations")
     for m, (s, t) in g.morphisms.items():
@@ -118,7 +116,7 @@ def validate_diagram(a: GroupoidDiagram) -> list[str]:
         if am.domain != a.value[s] or am.codomain != a.value[t]:
             report.append(f"action of {m} has wrong endpoints")
             continue
-        report.extend(f"action of {m}: {r}" for r in validate_simplicial_map(am))
+        report.extend(f"action of {m}: {r}" for r in _verdict(am, validate_simplicial_map))
     return report or _lowest_failing_degree(
         lambda value, action: validate_set_functor(
             SetValuedFunctor(base=g, variance=COVARIANT, value=value, action=action)
@@ -153,15 +151,15 @@ class OverNerve:
 
 
 def validate_over_nerve(x: OverNerve) -> list[str]:
-    report = validate_groupoid(x.base)
+    report = _verdict(x.base, validate_groupoid)
     if report:
         return [f"base: {r}" for r in report]
-    report.extend(validate_simplicial(x.total))
+    report.extend(_verdict(x.total, validate_simplicial))
     if x.structure.domain != x.total:
         report.append("structure map does not start at the total object")
     if x.structure.codomain != _remembered(x.base, nerve, x.total.dim):
         report.append("structure map does not land in the base nerve")
-    report.extend(validate_simplicial_map(x.structure))
+    report.extend(_verdict(x.structure, validate_simplicial_map))
     return report
 
 
@@ -171,10 +169,10 @@ def hocolim(a: GroupoidDiagram, d: int) -> OverNerve:
     n-simplices are pairs (sigma, x) with sigma a nerve n-simplex and x an
     n-simplex of the value at sigma's first vertex; the 0-th face moves x
     along the string's first arrow before taking its value-level face.  a is
-    validated before the first build from it, and the result is remembered
-    for as long as a is alive.
+    validated first, and the result is remembered for as long as a is alive.
     """
-    return _remembered(a, _hocolim, d, check=validate_diagram)
+    _verified(a, validate_diagram)
+    return _remembered(a, _hocolim, d)
 
 
 def _hocolim(a: GroupoidDiagram, d: int) -> OverNerve:
@@ -201,7 +199,7 @@ def _hocolim(a: GroupoidDiagram, d: int) -> OverNerve:
     structure = _deferred(
         SimplicialMap, domain=total, codomain=ng, _int_levels=map(itemgetter(1), full[1])
     )
-    return OverNerve(base=g, total=total, structure=structure)
+    return _born_valid(OverNerve(base=g, total=total, structure=structure), validate_over_nerve)
 
 
 def _hocolim_levels(
@@ -301,11 +299,11 @@ def pb(x: OverNerve) -> GroupoidDiagram:
     at the first vertex of the underlying string (the string itself is
     recoverable from the structure map, so tokens only store the anchor);
     the 0-th face reanchors by inverting the string's first arrow, which is
-    where invertibility is genuinely required.  x is validated before the
-    first build from it, and the result is remembered for as long as x is
-    alive.
+    where invertibility is genuinely required.  x is validated first, and
+    the result is remembered for as long as x is alive.
     """
-    return _remembered(x, _pb, check=validate_over_nerve)
+    _verified(x, validate_over_nerve)
+    return _remembered(x, _pb)
 
 
 def _pb(x: OverNerve) -> GroupoidDiagram:
@@ -415,7 +413,7 @@ def _pb(x: OverNerve) -> GroupoidDiagram:
             codomain=value[t_],
             _int_levels=map(itemgetter(m), map(itemgetter(1), ints)),
         )
-    return GroupoidDiagram(base=g, value=value, action=action)
+    return _born_valid(GroupoidDiagram(base=g, value=value, action=action), validate_diagram)
 
 
 def _unit_components(x: OverNerve) -> tuple[dict, ...]:
@@ -601,7 +599,7 @@ def validate_enriched_diagram(x: EnrichedGroupoidDiagram) -> list[str]:
     c = a.site
     for u in c.objects:
         report.extend(
-            f"section at {u}: {r}" for r in validate_diagram(section_diagram(x, u))
+            f"section at {u}: {r}" for r in _verdict(section_diagram(x, u), validate_diagram)
         )
     if report:
         return report
@@ -617,7 +615,7 @@ def validate_enriched_diagram(x: EnrichedGroupoidDiagram) -> list[str]:
                 continue
             report.extend(
                 f"site action for ({alpha}, {ob}): {b}"
-                for b in validate_simplicial_map(sm)
+                for b in _verdict(sm, validate_simplicial_map)
             )
     # the sections' laws are checked above, so only the site actions' remain
     return report or _lowest_failing_degree(
@@ -641,7 +639,6 @@ class EnrichedOverNerve:
 
 def validate_enriched_over_nerve(y: EnrichedOverNerve) -> list[str]:
     report: list[str] = []
-    checked: dict[int, list[str]] = {}
     a = y.base
     c = a.site
     for u in c.objects:
@@ -652,10 +649,7 @@ def validate_enriched_over_nerve(y: EnrichedOverNerve) -> list[str]:
         if sec.base != opposite(a.value[u]):
             report.append(f"section at {u} not over the opposed fibre")
             continue
-        # a section object shared by several site objects is checked once
-        if id(sec) not in checked:
-            checked[id(sec)] = validate_over_nerve(sec)
-        report.extend(f"section at {u}: {r}" for r in checked[id(sec)])
+        report.extend(f"section at {u}: {r}" for r in _verdict(sec, validate_over_nerve))
     if report:
         return report
     dims = {y.sections[u].total.dim for u in c.objects}
@@ -670,7 +664,7 @@ def validate_enriched_over_nerve(y: EnrichedOverNerve) -> list[str]:
             report.append(f"site action along {alpha} has wrong endpoints")
             continue
         report.extend(
-            f"site action along {alpha}: {b}" for b in validate_simplicial_map(sm)
+            f"site action along {alpha}: {b}" for b in _verdict(sm, validate_simplicial_map)
         )
         # compatibility with the structure maps over the op-nerve restriction
         opr = nerve_map(opposite_functor(a.restriction[alpha]), y.sections[u].total.dim)
@@ -690,10 +684,11 @@ def validate_enriched_over_nerve(y: EnrichedOverNerve) -> list[str]:
 def enriched_hocolim(x: EnrichedGroupoidDiagram, d: int) -> EnrichedOverNerve:
     """Sectionwise homotopy colimit; site actions act on both components.
 
-    x is validated before the first build from it, and the result is
-    remembered for as long as x is alive.
+    x is validated first, and the result is remembered for as long as x is
+    alive.
     """
-    return _remembered(x, _enriched_hocolim, d, check=validate_enriched_diagram)
+    _verified(x, validate_enriched_diagram)
+    return _remembered(x, _enriched_hocolim, d)
 
 
 def _enriched_hocolim(x: EnrichedGroupoidDiagram, d: int) -> EnrichedOverNerve:
@@ -719,18 +714,20 @@ def _enriched_hocolim(x: EnrichedGroupoidDiagram, d: int) -> EnrichedOverNerve:
             codomain=sections[v].total,
             components=tuple(comps),
         )
-    return EnrichedOverNerve(base=a, sections=sections, site_action=site_action)
+    out = EnrichedOverNerve(base=a, sections=sections, site_action=site_action)
+    return _born_valid(out, validate_enriched_over_nerve)
 
 
 def enriched_pb(y: EnrichedOverNerve) -> EnrichedGroupoidDiagram:
     """Sectionwise pullback; site actions move carried simplices and anchors.
 
-    y is validated before the first build from it, and the result is
-    remembered for as long as y is alive.  The result's section at U is
-    pb(y.sections[U]) itself, so one section object shared by several site
-    objects gives one pullback and one hocolim of it.
+    y is validated first, and the result is remembered for as long as y is
+    alive.  The result's section at U is pb(y.sections[U]) itself, so one
+    section object shared by several site objects gives one pullback and
+    one hocolim of it.
     """
-    return _remembered(y, _enriched_pb, check=validate_enriched_over_nerve)
+    _verified(y, validate_enriched_over_nerve)
+    return _remembered(y, _enriched_pb)
 
 
 def _enriched_pb(y: EnrichedOverNerve) -> EnrichedGroupoidDiagram:
@@ -770,14 +767,14 @@ def _enriched_pb(y: EnrichedOverNerve) -> EnrichedGroupoidDiagram:
     p = EnrichedGroupoidDiagram(
         base=a, value=value, cat_action=cat_action, site_action=site_action
     )
-    vars(p)["_memo"] = {(_section_diagram, u): s for u, s in per_section.items()}
-    return p
+    _memo_of(p).update({(_section_diagram, u): s for u, s in per_section.items()})
+    return _born_valid(p, validate_enriched_diagram)
 
 
 def enriched_unit(y: EnrichedOverNerve) -> dict[str, SimplicialMap]:
     """Per-section units; naturality in the site direction is exact.
 
-    Each section is validated by ``pb`` before the first build from it.
+    Each section is validated by ``pb``.
     """
     return {u: unit_eta(y.sections[u]) for u in y.sections}
 
@@ -787,7 +784,7 @@ def enriched_counit(
 ) -> dict[tuple[str, str], SimplicialMap]:
     """Per-section counits, indexed by (U, fibre object), at the truncation
     of x's values, which d must equal.  Each section is validated by
-    ``hocolim`` before the first build from it.
+    ``hocolim``.
     """
     if any(v.dim != d for v in x.value.values()):
         raise InputError(f"the counit is computed at the values' truncation, not at {d}")

@@ -55,6 +55,8 @@ from .fincat import (
     CONTRAVARIANT,
     FiniteCategory,
     SetValuedFunctor,
+    _born_valid,
+    _verified,
     validate_set_functor,
 )
 
@@ -351,7 +353,9 @@ class SheafVerdict:
     detail: str | None = None
 
 
-def _same_site(f: Presheaf, t: GrothendieckTopology) -> None:
+def _checked(f: Presheaf, t: GrothendieckTopology) -> None:
+    """Refuse an invalid presheaf, then a topology on another site."""
+    _verified(f, validate_set_functor, "presheaf invalid: ")
     if t.site != f.base:
         raise InputError("topology does not live on the base of the presheaf")
 
@@ -363,7 +367,7 @@ def is_sheaf(f: Presheaf, t: GrothendieckTopology) -> SheafVerdict:
     coverage generating t, and a presheaf is a sheaf for a topology iff it
     is one for a coverage generating it (Johnstone, *Elephant* C2.1).
     """
-    _same_site(f, t)
+    _checked(f, t)
     least = t.checked_least()
     for u in sorted(f.base.objects):
         s = least[u]
@@ -397,7 +401,13 @@ def plus_construction(f: Presheaf, t: GrothendieckTopology) -> Presheaf:
     L(u).  An arrow alpha: v -> u sends a family x to the family on L(v)
     whose value at g is x at alpha.g, which lies in L(u) by stability.
     """
-    _same_site(f, t)
+    _checked(f, t)
+    return _plus(f, t)
+
+
+def _plus(f: Presheaf, t: GrothendieckTopology) -> Presheaf:
+    """``plus_construction`` on a valid f and a t on its site.  The result is
+    a presheaf by construction, and born with its verdict."""
     c, least = f.base, t.checked_least()
     fams = {u: matching_families(f, least[u]) for u in c.objects}
     label = {u: {fam: f"p{i}" for i, fam in enumerate(fams[u])} for u in c.objects}
@@ -414,7 +424,7 @@ def plus_construction(f: Presheaf, t: GrothendieckTopology) -> Presheaf:
             amap[label[u][fam]] = label[v][tuple((g, lut[ag]) for g, ag in along)]
         action[alpha] = amap
     value = {u: tuple(label[u].values()) for u in c.objects}
-    return make_presheaf(c, value, action)
+    return _born_valid(make_presheaf(c, value, action), validate_set_functor)
 
 
 def sheafify(f: Presheaf, t: GrothendieckTopology) -> Presheaf:
@@ -423,7 +433,5 @@ def sheafify(f: Presheaf, t: GrothendieckTopology) -> Presheaf:
     One pass is not enough, even on a finite poset; the module docstring
     gives the proof and a counterexample.
     """
-    bad = validate_set_functor(f)
-    if bad:
-        raise InputError("presheaf invalid: " + "; ".join(bad))
-    return plus_construction(plus_construction(f, t), t)
+    _checked(f, t)
+    return _plus(_plus(f, t), t)

@@ -29,13 +29,14 @@ from itertools import combinations_with_replacement, compress, islice, repeat
 from operator import itemgetter
 from typing import Hashable
 
-from .errors import InputError, require_valid
+from .errors import InputError
 from .fincat import (
     FiniteCategory,
     Functor,
     Groupoid,
     StringTable,
     _least_representatives,
+    _verified,
     automorphism_group,
     is_group_isomorphism,
     opposite,
@@ -393,7 +394,7 @@ def disjoint_union_ssets(
     parts = list(zip(pieces, tags))
     for p, tag in parts:
         if "faces" in vars(p):
-            require_valid([f"piece {tag}: {r}" for r in validate_simplicial(p)])
+            _verified(p, validate_simplicial, f"piece {tag}: ")
     levels, ids = [], [[] for _ in parts]
     for n in range(d + 1):
         tokens, masks, shifts = [], [], []

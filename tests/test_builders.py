@@ -33,6 +33,7 @@ from fibsite import hocopb
 from fibsite.bundle import parse_bundle
 from fibsite.fincat import codiscrete_groupoid, cyclic_groupoid, poset_chain
 from fibsite.hocopb import (
+    section_diagram,
     validate_diagram,
     validate_enriched_diagram,
     validate_enriched_over_nerve,
@@ -94,20 +95,34 @@ def builder_reports(a=None, x=None) -> list[str]:
 
 
 def enriched_reports(X=None, Y=None) -> list[str]:
-    """Validator reports on the sectionwise builders' outputs."""
+    """Validator reports on the sectionwise builders' outputs.  A validator
+    reads the kept verdicts of its parts, and a section the builders made
+    is born with its verdict, so each section is validated here too."""
     report = []
     if X is not None:
         h = hocopb._enriched_hocolim(X, D)
         report += _reports("enriched_hocolim(X)", validate_enriched_over_nerve(h))
-        report += _reports("enriched_pb(...)", validate_enriched_diagram(hocopb._enriched_pb(h)))
+        report += _section_reports("enriched_hocolim(X)", h)
+        p = hocopb._enriched_pb(h)
+        report += _reports("enriched_pb(...)", validate_enriched_diagram(p))
+        report += _section_reports("enriched_pb(...)", p)
     if Y is not None:
         p = hocopb._enriched_pb(Y)
         report += _reports("enriched_pb(Y)", validate_enriched_diagram(p))
-        report += _reports(
-            "enriched_hocolim(...)",
-            validate_enriched_over_nerve(hocopb._enriched_hocolim(p, D)),
-        )
+        report += _section_reports("enriched_pb(Y)", p)
+        h = hocopb._enriched_hocolim(p, D)
+        report += _reports("enriched_hocolim(...)", validate_enriched_over_nerve(h))
+        report += _section_reports("enriched_hocolim(...)", h)
     return report
+
+
+def _section_reports(name, z) -> list[str]:
+    """Each section of an enriched diagram or over-object, validated directly."""
+    if isinstance(z, hocopb.EnrichedOverNerve):
+        checks = [(u, validate_over_nerve(s)) for u, s in z.sections.items()]
+    else:
+        checks = [(u, validate_diagram(section_diagram(z, u))) for u in z.base.site.objects]
+    return [r for u, bad in checks for r in _reports(f"{name} at {u}", bad)]
 
 
 GROUPOIDS = {

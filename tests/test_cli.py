@@ -279,16 +279,23 @@ class TestCommands:
         assert doc["payload"]["cohomology"] == doc["payload"]["pulled_back"]
 
     def test_invariance_check_builds_totals_unchecked(self, monkeypatch):
-        # parse validated the bundle's presheaves, and no total is built
-        # through the public grothendieck_construct, which validates first
-        from fibsite import fibred
+        # parse validated the bundle's presheaves and left their verdicts on
+        # them, so building their totals and the induced functor checks
+        # none of them again
+        from fibsite import bundle, fibred
 
-        def refuse(a):
-            raise AssertionError("a total was built through grothendieck_construct")
+        seen = []
+        check = fibred.validate_presheaf_of_categories
 
-        monkeypatch.setattr(fibred, "grothendieck_construct", refuse)
+        def counting(pc):
+            seen.append(pc)
+            return check(pc)
+
+        monkeypatch.setattr(fibred, "validate_presheaf_of_categories", counting)
+        monkeypatch.setattr(bundle, "validate_presheaf_of_categories", counting)
         code, _ = go(["invariance-check", str(BUNDLES / "e2_collapse.bundle"), "--mor", "m"])
         assert code == 0
+        assert len(seen) == len({id(pc) for pc in seen}) == 2
 
     def test_homology_command(self):
         code, out = go(["homology", str(BUNDLES / "pt_z2.bundle"), "--category", "Z2", "--top", "3"])

@@ -17,6 +17,8 @@ from fibsite.fincat import (
     discrete_category,
     opposite,
     poset_chain,
+    validate_category,
+    validate_groupoid,
 )
 from fibsite.hocopb import (
     EnrichedOverNerve,
@@ -660,8 +662,9 @@ class TestMemo:
         a = random_diagram(random.Random(8), z2, 3)
         h = weakref.ref(hocolim(a, 3))
         p = weakref.ref(pb(h()))
-        assert vars(a)["_memo"] == {(hocopb._hocolim, 3): h()}
-        assert vars(h())["_memo"] == {(hocopb._pb,): p()}
+        assert vars(a)["_memo"] == {(validate_diagram,): [], (hocopb._hocolim, 3): h()}
+        # a hocolim is born with its verdict, so pb does not validate it
+        assert vars(h())["_memo"] == {(validate_over_nerve,): [], (hocopb._pb,): p()}
         del a
         gc.collect()
         assert h() is None and p() is None
@@ -674,8 +677,8 @@ class TestMemo:
         assert we_evidence(unit_eta(x), 2).passed
         assert all(_unbuilt(v) for v in p().value.values())
         h = weakref.ref(_remembered(p(), hocopb._hocolim, 3))
-        assert vars(x)["_memo"] == {(hocopb._pb,): p()}
-        assert vars(p())["_memo"] == {(hocopb._hocolim, 3): h()}
+        assert vars(x)["_memo"] == {(validate_over_nerve,): [], (hocopb._pb,): p()}
+        assert vars(p())["_memo"] == {(validate_diagram,): [], (hocopb._hocolim, 3): h()}
         del x
         gc.collect()
         assert p() is None and h() is None
@@ -696,7 +699,9 @@ class TestMemo:
         h = hocolim(random_diagram(random.Random(8), g, 3), 3)
         ng = weakref.ref(h.structure.codomain)
         # the nerve refers to no groupoid, so nothing but g keeps the entry
-        assert vars(g)["_memo"] == {(nerve, 3): ng()}
+        assert vars(g)["_memo"] == {
+            (validate_category,): [], (validate_groupoid,): [], (nerve, 3): ng()
+        }
         del h, g
         gc.collect()
         assert ng() is None
@@ -726,11 +731,12 @@ class TestMemo:
                 hocolim(a, 4)
             with pytest.raises(InputError):
                 pb(stray)
-        # every raising call validates its argument again; an invalid argument
-        # never reaches a builder, and the truncation guard is the builder's
+        # an invalid argument is validated again on every call and never
+        # reaches a builder; a valid one keeps its verdict, and the
+        # truncation guard is the builder's
         assert _per_argument(validated) == Counter({
             ("validate_diagram", id(bad)): 2,
-            ("validate_diagram", id(a)): 2,
+            ("validate_diagram", id(a)): 1,
             ("validate_over_nerve", id(stray)): 2,
         })
         assert _per_argument(builds) == Counter({("_hocolim", id(a)): 2})

@@ -340,6 +340,15 @@ class TestSheafify:
         with pytest.raises(InputError, match="presheaf invalid"):
             sheafify(f, t)
 
+    def test_every_check_refuses_a_presheaf_with_no_actions(self, chain2, covered_chain):
+        # is_sheaf and plus_construction once read it until KeyError: 'id_V'
+        rep = representable_presheaf(chain2, "U")
+        f = make_presheaf(chain2, rep.value, {})
+        for t in (trivial_topology(chain2), covered_chain[1]):
+            for check in (is_sheaf, plus_construction, sheafify):
+                with pytest.raises(InputError, match="presheaf invalid: no action for id_U; "):
+                    check(f, t)
+
     def test_topology_from_another_site_refused(self, chain2, pt):
         # the point's covers say nothing about U and V: no verdict may pass
         f = constant_presheaf(chain2, ("a", "b"))
